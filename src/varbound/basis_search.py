@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import OrthonormalBasis, eq2_product_bound, eq5_sum_bound
+from .bounds import OrthonormalBasis, eq2_product_bound, eq5_sum_bound, rhs_eq2, rhs_eq5
 from .hermitian import moments
 
 
@@ -94,21 +94,17 @@ class OptimizationTrace:
 
 def _objective_fn(objective, state, a, b):
     """Fast path: rhs of eq2 or eq5 as a function of a raw basis matrix."""
+    rhs = {"eq2": rhs_eq2, "eq5": rhs_eq5}.get(objective)
+    if rhs is None:
+        raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
     psi = state.amplitudes
     abar_psi = a.shifted(moments(state, a).mean) @ psi
     bbar_psi = b.shifted(moments(state, b).mean) @ psi
-    if objective == "eq2":
-        def fn(bm):
-            pa = bm.conj().T @ abar_psi
-            pb = bm.conj().T @ bbar_psi
-            return float(np.sum(np.abs(pa.conj() * pb))) ** 2
-    elif objective == "eq5":
-        def fn(bm):
-            pa = np.abs(bm.conj().T @ abar_psi)
-            pb = np.abs(bm.conj().T @ bbar_psi)
-            return 0.5 * float(np.sum((pa + pb) ** 2))
-    else:
-        raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
+
+    def fn(bm):
+        bh = bm.conj().T
+        return rhs(bh @ abar_psi, bh @ bbar_psi)
+
     return fn
 
 

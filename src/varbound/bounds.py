@@ -1,6 +1,11 @@
 """The seven variance relations: forward product and sum bounds plus the
 reverse (upper) bound on the variance sum.
 
+Each right-hand side is written once, as a pure function ``rhs_eqN`` of
+what its relation reads.  The ``eqN_*`` evaluators feed it quantities of a
+state; the sweep feeds it estimates from counts and the basis search a
+trial basis.
+
 All evaluators return a :class:`BoundResult` carrying both sides, the slack
 and any intermediates, so a harness can serialize every term.  Lower bounds
 use slack = lhs - rhs; the reverse bound uses slack = rhs - lhs.
@@ -16,8 +21,8 @@ from .hermitian import (
     DimensionMismatch,
     Observable,
     PureState,
+    commutator,
     covariance,
-    make_observable,
     moments,
 )
 
@@ -111,14 +116,14 @@ class BoundResult:
 
 
 def _result(relation_id, direction, lhs, rhs, intermediates=None):
-    slack = (lhs - rhs) if direction == "lower" else (rhs - lhs)
+    margin = slack(direction, lhs, rhs)
     return BoundResult(
         relation_id=relation_id,
         direction=direction,
         lhs=float(lhs),
         rhs=float(rhs),
-        satisfied=bool(slack >= -SLACK_TOL),
-        slack=float(slack),
+        satisfied=bool(margin >= -SLACK_TOL),
+        slack=float(margin),
         intermediates=intermediates,
     )
 
@@ -152,14 +157,80 @@ def _normalize_pairing(pairing, dim):
     return pairing
 
 
+def slack(direction, lhs, rhs):
+    """Margin by which a relation holds: lhs - rhs for a lower bound,
+    rhs - lhs for the upper one."""
+    return lhs - rhs if direction == "lower" else rhs - lhs
+
+
+def rhs_eq1(comm_abs, cov):
+    """Robertson-Schroedinger: |<[A,B]>|^2 / 4 + Cov(A,B)^2."""
+    return (0.5 * comm_abs) ** 2 + cov**2
+
+
+def rhs_eq2(pa, pb):
+    """Basis product bound (sum_n |pa_n| |pb_n|)^2 from the projections
+    pa_n = <psi_n|Abar|Psi>, pb_n = <psi_n|Bbar|Psi>."""
+    return float(np.sum(np.abs(pa.conj() * pb))) ** 2
+
+
+def rhs_eq3(a_shifted, b_shifted, fid_a, fid_b):
+    """Fidelity product bound (sum_i sqrt(F_i G_i) a_i b_i)^2 over paired
+    shifted eigenvalues a_i, b_i with eigenstate fidelities F_i, G_i."""
+    return float(np.sum(np.sqrt(fid_a) * np.sqrt(fid_b) * a_shifted * b_shifted)) ** 2
+
+
+def rhs_eq4(var_apb):
+    """Sum bound: half the variance of A + B."""
+    return 0.5 * var_apb
+
+
+def rhs_eq5(pa, pb):
+    """Basis sum bound (1/2) sum_n (|pa_n| + |pb_n|)^2; projections as in
+    :func:`rhs_eq2`."""
+    return 0.5 * float(np.sum((np.abs(pa) + np.abs(pb)) ** 2))
+
+
+def rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
+    """Fidelity sum bound (1/2) sum_i (a_i sqrt(F_i) + b_i sqrt(G_i))^2;
+    arguments as in :func:`rhs_eq3`."""
+    return 0.5 * float(np.sum((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2))
+
+
+def rhs_eq7(var_a, var_b, cov, var_amb):
+    """Reverse sum bound 2 var(A-B) / (1 - Cov/(dA dB)) - 2 dA dB.
+
+    Returns ``(rhs, None)``, or ``(None, reason)`` when a standard deviation
+    is at most EQ7_EPS or the denominator lies within EQ7_EPS of zero.
+    """
+    if min(var_a, var_b) <= EQ7_EPS**2:
+        return None, "degenerate variance"
+    da_db = np.sqrt(var_a * var_b)
+    denom = 1.0 - cov / da_db
+    if abs(denom) <= EQ7_EPS:
+        return None, "singular denominator"
+    return float(2.0 * var_amb / denom - 2.0 * da_db), None
+
+
+def _centred(state, a, b):
+    """Moments of A and B, and the vectors Abar|Psi>, Bbar|Psi>."""
+    _check(state, a, b)
+    psi = state.amplitudes
+    ma, mb = moments(state, a), moments(state, b)
+    return ma, mb, a.shifted(ma.mean) @ psi, b.shifted(mb.mean) @ psi
+
+
+def _sq_norm(w):
+    return float(np.real(np.vdot(w, w)))
+
+
 def eq1_product_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
     """Robertson-Schroedinger product bound."""
     _check(state, a, b)
     psi = state.amplitudes
     ma, mb = moments(state, a), moments(state, b)
-    comm = complex(np.vdot(psi, (a.matrix @ b.matrix - b.matrix @ a.matrix) @ psi))
-    cov = covariance(state, a, b)
-    rhs = abs(0.5 * comm) ** 2 + cov**2
+    comm = complex(np.vdot(psi, commutator(a, b) @ psi))
+    rhs = rhs_eq1(abs(comm), covariance(state, a, b))
     return _result("eq1", "lower", ma.variance * mb.variance, rhs)
 
 
@@ -176,21 +247,23 @@ def _basis_terms(state, a, b, basis):
     return BasisBoundTerms(c=c, d=d, e=e, f=f, g=g)
 
 
+def _basis_projections(state, a, b, basis):
+    """Moments of A and B and the projections of Abar|Psi>, Bbar|Psi> onto
+    the basis."""
+    ma, mb, u, v = _centred(state, a, b)
+    if basis.dim != state.dim:
+        raise IncompleteBasis("basis dimension does not match the state")
+    bh = basis.matrix().conj().T
+    return ma, mb, bh @ u, bh @ v
+
+
 def eq2_product_bound(
     state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
 ) -> BoundResult:
     """Basis-dependent product bound (sum over |<Psi|Abar|psi_n><psi_n|Bbar|Psi>|)^2."""
-    _check(state, a, b)
-    if basis.dim != state.dim:
-        raise IncompleteBasis("basis dimension does not match the state")
-    psi = state.amplitudes
-    ma, mb = moments(state, a), moments(state, b)
+    ma, mb, pa, pb = _basis_projections(state, a, b, basis)
     terms = _basis_terms(state, a, b, basis)
-    bm = basis.matrix()
-    abar_psi = a.shifted(ma.mean) @ psi
-    bbar_psi = b.shifted(mb.mean) @ psi
-    amps = (bm.conj().T @ abar_psi).conj() * (bm.conj().T @ bbar_psi)
-    rhs = float(np.sum(np.abs(amps))) ** 2
+    rhs = rhs_eq2(pa, pb)
     # rewritten route (sum_n |C_n - D_n <A>|)^2, valid when <B> = 0
     if abs(mb.mean) < ROUTE_TOL:
         alt = float(np.sum(np.abs(terms.c - terms.d * ma.mean))) ** 2
@@ -199,10 +272,9 @@ def eq2_product_bound(
     return _result("eq2", "lower", ma.variance * mb.variance, rhs, terms)
 
 
-def _fidelity_terms(state, a, b, pairing):
+def _fidelity_terms(state, a, b, pairing, mean_a, mean_b):
     pairing = _normalize_pairing(pairing, state.dim)
     psi = state.amplitudes
-    ma, mb = moments(state, a), moments(state, b)
     fid_a = np.abs(a.eigenvector_matrix().conj().T @ psi) ** 2
     fid_b_all = np.abs(b.eigenvector_matrix().conj().T @ psi) ** 2
     b_vals = b.eigenvalues[list(pairing)]
@@ -210,8 +282,8 @@ def _fidelity_terms(state, a, b, pairing):
     return FidelityTerms(
         a_values=a.eigenvalues.copy(),
         b_values=b_vals,
-        a_shifted=a.eigenvalues - ma.mean,
-        b_shifted=b_vals - mb.mean,
+        a_shifted=a.eigenvalues - mean_a,
+        b_shifted=b_vals - mean_b,
         fid_a=fid_a,
         fid_b=fid_b,
         pairing=pairing,
@@ -224,34 +296,24 @@ def eq3_product_bound(
     """Optimization-free product bound from eigenstate fidelities."""
     _check(state, a, b)
     ma, mb = moments(state, a), moments(state, b)
-    t = _fidelity_terms(state, a, b, pairing)
-    rhs = float(np.sum(np.sqrt(t.fid_a) * np.sqrt(t.fid_b) * t.a_shifted * t.b_shifted)) ** 2
+    t = _fidelity_terms(state, a, b, pairing, ma.mean, mb.mean)
+    rhs = rhs_eq3(t.a_shifted, t.b_shifted, t.fid_a, t.fid_b)
     return _result("eq3", "lower", ma.variance * mb.variance, rhs, t)
 
 
 def eq4_sum_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Sum bound: half the variance of A + B."""
-    _check(state, a, b)
-    ma, mb = moments(state, a), moments(state, b)
-    apb = make_observable(a.matrix + b.matrix, name="A+B")
-    rhs = 0.5 * moments(state, apb).variance
-    return _result("eq4", "lower", ma.variance + mb.variance, rhs)
+    """Sum bound: half the variance of A + B, var(A+B) = ||Abar Psi + Bbar Psi||^2."""
+    ma, mb, u, v = _centred(state, a, b)
+    return _result("eq4", "lower", ma.variance + mb.variance, rhs_eq4(_sq_norm(u + v)))
 
 
 def eq5_sum_bound(
     state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
 ) -> BoundResult:
     """Basis-dependent sum bound with the factor 1/2 of the un-rewritten form."""
-    _check(state, a, b)
-    if basis.dim != state.dim:
-        raise IncompleteBasis("basis dimension does not match the state")
-    psi = state.amplitudes
-    ma, mb = moments(state, a), moments(state, b)
+    ma, mb, pa, pb = _basis_projections(state, a, b, basis)
     terms = _basis_terms(state, a, b, basis)
-    bm = basis.matrix()
-    pa = np.abs(bm.conj().T @ (a.shifted(ma.mean) @ psi))
-    pb = np.abs(bm.conj().T @ (b.shifted(mb.mean) @ psi))
-    rhs = 0.5 * float(np.sum((pa + pb) ** 2))
+    rhs = rhs_eq5(pa, pb)
     # rewritten route |E_n - F_n <A>| + |G_n - F_n <B>|, valid when <B> = 0
     if abs(mb.mean) < ROUTE_TOL:
         alt = 0.5 * float(
@@ -268,32 +330,22 @@ def eq6_sum_bound(
     """Optimization-free sum bound from eigenstate fidelities."""
     _check(state, a, b)
     ma, mb = moments(state, a), moments(state, b)
-    t = _fidelity_terms(state, a, b, pairing)
-    rhs = 0.5 * float(
-        np.sum((t.a_shifted * np.sqrt(t.fid_a) + t.b_shifted * np.sqrt(t.fid_b)) ** 2)
-    )
+    t = _fidelity_terms(state, a, b, pairing, ma.mean, mb.mean)
+    rhs = rhs_eq6(t.a_shifted, t.b_shifted, t.fid_a, t.fid_b)
     return _result("eq6", "lower", ma.variance + mb.variance, rhs, t)
 
 
 def eq7_reverse_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Reverse (upper) bound on the variance sum.
+    """Reverse (upper) bound on the variance sum, var(A-B) = ||Abar Psi - Bbar Psi||^2.
 
     Degenerate variances or a correlation ratio at 1 make the bound
     undefined; an explicit undefined result is returned rather than raising.
     """
-    _check(state, a, b)
-    ma, mb = moments(state, a), moments(state, b)
+    ma, mb, u, v = _centred(state, a, b)
     lhs = ma.variance + mb.variance
-    da, db = ma.std, mb.std
-    if da <= EQ7_EPS or db <= EQ7_EPS:
-        return _undefined("eq7", "upper", lhs, "degenerate variance")
-    cov = covariance(state, a, b)
-    denom = 1.0 - cov / (da * db)
-    if abs(denom) <= EQ7_EPS:
-        return _undefined("eq7", "upper", lhs, "singular denominator")
-    amb = make_observable(a.matrix - b.matrix, name="A-B")
-    var_amb = moments(state, amb).variance
-    rhs = 2.0 * var_amb / denom - 2.0 * da * db
+    rhs, reason = rhs_eq7(ma.variance, mb.variance, covariance(state, a, b), _sq_norm(u - v))
+    if rhs is None:
+        return _undefined("eq7", "upper", lhs, reason)
     return _result("eq7", "upper", lhs, rhs)
 
 

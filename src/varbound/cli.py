@@ -14,6 +14,7 @@ from .sweep import (
     config_from_file,
     emit,
     run_sweep,
+    theta_grid,
     verify_dataset,
 )
 
@@ -29,7 +30,6 @@ def _build_parser():
     sw.add_argument("--seed", type=int, default=7)
     sw.add_argument("--trials", type=int, default=1)
     sw.add_argument("--optimize-basis", action="store_true")
-    sw.add_argument("--pairing", default="-1,1,0")
     sw.add_argument("--dense", type=int, default=0)
     sw.add_argument("--out", default="out")
     sw.add_argument("--format", default="csv,json")
@@ -45,14 +45,12 @@ def _build_parser():
 def _sweep_config(args) -> SweepConfig:
     if args.config:
         return config_from_file(args.config)
-    n = args.theta_steps
     return SweepConfig(
-        thetas=tuple(j * np.pi / (n - 1) for j in range(n)) if n > 1 else (0.0,),
+        thetas=theta_grid(args.theta_steps),
         counts=args.counts,
         seed=args.seed,
         trials=args.trials,
         optimize_basis=args.optimize_basis,
-        pairing=tuple(float(v) for v in args.pairing.split(",")),
         dense=args.dense,
         out_dir=args.out,
         formats=tuple(args.format.split(",")),

@@ -1,9 +1,10 @@
 """Small dense complex Hermitian algebra: observables, eigensystems, moments.
 
-Everything here is exact-enough double precision for dimensions up to ~8;
-the eigensolver is a cyclic Jacobi iteration specialized to complex
-Hermitian matrices, so there is no dependency on LAPACK behaviour for
-reproducibility of eigenvector phases.
+Everything here is exact-enough double precision for dimensions up to ~8.
+Eigensystems come from LAPACK (``numpy.linalg.eigh``); degenerate clusters
+are re-orthonormalized and each eigenvector's phase is fixed afterwards
+(largest-magnitude component real and positive), so non-degenerate
+eigenvectors do not depend on LAPACK's phase convention.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class NonHermitianError(ValueError):
 
 
 class EigenFailure(RuntimeError):
-    """Jacobi iteration did not converge."""
+    """Eigensystem fails validation: it does not reconstruct the matrix, or
+    a projective mean disagrees with the quadratic form."""
 
 
 class DimensionMismatch(ValueError):
@@ -112,41 +114,6 @@ class MomentStats:
         return float(np.sqrt(max(self.variance, 0.0)))
 
 
-def _jacobi_eigh(matrix, tol=1e-14, max_sweeps=100):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Each (p, q) rotation annihilates the off-diagonal entry A[p, q] with a
-    complex Givens rotation whose phase absorbs arg(A[p, q]).  Convergence
-    is declared when the off-diagonal Frobenius mass drops below ``tol``.
-    """
-    d = matrix.shape[0]
-    a = np.array(matrix, dtype=complex)
-    vec = np.eye(d, dtype=complex)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < tol:
-            return np.real(np.diag(a)), vec
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) < tol / (d * d):
-                    continue
-                phi = np.angle(apq)
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), np.real(a[p, p] - a[q, q]))
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(d, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = -s * np.exp(1j * phi)
-                rot[q, p] = s * np.exp(-1j * phi)
-                rot[q, q] = c
-                a = rot.conj().T @ a @ rot
-                vec = vec @ rot
-    off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-    if off < tol:
-        return np.real(np.diag(a)), vec
-    raise EigenFailure(f"Jacobi did not converge; off-diagonal mass {off:g}")
-
-
 def _fix_phases(vectors):
     """Make the largest-magnitude component of each column real positive."""
     out = np.array(vectors, dtype=complex)
@@ -195,12 +162,14 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("matrix must be square with dimension >= 2")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     dev = np.max(np.abs(m - m.conj().T))
     if dev > HERMITICITY_TOL:
         raise NonHermitianError(f"max |M - M^dag| entry = {dev:g}")
     m = 0.5 * (m + m.conj().T)
 
-    w, v = _jacobi_eigh(m)
+    w, v = np.linalg.eigh(m)
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     v = _orthonormalize_clusters(w, v)
@@ -210,7 +179,8 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     v = _fix_phases(v)
 
     recon = (v * w) @ v.conj().T
-    if np.max(np.abs(recon - m)) > 1e-10:
+    # "not <=" so that a NaN from overflow (entries near 1e308) also fails
+    if not np.max(np.abs(recon - m)) <= 1e-10:
         raise EigenFailure("eigensystem does not reconstruct the matrix")
 
     vectors = tuple(PureState(v[:, k]) for k in range(m.shape[0]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -21,14 +22,16 @@ from . import __version__
 from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
     OrthonormalBasis,
-    eq1_product_bound,
-    eq2_product_bound,
-    eq3_product_bound,
-    eq4_sum_bound,
-    eq5_sum_bound,
-    eq6_sum_bound,
-    eq7_reverse_bound,
     SLACK_TOL,
+    evaluate_all,
+    rhs_eq1,
+    rhs_eq2,
+    rhs_eq3,
+    rhs_eq4,
+    rhs_eq5,
+    rhs_eq6,
+    rhs_eq7,
+    slack,
 )
 from .hermitian import PureState, builtin_spin1, family_state, moments
 from .photonics import builtin_settings, projection_probabilities, sample_counts
@@ -46,25 +49,50 @@ VALUE_COLUMNS = (
     "rhs_eq7",
 )
 
-CSV_COLUMNS = (
-    ("j", "theta")
-    + VALUE_COLUMNS
+DATA_COLUMNS = (
+    VALUE_COLUMNS
     + tuple(f"sampled_{c}" for c in VALUE_COLUMNS)
     + tuple(f"sigma_{c}" for c in VALUE_COLUMNS)
 )
+CSV_COLUMNS = ("j", "theta") + DATA_COLUMNS
+
+# (relation, lhs column, rhs column, direction) for every checked column;
+# the report's slacks and verify_dataset both read this table.
+RELATIONS = (
+    ("eq1", "lhs_prod", "rhs_eq1", "lower"),
+    ("eq2", "lhs_prod", "rhs_eq2_canon", "lower"),
+    ("eq2", "lhs_prod", "rhs_eq2_opt", "lower"),
+    ("eq3", "lhs_prod", "rhs_eq3", "lower"),
+    ("eq4", "lhs_sum", "rhs_eq4", "lower"),
+    ("eq5", "lhs_sum", "rhs_eq5_canon", "lower"),
+    ("eq5", "lhs_sum", "rhs_eq5_opt", "lower"),
+    ("eq6", "lhs_sum", "rhs_eq6", "lower"),
+    ("eq7", "lhs_sum", "rhs_eq7", "upper"),
+)
+BASIS_COLUMNS = ("rhs_eq2_canon", "rhs_eq5_canon", "rhs_eq2_opt", "rhs_eq5_opt")
 
 SETTING_NAMES = ("Lx", "Ly", "Lz", "Lp")
 DEFAULT_Z_LIMIT = 5.0
+OPTIMIZER = OptimizerConfig(restarts=6, max_iters=400)
+
+
+def theta_grid(steps):
+    """``steps`` evenly spaced angles over [0, pi], j*pi/(steps-1) exactly
+    (the dense grid merges sweep angles by float equality)."""
+    if steps < 1:
+        raise ConfigError(f"theta_steps must be >= 1, got {steps}")
+    if steps == 1:
+        return (0.0,)
+    return tuple(j * np.pi / (steps - 1) for j in range(steps))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    thetas: tuple = tuple(j * np.pi / 10 for j in range(11))
+    thetas: tuple = theta_grid(11)
     counts: int = 10_000
     seed: int = 7
     trials: int = 1
     optimize_basis: bool = False
-    pairing: tuple = (-1.0, 1.0, 0.0)
     dense: int = 0
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
@@ -83,6 +111,13 @@ class SweepConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _parse_int(key, value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def config_from_file(path) -> SweepConfig:
     """Flat key=value config file mirroring the CLI flags."""
     p = Path(path)
@@ -97,14 +132,11 @@ def config_from_file(path) -> SweepConfig:
             raise ConfigError(f"bad config line: {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         if key == "theta_steps":
-            n = int(value)
-            kwargs["thetas"] = tuple(j * np.pi / (n - 1) for j in range(n))
+            kwargs["thetas"] = theta_grid(_parse_int(key, value))
         elif key in ("counts", "seed", "trials", "dense"):
-            kwargs[key] = int(value)
+            kwargs[key] = _parse_int(key, value)
         elif key == "optimize_basis":
             kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif key == "pairing":
-            kwargs[key] = tuple(float(v) for v in value.split(","))
         elif key == "out_dir":
             kwargs[key] = value
         elif key == "formats":
@@ -112,27 +144,6 @@ def config_from_file(path) -> SweepConfig:
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return SweepConfig(**kwargs)
-
-
-def pairing_from_values(a, b, value_order):
-    """Index permutation into B's eigenvalue list aligning both observables
-    to a common eigenvalue enumeration like (-1, 1, 0)."""
-    def match(values, targets):
-        remaining = list(range(len(values)))
-        out = []
-        for t in targets:
-            k = min(remaining, key=lambda i: abs(values[i] - t))
-            if abs(values[k] - t) > 1e-8:
-                raise ConfigError(f"pairing value {t} absent from spectrum {values}")
-            out.append(k)
-            remaining.remove(k)
-        return out
-    pa = match(a.eigenvalues, value_order)
-    pb = match(b.eigenvalues, value_order)
-    pairing = [0] * len(pa)
-    for ia, ib in zip(pa, pb):
-        pairing[ia] = ib
-    return tuple(pairing)
 
 
 @dataclass
@@ -153,47 +164,36 @@ class VerificationReport:
     ok: bool
 
 
-def _ideal_columns(state, lx, ly, lz, lp, basis, pairing, optimize):
-    mx, my = moments(state, lx), moments(state, ly)
+def _ideal_columns(state, lx, ly, lz, lp, basis, optimize):
+    """Ideal value columns, the relation results, and the bases of the
+    basis-dependent columns as [(basis matrix, {column: rhs function})]."""
+    rep = evaluate_all(state, lx, ly, basis)
+    res = rep.results
     cols = {
-        "mean_lx": mx.mean,
-        "mean_ly": my.mean,
+        "mean_lx": rep.mean_a,
+        "mean_ly": rep.mean_b,
         "mean_lz": moments(state, lz).mean,
         "mean_lp": moments(state, lp).mean,
-        "var_lx": mx.variance,
-        "var_ly": my.variance,
-        "lhs_prod": mx.variance * my.variance,
-        "lhs_sum": mx.variance + my.variance,
+        "var_lx": rep.var_a,
+        "var_ly": rep.var_b,
+        "lhs_prod": rep.product_lhs,
+        "lhs_sum": rep.sum_lhs,
+        "rhs_eq1": res["eq1"].rhs,
+        "rhs_eq2_canon": res["eq2"].rhs,
+        "rhs_eq3": res["eq3"].rhs,
+        "rhs_eq4": res["eq4"].rhs,
+        "rhs_eq5_canon": res["eq5"].rhs,
+        "rhs_eq6": res["eq6"].rhs,
+        "rhs_eq7": res["eq7"].rhs,
+        "rhs_eq2_opt": None,
+        "rhs_eq5_opt": None,
     }
-    results = {
-        "eq1": eq1_product_bound(state, lx, ly),
-        "eq2": eq2_product_bound(state, lx, ly, basis),
-        "eq3": eq3_product_bound(state, lx, ly, pairing),
-        "eq4": eq4_sum_bound(state, lx, ly),
-        "eq5": eq5_sum_bound(state, lx, ly, basis),
-        "eq6": eq6_sum_bound(state, lx, ly, pairing),
-        "eq7": eq7_reverse_bound(state, lx, ly),
-    }
-    cols["rhs_eq1"] = results["eq1"].rhs
-    cols["rhs_eq2_canon"] = results["eq2"].rhs
-    cols["rhs_eq3"] = results["eq3"].rhs
-    cols["rhs_eq4"] = results["eq4"].rhs
-    cols["rhs_eq5_canon"] = results["eq5"].rhs
-    cols["rhs_eq6"] = results["eq6"].rhs
-    cols["rhs_eq7"] = results["eq7"].rhs if results["eq7"].defined else None
-
-    opt_bases = {}
+    bases = [(basis.matrix(), {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
     if optimize:
-        cfg = OptimizerConfig(restarts=6, max_iters=400)
-        b2, v2, _ = optimize_bound("eq2", state, lx, ly, cfg)
-        b5, v5, _ = optimize_bound("eq5", state, lx, ly, cfg)
-        cols["rhs_eq2_opt"] = v2
-        cols["rhs_eq5_opt"] = v5
-        opt_bases = {"eq2": b2, "eq5": b5}
-    else:
-        cols["rhs_eq2_opt"] = None
-        cols["rhs_eq5_opt"] = None
-    return cols, results, opt_bases
+        b2, cols["rhs_eq2_opt"], _ = optimize_bound("eq2", state, lx, ly, OPTIMIZER)
+        b5, cols["rhs_eq5_opt"], _ = optimize_bound("eq5", state, lx, ly, OPTIMIZER)
+        bases += [(b2.matrix(), {"rhs_eq2_opt": rhs_eq2}), (b5.matrix(), {"rhs_eq5_opt": rhs_eq5})]
+    return cols, res, bases
 
 
 def _state_estimate(theta, lz_probs):
@@ -210,11 +210,12 @@ def _state_estimate(theta, lz_probs):
     return PureState(amp / norm)
 
 
-def _sampled_columns(counts_flat, theta, lx, ly, pairing, basis, opt_bases):
+def _sampled_columns(counts_flat, theta, lx, ly, bases):
     """All sampled value columns as a function of the 12 raw counts.
 
     counts_flat is ordered [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the
-    observable's eigenvalue order (-1, 1, 0).
+    observable's eigenvalue order (-1, 1, 0).  ``bases`` is the list built
+    by :func:`_ideal_columns`.
     """
     n = np.asarray(counts_flat, dtype=float).reshape(4, 3)
     totals = n.sum(axis=1)
@@ -233,64 +234,38 @@ def _sampled_columns(counts_flat, theta, lx, ly, pairing, basis, opt_bases):
 
     var_x = mx2 - mx**2
     var_y = my2 - my**2
+    # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
+    # and var(Lx +- Ly) from the Lz and Lp settings
+    cov = 0.5 * mp - mx * my
+    a_sh = a_vals - mx
+    b_sh = b_vals - my
     cols = {
         "mean_lx": mx, "mean_ly": my, "mean_lz": mz, "mean_lp": mp,
         "var_lx": var_x, "var_ly": var_y,
         "lhs_prod": var_x * var_y, "lhs_sum": var_x + var_y,
+        "rhs_eq1": rhs_eq1(abs(mz), cov),
+        "rhs_eq4": rhs_eq4(mx2 + my2 + mp - (mx + my) ** 2),
+        "rhs_eq3": rhs_eq3(a_sh, b_sh, probs[0], probs[1]),
+        "rhs_eq6": rhs_eq6(a_sh, b_sh, probs[0], probs[1]),
+        "rhs_eq7": rhs_eq7(var_x, var_y, cov, mx2 + my2 - mp - (mx - my) ** 2)[0],
     }
-    cols["rhs_eq1"] = (0.5 * mz) ** 2 + (0.5 * mp - mx * my) ** 2
-    # half the variance of A+B; the factor 1/2 is required for consistency
-    # with the operator form of the sum bound
-    cols["rhs_eq4"] = 0.5 * (mx2 + my2 + mp - (mx + my) ** 2)
-
-    fid_a = probs[0]
-    fid_b = probs[1][list(pairing)]
-    a_sh = a_vals - mx
-    b_sh = b_vals[list(pairing)] - my
-    cols["rhs_eq3"] = float(np.sum(np.sqrt(fid_a) * np.sqrt(fid_b) * a_sh * b_sh)) ** 2
-    cols["rhs_eq6"] = 0.5 * float(np.sum((a_sh * np.sqrt(fid_a) + b_sh * np.sqrt(fid_b)) ** 2))
-
-    cov = 0.5 * mp - mx * my
-    if var_x > 1e-12 and var_y > 1e-12:
-        denom = 1.0 - cov / np.sqrt(var_x * var_y)
-        var_diff = mx2 + my2 - mp - (mx - my) ** 2
-        if abs(denom) > 1e-9:
-            cols["rhs_eq7"] = 2.0 * var_diff / denom - 2.0 * np.sqrt(var_x * var_y)
-        else:
-            cols["rhs_eq7"] = None
-    else:
-        cols["rhs_eq7"] = None
+    cols.update(dict.fromkeys(BASIS_COLUMNS))
 
     est = _state_estimate(theta, probs[2])
     if est is None:
-        cols["rhs_eq2_canon"] = None
-        cols["rhs_eq5_canon"] = None
-        cols["rhs_eq2_opt"] = None
-        cols["rhs_eq5_opt"] = None
         return cols
     # basis-dependent bounds on the plug-in state; cross-check routes are
     # skipped here because the estimated <B> fluctuates around zero
     psi = est.amplitudes
-    bm = basis.matrix()
     exp_a = float(np.real(np.vdot(psi, lx.matrix @ psi)))
     exp_b = float(np.real(np.vdot(psi, ly.matrix @ psi)))
     abar_psi = lx.shifted(exp_a) @ psi
     bbar_psi = ly.shifted(exp_b) @ psi
-    pa = bm.conj().T @ abar_psi
-    pb = bm.conj().T @ bbar_psi
-    cols["rhs_eq2_canon"] = float(np.sum(np.abs(pa.conj() * pb))) ** 2
-    cols["rhs_eq5_canon"] = 0.5 * float(np.sum((np.abs(pa) + np.abs(pb)) ** 2))
-    for key, tag in (("eq2", "rhs_eq2_opt"), ("eq5", "rhs_eq5_opt")):
-        if key in opt_bases:
-            om = opt_bases[key].matrix()
-            qa = om.conj().T @ abar_psi
-            qb = om.conj().T @ bbar_psi
-            if key == "eq2":
-                cols[tag] = float(np.sum(np.abs(qa.conj() * qb))) ** 2
-            else:
-                cols[tag] = 0.5 * float(np.sum((np.abs(qa) + np.abs(qb)) ** 2))
-        else:
-            cols[tag] = None
+    for bm, rhs_by_column in bases:
+        bh = bm.conj().T
+        pa, pb = bh @ abar_psi, bh @ bbar_psi
+        for col, rhs in rhs_by_column.items():
+            cols[col] = rhs(pa, pb)
     return cols
 
 
@@ -320,16 +295,14 @@ def _propagate_sigmas(counts_flat, column_fn):
 def run_sweep(config: SweepConfig):
     """Evaluate the full sweep; returns (rows, report, dense_rows)."""
     lx, ly, lz, lp = builtin_spin1()
-    obs = {"Lx": lx, "Ly": ly, "Lz": lz, "Lp": lp}
     basis = OrthonormalBasis.computational(3)
-    pairing = pairing_from_values(lx, ly, config.pairing)
     settings = builtin_settings()
 
     rows = []
     for j, theta in enumerate(config.thetas):
         state = family_state(theta)
-        ideal, results, opt_bases = _ideal_columns(
-            state, lx, ly, lz, lp, basis, pairing, config.optimize_basis
+        ideal, results, bases = _ideal_columns(
+            state, lx, ly, lz, lp, basis, config.optimize_basis
         )
 
         sampled_acc, sigma_acc = {}, {}
@@ -339,7 +312,7 @@ def run_sweep(config: SweepConfig):
                 p = projection_probabilities(state, settings[name])
                 seed = config.seed + 1000 * j + 10 * trial + si
                 counts_flat.extend(sample_counts(p, config.counts, seed).counts)
-            fn = lambda c: _sampled_columns(c, theta, lx, ly, pairing, basis, opt_bases)
+            fn = lambda c: _sampled_columns(c, theta, lx, ly, bases)
             vals, sigs = _propagate_sigmas(np.array(counts_flat, dtype=float), fn)
             for col, v in vals.items():
                 if v is None:
@@ -374,7 +347,7 @@ def run_sweep(config: SweepConfig):
             state = family_state(theta)
             # dense curves cover the figure panels; the optimized-basis
             # columns are only produced for the sweep points themselves
-            ideal, _, _ = _ideal_columns(state, lx, ly, lz, lp, basis, pairing, False)
+            ideal, _, _ = _ideal_columns(state, lx, ly, lz, lp, basis, False)
             dense_rows.append(DatasetRow(j=j, theta=float(theta), ideal=ideal))
     return rows, report, dense_rows
 
@@ -382,7 +355,7 @@ def run_sweep(config: SweepConfig):
 def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
     statuses = [r.statuses for r in rows]
     worst = min(
-        (min((v for v in (_slacks(r)) if v is not None), default=np.inf) for r in rows),
+        (min(_slacks(r.ideal), default=np.inf) for r in rows),
         default=np.inf,
     )
     z_scores = []
@@ -409,17 +382,13 @@ def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
     )
 
 
-def _slacks(row):
-    out = []
-    ideal = row.ideal
-    for rid in ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"):
-        key = {"eq2": "rhs_eq2_canon", "eq5": "rhs_eq5_canon"}.get(rid, f"rhs_{rid}")
-        lhs = ideal["lhs_prod"] if rid in ("eq1", "eq2", "eq3") else ideal["lhs_sum"]
-        if ideal.get(key) is not None:
-            out.append(lhs - ideal[key])
-    if ideal.get("rhs_eq7") is not None:
-        out.append(ideal["rhs_eq7"] - ideal["lhs_sum"])
-    return out
+def _slacks(values):
+    """Slack of every relation column in ``values`` that has an rhs."""
+    return [
+        slack(direction, values[lhs], values[rhs])
+        for _, lhs, rhs, direction in RELATIONS
+        if values.get(rhs) is not None
+    ]
 
 
 def _fmt(value):
@@ -484,26 +453,38 @@ def _write_csv(path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
-    """Re-check a written JSON dataset; returns a process exit status."""
-    p = Path(path)
-    if not p.is_file():
-        return 2
+def _load_rows(path):
+    """Rows of a JSON dataset, or None when it is missing or malformed: no
+    rows, a row without lhs_prod or lhs_sum, a non-numeric value or a
+    negative sigma."""
     try:
-        payload = json.loads(p.read_text())
-        rows = payload["rows"]
-    except (json.JSONDecodeError, KeyError):
+        rows = json.loads(Path(path).read_text())["rows"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if not isinstance(rows, list) or not rows:
+        return None
+    for row in rows:
+        if not isinstance(row, dict) or row.get("lhs_prod") is None or row.get("lhs_sum") is None:
+            return None
+        for col in DATA_COLUMNS:
+            v = row.get(col)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                return None
+            if col.startswith("sigma_") and v is not None and v < 0:
+                return None
+    return rows
+
+
+def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
+    """Re-check a written JSON dataset; returns a process exit status:
+    0 ok, 1 violation or non-finite value, 2 missing or malformed."""
+    rows = _load_rows(path)
+    if rows is None:
         return 2
     for row in rows:
-        for rid in ("eq1", "eq2_canon", "eq2_opt", "eq3"):
-            rhs = row.get(f"rhs_{rid}")
-            if rhs is not None and rhs > row["lhs_prod"] + SLACK_TOL:
-                return 1
-        for rid in ("eq4", "eq5_canon", "eq5_opt", "eq6"):
-            rhs = row.get(f"rhs_{rid}")
-            if rhs is not None and rhs > row["lhs_sum"] + SLACK_TOL:
-                return 1
-        if row.get("rhs_eq7") is not None and row["rhs_eq7"] < row["lhs_sum"] - SLACK_TOL:
+        if any(row.get(col) is not None and not math.isfinite(row[col]) for col in DATA_COLUMNS):
+            return 1
+        if any(s < -SLACK_TOL for s in _slacks(row)):
             return 1
         for col in VALUE_COLUMNS:
             v, s = row.get(f"sampled_{col}"), row.get(f"sigma_{col}")

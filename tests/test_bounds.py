@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varbound.basis_search import haar_basis
 from varbound.bounds import (
     IncompleteBasis,
     InvalidPairing,
@@ -17,9 +20,11 @@ from varbound.bounds import (
     eq6_sum_bound,
     eq7_reverse_bound,
     evaluate_all,
+    rhs_eq7,
 )
 from varbound.hermitian import (
     builtin_spin1,
+    covariance,
     family_state,
     haar_random_state,
     make_observable,
@@ -198,6 +203,12 @@ class TestEq7:
         assert r.rhs is None
         assert "variance" in r.reason
 
+    def test_degeneracy_rule_is_std_at_most_eps(self):
+        # one rule for the ideal and the sampled path: a std <= EQ7_EPS = 1e-9
+        assert rhs_eq7(1e-16, 1.0, 0.0, 1.0)[0] is not None  # std 1e-8
+        assert rhs_eq7(1e-19, 1.0, 0.0, 1.0) == (None, "degenerate variance")
+        assert rhs_eq7(1.0, 1.0, 1.0 - 1e-10, 1.0) == (None, "singular denominator")
+
     def test_rewritten_route_on_family(self):
         for theta in SWEEP_THETAS:
             s = family_state(theta)
@@ -300,3 +311,56 @@ class TestEvaluateAll:
                 for rid in base.results:
                     if base.results[rid].defined and mod.results[rid].defined:
                         assert base.results[rid].satisfied == mod.results[rid].satisfied
+
+
+def _random_hermitian(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (z + z.conj().T)
+
+
+class TestAnyDimension:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_every_relation_holds_or_is_undefined(self, d, seed):
+        """Haar state, random Hermitian pair, Haar basis and random pairing."""
+        rng = np.random.default_rng(seed)
+        a = make_observable(_random_hermitian(rng, d))
+        b = make_observable(_random_hermitian(rng, d))
+        s = haar_random_state(d, rng)
+        rep = evaluate_all(s, a, b, haar_basis(d, seed), tuple(rng.permutation(d)))
+        for rid, r in rep.results.items():
+            if r.defined:
+                assert r.satisfied, (rid, r)
+            else:
+                assert r.rhs is None and r.reason, (rid, r)
+
+    def test_sum_and_reverse_match_eigensolve_route(self):
+        """var(A+B), var(A-B) from ||Abar Psi +- Bbar Psi||^2 agree with an
+        eigensolve of A+-B, also for B = U A U^dag with U = exp(i eps Y)
+        close to the identity, where the eq7 denominator nearly vanishes."""
+        rng = np.random.default_rng(17)
+        checked = 0
+        for d in (2, 3, 4, 5, 6):
+            for eps in (None, *np.logspace(-4.5, -2, 6)):
+                for _ in range(4):
+                    a = _random_hermitian(rng, d)
+                    if eps is None:
+                        b = _random_hermitian(rng, d)
+                    else:
+                        w, v = np.linalg.eigh(_random_hermitian(rng, d))
+                        u = (v * np.exp(1j * eps * w)) @ v.conj().T
+                        b = u @ a @ u.conj().T
+                        b = 0.5 * (b + b.conj().T)
+                    oa, ob = make_observable(a), make_observable(b)
+                    s = haar_random_state(d, rng)
+                    ma, mb = moments(s, oa), moments(s, ob)
+                    var_apb = moments(s, make_observable(a + b)).variance
+                    var_amb = moments(s, make_observable(a - b)).variance
+                    assert eq4_sum_bound(s, oa, ob).rhs == pytest.approx(0.5 * var_apb, rel=1e-9)
+                    ref, _ = rhs_eq7(ma.variance, mb.variance, covariance(s, oa, ob), var_amb)
+                    r = eq7_reverse_bound(s, oa, ob)
+                    assert (r.rhs is None) == (ref is None)
+                    if ref is not None:
+                        assert r.rhs == pytest.approx(ref, rel=1e-9)
+                        checked += 1
+        assert checked >= 120

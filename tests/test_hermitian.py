@@ -5,6 +5,7 @@ import pytest
 
 from varbound.hermitian import (
     DimensionMismatch,
+    EigenFailure,
     NonHermitianError,
     PureState,
     anticommutator,
@@ -57,6 +58,18 @@ class TestMakeObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             make_observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_nonfinite(self, bad):
+        for pos in ((0, 0), (0, 1)):
+            m = np.array([[0, 1], [1, 1]], dtype=complex)
+            m[pos] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make_observable(m)
+
+    def test_overflow_fails_reconstruction(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigenFailure):
+            make_observable(np.array([[1e308, 0], [0, 1]], dtype=complex))
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(11)

@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import varbound.sweep as sweep
+from varbound.basis_search import OptimizerConfig
+from varbound.bounds import OrthonormalBasis
 from varbound.cli import main
-from varbound.hermitian import builtin_spin1
+from varbound.hermitian import builtin_spin1, family_state
+from varbound.photonics import builtin_settings, projection_probabilities
 from varbound.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -15,8 +19,8 @@ from varbound.sweep import (
     build_report,
     config_from_file,
     emit,
-    pairing_from_values,
     run_sweep,
+    theta_grid,
     verify_dataset,
 )
 
@@ -50,7 +54,6 @@ class TestConfig:
             "counts = 2000\n"
             "seed = 3\n"
             "optimize_basis = true\n"
-            "pairing = -1,1,0\n"
             "formats = csv\n"
         )
         cfg = config_from_file(p)
@@ -69,19 +72,24 @@ class TestConfig:
         bad.write_text("no equals sign\n")
         with pytest.raises(ConfigError):
             config_from_file(bad)
+        for line in ("counts = ten\n", "theta_steps = 0\n", "theta_steps = 2.5\n"):
+            bad.write_text(line)
+            with pytest.raises(ConfigError):
+                config_from_file(bad)
 
-
-class TestPairing:
-    def test_identity_for_builtin_order(self):
-        assert pairing_from_values(LX, LY, (-1.0, 1.0, 0.0)) == (0, 1, 2)
-
-    def test_permuted_value_order(self):
-        # aligning on (0, -1, 1) still maps equal eigenvalues to each other
-        assert pairing_from_values(LX, LY, (0.0, -1.0, 1.0)) == (0, 1, 2)
-
-    def test_value_absent(self):
+    def test_theta_grid(self):
+        # exact j*pi/(n-1): the dense grid merges sweep angles by float equality
+        for n in (2, 3, 11, 101):
+            assert theta_grid(n) == tuple(j * np.pi / (n - 1) for j in range(n))
+        assert theta_grid(11) == SweepConfig().thetas
+        assert theta_grid(1) == (0.0,)
         with pytest.raises(ConfigError):
-            pairing_from_values(LX, LY, (-1.0, 1.0, 0.5))
+            theta_grid(0)
+
+    def test_single_theta_step_config(self, tmp_path):
+        p = tmp_path / "one.cfg"
+        p.write_text("theta_steps = 1\n")
+        assert config_from_file(p).thetas == (0.0,)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +212,44 @@ class TestEmitAndVerify:
         garbage.write_text("{not json")
         assert verify_dataset(garbage) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {}, [], {"rows": None}, {"rows": []}, {"rows": [{"theta": 0}]},
+        {"rows": [{"lhs_prod": 0.25}]}, {"rows": [{"lhs_prod": 0.25, "lhs_sum": "1.0"}]},
+    ])
+    def test_verify_rejects_malformed_dataset(self, tmp_path, payload):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(payload))
+        assert verify_dataset(bad) == 2
+
+    @pytest.mark.parametrize("column", ["lhs_prod", "lhs_sum", "rhs_eq1", "sampled_var_lx",
+                                        "sigma_rhs_eq4"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_verify_flags_non_finite_value(self, emitted, tmp_path, column, value):
+        out, _ = emitted
+        payload = json.loads((out / "sweep.json").read_text())
+        payload["rows"][2][column] = value
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(payload))
+        assert verify_dataset(bad) == 1
+
+    def test_verify_rejects_negative_sigma(self, emitted, tmp_path):
+        out, _ = emitted
+        payload = json.loads((out / "sweep.json").read_text())
+        payload["rows"][1]["sampled_mean_lx"] = payload["rows"][1]["mean_lx"] + 1.0
+        payload["rows"][1]["sigma_mean_lx"] = -1e-3
+        bad = tmp_path / "negative_sigma.json"
+        bad.write_text(json.dumps(payload))
+        assert verify_dataset(bad) == 2
+
+    def test_verify_checks_optimized_columns(self, emitted, tmp_path):
+        out, _ = emitted
+        payload = json.loads((out / "sweep.json").read_text())
+        assert payload["rows"][4]["rhs_eq5_opt"] is None  # null stays allowed
+        payload["rows"][4]["rhs_eq5_opt"] = payload["rows"][4]["lhs_sum"] + 1.0
+        bad = tmp_path / "opt.json"
+        bad.write_text(json.dumps(payload))
+        assert verify_dataset(bad) == 1
+
 
 class TestCalibration:
     @pytest.mark.parametrize("theta", [0.1 * np.pi, 0.35 * np.pi])
@@ -230,6 +276,42 @@ class TestBuildReport:
         rows[0].sampled["mean_lx"] = rows[0].ideal["mean_lx"] + 1.0
         assert not build_report(rows).ok
 
+    def test_worst_slack_reads_optimized_columns(self):
+        rows, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
+        assert report.worst_slack > -1e-9
+        rows[0].ideal["rhs_eq2_opt"] = rows[0].ideal["lhs_prod"] + 0.5
+        assert build_report(rows).worst_slack == pytest.approx(-0.5)
+
+
+def _noise_free_counts(state, n):
+    settings = builtin_settings()
+    return np.concatenate([
+        n * projection_probabilities(state, settings[name]) for name in sweep.SETTING_NAMES
+    ])
+
+
+class TestWrittenOnce:
+    """The sampled path feeds counts to the same rhs functions the ideal
+    path feeds state quantities to, so at noise-free counts they agree."""
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_noise_free_counts_reproduce_ideal_columns(self, monkeypatch, optimize):
+        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
+        basis = OrthonormalBasis.computational(3)
+        for theta in theta_grid(11):
+            state = family_state(theta)
+            ideal, _, bases = sweep._ideal_columns(state, LX, LY, LZ, LP, basis, optimize)
+            sampled = sweep._sampled_columns(
+                _noise_free_counts(state, 10_000), theta, LX, LY, bases
+            )
+            assert set(sampled) == set(VALUE_COLUMNS)
+            for col in VALUE_COLUMNS:
+                if ideal[col] is None:
+                    assert sampled[col] is None, (theta, col)
+                else:
+                    assert sampled[col] == pytest.approx(ideal[col], abs=1e-12), (theta, col)
+            assert (ideal["rhs_eq2_opt"] is None) == (not optimize)
+
 
 class TestCli:
     def test_sweep_and_verify(self, tmp_path, capsys):
@@ -249,6 +331,11 @@ class TestCli:
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
+        cfg = tmp_path / "bad.cfg"
+        for line in ("counts = ten\n", "theta_steps = 0\n", "pairing = -1,1,0\n"):
+            cfg.write_text(line)
+            assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(["sweep", "--theta-steps", "0", "--out", str(tmp_path / "o")]) == 2
 
     def test_verify_missing_dataset(self, tmp_path):
         assert main(["verify", str(tmp_path / "none.json")]) == 2
