@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import OrthonormalBasis, eq2_product_bound, eq5_sum_bound, rhs_eq2, rhs_eq5
-from .hermitian import moments
+from .bounds import OrthonormalBasis, _check, eq2_product_bound, eq5_sum_bound, rhs_eq2, rhs_eq5
+from .hermitian import _centre
 
 
 class BadParameterCount(ValueError):
@@ -97,9 +97,9 @@ def _objective_fn(objective, state, a, b):
     rhs = {"eq2": rhs_eq2, "eq5": rhs_eq5}.get(objective)
     if rhs is None:
         raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
+    _check(state, a, b)
     psi = state.amplitudes
-    abar_psi = a.shifted(moments(state, a).mean) @ psi
-    bbar_psi = b.shifted(moments(state, b).mean) @ psi
+    abar_psi, bbar_psi = _centre(psi, a), _centre(psi, b)
 
     def fn(bm):
         bh = bm.conj().T

@@ -21,6 +21,7 @@ from .hermitian import (
     DimensionMismatch,
     Observable,
     PureState,
+    _centre,
     commutator,
     covariance,
     moments,
@@ -115,6 +116,12 @@ class BoundResult:
     intermediates: object = None
 
 
+def _slack_tol(lhs, rhs):
+    """Tolerance on a relation's slack, relative to the size of its sides
+    (the relations are scale-covariant)."""
+    return SLACK_TOL * max(1.0, abs(lhs), abs(rhs))
+
+
 def _result(relation_id, direction, lhs, rhs, intermediates=None):
     margin = slack(direction, lhs, rhs)
     return BoundResult(
@@ -122,7 +129,7 @@ def _result(relation_id, direction, lhs, rhs, intermediates=None):
         direction=direction,
         lhs=float(lhs),
         rhs=float(rhs),
-        satisfied=bool(margin >= -SLACK_TOL),
+        satisfied=bool(margin >= -_slack_tol(lhs, rhs)),
         slack=float(margin),
         intermediates=intermediates,
     )
@@ -216,8 +223,7 @@ def _centred(state, a, b):
     """Moments of A and B, and the vectors Abar|Psi>, Bbar|Psi>."""
     _check(state, a, b)
     psi = state.amplitudes
-    ma, mb = moments(state, a), moments(state, b)
-    return ma, mb, a.shifted(ma.mean) @ psi, b.shifted(mb.mean) @ psi
+    return moments(state, a), moments(state, b), _centre(psi, a), _centre(psi, b)
 
 
 def _sq_norm(w):

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
+MATRIX_TOL = 1e-10
 NORM_TOL = 1e-12
-ORTHO_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
 
@@ -24,8 +23,8 @@ class NonHermitianError(ValueError):
 
 
 class EigenFailure(RuntimeError):
-    """Eigensystem fails validation: it does not reconstruct the matrix, or
-    a projective mean disagrees with the quadratic form."""
+    """Eigensystem fails validation: its eigenvectors are not orthonormal,
+    or it does not reconstruct the matrix."""
 
 
 class DimensionMismatch(ValueError):
@@ -64,38 +63,46 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def _matrix_tol(m):
+    """Hermiticity and reconstruction tolerance, relative to the largest entry."""
+    return MATRIX_TOL * max(1.0, float(np.max(np.abs(m))))
+
+
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix with a cached, phase-fixed eigensystem.
+    """Hermitian matrix with a phase-fixed eigensystem, checked once here.
 
-    ``eigenvalues[i]`` belongs to ``eigenvectors[i]``; the ordering is the
-    one requested at construction (ascending by default).
+    Column ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``; the
+    ordering is the one requested at construction (ascending by default).
+    The arrays are read-only, so the check covers every later use.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: tuple[PureState, ...]
+    eigenvectors: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        w = np.asarray(self.eigenvalues, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
+        for key, dtype in (("matrix", complex), ("eigenvalues", float), ("eigenvectors", complex)):
+            arr = np.array(getattr(self, key), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, key, arr)
+        m, w, v = self.matrix, self.eigenvalues, self.eigenvectors
+        if w.ndim != 1 or not m.shape == v.shape == (w.size, w.size):
+            raise EigenFailure(f"shapes {m.shape}, {w.shape}, {v.shape} do not form an eigensystem")
+        # "not <=" so that a NaN from overflow (entries near 1e308) also fails
+        if not np.max(np.abs(v.conj().T @ v - np.eye(w.size))) <= NORM_TOL:
+            raise EigenFailure(f"eigenvectors are not orthonormal to {NORM_TOL}")
+        if not np.max(np.abs((v * w) @ v.conj().T - m)) <= _matrix_tol(m):
+            raise EigenFailure("eigensystem does not reconstruct the matrix")
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
     def eigenvector_matrix(self):
-        """Eigenvectors as columns, in stored order."""
-        return np.column_stack([v.amplitudes for v in self.eigenvectors])
-
-    def shifted(self, offset):
-        """Matrix of the mean-shifted operator O - offset*I."""
-        return self.matrix - offset * np.eye(self.dim)
+        """Eigenvectors as columns, in stored order (read-only)."""
+        return self.eigenvectors
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,8 @@ def _match_order(sorted_values, target_order):
 
 
 def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
-    """Build an Observable with a validated eigensystem.
+    """Build an Observable from a Hermitian matrix; the Observable checks
+    the eigensystem on construction.
 
     ``eigenvalue_order`` optionally re-permutes the (ascending-sorted)
     spectrum to a caller-supplied value sequence, e.g. (-1, 1, 0) for the
@@ -165,7 +173,7 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > HERMITICITY_TOL:
+    if dev > _matrix_tol(m):
         raise NonHermitianError(f"max |M - M^dag| entry = {dev:g}")
     m = 0.5 * (m + m.conj().T)
 
@@ -177,14 +185,7 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
         perm = _match_order(w, eigenvalue_order)
         w, v = w[perm], v[:, perm]
     v = _fix_phases(v)
-
-    recon = (v * w) @ v.conj().T
-    # "not <=" so that a NaN from overflow (entries near 1e308) also fails
-    if not np.max(np.abs(recon - m)) <= 1e-10:
-        raise EigenFailure("eigensystem does not reconstruct the matrix")
-
-    vectors = tuple(PureState(v[:, k]) for k in range(m.shape[0]))
-    return Observable(matrix=m, eigenvalues=w, eigenvectors=vectors, name=name)
+    return Observable(matrix=m, eigenvalues=w, eigenvectors=v, name=name)
 
 
 SPIN1_EIGENVALUE_ORDER = (-1.0, 1.0, 0.0)
@@ -215,23 +216,23 @@ def _check_dims(state, *observables):
 
 
 def moments(state: PureState, obs: Observable) -> MomentStats:
-    """Mean, second moment and variance of ``obs`` in ``state``.
-
-    The mean is computed both as the quadratic form <psi|M|psi> and from the
-    projective probabilities sum_i m_i |<psi|m_i>|^2; the two routes are
-    cross-checked to 1e-10.
-    """
+    """Mean <psi|M|psi>, second moment ||M psi||^2 and variance of ``obs``
+    in ``state``."""
     _check_dims(state, obs)
     psi = state.amplitudes
-    mean_direct = float(np.real(np.vdot(psi, obs.matrix @ psi)))
-    probs = np.abs(obs.eigenvector_matrix().conj().T @ psi) ** 2
-    mean_proj = float(np.dot(obs.eigenvalues, probs))
-    if abs(mean_direct - mean_proj) > 1e-10:
-        raise EigenFailure(
-            f"projective mean {mean_proj} disagrees with quadratic form {mean_direct}"
-        )
-    second = float(np.real(np.vdot(obs.matrix @ psi, obs.matrix @ psi)))
-    return MomentStats(mean=mean_direct, second_moment=second)
+    m_psi = obs.matrix @ psi
+    return MomentStats(
+        mean=float(np.real(np.vdot(psi, m_psi))),
+        second_moment=float(np.real(np.vdot(m_psi, m_psi))),
+    )
+
+
+def _centre(psi, obs):
+    """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
+    normalized amplitudes; the bounds, the basis search and the sampled
+    columns all centre through here."""
+    o_psi = obs.matrix @ psi
+    return o_psi - float(np.real(np.vdot(psi, o_psi))) * psi
 
 
 def covariance(state: PureState, a: Observable, b: Observable) -> float:

@@ -22,7 +22,7 @@ from . import __version__
 from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
     OrthonormalBasis,
-    SLACK_TOL,
+    _slack_tol,
     evaluate_all,
     rhs_eq1,
     rhs_eq2,
@@ -33,7 +33,7 @@ from .bounds import (
     rhs_eq7,
     slack,
 )
-from .hermitian import PureState, builtin_spin1, family_state, moments
+from .hermitian import _centre, builtin_spin1, family_state, moments
 from .photonics import builtin_settings, projection_probabilities, sample_counts
 
 
@@ -196,21 +196,17 @@ def _ideal_columns(state, lx, ly, lz, lp, basis, optimize):
     return cols, res, bases
 
 
-def _state_estimate(theta, lz_probs):
-    """Plug-in amplitude estimate for the swept family from the identity-
-    routing setting's probabilities (signs taken from the prepared theta)."""
+def _state_estimate(lz_probs, mean_lx):
+    """Normalized plug-in amplitudes, up to a global sign, of a family state
+    (cos t, -sin t, 0) from the counts alone: magnitudes from the identity-
+    routing setting, the relative sign from <Lx> = -sqrt(2) cos t sin t."""
     # Lz outcomes are in eigenvalue order (-1, 1, 0) -> basis states (e3, e1, e2)
-    p1, p2, p3 = lz_probs[1], lz_probs[2], lz_probs[0]
-    c = np.sign(np.cos(theta)) * np.sqrt(max(p1, 0.0))
-    s = np.sign(np.sin(theta)) * np.sqrt(max(p2, 0.0))
-    amp = np.array([c, -s, np.sqrt(max(p3, 0.0))], dtype=complex)
-    norm = np.linalg.norm(amp)
-    if norm == 0:
-        return None
-    return PureState(amp / norm)
+    a1, a2, a3 = np.sqrt(lz_probs[[1, 2, 0]])
+    amp = np.array([a1, math.copysign(a2, mean_lx), a3], dtype=complex)
+    return amp / np.linalg.norm(amp)
 
 
-def _sampled_columns(counts_flat, theta, lx, ly, bases):
+def _sampled_columns(counts_flat, lx, ly, bases):
     """All sampled value columns as a function of the 12 raw counts.
 
     counts_flat is ordered [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the
@@ -251,16 +247,10 @@ def _sampled_columns(counts_flat, theta, lx, ly, bases):
     }
     cols.update(dict.fromkeys(BASIS_COLUMNS))
 
-    est = _state_estimate(theta, probs[2])
-    if est is None:
-        return cols
     # basis-dependent bounds on the plug-in state; cross-check routes are
     # skipped here because the estimated <B> fluctuates around zero
-    psi = est.amplitudes
-    exp_a = float(np.real(np.vdot(psi, lx.matrix @ psi)))
-    exp_b = float(np.real(np.vdot(psi, ly.matrix @ psi)))
-    abar_psi = lx.shifted(exp_a) @ psi
-    bbar_psi = ly.shifted(exp_b) @ psi
+    psi = _state_estimate(probs[2], mx)
+    abar_psi, bbar_psi = _centre(psi, lx), _centre(psi, ly)
     for bm, rhs_by_column in bases:
         bh = bm.conj().T
         pa, pb = bh @ abar_psi, bh @ bbar_psi
@@ -270,26 +260,32 @@ def _sampled_columns(counts_flat, theta, lx, ly, bases):
 
 
 def _propagate_sigmas(counts_flat, column_fn):
-    """First-order Poisson error bars via numerical differentiation."""
+    """First-order Poisson error bars via central differences with a
+    one-count step.  A zero count adds n_k * deriv^2 = 0, so only the
+    nonzero (hence at least one) counts are differentiated."""
     base = column_fn(counts_flat)
     var = {k: 0.0 for k, v in base.items() if v is not None}
     n = np.asarray(counts_flat, dtype=float)
-    for k in range(n.size):
-        h = 1.0
+    for k in np.flatnonzero(n):
         hi, lo = n.copy(), n.copy()
-        hi[k] += h
-        if n[k] >= h:
-            lo[k] -= h
-            span = 2.0 * h
-        else:
-            span = h  # forward difference at the boundary
+        hi[k] += 1.0
+        lo[k] -= 1.0
         up, dn = column_fn(hi), column_fn(lo)
         for col in var:
             if up.get(col) is None or dn.get(col) is None:
                 continue
-            deriv = (up[col] - dn[col]) / span
+            deriv = (up[col] - dn[col]) / 2.0
             var[col] += n[k] * deriv**2
     return base, {col: float(np.sqrt(v)) for col, v in var.items()}
+
+
+def _status(res):
+    """undefined, violated, tight or satisfied, to the relation's tolerance."""
+    if not res.defined:
+        return "undefined"
+    if not res.satisfied:
+        return "violated"
+    return "tight" if abs(res.slack) <= _slack_tol(res.lhs, res.rhs) else "satisfied"
 
 
 def run_sweep(config: SweepConfig):
@@ -312,7 +308,7 @@ def run_sweep(config: SweepConfig):
                 p = projection_probabilities(state, settings[name])
                 seed = config.seed + 1000 * j + 10 * trial + si
                 counts_flat.extend(sample_counts(p, config.counts, seed).counts)
-            fn = lambda c: _sampled_columns(c, theta, lx, ly, bases)
+            fn = lambda c: _sampled_columns(c, lx, ly, bases)
             vals, sigs = _propagate_sigmas(np.array(counts_flat, dtype=float), fn)
             for col, v in vals.items():
                 if v is None:
@@ -325,16 +321,7 @@ def run_sweep(config: SweepConfig):
             for c in sigma_acc
         }
 
-        statuses = {}
-        for rid, res in results.items():
-            if not res.defined:
-                statuses[rid] = "undefined"
-            elif res.slack < -SLACK_TOL:
-                statuses[rid] = "violated"
-            elif abs(res.slack) <= SLACK_TOL:
-                statuses[rid] = "tight"
-            else:
-                statuses[rid] = "satisfied"
+        statuses = {rid: _status(res) for rid, res in results.items()}
         rows.append(DatasetRow(j=j, theta=float(theta), ideal=ideal,
                                sampled=sampled, sigma=sigma, statuses=statuses))
 
@@ -355,7 +342,7 @@ def run_sweep(config: SweepConfig):
 def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
     statuses = [r.statuses for r in rows]
     worst = min(
-        (min(_slacks(r.ideal), default=np.inf) for r in rows),
+        (min((s for s, _ in _slacks(r.ideal)), default=np.inf) for r in rows),
         default=np.inf,
     )
     z_scores = []
@@ -383,9 +370,10 @@ def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
 
 
 def _slacks(values):
-    """Slack of every relation column in ``values`` that has an rhs."""
+    """(slack, tolerance) of every relation column in ``values`` that has
+    an rhs."""
     return [
-        slack(direction, values[lhs], values[rhs])
+        (slack(direction, values[lhs], values[rhs]), _slack_tol(values[lhs], values[rhs]))
         for _, lhs, rhs, direction in RELATIONS
         if values.get(rhs) is not None
     ]
@@ -484,7 +472,7 @@ def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
     for row in rows:
         if any(row.get(col) is not None and not math.isfinite(row[col]) for col in DATA_COLUMNS):
             return 1
-        if any(s < -SLACK_TOL for s in _slacks(row)):
+        if any(s < -tol for s, tol in _slacks(row)):
             return 1
         for col in VALUE_COLUMNS:
             v, s = row.get(f"sampled_{col}"), row.get(f"sigma_{col}")

@@ -364,3 +364,26 @@ class TestAnyDimension:
                         assert r.rhs == pytest.approx(ref, rel=1e-9)
                         checked += 1
         assert checked >= 120
+
+    @pytest.mark.parametrize("scale", [1e5, 1e8])
+    def test_large_entries_build_and_hold(self, scale):
+        """The eigensystem checks are relative to the largest entry, so
+        scaled random matrices build, and every relation holds on them."""
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            a = make_observable(scale * _random_hermitian(rng, 4))
+            b = make_observable(scale * _random_hermitian(rng, 4))
+            rep = evaluate_all(haar_random_state(4, rng), a, b)
+            for rid, r in rep.results.items():
+                assert r.satisfied, (rid, r)
+
+    @pytest.mark.parametrize("scale", [30.0, 1e3, 1e5])
+    def test_equal_observables_hold_at_any_scale(self, scale):
+        """A = B makes eq1-eq6 tight; the slack tolerance is relative to the
+        two sides, so rounding at a large scale is not a violation."""
+        a = make_observable(scale * np.diag([1.0, 2.0, -3.0]))
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            rep = evaluate_all(haar_random_state(3, rng), a, a)
+            for rid, r in rep.results.items():
+                assert r.satisfied, (rid, r)

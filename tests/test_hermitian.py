@@ -7,6 +7,7 @@ from varbound.hermitian import (
     DimensionMismatch,
     EigenFailure,
     NonHermitianError,
+    Observable,
     PureState,
     anticommutator,
     builtin_spin1,
@@ -94,6 +95,29 @@ class TestMakeObservable:
         for k in range(4):
             i = int(np.argmax(np.abs(a[:, k])))
             assert a[i, k].real > 0 and abs(a[i, k].imag) < 1e-12
+
+
+class TestObservable:
+    """Every Observable checks its eigensystem once, on construction."""
+
+    def test_direct_construction_checked_and_read_only(self):
+        obs = Observable(LX.matrix, LX.eigenvalues, LX.eigenvectors, "copy")
+        assert obs.eigenvector_matrix() is obs.eigenvectors
+        assert not obs.eigenvectors.flags.writeable
+        assert np.array_equal(obs.eigenvectors, LX.eigenvectors)
+
+    def test_permuted_eigenvalues_rejected(self):
+        with pytest.raises(EigenFailure, match="reconstruct"):
+            Observable(LX.matrix, LX.eigenvalues[[1, 0, 2]], LX.eigenvectors)
+
+    def test_non_orthonormal_columns_rejected(self):
+        v = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2)])
+        with pytest.raises(EigenFailure, match="orthonormal"):
+            Observable(np.eye(2), np.ones(2), v)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(EigenFailure, match="shapes"):
+            Observable(LX.matrix, LX.eigenvalues[:2], LX.eigenvectors)
 
 
 class TestBuiltinSpin1:

@@ -7,9 +7,9 @@ import pytest
 
 import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig
-from varbound.bounds import OrthonormalBasis
+from varbound.bounds import OrthonormalBasis, evaluate_all
 from varbound.cli import main
-from varbound.hermitian import builtin_spin1, family_state
+from varbound.hermitian import builtin_spin1, family_state, haar_random_state, make_observable
 from varbound.photonics import builtin_settings, projection_probabilities
 from varbound.sweep import (
     CSV_COLUMNS,
@@ -241,6 +241,17 @@ class TestEmitAndVerify:
         bad.write_text(json.dumps(payload))
         assert verify_dataset(bad) == 2
 
+    def test_verify_tolerance_is_relative(self, emitted, tmp_path):
+        out, _ = emitted
+        payload = json.loads((out / "sweep.json").read_text())
+        row = payload["rows"][4]
+        row["sigma_lhs_prod"] = row["sigma_rhs_eq1"] = None
+        scaled = tmp_path / "scaled.json"
+        for rel, status in ((-1e-11, 0), (-1e-8, 1)):
+            row["lhs_prod"], row["rhs_eq1"] = 1e4, 1e4 * (1 - rel)
+            scaled.write_text(json.dumps(payload))
+            assert verify_dataset(scaled) == status, rel
+
     def test_verify_checks_optimized_columns(self, emitted, tmp_path):
         out, _ = emitted
         payload = json.loads((out / "sweep.json").read_text())
@@ -249,6 +260,27 @@ class TestEmitAndVerify:
         bad = tmp_path / "opt.json"
         bad.write_text(json.dumps(payload))
         assert verify_dataset(bad) == 1
+
+
+class TestPropagateSigmas:
+    def test_sigma_of_a_mean_is_poisson(self):
+        """For m = sum n_k l_k / N the first-order Poisson error is
+        sqrt(var / N); a zero count contributes nothing."""
+        counts, values = np.array([300.0, 0.0, 700.0]), np.array([-1.0, 1.0, 0.0])
+        base, sig = sweep._propagate_sigmas(counts, lambda c: {"m": float(c @ values / c.sum())})
+        var = counts @ (values - base["m"]) ** 2 / counts.sum()
+        assert sig["m"] == pytest.approx(np.sqrt(var / counts.sum()), rel=1e-5)
+
+
+class TestStatus:
+    def test_tolerance_is_relative(self):
+        """A = B makes eq1-eq6 tight at any scale; eq7 is undefined."""
+        a = make_observable(1e5 * np.diag([1.0, 2.0, -3.0]))
+        rep = evaluate_all(haar_random_state(3, np.random.default_rng(1)), a, a)
+        statuses = {rid: sweep._status(r) for rid, r in rep.results.items()}
+        assert statuses == dict.fromkeys(("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"), "tight") | {
+            "eq7": "undefined"
+        }
 
 
 class TestCalibration:
@@ -302,7 +334,7 @@ class TestWrittenOnce:
             state = family_state(theta)
             ideal, _, bases = sweep._ideal_columns(state, LX, LY, LZ, LP, basis, optimize)
             sampled = sweep._sampled_columns(
-                _noise_free_counts(state, 10_000), theta, LX, LY, bases
+                _noise_free_counts(state, 10_000), LX, LY, bases
             )
             assert set(sampled) == set(VALUE_COLUMNS)
             for col in VALUE_COLUMNS:
@@ -311,6 +343,15 @@ class TestWrittenOnce:
                 else:
                     assert sampled[col] == pytest.approx(ideal[col], abs=1e-12), (theta, col)
             assert (ideal["rhs_eq2_opt"] is None) == (not optimize)
+
+    def test_state_estimate_from_counts_alone(self):
+        """Noise-free counts give +-psi(theta) at every sweep point; the
+        relative sign comes from the sampled <Lx>, not from theta."""
+        for theta in theta_grid(11):
+            psi = family_state(theta).amplitudes
+            probs = _noise_free_counts(family_state(theta), 10_000).reshape(4, 3) / 10_000
+            est = sweep._state_estimate(probs[2], float(probs[0] @ LX.eigenvalues))
+            assert min(np.max(np.abs(est - psi)), np.max(np.abs(est + psi))) < 1e-12, theta
 
 
 class TestCli:
