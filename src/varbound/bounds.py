@@ -4,7 +4,7 @@ reverse (upper) bound on the variance sum.
 Each right-hand side is written once, as a pure function ``rhs_eqN`` of
 what its relation reads.  The ``eqN_*`` evaluators feed it quantities of a
 state; the sweep feeds it estimates from counts and the basis search a
-trial basis.
+trial basis.  They accept leading batch axes (sums run over the last axis).
 
 All evaluators return a :class:`BoundResult` carrying both sides, the slack
 and any intermediates, so a harness can serialize every term.  Lower bounds
@@ -178,13 +178,13 @@ def rhs_eq1(comm_abs, cov):
 def rhs_eq2(pa, pb):
     """Basis product bound (sum_n |pa_n| |pb_n|)^2 from the projections
     pa_n = <psi_n|Abar|Psi>, pb_n = <psi_n|Bbar|Psi>."""
-    return float(np.sum(np.abs(pa.conj() * pb))) ** 2
+    return np.abs(pa.conj() * pb).sum(-1) ** 2
 
 
 def rhs_eq3(a_shifted, b_shifted, fid_a, fid_b):
     """Fidelity product bound (sum_i sqrt(F_i G_i) a_i b_i)^2 over paired
     shifted eigenvalues a_i, b_i with eigenstate fidelities F_i, G_i."""
-    return float(np.sum(np.sqrt(fid_a) * np.sqrt(fid_b) * a_shifted * b_shifted)) ** 2
+    return (np.sqrt(fid_a) * np.sqrt(fid_b) * a_shifted * b_shifted).sum(-1) ** 2
 
 
 def rhs_eq4(var_apb):
@@ -195,21 +195,30 @@ def rhs_eq4(var_apb):
 def rhs_eq5(pa, pb):
     """Basis sum bound (1/2) sum_n (|pa_n| + |pb_n|)^2; projections as in
     :func:`rhs_eq2`."""
-    return 0.5 * float(np.sum((np.abs(pa) + np.abs(pb)) ** 2))
+    return 0.5 * ((np.abs(pa) + np.abs(pb)) ** 2).sum(-1)
 
 
 def rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
     """Fidelity sum bound (1/2) sum_i (a_i sqrt(F_i) + b_i sqrt(G_i))^2;
     arguments as in :func:`rhs_eq3`."""
-    return 0.5 * float(np.sum((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2))
+    return 0.5 * ((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2).sum(-1)
 
 
 def rhs_eq7(var_a, var_b, cov, var_amb):
     """Reverse sum bound 2 var(A-B) / (1 - Cov/(dA dB)) - 2 dA dB.
 
-    Returns ``(rhs, None)``, or ``(None, reason)`` when a standard deviation
-    is at most EQ7_EPS or the denominator lies within EQ7_EPS of zero.
+    Undefined when a standard deviation is at most EQ7_EPS or the
+    denominator lies within EQ7_EPS of zero.  Scalars give ``(rhs, None)`` or
+    ``(None, reason)``; arrays give ``(rhs, undefined)``, NaN where undefined
+    (a separate branch, so evaluate_all's scalar call stays cheap).
     """
+    if isinstance(var_a, np.ndarray):
+        undefined = np.minimum(var_a, var_b) <= EQ7_EPS**2
+        da_db = np.sqrt(np.where(undefined, 1.0, var_a * var_b))
+        denom = 1.0 - cov / da_db
+        undefined |= np.abs(denom) <= EQ7_EPS
+        rhs = 2.0 * var_amb / np.where(undefined, 1.0, denom) - 2.0 * da_db
+        return np.where(undefined, np.nan, rhs), undefined
     if min(var_a, var_b) <= EQ7_EPS**2:
         return None, "degenerate variance"
     da_db = np.sqrt(var_a * var_b)

@@ -147,12 +147,13 @@ def _orthonormalize_clusters(w, vectors):
 
 
 def _match_order(sorted_values, target_order):
-    """Permutation mapping sorted eigenvalues onto a requested value sequence."""
+    """Permutation mapping sorted eigenvalues onto requested values, to 1e-8 relative."""
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(sorted_values))))
     remaining = list(range(len(sorted_values)))
     perm = []
     for t in target_order:
         k = min(remaining, key=lambda i: abs(sorted_values[i] - t))
-        if abs(sorted_values[k] - t) > 1e-8:
+        if abs(sorted_values[k] - t) > tol:
             raise ValueError(f"requested eigenvalue {t} not present in spectrum {sorted_values}")
         perm.append(k)
         remaining.remove(k)
@@ -229,10 +230,10 @@ def moments(state: PureState, obs: Observable) -> MomentStats:
 
 def _centre(psi, obs):
     """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
-    normalized amplitudes; the bounds, the basis search and the sampled
-    columns all centre through here."""
-    o_psi = obs.matrix @ psi
-    return o_psi - float(np.real(np.vdot(psi, o_psi))) * psi
+    normalized amplitudes of shape (..., d); the bounds, the basis search
+    and the sampled columns all centre through here."""
+    o_psi = np.matvec(obs.matrix, psi)
+    return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
 
 
 def covariance(state: PureState, a: Observable, b: Observable) -> float:

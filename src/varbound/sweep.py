@@ -4,7 +4,8 @@ emit figure-ready CSV/JSON datasets with a machine-readable verdict.
 
 Every sampled quantity is estimated from the four settings' simulated
 counts; derived columns propagate one-standard-deviation Poisson error
-bars to first order (numerically, through the full column formula).
+bars to first order by one-count central differences through the full
+column formula, all perturbed count vectors of a trial in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bounds import (
     rhs_eq7,
     slack,
 )
-from .hermitian import _centre, builtin_spin1, family_state, moments
+from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1, family_state, moments
 from .photonics import builtin_settings, projection_probabilities, sample_counts
 
 
@@ -201,82 +202,82 @@ def _state_estimate(lz_probs, mean_lx):
     (cos t, -sin t, 0) from the counts alone: magnitudes from the identity-
     routing setting, the relative sign from <Lx> = -sqrt(2) cos t sin t."""
     # Lz outcomes are in eigenvalue order (-1, 1, 0) -> basis states (e3, e1, e2)
-    a1, a2, a3 = np.sqrt(lz_probs[[1, 2, 0]])
-    amp = np.array([a1, math.copysign(a2, mean_lx), a3], dtype=complex)
-    return amp / np.linalg.norm(amp)
+    amp = np.sqrt(lz_probs[..., [1, 2, 0]])
+    amp[..., 1] = np.copysign(amp[..., 1], mean_lx)
+    return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
 
 
-def _sampled_columns(counts_flat, lx, ly, bases):
-    """All sampled value columns as a function of the 12 raw counts.
-
-    counts_flat is ordered [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the
-    observable's eigenvalue order (-1, 1, 0).  ``bases`` is the list built
-    by :func:`_ideal_columns`.
+def _sampled_columns(counts, lx, ly, bases):
+    """All sampled value columns from raw counts of shape (..., 12), ordered
+    [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the observable's eigenvalue
+    order (-1, 1, 0); ``bases`` is the list built by :func:`_ideal_columns`.
+    On one 12-vector a column is a float or None; on a batch an array, NaN
+    in undefined rows (None for a column no basis produces).
     """
-    n = np.asarray(counts_flat, dtype=float).reshape(4, 3)
-    totals = n.sum(axis=1)
+    n = np.asarray(counts, dtype=float).reshape(*np.shape(counts)[:-1], 4, 3)
+    totals = n.sum(axis=-1, keepdims=True)
     if np.any(totals <= 0):
         raise ConfigError("a setting recorded zero total counts")
-    probs = n / totals[:, None]
-    a_vals = lx.eigenvalues
-    b_vals = ly.eigenvalues
+    probs = n / totals
+    a_vals, b_vals = lx.eigenvalues, ly.eigenvalues
+    values = np.array([a_vals, b_vals, SPIN1_EIGENVALUE_ORDER, SPIN1_EIGENVALUE_ORDER])
 
-    mx = float(probs[0] @ a_vals)
-    mx2 = float(probs[0] @ a_vals**2)
-    my = float(probs[1] @ b_vals)
-    my2 = float(probs[1] @ b_vals**2)
-    mz = float(probs[2] @ np.array([-1.0, 1.0, 0.0]))
-    mp = float(probs[3] @ np.array([-1.0, 1.0, 0.0]))
+    mx, my, mz, mp = np.moveaxis(np.vecdot(probs, values), -1, 0)
+    mx2, my2 = np.moveaxis(np.vecdot(probs[..., :2, :], values[:2] ** 2), -1, 0)
 
     var_x = mx2 - mx**2
     var_y = my2 - my**2
     # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
     # and var(Lx +- Ly) from the Lz and Lp settings
     cov = 0.5 * mp - mx * my
-    a_sh = a_vals - mx
-    b_sh = b_vals - my
+    a_sh = a_vals - mx[..., None]
+    b_sh = b_vals - my[..., None]
+    px, py = probs[..., 0, :], probs[..., 1, :]
     cols = {
         "mean_lx": mx, "mean_ly": my, "mean_lz": mz, "mean_lp": mp,
         "var_lx": var_x, "var_ly": var_y,
         "lhs_prod": var_x * var_y, "lhs_sum": var_x + var_y,
         "rhs_eq1": rhs_eq1(abs(mz), cov),
         "rhs_eq4": rhs_eq4(mx2 + my2 + mp - (mx + my) ** 2),
-        "rhs_eq3": rhs_eq3(a_sh, b_sh, probs[0], probs[1]),
-        "rhs_eq6": rhs_eq6(a_sh, b_sh, probs[0], probs[1]),
+        "rhs_eq3": rhs_eq3(a_sh, b_sh, px, py),
+        "rhs_eq6": rhs_eq6(a_sh, b_sh, px, py),
         "rhs_eq7": rhs_eq7(var_x, var_y, cov, mx2 + my2 - mp - (mx - my) ** 2)[0],
     }
     cols.update(dict.fromkeys(BASIS_COLUMNS))
 
     # basis-dependent bounds on the plug-in state; cross-check routes are
     # skipped here because the estimated <B> fluctuates around zero
-    psi = _state_estimate(probs[2], mx)
+    psi = _state_estimate(probs[..., 2, :], mx)
     abar_psi, bbar_psi = _centre(psi, lx), _centre(psi, ly)
     for bm, rhs_by_column in bases:
         bh = bm.conj().T
-        pa, pb = bh @ abar_psi, bh @ bbar_psi
+        pa, pb = np.matvec(bh, abar_psi), np.matvec(bh, bbar_psi)
         for col, rhs in rhs_by_column.items():
             cols[col] = rhs(pa, pb)
+    if n.ndim == 2:
+        return {c: None if v is None else float(v) for c, v in cols.items()}
     return cols
 
 
 def _propagate_sigmas(counts_flat, column_fn):
     """First-order Poisson error bars via central differences with a
-    one-count step.  A zero count adds n_k * deriv^2 = 0, so only the
-    nonzero (hence at least one) counts are differentiated."""
-    base = column_fn(counts_flat)
-    var = {k: 0.0 for k, v in base.items() if v is not None}
+    one-count step, from one ``column_fn`` call on the base vector and the
+    +1 and -1 vectors of each nonzero count (a zero count adds nothing).
+    ``column_fn`` gives arrays over that stack, NaN where undefined; a count
+    with an undefined side adds nothing to that column's error bar."""
     n = np.asarray(counts_flat, dtype=float)
-    for k in np.flatnonzero(n):
-        hi, lo = n.copy(), n.copy()
-        hi[k] += 1.0
-        lo[k] -= 1.0
-        up, dn = column_fn(hi), column_fn(lo)
-        for col in var:
-            if up.get(col) is None or dn.get(col) is None:
-                continue
-            deriv = (up[col] - dn[col]) / 2.0
-            var[col] += n[k] * deriv**2
-    return base, {col: float(np.sqrt(v)) for col, v in var.items()}
+    nz = np.flatnonzero(n)
+    step = np.eye(n.size)[nz]
+    cols = column_fn(np.vstack([n, n + step, n - step]))
+    names = [col for col, v in cols.items() if v is not None]
+    v = np.array([cols[col] for col in names])
+    deriv = (v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0
+    sig = np.sqrt(np.nansum(n[nz] * deriv**2, axis=-1))
+    base, sigma = dict.fromkeys(cols), {}
+    for col, b, s in zip(names, v[:, 0], sig):
+        if not np.isnan(b):
+            base[col], sigma[col] = float(b), float(s)
+    return base, sigma
 
 
 def _status(res):
@@ -301,20 +302,19 @@ def run_sweep(config: SweepConfig):
             state, lx, ly, lz, lp, basis, config.optimize_basis
         )
 
+        probs = [projection_probabilities(state, settings[name]) for name in SETTING_NAMES]
         sampled_acc, sigma_acc = {}, {}
         for trial in range(config.trials):
-            counts_flat = []
-            for si, name in enumerate(SETTING_NAMES):
-                p = projection_probabilities(state, settings[name])
-                seed = config.seed + 1000 * j + 10 * trial + si
-                counts_flat.extend(sample_counts(p, config.counts, seed).counts)
-            fn = lambda c: _sampled_columns(c, lx, ly, bases)
-            vals, sigs = _propagate_sigmas(np.array(counts_flat, dtype=float), fn)
+            counts = np.concatenate([
+                sample_counts(p, config.counts, config.seed + 1000 * j + 10 * trial + si).counts
+                for si, p in enumerate(probs)
+            ])
+            vals, sigs = _propagate_sigmas(counts, lambda c: _sampled_columns(c, lx, ly, bases))
             for col, v in vals.items():
                 if v is None:
                     continue
                 sampled_acc.setdefault(col, []).append(v)
-                sigma_acc.setdefault(col, []).append(sigs.get(col, 0.0))
+                sigma_acc.setdefault(col, []).append(sigs[col])
         sampled = {c: float(np.mean(v)) for c, v in sampled_acc.items()}
         sigma = {
             c: float(np.sqrt(np.mean(np.square(sigma_acc[c]))) / np.sqrt(config.trials))

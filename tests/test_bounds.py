@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from varbound.basis_search import haar_basis
 from varbound.bounds import (
+    EQ7_EPS,
     IncompleteBasis,
     InvalidPairing,
     OrthonormalBasis,
@@ -20,9 +21,16 @@ from varbound.bounds import (
     eq6_sum_bound,
     eq7_reverse_bound,
     evaluate_all,
+    rhs_eq1,
+    rhs_eq2,
+    rhs_eq3,
+    rhs_eq4,
+    rhs_eq5,
+    rhs_eq6,
     rhs_eq7,
 )
 from varbound.hermitian import (
+    _centre,
     builtin_spin1,
     covariance,
     family_state,
@@ -387,3 +395,61 @@ class TestAnyDimension:
             rep = evaluate_all(haar_random_state(3, rng), a, a)
             for rid, r in rep.results.items():
                 assert r.satisfied, (rid, r)
+
+
+def _rhs_inputs(d, seed, rows=6):
+    """Per-row arguments of every rhs_eqN, stacked along a leading axis, for
+    Haar states of a random Hermitian pair in a Haar basis and a random
+    pairing.  Row 0 feeds eq7 a variance at the degeneracy rule's edge, row 1
+    the arguments of B = A (singular denominator)."""
+    rng = np.random.default_rng(seed)
+    a = make_observable(_random_hermitian(rng, d))
+    b = make_observable(_random_hermitian(rng, d))
+    bh = haar_basis(d, seed).matrix().conj().T
+    perm = rng.permutation(d)
+    args = {k: [] for k in ("eq1", "eq2", "eq3", "eq4", "eq7")}
+    for s in (haar_random_state(d, rng) for _ in range(rows)):
+        ma, mb = moments(s, a), moments(s, b)
+        u, v = _centre(s.amplitudes, a), _centre(s.amplitudes, b)
+        cov = covariance(s, a, b)
+        comm = abs(np.vdot(s.amplitudes, (a.matrix @ b.matrix - b.matrix @ a.matrix) @ s.amplitudes))
+        fid_a = np.abs(a.eigenvectors.conj().T @ s.amplitudes) ** 2
+        fid_b = np.abs(b.eigenvectors.conj().T @ s.amplitudes) ** 2
+        args["eq1"].append((comm, cov))
+        args["eq2"].append((bh @ u, bh @ v))
+        args["eq3"].append((a.eigenvalues - ma.mean, b.eigenvalues[perm] - mb.mean, fid_a, fid_b[perm]))
+        args["eq4"].append((np.vdot(u + v, u + v).real,))
+        args["eq7"].append((ma.variance, mb.variance, cov, np.vdot(u - v, u - v).real))
+    args["eq7"][0] = (EQ7_EPS**2,) + args["eq7"][0][1:]
+    var_a = args["eq7"][1][0]
+    args["eq7"][1] = (var_a, var_a, var_a, 0.0)
+    return {k: tuple(np.array(x) for x in zip(*per_row)) for k, per_row in args.items()}
+
+
+class TestBatchedRhs:
+    """Each rhs_eqN on a stack of inputs equals its per-row scalar calls, so
+    the sampled path can evaluate all perturbed count vectors at once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_rows(self, d, seed):
+        inputs = _rhs_inputs(d, seed)
+        cases = (
+            (rhs_eq1, inputs["eq1"]), (rhs_eq2, inputs["eq2"]), (rhs_eq3, inputs["eq3"]),
+            (rhs_eq4, inputs["eq4"]), (rhs_eq5, inputs["eq2"]), (rhs_eq6, inputs["eq3"]),
+        )
+        for fn, args in cases:
+            per_row = [fn(*(x[i] for x in args)) for i in range(6)]
+            np.testing.assert_allclose(fn(*args), per_row, rtol=1e-15, atol=0)
+            # any number of leading axes
+            stacked = fn(*(x.reshape(2, 3, *x.shape[1:]) for x in args))
+            np.testing.assert_allclose(stacked.ravel(), per_row, rtol=1e-15, atol=0)
+
+        args = inputs["eq7"]
+        rhs, undefined = rhs_eq7(*args)
+        per_row = [rhs_eq7(*(float(x[i]) for x in args)) for i in range(6)]
+        assert [r[1] for r in per_row[:2]] == ["degenerate variance", "singular denominator"]
+        assert undefined.tolist() == [r[0] is None for r in per_row]
+        assert np.all(np.isnan(rhs[undefined]))
+        defined = [r[0] for r in per_row if r[0] is not None]
+        np.testing.assert_allclose(rhs[~undefined], defined, rtol=1e-15, atol=0)

@@ -85,6 +85,17 @@ class TestMakeObservable:
                 # agrees with the LAPACK spectrum
                 assert np.allclose(np.sort(obs.eigenvalues), np.linalg.eigvalsh(h), atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e8, 1e9])
+    def test_eigenvalue_order_matched_relative_to_scale(self, scale):
+        obs = make_observable(scale * LX.matrix, eigenvalue_order=(-scale, scale, 0))
+        assert np.allclose(obs.eigenvalues, [-scale, scale, 0], rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_eigenvalue_order_rejects_absent_value(self, scale):
+        for order in ((-scale, 2 * scale, 0), (-scale, scale * (1 + 1e-7), 0)):
+            with pytest.raises(ValueError, match="not present"):
+                make_observable(scale * LX.matrix, eigenvalue_order=order)
+
     def test_phase_fix_reproducible(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -10,7 +10,7 @@ from varbound.basis_search import OptimizerConfig
 from varbound.bounds import OrthonormalBasis, evaluate_all
 from varbound.cli import main
 from varbound.hermitian import builtin_spin1, family_state, haar_random_state, make_observable
-from varbound.photonics import builtin_settings, projection_probabilities
+from varbound.photonics import builtin_settings, projection_probabilities, sample_counts
 from varbound.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -267,9 +267,103 @@ class TestPropagateSigmas:
         """For m = sum n_k l_k / N the first-order Poisson error is
         sqrt(var / N); a zero count contributes nothing."""
         counts, values = np.array([300.0, 0.0, 700.0]), np.array([-1.0, 1.0, 0.0])
-        base, sig = sweep._propagate_sigmas(counts, lambda c: {"m": float(c @ values / c.sum())})
+        base, sig = sweep._propagate_sigmas(counts, lambda c: {"m": c @ values / c.sum(axis=-1)})
         var = counts @ (values - base["m"]) ** 2 / counts.sum()
         assert sig["m"] == pytest.approx(np.sqrt(var / counts.sum()), rel=1e-5)
+
+    def test_undefined_side_adds_nothing(self):
+        """A count whose -1 vector leaves a column undefined adds nothing to
+        that column's error bar; a column undefined at the base gets none."""
+        counts, values = np.array([300.0, 0.0, 700.0]), np.array([-1.0, 1.0, 0.0])
+
+        def fn(c):
+            m = c @ values / c.sum(axis=-1)
+            never = np.full(m.shape, np.nan)
+            return {"m": m, "cut": np.where(c[..., 0] < 300, np.nan, m), "never": never, "none": None}
+
+        base, sig = sweep._propagate_sigmas(counts, fn)
+        assert base == {"m": base["m"], "cut": base["m"], "never": None, "none": None}
+        assert set(sig) == {"m", "cut"}
+        m = lambda c: c @ values / c.sum()
+        deriv = (m(counts + [0, 0, 1]) - m(counts - [0, 0, 1])) / 2
+        assert sig["cut"] == pytest.approx(np.sqrt(700 * deriv**2), rel=1e-12)
+        assert sig["m"] > sig["cut"]
+
+
+def _loop_propagate_sigmas(counts_flat, column_fn):
+    """The per-perturbation loop that _propagate_sigmas replaced, kept as
+    its reference: one scalar column_fn call per +-1 count vector."""
+    base = column_fn(counts_flat)
+    var = {k: 0.0 for k, v in base.items() if v is not None}
+    n = np.asarray(counts_flat, dtype=float)
+    for k in np.flatnonzero(n):
+        hi, lo = n.copy(), n.copy()
+        hi[k] += 1.0
+        lo[k] -= 1.0
+        up, dn = column_fn(hi), column_fn(lo)
+        for col in var:
+            if up.get(col) is None or dn.get(col) is None:
+                continue
+            deriv = (up[col] - dn[col]) / 2.0
+            var[col] += n[k] * deriv**2
+    return base, {col: float(np.sqrt(v)) for col, v in var.items()}
+
+
+class TestBatchedSigmas:
+    def test_matches_per_perturbation_loop(self):
+        """20 seeds at the 11 sweep points, including theta = pi/2, where
+        the 0-outcome ports of Lx and Ly are dark and count zero."""
+        basis = OrthonormalBasis.computational(3)
+        settings = builtin_settings()
+        dark = 0
+        for j, theta in enumerate(theta_grid(11)):
+            state = family_state(theta)
+            _, _, bases = sweep._ideal_columns(state, LX, LY, LZ, LP, basis, False)
+            fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
+            probs = [projection_probabilities(state, settings[n]) for n in sweep.SETTING_NAMES]
+            for seed in range(20):
+                counts = np.concatenate([
+                    sample_counts(p, 10_000, 1000 * seed + 10 * j + si).counts
+                    for si, p in enumerate(probs)
+                ])
+                dark += np.count_nonzero(counts == 0)
+                base, sig = sweep._propagate_sigmas(counts, fn)
+                ref_base, ref_sig = _loop_propagate_sigmas(counts, fn)
+                assert base.keys() == ref_base.keys() and sig.keys() == ref_sig.keys()
+                for col, ref in ref_base.items():
+                    if ref is None:
+                        assert base[col] is None, (theta, seed, col)
+                    else:
+                        assert base[col] == pytest.approx(ref, rel=1e-15, abs=0), (theta, seed, col)
+                for col, ref in ref_sig.items():
+                    assert sig[col] == pytest.approx(ref, rel=1e-10, abs=0), (theta, seed, col)
+        assert dark > 0
+
+
+class TestTrials:
+    def test_trials_keep_their_draws(self):
+        """Trial t of seed s draws what trial 0 of seed s + 10 t draws."""
+        s = 4
+        rows, _, _ = run_sweep(SweepConfig(seed=s, trials=3))
+        singles = [run_sweep(SweepConfig(seed=s + 10 * t))[0] for t in range(3)]
+        for j, row in enumerate(rows):
+            cols = set().union(*(r[j].sampled for r in singles))
+            assert set(row.sampled) == cols
+            for col in cols:
+                vals = [r[j].sampled[col] for r in singles if col in r[j].sampled]
+                assert row.sampled[col] == pytest.approx(np.mean(vals), rel=1e-15, abs=0), (j, col)
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_probabilities_once_per_setting_and_row(self, monkeypatch, trials):
+        calls = []
+
+        def counted(state, setting):
+            calls.append(setting)
+            return projection_probabilities(state, setting)
+
+        monkeypatch.setattr(sweep, "projection_probabilities", counted)
+        run_sweep(SweepConfig(thetas=theta_grid(3), trials=trials))
+        assert len(calls) == 4 * 3
 
 
 class TestStatus:
