@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import OrthonormalBasis, _check, eq2_product_bound, eq5_sum_bound, rhs_eq2, rhs_eq5
+from .bounds import OrthonormalBasis, _check, evaluate_all, rhs_eq2, rhs_eq5
 from .hermitian import _centre
 
 
@@ -161,8 +161,5 @@ def optimize_bound(objective, state, a, b, config: OptimizerConfig | None = None
 
     basis = OrthonormalBasis.from_matrix(unitary_from_params(best_x, dim))
     # report the exact bound-module value at the winning basis
-    if objective == "eq2":
-        best_val = eq2_product_bound(state, a, b, basis).rhs
-    else:
-        best_val = eq5_sum_bound(state, a, b, basis).rhs
+    best_val = evaluate_all(state, a, b, basis).results[objective].rhs
     return basis, float(best_val), trace

@@ -2,13 +2,15 @@
 reverse (upper) bound on the variance sum.
 
 Each right-hand side is written once, as a pure function ``rhs_eqN`` of
-what its relation reads.  The ``eqN_*`` evaluators feed it quantities of a
-state; the sweep feeds it estimates from counts and the basis search a
-trial basis.  They accept leading batch axes (sums run over the last axis).
+what its relation reads.  :func:`evaluate_all` feeds them quantities of a
+state, computed in one pass; the sweep feeds them estimates from counts and
+the basis search a trial basis.  They accept leading batch axes (sums run
+over the last axis).
 
-All evaluators return a :class:`BoundResult` carrying both sides, the slack
-and any intermediates, so a harness can serialize every term.  Lower bounds
-use slack = lhs - rhs; the reverse bound uses slack = rhs - lhs.
+Every relation yields a :class:`BoundResult` carrying both sides and the
+slack; eq3 and eq6 also carry their :class:`FidelityTerms`.  Lower bounds
+use slack = lhs - rhs; the reverse bound uses slack = rhs - lhs.  The
+``eqN_*`` evaluators return one relation of :func:`evaluate_all`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ from .hermitian import (
     Observable,
     PureState,
     _centre,
-    commutator,
-    covariance,
     moments,
 )
 
 SLACK_TOL = 1e-9
-ROUTE_TOL = 1e-10
 EQ7_EPS = 1e-9
 
 
@@ -71,21 +70,6 @@ class OrthonormalBasis:
 
     def matrix(self):
         return np.column_stack([v.amplitudes for v in self.vectors])
-
-
-@dataclass(frozen=True)
-class BasisBoundTerms:
-    """Per-basis-vector coefficients of the rewritten basis bounds.
-
-    C_n = <Psi|A|psi_n><psi_n|B|Psi>, D_n = <Psi|psi_n><psi_n|B|Psi>,
-    E_n = <psi_n|A|Psi>, F_n = <psi_n|Psi>, G_n = <psi_n|B|Psi>.
-    """
-
-    c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,63 +212,8 @@ def rhs_eq7(var_a, var_b, cov, var_amb):
     return float(2.0 * var_amb / denom - 2.0 * da_db), None
 
 
-def _centred(state, a, b):
-    """Moments of A and B, and the vectors Abar|Psi>, Bbar|Psi>."""
-    _check(state, a, b)
-    psi = state.amplitudes
-    return moments(state, a), moments(state, b), _centre(psi, a), _centre(psi, b)
-
-
 def _sq_norm(w):
     return float(np.real(np.vdot(w, w)))
-
-
-def eq1_product_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Robertson-Schroedinger product bound."""
-    _check(state, a, b)
-    psi = state.amplitudes
-    ma, mb = moments(state, a), moments(state, b)
-    comm = complex(np.vdot(psi, commutator(a, b) @ psi))
-    rhs = rhs_eq1(abs(comm), covariance(state, a, b))
-    return _result("eq1", "lower", ma.variance * mb.variance, rhs)
-
-
-def _basis_terms(state, a, b, basis):
-    psi = state.amplitudes
-    bm = basis.matrix()
-    a_psi = a.matrix @ psi
-    b_psi = b.matrix @ psi
-    e = bm.conj().T @ a_psi
-    f = bm.conj().T @ psi
-    g = bm.conj().T @ b_psi
-    c = (bm.conj().T @ a_psi).conj() * g  # <Psi|A|psi_n><psi_n|B|Psi>
-    d = f.conj() * g
-    return BasisBoundTerms(c=c, d=d, e=e, f=f, g=g)
-
-
-def _basis_projections(state, a, b, basis):
-    """Moments of A and B and the projections of Abar|Psi>, Bbar|Psi> onto
-    the basis."""
-    ma, mb, u, v = _centred(state, a, b)
-    if basis.dim != state.dim:
-        raise IncompleteBasis("basis dimension does not match the state")
-    bh = basis.matrix().conj().T
-    return ma, mb, bh @ u, bh @ v
-
-
-def eq2_product_bound(
-    state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
-) -> BoundResult:
-    """Basis-dependent product bound (sum over |<Psi|Abar|psi_n><psi_n|Bbar|Psi>|)^2."""
-    ma, mb, pa, pb = _basis_projections(state, a, b, basis)
-    terms = _basis_terms(state, a, b, basis)
-    rhs = rhs_eq2(pa, pb)
-    # rewritten route (sum_n |C_n - D_n <A>|)^2, valid when <B> = 0
-    if abs(mb.mean) < ROUTE_TOL:
-        alt = float(np.sum(np.abs(terms.c - terms.d * ma.mean))) ** 2
-        if abs(alt - rhs) > ROUTE_TOL * max(1.0, abs(rhs)):
-            raise ArithmeticError(f"eq2 route disagreement: {rhs} vs {alt}")
-    return _result("eq2", "lower", ma.variance * mb.variance, rhs, terms)
 
 
 def _fidelity_terms(state, a, b, pairing, mean_a, mean_b):
@@ -303,65 +232,6 @@ def _fidelity_terms(state, a, b, pairing, mean_a, mean_b):
         fid_b=fid_b,
         pairing=pairing,
     )
-
-
-def eq3_product_bound(
-    state: PureState, a: Observable, b: Observable, pairing=None
-) -> BoundResult:
-    """Optimization-free product bound from eigenstate fidelities."""
-    _check(state, a, b)
-    ma, mb = moments(state, a), moments(state, b)
-    t = _fidelity_terms(state, a, b, pairing, ma.mean, mb.mean)
-    rhs = rhs_eq3(t.a_shifted, t.b_shifted, t.fid_a, t.fid_b)
-    return _result("eq3", "lower", ma.variance * mb.variance, rhs, t)
-
-
-def eq4_sum_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Sum bound: half the variance of A + B, var(A+B) = ||Abar Psi + Bbar Psi||^2."""
-    ma, mb, u, v = _centred(state, a, b)
-    return _result("eq4", "lower", ma.variance + mb.variance, rhs_eq4(_sq_norm(u + v)))
-
-
-def eq5_sum_bound(
-    state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
-) -> BoundResult:
-    """Basis-dependent sum bound with the factor 1/2 of the un-rewritten form."""
-    ma, mb, pa, pb = _basis_projections(state, a, b, basis)
-    terms = _basis_terms(state, a, b, basis)
-    rhs = rhs_eq5(pa, pb)
-    # rewritten route |E_n - F_n <A>| + |G_n - F_n <B>|, valid when <B> = 0
-    if abs(mb.mean) < ROUTE_TOL:
-        alt = 0.5 * float(
-            np.sum((np.abs(terms.e - terms.f * ma.mean) + np.abs(terms.g)) ** 2)
-        )
-        if abs(alt - rhs) > ROUTE_TOL * max(1.0, abs(rhs)):
-            raise ArithmeticError(f"eq5 route disagreement: {rhs} vs {alt}")
-    return _result("eq5", "lower", ma.variance + mb.variance, rhs, terms)
-
-
-def eq6_sum_bound(
-    state: PureState, a: Observable, b: Observable, pairing=None
-) -> BoundResult:
-    """Optimization-free sum bound from eigenstate fidelities."""
-    _check(state, a, b)
-    ma, mb = moments(state, a), moments(state, b)
-    t = _fidelity_terms(state, a, b, pairing, ma.mean, mb.mean)
-    rhs = rhs_eq6(t.a_shifted, t.b_shifted, t.fid_a, t.fid_b)
-    return _result("eq6", "lower", ma.variance + mb.variance, rhs, t)
-
-
-def eq7_reverse_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Reverse (upper) bound on the variance sum, var(A-B) = ||Abar Psi - Bbar Psi||^2.
-
-    Degenerate variances or a correlation ratio at 1 make the bound
-    undefined; an explicit undefined result is returned rather than raising.
-    """
-    ma, mb, u, v = _centred(state, a, b)
-    lhs = ma.variance + mb.variance
-    rhs, reason = rhs_eq7(ma.variance, mb.variance, covariance(state, a, b), _sq_norm(u - v))
-    if rhs is None:
-        return _undefined("eq7", "upper", lhs, reason)
-    return _result("eq7", "upper", lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -385,19 +255,40 @@ def evaluate_all(
     basis: OrthonormalBasis | None = None,
     pairing=None,
 ) -> UncertaintyReport:
-    """Evaluate eq1..eq7 on one state; eq7 degeneracy degrades to undefined."""
+    """Evaluate eq1..eq7 on one state in one pass; eq7 degeneracy degrades
+    to undefined.
+
+    With u = Abar|Psi> and v = Bbar|Psi>: Cov(A,B) = Re<u|v>,
+    |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
+    bounds read the projections <psi_n|u>, <psi_n|v>.
+    """
     _check(state, a, b)
     if basis is None:
         basis = OrthonormalBasis.computational(state.dim)
+    elif basis.dim != state.dim:
+        raise IncompleteBasis("basis dimension does not match the state")
+    psi = state.amplitudes
     ma, mb = moments(state, a), moments(state, b)
+    u, v = _centre(psi, a), _centre(psi, b)
+    uv = complex(np.vdot(u, v))
+    bh = basis.matrix().conj().T
+    pa, pb = bh @ u, bh @ v
+    t = _fidelity_terms(state, a, b, pairing, ma.mean, mb.mean)
+    prod, total = ma.variance * mb.variance, ma.variance + mb.variance
+    rhs7, reason = rhs_eq7(ma.variance, mb.variance, uv.real, _sq_norm(u - v))
+    fid = (t.a_shifted, t.b_shifted, t.fid_a, t.fid_b)
     results = {
-        "eq1": eq1_product_bound(state, a, b),
-        "eq2": eq2_product_bound(state, a, b, basis),
-        "eq3": eq3_product_bound(state, a, b, pairing),
-        "eq4": eq4_sum_bound(state, a, b),
-        "eq5": eq5_sum_bound(state, a, b, basis),
-        "eq6": eq6_sum_bound(state, a, b, pairing),
-        "eq7": eq7_reverse_bound(state, a, b),
+        "eq1": _result("eq1", "lower", prod, rhs_eq1(2.0 * abs(uv.imag), uv.real)),
+        "eq2": _result("eq2", "lower", prod, rhs_eq2(pa, pb)),
+        "eq3": _result("eq3", "lower", prod, rhs_eq3(*fid), t),
+        "eq4": _result("eq4", "lower", total, rhs_eq4(_sq_norm(u + v))),
+        "eq5": _result("eq5", "lower", total, rhs_eq5(pa, pb)),
+        "eq6": _result("eq6", "lower", total, rhs_eq6(*fid), t),
+        "eq7": (
+            _undefined("eq7", "upper", total, reason)
+            if rhs7 is None
+            else _result("eq7", "upper", total, rhs7)
+        ),
     }
     return UncertaintyReport(
         state_label=state.label,
@@ -405,7 +296,54 @@ def evaluate_all(
         mean_b=mb.mean,
         var_a=ma.variance,
         var_b=mb.variance,
-        product_lhs=ma.variance * mb.variance,
-        sum_lhs=ma.variance + mb.variance,
+        product_lhs=prod,
+        sum_lhs=total,
         results=results,
     )
+
+
+def eq1_product_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
+    """Robertson-Schroedinger product bound."""
+    return evaluate_all(state, a, b).results["eq1"]
+
+
+def eq2_product_bound(
+    state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
+) -> BoundResult:
+    """Basis-dependent product bound (sum over |<Psi|Abar|psi_n><psi_n|Bbar|Psi>|)^2."""
+    return evaluate_all(state, a, b, basis).results["eq2"]
+
+
+def eq3_product_bound(
+    state: PureState, a: Observable, b: Observable, pairing=None
+) -> BoundResult:
+    """Optimization-free product bound from eigenstate fidelities."""
+    return evaluate_all(state, a, b, pairing=pairing).results["eq3"]
+
+
+def eq4_sum_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
+    """Sum bound: half the variance of A + B."""
+    return evaluate_all(state, a, b).results["eq4"]
+
+
+def eq5_sum_bound(
+    state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
+) -> BoundResult:
+    """Basis-dependent sum bound with the factor 1/2 of the un-rewritten form."""
+    return evaluate_all(state, a, b, basis).results["eq5"]
+
+
+def eq6_sum_bound(
+    state: PureState, a: Observable, b: Observable, pairing=None
+) -> BoundResult:
+    """Optimization-free sum bound from eigenstate fidelities."""
+    return evaluate_all(state, a, b, pairing=pairing).results["eq6"]
+
+
+def eq7_reverse_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
+    """Reverse (upper) bound on the variance sum.
+
+    Degenerate variances or a correlation ratio at 1 make the bound
+    undefined; an explicit undefined result is returned rather than raising.
+    """
+    return evaluate_all(state, a, b).results["eq7"]

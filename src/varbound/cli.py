@@ -79,7 +79,7 @@ def main(argv=None):
             return 0 if report.ok else 1
         if args.command == "verify":
             status = verify_dataset(args.dataset)
-            print({0: "ok", 1: "violation", 2: "config error"}[status])
+            print({0: "ok", 1: "violation", 2: "malformed dataset"}[status])
             return status
         if args.command == "decompose":
             u, u1, u2, u3, residual = decompose_lx()

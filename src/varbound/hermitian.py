@@ -237,11 +237,10 @@ def _centre(psi, obs):
 
 
 def covariance(state: PureState, a: Observable, b: Observable) -> float:
-    """Quantum covariance Cov(A,B) = <{A,B}>/2 - <A><B>."""
+    """Quantum covariance Cov(A,B) = Re<Abar psi|Bbar psi> = <{A,B}>/2 - <A><B>."""
     _check_dims(state, a, b)
     psi = state.amplitudes
-    sym = 0.5 * float(np.real(np.vdot(psi, (a.matrix @ b.matrix + b.matrix @ a.matrix) @ psi)))
-    return sym - moments(state, a).mean * moments(state, b).mean
+    return float(np.real(np.vdot(_centre(psi, a), _centre(psi, b))))
 
 
 def commutator(a: Observable, b: Observable):

@@ -103,6 +103,8 @@ class SweepConfig:
             raise ConfigError("theta list must be non-empty")
         if self.counts < 1 or self.trials < 1:
             raise ConfigError("counts and trials must be >= 1")
+        if self.dense < 0:
+            raise ConfigError(f"dense must be >= 0, got {self.dense}")
         for f in self.formats:
             if f not in ("csv", "json"):
                 raise ConfigError(f"unknown output format {f!r}")
@@ -117,6 +119,14 @@ def _parse_int(key, value):
         return int(value)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _parse_bool(key, value):
+    flags = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    try:
+        return flags[value.lower()]
+    except KeyError:
+        raise ConfigError(f"{key} must be 1/true/yes or 0/false/no, got {value!r}") from None
 
 
 def config_from_file(path) -> SweepConfig:
@@ -137,7 +147,7 @@ def config_from_file(path) -> SweepConfig:
         elif key in ("counts", "seed", "trials", "dense"):
             kwargs[key] = _parse_int(key, value)
         elif key == "optimize_basis":
-            kwargs[key] = value.lower() in ("1", "true", "yes")
+            kwargs[key] = _parse_bool(key, value)
         elif key == "out_dir":
             kwargs[key] = value
         elif key == "formats":
@@ -245,8 +255,7 @@ def _sampled_columns(counts, lx, ly, bases):
     }
     cols.update(dict.fromkeys(BASIS_COLUMNS))
 
-    # basis-dependent bounds on the plug-in state; cross-check routes are
-    # skipped here because the estimated <B> fluctuates around zero
+    # basis-dependent bounds on the plug-in state
     psi = _state_estimate(probs[..., 2, :], mx)
     abar_psi, bbar_psi = _centre(psi, lx), _centre(psi, ly)
     for bm, rhs_by_column in bases:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varbound.bounds as bounds
 from varbound.basis_search import haar_basis
 from varbound.bounds import (
     EQ7_EPS,
@@ -30,6 +31,7 @@ from varbound.bounds import (
     rhs_eq7,
 )
 from varbound.hermitian import (
+    PureState,
     _centre,
     builtin_spin1,
     covariance,
@@ -395,6 +397,55 @@ class TestAnyDimension:
             rep = evaluate_all(haar_random_state(3, rng), a, a)
             for rid, r in rep.results.items():
                 assert r.satisfied, (rid, r)
+
+
+class TestReferenceRoutes:
+    """Second routes to eq1, eq2 and eq5, kept here as references for the
+    one-pass evaluation: eq1 from the operator products AB -+ BA, and the
+    rewritten basis forms of Maccone & Pati, PRL 113, 260401 (2014), which
+    hold when <B> = 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_routes_agree(self, d, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _random_hermitian(rng, d), _random_hermitian(rng, d)
+        psi = haar_random_state(d, rng).amplitudes
+        basis = haar_basis(d, seed)
+        mean_a, mean_b = (np.vdot(psi, m @ psi).real for m in (a, b))
+
+        comm = np.vdot(psi, (a @ b - b @ a) @ psi)
+        anti = np.vdot(psi, (a @ b + b @ a) @ psi).real
+        eq1 = 0.25 * abs(comm) ** 2 + (0.5 * anti - mean_a * mean_b) ** 2
+        rep = evaluate_all(PureState(psi), make_observable(a), make_observable(b), basis)
+        assert rep.results["eq1"].rhs == pytest.approx(eq1, rel=1e-12, abs=0)
+
+        b = b - mean_b * np.eye(d)
+        bh = basis.matrix().conj().T
+        e, f, g = bh @ (a @ psi), bh @ psi, bh @ (b @ psi)
+        c, dn = e.conj() * g, f.conj() * g
+        eq2 = np.sum(np.abs(c - dn * mean_a)) ** 2
+        eq5 = 0.5 * np.sum((np.abs(e - f * mean_a) + np.abs(g)) ** 2)
+        rep = evaluate_all(PureState(psi), make_observable(a), make_observable(b), basis)
+        assert rep.results["eq2"].rhs == pytest.approx(eq2, rel=1e-12, abs=0)
+        assert rep.results["eq5"].rhs == pytest.approx(eq5, rel=1e-12, abs=0)
+
+
+class TestSinglePass:
+    def test_each_state_quantity_computed_once(self, monkeypatch):
+        """evaluate_all computes the moments and the centred vectors of A
+        and B once each, and every relation reads them."""
+        calls = {"moments": 0, "_centre": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(bounds, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        rng = np.random.default_rng(9)
+        a, b = (make_observable(_random_hermitian(rng, 4)) for _ in range(2))
+        evaluate_all(haar_random_state(4, rng), a, b, haar_basis(4, 3), (3, 1, 0, 2))
+        assert calls == {"moments": 2, "_centre": 2}
 
 
 def _rhs_inputs(d, seed, rows=6):

@@ -72,10 +72,22 @@ class TestConfig:
         bad.write_text("no equals sign\n")
         with pytest.raises(ConfigError):
             config_from_file(bad)
-        for line in ("counts = ten\n", "theta_steps = 0\n", "theta_steps = 2.5\n"):
+        for line in (
+            "counts = ten\n", "theta_steps = 0\n", "theta_steps = 2.5\n",
+            "optimize_basis = ture\n", "dense = -5\n",
+        ):
             bad.write_text(line)
             with pytest.raises(ConfigError):
                 config_from_file(bad)
+        with pytest.raises(ConfigError):
+            SweepConfig(dense=-5)
+
+    def test_optimize_basis_values(self, tmp_path):
+        p = tmp_path / "flag.cfg"
+        for value, expected in (("1", True), ("TRUE", True), ("Yes", True),
+                                ("0", False), ("False", False), ("NO", False)):
+            p.write_text(f"optimize_basis = {value}\n")
+            assert config_from_file(p).optimize_basis is expected, value
 
     def test_theta_grid(self):
         # exact j*pi/(n-1): the dense grid merges sweep angles by float equality
@@ -467,13 +479,24 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
         cfg = tmp_path / "bad.cfg"
-        for line in ("counts = ten\n", "theta_steps = 0\n", "pairing = -1,1,0\n"):
+        for line in (
+            "counts = ten\n", "theta_steps = 0\n", "pairing = -1,1,0\n",
+            "optimize_basis = ture\n", "dense = -5\n",
+        ):
             cfg.write_text(line)
             assert main(["sweep", "--config", str(cfg)]) == 2
         assert main(["sweep", "--theta-steps", "0", "--out", str(tmp_path / "o")]) == 2
+        assert main(["sweep", "--dense", "-3", "--out", str(tmp_path / "o")]) == 2
 
     def test_verify_missing_dataset(self, tmp_path):
         assert main(["verify", str(tmp_path / "none.json")]) == 2
+
+    def test_verify_names_a_malformed_dataset(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": []}')
+        for path in (tmp_path / "none.json", bad):
+            assert main(["verify", str(path)]) == 2
+            assert capsys.readouterr().out.strip() == "malformed dataset"
 
     def test_decompose(self, capsys):
         assert main(["decompose", "--observable", "Lx"]) == 0
