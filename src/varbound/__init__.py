@@ -34,6 +34,7 @@ from .bounds import (
     eq6_sum_bound,
     eq7_reverse_bound,
     evaluate_all,
+    evaluate_states,
 )
 from .basis_search import (
     OptimizerConfig,

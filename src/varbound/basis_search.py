@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import OrthonormalBasis, _check, evaluate_all, rhs_eq2, rhs_eq5
-from .hermitian import _centre
+from .bounds import OrthonormalBasis, evaluate_all, rhs_eq2, rhs_eq5
+from .hermitian import _centre, _check_dims
 
 
 class BadParameterCount(ValueError):
@@ -97,7 +97,7 @@ def _objective_fn(objective, state, a, b):
     rhs = {"eq2": rhs_eq2, "eq5": rhs_eq5}.get(objective)
     if rhs is None:
         raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
-    _check(state, a, b)
+    _check_dims(state, a, b)
     psi = state.amplitudes
     abar_psi, bbar_psi = _centre(psi, a), _centre(psi, b)
 

@@ -2,15 +2,16 @@
 reverse (upper) bound on the variance sum.
 
 Each right-hand side is written once, as a pure function ``rhs_eqN`` of
-what its relation reads.  :func:`evaluate_all` feeds them quantities of a
-state, computed in one pass; the sweep feeds them estimates from counts and
-the basis search a trial basis.  They accept leading batch axes (sums run
-over the last axis).
+what its relation reads; they accept leading batch axes (sums run over the
+last axis).  :func:`evaluate_states`, the one place the quantities of a
+state are computed, feeds them a stack of states in one pass; the sweep
+feeds them estimates from counts and the basis search a trial basis.
 
-Every relation yields a :class:`BoundResult` carrying both sides and the
-slack; eq3 and eq6 also carry their :class:`FidelityTerms`.  Lower bounds
-use slack = lhs - rhs; the reverse bound uses slack = rhs - lhs.  The
-``eqN_*`` evaluators return one relation of :func:`evaluate_all`.
+:func:`evaluate_all` is its one-state wrapper: every relation yields a
+:class:`BoundResult` carrying both sides and the slack; eq3 and eq6 also
+carry their :class:`FidelityTerms`.  Lower bounds use slack = lhs - rhs;
+the reverse bound uses slack = rhs - lhs.  The ``eqN_*`` evaluators return
+one relation of :func:`evaluate_all`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (
-    DimensionMismatch,
-    Observable,
-    PureState,
-    _centre,
-    moments,
-)
+from .hermitian import DimensionMismatch, Observable, PureState, _centre
 
 SLACK_TOL = 1e-9
 EQ7_EPS = 1e-9
@@ -47,12 +42,14 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         d = self.vectors[0].dim
-        mat = self.matrix()
+        mat = np.column_stack([v.amplitudes for v in self.vectors])
         if len(self.vectors) != d:
             raise IncompleteBasis(f"{len(self.vectors)} vectors for dimension {d}")
         gram = mat.conj().T @ mat
         if np.max(np.abs(gram - np.eye(d))) > 1e-10:
             raise IncompleteBasis("vectors are not orthonormal to 1e-10")
+        mat.flags.writeable = False
+        object.__setattr__(self, "_matrix", mat)
 
     @classmethod
     def computational(cls, dim):
@@ -69,7 +66,8 @@ class OrthonormalBasis:
         return self.vectors[0].dim
 
     def matrix(self):
-        return np.column_stack([v.amplitudes for v in self.vectors])
+        """The vectors as columns (read-only, built once)."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -132,13 +130,6 @@ def _undefined(relation_id, direction, lhs, reason):
     )
 
 
-def _check(state, a, b):
-    if a.dim != state.dim or b.dim != state.dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim} vs observables {a.dim}, {b.dim}"
-        )
-
-
 def _normalize_pairing(pairing, dim):
     if pairing is None:
         pairing = tuple(range(dim))
@@ -194,7 +185,7 @@ def rhs_eq7(var_a, var_b, cov, var_amb):
     Undefined when a standard deviation is at most EQ7_EPS or the
     denominator lies within EQ7_EPS of zero.  Scalars give ``(rhs, None)`` or
     ``(None, reason)``; arrays give ``(rhs, undefined)``, NaN where undefined
-    (a separate branch, so evaluate_all's scalar call stays cheap).
+    (evaluate_all reads the reason from the scalar branch).
     """
     if isinstance(var_a, np.ndarray):
         undefined = np.minimum(var_a, var_b) <= EQ7_EPS**2
@@ -212,26 +203,58 @@ def rhs_eq7(var_a, var_b, cov, var_amb):
     return float(2.0 * var_amb / denom - 2.0 * da_db), None
 
 
-def _sq_norm(w):
-    return float(np.real(np.vdot(w, w)))
+def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
+    """Evaluate eq1..eq7 on normalized states ``psi`` (..., d) in one pass.
 
-
-def _fidelity_terms(state, a, b, pairing, mean_a, mean_b):
-    pairing = _normalize_pairing(pairing, state.dim)
-    psi = state.amplitudes
-    fid_a = np.abs(a.eigenvector_matrix().conj().T @ psi) ** 2
-    fid_b_all = np.abs(b.eigenvector_matrix().conj().T @ psi) ** 2
-    b_vals = b.eigenvalues[list(pairing)]
-    fid_b = fid_b_all[list(pairing)]
-    return FidelityTerms(
+    With u = Abar|Psi> and v = Bbar|Psi>: Cov(A,B) = Re<u|v>,
+    |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
+    bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
+    ({name: array}, FidelityTerms) with names mean_a, mean_b, var_a, var_b,
+    lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined)
+    and each name of ``means`` ({name: observable O}) with <O>.
+    """
+    d = np.shape(psi)[-1]
+    if a.dim != d or b.dim != d:
+        raise DimensionMismatch(f"state dim {d} vs observables {a.dim}, {b.dim}")
+    if basis is not None and basis.dim != d:
+        raise IncompleteBasis("basis dimension does not match the state")
+    pairing = _normalize_pairing(pairing, d)
+    # moments as ``moments`` takes them, var = ||A psi||^2 - <A>^2, with
+    # <A>^2 a product: a scalar ** 2 is libm's pow, which is off by an ulp
+    # now and then, so one state and a stack would round apart
+    a_psi, b_psi = np.matvec(a.matrix, psi), np.matvec(b.matrix, psi)
+    mean_a, mean_b = np.vecdot(psi, a_psi).real, np.vecdot(psi, b_psi).real
+    var_a = np.vecdot(a_psi, a_psi).real - mean_a * mean_a
+    var_b = np.vecdot(b_psi, b_psi).real - mean_b * mean_b
+    u, v = _centre(psi, a), _centre(psi, b)
+    uv = np.vecdot(u, v)
+    pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix().conj().T, w) for w in (u, v))
+    b_values = b.eigenvalues[list(pairing)]
+    fid = FidelityTerms(
         a_values=a.eigenvalues.copy(),
-        b_values=b_vals,
-        a_shifted=a.eigenvalues - mean_a,
-        b_shifted=b_vals - mean_b,
-        fid_a=fid_a,
-        fid_b=fid_b,
+        b_values=b_values,
+        a_shifted=a.eigenvalues - mean_a[..., None],
+        b_shifted=b_values - mean_b[..., None],
+        fid_a=np.abs(np.matvec(a.eigenvectors.conj().T, psi)) ** 2,
+        fid_b=np.abs(np.matvec(b.eigenvectors.conj().T, psi))[..., list(pairing)] ** 2,
         pairing=pairing,
     )
+    fid_args = (fid.a_shifted, fid.b_shifted, fid.fid_a, fid.fid_b)
+    out = {
+        "mean_a": mean_a, "mean_b": mean_b, "var_a": var_a, "var_b": var_b,
+        "lhs_prod": var_a * var_b, "lhs_sum": var_a + var_b,
+        "cov": uv.real, "var_amb": np.vecdot(u - v, u - v).real,
+        "eq1": rhs_eq1(2.0 * np.abs(uv.imag), uv.real),
+        "eq2": rhs_eq2(pa, pb),
+        "eq3": rhs_eq3(*fid_args),
+        "eq4": rhs_eq4(np.vecdot(u + v, u + v).real),
+        "eq5": rhs_eq5(pa, pb),
+        "eq6": rhs_eq6(*fid_args),
+    }
+    out["eq7"] = rhs_eq7(np.asarray(var_a), np.asarray(var_b), uv.real, out["var_amb"])[0]
+    for name, obs in (means or {}).items():
+        out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
+    return out, fid
 
 
 @dataclass(frozen=True)
@@ -255,49 +278,29 @@ def evaluate_all(
     basis: OrthonormalBasis | None = None,
     pairing=None,
 ) -> UncertaintyReport:
-    """Evaluate eq1..eq7 on one state in one pass; eq7 degeneracy degrades
-    to undefined.
-
-    With u = Abar|Psi> and v = Bbar|Psi>: Cov(A,B) = Re<u|v>,
-    |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
-    bounds read the projections <psi_n|u>, <psi_n|v>.
-    """
-    _check(state, a, b)
-    if basis is None:
-        basis = OrthonormalBasis.computational(state.dim)
-    elif basis.dim != state.dim:
-        raise IncompleteBasis("basis dimension does not match the state")
-    psi = state.amplitudes
-    ma, mb = moments(state, a), moments(state, b)
-    u, v = _centre(psi, a), _centre(psi, b)
-    uv = complex(np.vdot(u, v))
-    bh = basis.matrix().conj().T
-    pa, pb = bh @ u, bh @ v
-    t = _fidelity_terms(state, a, b, pairing, ma.mean, mb.mean)
-    prod, total = ma.variance * mb.variance, ma.variance + mb.variance
-    rhs7, reason = rhs_eq7(ma.variance, mb.variance, uv.real, _sq_norm(u - v))
-    fid = (t.a_shifted, t.b_shifted, t.fid_a, t.fid_b)
+    """Evaluate eq1..eq7 on one state (:func:`evaluate_states` of one
+    vector); eq7 degeneracy degrades to undefined, with the reason
+    :func:`rhs_eq7` gives."""
+    t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
+    prod, total = t["lhs_prod"], t["lhs_sum"]
     results = {
-        "eq1": _result("eq1", "lower", prod, rhs_eq1(2.0 * abs(uv.imag), uv.real)),
-        "eq2": _result("eq2", "lower", prod, rhs_eq2(pa, pb)),
-        "eq3": _result("eq3", "lower", prod, rhs_eq3(*fid), t),
-        "eq4": _result("eq4", "lower", total, rhs_eq4(_sq_norm(u + v))),
-        "eq5": _result("eq5", "lower", total, rhs_eq5(pa, pb)),
-        "eq6": _result("eq6", "lower", total, rhs_eq6(*fid), t),
+        "eq1": _result("eq1", "lower", prod, t["eq1"]),
+        "eq2": _result("eq2", "lower", prod, t["eq2"]),
+        "eq3": _result("eq3", "lower", prod, t["eq3"], fid),
+        "eq4": _result("eq4", "lower", total, t["eq4"]),
+        "eq5": _result("eq5", "lower", total, t["eq5"]),
+        "eq6": _result("eq6", "lower", total, t["eq6"], fid),
         "eq7": (
-            _undefined("eq7", "upper", total, reason)
-            if rhs7 is None
-            else _result("eq7", "upper", total, rhs7)
+            _result("eq7", "upper", total, t["eq7"])
+            if not np.isnan(t["eq7"])
+            else _undefined("eq7", "upper", total, rhs_eq7(
+                *(float(t[k]) for k in ("var_a", "var_b", "cov", "var_amb")))[1])
         ),
     }
     return UncertaintyReport(
         state_label=state.label,
-        mean_a=ma.mean,
-        mean_b=mb.mean,
-        var_a=ma.variance,
-        var_b=mb.variance,
-        product_lhs=prod,
-        sum_lhs=total,
+        **{k: float(t[k]) for k in ("mean_a", "mean_b", "var_a", "var_b")},
+        product_lhs=float(prod), sum_lhs=float(total),
         results=results,
     )
 

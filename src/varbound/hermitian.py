@@ -257,11 +257,18 @@ def anticommutator(a: Observable, b: Observable):
     return a.matrix @ b.matrix + b.matrix @ a.matrix
 
 
+def family_amplitudes(thetas):
+    """Amplitudes (cos t, -sin t, 0) of the swept qutrit family, shape
+    (..., 3) for angles of shape (...)."""
+    t = np.asarray(thetas, dtype=float)
+    return np.stack([np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1).astype(complex)
+
+
 def family_state(theta, label=None) -> PureState:
     """The swept qutrit family (cos t, -sin t, 0)."""
     if label is None:
         label = f"theta={theta:.4f}"
-    return PureState(np.array([np.cos(theta), -np.sin(theta), 0.0], dtype=complex), label)
+    return PureState(family_amplitudes(theta), label)
 
 
 def haar_random_state(dim, rng) -> PureState:

@@ -2,6 +2,10 @@
 family, both ideally and through the simulated measurement pipeline, and
 emit figure-ready CSV/JSON datasets with a machine-readable verdict.
 
+The ideal columns of the sweep points and of the dense grid, and so the
+rows' statuses, come from one ``evaluate_states`` call over the merged
+grid; ``verify`` re-checks sweep and dense rows alike.
+
 Every sampled quantity is estimated from the four settings' simulated
 counts; derived columns propagate one-standard-deviation Poisson error
 bars to first order by one-count central differences through the full
@@ -24,7 +28,7 @@ from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
     OrthonormalBasis,
     _slack_tol,
-    evaluate_all,
+    evaluate_states,
     rhs_eq1,
     rhs_eq2,
     rhs_eq3,
@@ -34,7 +38,8 @@ from .bounds import (
     rhs_eq7,
     slack,
 )
-from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1, family_state, moments
+from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1
+from .hermitian import family_amplitudes, family_state
 from .photonics import builtin_settings, projection_probabilities, sample_counts
 
 
@@ -175,36 +180,36 @@ class VerificationReport:
     ok: bool
 
 
-def _ideal_columns(state, lx, ly, lz, lp, basis, optimize):
-    """Ideal value columns, the relation results, and the bases of the
-    basis-dependent columns as [(basis matrix, {column: rhs function})]."""
-    rep = evaluate_all(state, lx, ly, basis)
-    res = rep.results
-    cols = {
-        "mean_lx": rep.mean_a,
-        "mean_ly": rep.mean_b,
-        "mean_lz": moments(state, lz).mean,
-        "mean_lp": moments(state, lp).mean,
-        "var_lx": rep.var_a,
-        "var_ly": rep.var_b,
-        "lhs_prod": rep.product_lhs,
-        "lhs_sum": rep.sum_lhs,
-        "rhs_eq1": res["eq1"].rhs,
-        "rhs_eq2_canon": res["eq2"].rhs,
-        "rhs_eq3": res["eq3"].rhs,
-        "rhs_eq4": res["eq4"].rhs,
-        "rhs_eq5_canon": res["eq5"].rhs,
-        "rhs_eq6": res["eq6"].rhs,
-        "rhs_eq7": res["eq7"].rhs,
-        "rhs_eq2_opt": None,
-        "rhs_eq5_opt": None,
-    }
+# the kernel output behind each ideal column (eq2, eq5 in the computational
+# basis); the optimized-basis columns come from the basis search
+KERNEL_KEYS = dict(zip(VALUE_COLUMNS, (
+    "mean_a", "mean_b", "mean_lz", "mean_lp", "var_a", "var_b", "lhs_prod", "eq1", "eq2", None,
+    "eq3", "lhs_sum", "eq4", "eq5", None, "eq6", "eq7",
+)))
+
+
+def _ideal_columns(psi, lx, ly, lz, lp, basis):
+    """Ideal value columns of states ``psi`` (N, 3) from one kernel call, as
+    one {column: value} per state; None where undefined or not computed."""
+    values, _ = evaluate_states(psi, lx, ly, basis, means={"mean_lz": lz, "mean_lp": lp})
+    values = {key: v.tolist() for key, v in values.items()}
+    return [
+        {col: None if key is None or math.isnan(values[key][i]) else values[key][i]
+         for col, key in KERNEL_KEYS.items()}
+        for i in range(len(psi))
+    ]
+
+
+def _bases(state, lx, ly, basis, optimize):
+    """Optimized-basis columns of one state (none unless ``optimize``) and
+    the bases [(matrix, {column: rhs function})] of the basis columns."""
     bases = [(basis.matrix(), {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
+    opt = {}
     if optimize:
-        b2, cols["rhs_eq2_opt"], _ = optimize_bound("eq2", state, lx, ly, OPTIMIZER)
-        b5, cols["rhs_eq5_opt"], _ = optimize_bound("eq5", state, lx, ly, OPTIMIZER)
-        bases += [(b2.matrix(), {"rhs_eq2_opt": rhs_eq2}), (b5.matrix(), {"rhs_eq5_opt": rhs_eq5})]
-    return cols, res, bases
+        for rid, rhs in (("eq2", rhs_eq2), ("eq5", rhs_eq5)):
+            b, opt[f"rhs_{rid}_opt"], _ = optimize_bound(rid, state, lx, ly, OPTIMIZER)
+            bases.append((b.matrix(), {f"rhs_{rid}_opt": rhs}))
+    return opt, bases
 
 
 def _state_estimate(lz_probs, mean_lx):
@@ -220,7 +225,7 @@ def _state_estimate(lz_probs, mean_lx):
 def _sampled_columns(counts, lx, ly, bases):
     """All sampled value columns from raw counts of shape (..., 12), ordered
     [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the observable's eigenvalue
-    order (-1, 1, 0); ``bases`` is the list built by :func:`_ideal_columns`.
+    order (-1, 1, 0); ``bases`` is the list built by :func:`_bases`.
     On one 12-vector a column is a float or None; on a batch an array, NaN
     in undefined rows (None for a column no basis produces).
     """
@@ -289,27 +294,32 @@ def _propagate_sigmas(counts_flat, column_fn):
     return base, sigma
 
 
-def _status(res):
+def _status(direction, lhs, rhs):
     """undefined, violated, tight or satisfied, to the relation's tolerance."""
-    if not res.defined:
+    if rhs is None:
         return "undefined"
-    if not res.satisfied:
+    margin, tol = slack(direction, lhs, rhs), _slack_tol(lhs, rhs)
+    if margin < -tol:
         return "violated"
-    return "tight" if abs(res.slack) <= _slack_tol(res.lhs, res.rhs) else "satisfied"
+    return "tight" if abs(margin) <= tol else "satisfied"
 
 
 def run_sweep(config: SweepConfig):
-    """Evaluate the full sweep; returns (rows, report, dense_rows)."""
+    """Evaluate the full sweep; returns (rows, report, dense_rows).  The
+    ideal columns of the sweep points and of the dense grid, which holds
+    them, come from one kernel call over the merged grid."""
     lx, ly, lz, lp = builtin_spin1()
     basis = OrthonormalBasis.computational(3)
     settings = builtin_settings()
+    dense = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
+    grid = sorted(set(config.thetas) | set(dense))
+    ideal_by_theta = dict(zip(grid, _ideal_columns(family_amplitudes(grid), lx, ly, lz, lp, basis)))
 
     rows = []
     for j, theta in enumerate(config.thetas):
         state = family_state(theta)
-        ideal, results, bases = _ideal_columns(
-            state, lx, ly, lz, lp, basis, config.optimize_basis
-        )
+        opt, bases = _bases(state, lx, ly, basis, config.optimize_basis)
+        ideal = ideal_by_theta[theta] | opt
 
         probs = [projection_probabilities(state, settings[name]) for name in SETTING_NAMES]
         sampled_acc, sigma_acc = {}, {}
@@ -330,21 +340,21 @@ def run_sweep(config: SweepConfig):
             for c in sigma_acc
         }
 
-        statuses = {rid: _status(res) for rid, res in results.items()}
+        statuses = {
+            rid: _status(direction, ideal[lhs], ideal[rhs])
+            for rid, lhs, rhs, direction in RELATIONS
+            if rhs not in ("rhs_eq2_opt", "rhs_eq5_opt")
+        }
         rows.append(DatasetRow(j=j, theta=float(theta), ideal=ideal,
                                sampled=sampled, sigma=sigma, statuses=statuses))
 
     report = build_report(rows)
-
-    dense_rows = []
-    if config.dense > 0:
-        grid = sorted(set(np.linspace(0.0, np.pi, config.dense + 1)) | set(config.thetas))
-        for j, theta in enumerate(grid):
-            state = family_state(theta)
-            # dense curves cover the figure panels; the optimized-basis
-            # columns are only produced for the sweep points themselves
-            ideal, _, _ = _ideal_columns(state, lx, ly, lz, lp, basis, False)
-            dense_rows.append(DatasetRow(j=j, theta=float(theta), ideal=ideal))
+    # dense curves cover the figure panels; the optimized-basis columns are
+    # only produced for the sweep points themselves
+    dense_rows = [
+        DatasetRow(j=j, theta=float(theta), ideal=ideal_by_theta[theta])
+        for j, theta in enumerate(grid)
+    ] if config.dense > 0 else []
     return rows, report, dense_rows
 
 
@@ -451,15 +461,18 @@ def _write_csv(path, rows):
 
 
 def _load_rows(path):
-    """Rows of a JSON dataset, or None when it is missing or malformed: no
-    rows, a row without lhs_prod or lhs_sum, a non-numeric value or a
+    """The sweep rows followed by the dense rows of a JSON dataset, or None
+    when it is missing or malformed: no rows, a missing or non-list dense
+    entry, a row without lhs_prod or lhs_sum, a non-numeric value or a
     negative sigma."""
     try:
-        rows = json.loads(Path(path).read_text())["rows"]
+        payload = json.loads(Path(path).read_text())
+        rows, dense = payload["rows"], payload["dense"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not isinstance(dense, list):
         return None
+    rows = rows + dense
     for row in rows:
         if not isinstance(row, dict) or row.get("lhs_prod") is None or row.get("lhs_sum") is None:
             return None
@@ -473,8 +486,9 @@ def _load_rows(path):
 
 
 def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
-    """Re-check a written JSON dataset; returns a process exit status:
-    0 ok, 1 violation or non-finite value, 2 missing or malformed."""
+    """Re-check a written JSON dataset, sweep and dense rows alike; returns
+    a process exit status: 0 ok, 1 violation or non-finite value, 2 missing
+    or malformed."""
     rows = _load_rows(path)
     if rows is None:
         return 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varbound.bounds as bounds
+import varbound.hermitian as hermitian
 from varbound.basis_search import haar_basis
 from varbound.bounds import (
     EQ7_EPS,
@@ -22,6 +23,7 @@ from varbound.bounds import (
     eq6_sum_bound,
     eq7_reverse_bound,
     evaluate_all,
+    evaluate_states,
     rhs_eq1,
     rhs_eq2,
     rhs_eq3,
@@ -433,19 +435,74 @@ class TestReferenceRoutes:
 
 class TestSinglePass:
     def test_each_state_quantity_computed_once(self, monkeypatch):
-        """evaluate_all computes the moments and the centred vectors of A
-        and B once each, and every relation reads them."""
-        calls = {"moments": 0, "_centre": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(bounds, name), _name=name):
+        """evaluate_all is one evaluate_states call, which takes the moments
+        itself (no ``moments`` call) and the centred vectors of A and B once
+        each, and every relation reads them."""
+        calls = {"evaluate_states": 0, "_centre": 0, "moments": 0}
+        for module, name in ((bounds, "evaluate_states"), (bounds, "_centre"), (hermitian, "moments")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(bounds, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(9)
         a, b = (make_observable(_random_hermitian(rng, 4)) for _ in range(2))
         evaluate_all(haar_random_state(4, rng), a, b, haar_basis(4, 3), (3, 1, 0, 2))
-        assert calls == {"moments": 2, "_centre": 2}
+        assert calls == {"evaluate_states": 1, "_centre": 2, "moments": 0}
+
+
+def _report_values(rep):
+    """Means, variances, both sides and the rhs (None where undefined) of
+    every relation of one report."""
+    values = [rep.mean_a, rep.mean_b, rep.var_a, rep.var_b, rep.product_lhs, rep.sum_lhs]
+    return values + [rep.results[f"eq{i}"].rhs for i in range(1, 8)]
+
+
+def _kernel_values(values, index):
+    return [float(values[k][index]) for k in ("mean_a", "mean_b", "var_a", "var_b",
+                                              "lhs_prod", "lhs_sum")] + [
+        None if np.isnan(values[f"eq{i}"][index]) else float(values[f"eq{i}"][index])
+        for i in range(1, 8)
+    ]
+
+
+class TestStateKernel:
+    """evaluate_states on a stack of states equals evaluate_all state by
+    state, so the sweep's dense grid can be one kernel call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+    def test_batch_equals_rows(self, d, seed, n):
+        """Haar states of a random Hermitian pair in a Haar basis and a
+        random pairing.  A has e_0 as an exact eigenvector, and state 0 is
+        e_0 (eq7: degenerate variance); the pair (A, A) makes the eq7
+        denominator singular."""
+        rng = np.random.default_rng(seed)
+        a = _random_hermitian(rng, d)
+        a[0, 1:] = a[1:, 0] = 0.0
+        a = make_observable(a)
+        b = make_observable(_random_hermitian(rng, d))
+        basis, pairing = haar_basis(d, seed), tuple(rng.permutation(d))
+        states = [PureState(np.eye(d)[0])] + [haar_random_state(d, rng) for _ in range(7)]
+        psi = np.array([s.amplitudes for s in states])
+        reasons = set()
+        for bb in (b, a):
+            for shape, stack in (((n,), psi[:n]), ((2, 3), psi[:6].reshape(2, 3, d))):
+                values, _ = evaluate_states(stack, a, bb, basis, pairing)
+                for k, v in values.items():
+                    assert v.shape == shape, k
+                flat = {k: v.ravel() for k, v in values.items()}
+                for i in range(int(np.prod(shape))):
+                    rep = evaluate_all(states[i], a, bb, basis, pairing)
+                    reasons.add(rep.results["eq7"].reason)
+                    got, want = _kernel_values(flat, i), _report_values(rep)
+                    for j, (x, y) in enumerate(zip(got, want)):
+                        if y is None:
+                            assert x is None, (i, j)
+                        else:
+                            rtol = 1e-12 if j == 12 else 1e-14
+                            assert x == pytest.approx(y, rel=rtol, abs=0), (i, j)
+        assert {"degenerate variance", "singular denominator"} <= reasons
 
 
 def _rhs_inputs(d, seed, rows=6):

@@ -9,7 +9,9 @@ import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig
 from varbound.bounds import OrthonormalBasis, evaluate_all
 from varbound.cli import main
-from varbound.hermitian import builtin_spin1, family_state, haar_random_state, make_observable
+from varbound.hermitian import (
+    builtin_spin1, family_state, haar_random_state, make_observable, moments,
+)
 from varbound.photonics import builtin_settings, projection_probabilities, sample_counts
 from varbound.sweep import (
     CSV_COLUMNS,
@@ -104,6 +106,9 @@ class TestConfig:
         assert config_from_file(p).thetas == (0.0,)
 
 
+GOOD_ROW = {"lhs_prod": 0.25, "lhs_sum": 1.0}
+
+
 @pytest.fixture(scope="module")
 def default_run():
     return run_sweep(SweepConfig(counts=4000, dense=20))
@@ -152,6 +157,36 @@ class TestRunSweep:
             d = by_theta[round(r.theta, 12)]
             for col in ("var_lx", "var_ly", "rhs_eq1", "rhs_eq3", "rhs_eq4", "rhs_eq6"):
                 assert d.ideal[col] == pytest.approx(r.ideal[col], abs=1e-12)
+
+    def test_ideal_columns_from_one_kernel_call(self, monkeypatch):
+        """The sweep points and the dense grid, which holds them, get their
+        ideal columns from one evaluate_states call; each dense row equals
+        evaluate_all of its state."""
+        calls = []
+
+        def counted(psi, *args, _fn=sweep.evaluate_states, **kwargs):
+            calls.append(psi.shape)
+            return _fn(psi, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "evaluate_states", counted)
+        rows, _, dense = run_sweep(SweepConfig(counts=2000, dense=50))
+        assert calls == [(len(dense), 3)] and len(dense) >= 51
+        for d in dense:
+            state = family_state(d.theta)
+            rep = evaluate_all(state, LX, LY)
+            expected = {
+                "mean_lz": moments(state, LZ).mean, "mean_lp": moments(state, LP).mean,
+                "mean_lx": rep.mean_a, "mean_ly": rep.mean_b, "var_lx": rep.var_a,
+                "var_ly": rep.var_b, "lhs_prod": rep.product_lhs, "lhs_sum": rep.sum_lhs,
+                "rhs_eq2_canon": rep.results["eq2"].rhs, "rhs_eq5_canon": rep.results["eq5"].rhs,
+            } | {f"rhs_eq{i}": rep.results[f"eq{i}"].rhs for i in (1, 3, 4, 6, 7)}
+            assert set(expected) | {"rhs_eq2_opt", "rhs_eq5_opt"} == set(d.ideal)
+            for col, value in expected.items():
+                if value is None:
+                    assert d.ideal[col] is None, (d.theta, col)
+                else:
+                    assert d.ideal[col] == pytest.approx(value, rel=1e-14, abs=1e-15), (d.theta, col)
+            assert d.ideal["rhs_eq2_opt"] is None and d.ideal["rhs_eq5_opt"] is None
 
     def test_optimized_columns_present_when_requested(self):
         rows, _, _ = run_sweep(SweepConfig(thetas=(0.3,), counts=2000, optimize_basis=True))
@@ -202,12 +237,16 @@ class TestEmitAndVerify:
         assert verify_dataset(out / "sweep.json") == 0
 
     def test_verify_flags_violation(self, emitted, tmp_path):
+        """A violated relation in a sweep row or in a dense row."""
         out, _ = emitted
-        payload = json.loads((out / "sweep.json").read_text())
-        payload["rows"][3]["rhs_eq3"] = payload["rows"][3]["lhs_prod"] + 1.0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
-        assert verify_dataset(bad) == 1
+        for kind, col, lhs, offset in (("rows", "rhs_eq3", "lhs_prod", 1.0),
+                                       ("dense", "rhs_eq3", "lhs_prod", 1.0),
+                                       ("dense", "rhs_eq7", "lhs_sum", -1.0)):
+            payload = json.loads((out / "sweep.json").read_text())
+            payload[kind][3][col] = payload[kind][3][lhs] + offset
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(payload))
+            assert verify_dataset(bad) == 1, (kind, col)
 
     def test_verify_flags_statistical_outlier(self, emitted, tmp_path):
         out, _ = emitted
@@ -218,6 +257,13 @@ class TestEmitAndVerify:
         bad.write_text(json.dumps(payload))
         assert verify_dataset(bad) == 1
 
+    def test_verify_accepts_a_minimal_dataset(self, tmp_path):
+        """The malformed-dense cases below differ from this dataset only in
+        their dense entry."""
+        good = tmp_path / "minimal.json"
+        good.write_text(json.dumps({"rows": [GOOD_ROW], "dense": [GOOD_ROW]}))
+        assert verify_dataset(good) == 0
+
     def test_verify_config_errors(self, tmp_path):
         assert verify_dataset(tmp_path / "nope.json") == 2
         garbage = tmp_path / "garbage.json"
@@ -227,6 +273,11 @@ class TestEmitAndVerify:
     @pytest.mark.parametrize("payload", [
         {}, [], {"rows": None}, {"rows": []}, {"rows": [{"theta": 0}]},
         {"rows": [{"lhs_prod": 0.25}]}, {"rows": [{"lhs_prod": 0.25, "lhs_sum": "1.0"}]},
+        # a well-formed row with a missing, non-list or malformed dense entry
+        {"rows": [GOOD_ROW]}, {"rows": [GOOD_ROW], "dense": 5},
+        {"rows": [GOOD_ROW], "dense": None}, {"rows": [GOOD_ROW], "dense": [3.0]},
+        {"rows": [GOOD_ROW], "dense": [{"lhs_prod": 0.25}]},
+        {"rows": [GOOD_ROW], "dense": [{"lhs_prod": 0.25, "lhs_sum": 1.0, "rhs_eq7": "2"}]},
     ])
     def test_verify_rejects_malformed_dataset(self, tmp_path, payload):
         bad = tmp_path / "malformed.json"
@@ -234,12 +285,14 @@ class TestEmitAndVerify:
         assert verify_dataset(bad) == 2
 
     @pytest.mark.parametrize("column", ["lhs_prod", "lhs_sum", "rhs_eq1", "sampled_var_lx",
-                                        "sigma_rhs_eq4"])
+                                        "sigma_rhs_eq4", "dense.lhs_sum", "dense.rhs_eq7"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_verify_flags_non_finite_value(self, emitted, tmp_path, column, value):
+        """``dense.<column>`` sets the value in a dense row."""
         out, _ = emitted
         payload = json.loads((out / "sweep.json").read_text())
-        payload["rows"][2][column] = value
+        kind, _, column = column.rpartition(".")
+        payload[kind or "rows"][2][column] = value
         bad = tmp_path / "nonfinite.json"
         bad.write_text(json.dumps(payload))
         assert verify_dataset(bad) == 1
@@ -330,7 +383,7 @@ class TestBatchedSigmas:
         dark = 0
         for j, theta in enumerate(theta_grid(11)):
             state = family_state(theta)
-            _, _, bases = sweep._ideal_columns(state, LX, LY, LZ, LP, basis, False)
+            _, bases = sweep._bases(state, LX, LY, basis, False)
             fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             probs = [projection_probabilities(state, settings[n]) for n in sweep.SETTING_NAMES]
             for seed in range(20):
@@ -383,7 +436,7 @@ class TestStatus:
         """A = B makes eq1-eq6 tight at any scale; eq7 is undefined."""
         a = make_observable(1e5 * np.diag([1.0, 2.0, -3.0]))
         rep = evaluate_all(haar_random_state(3, np.random.default_rng(1)), a, a)
-        statuses = {rid: sweep._status(r) for rid, r in rep.results.items()}
+        statuses = {rid: sweep._status(r.direction, r.lhs, r.rhs) for rid, r in rep.results.items()}
         assert statuses == dict.fromkeys(("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"), "tight") | {
             "eq7": "undefined"
         }
@@ -438,7 +491,9 @@ class TestWrittenOnce:
         basis = OrthonormalBasis.computational(3)
         for theta in theta_grid(11):
             state = family_state(theta)
-            ideal, _, bases = sweep._ideal_columns(state, LX, LY, LZ, LP, basis, optimize)
+            [ideal] = sweep._ideal_columns(state.amplitudes[None], LX, LY, LZ, LP, basis)
+            opt, bases = sweep._bases(state, LX, LY, basis, optimize)
+            ideal |= opt
             sampled = sweep._sampled_columns(
                 _noise_free_counts(state, 10_000), LX, LY, bases
             )
