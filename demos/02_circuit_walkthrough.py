@@ -39,7 +39,7 @@ worst = 0.0
 for j in range(11):
     s = family_state(j * np.pi / 10)
     for name, setting in settings.items():
-        p = projection_probabilities(s, setting)
+        p = projection_probabilities(s.amplitudes, setting)
         ref = np.abs(observables[name].eigenvector_matrix().conj().T @ s.amplitudes) ** 2
         worst = max(worst, float(np.max(np.abs(p - ref))))
 print(f"\nCircuit vs eigensystem probabilities over the sweep: max |dP| = {worst:.2e}")

@@ -44,15 +44,12 @@ from .basis_search import (
     unitary_from_params,
 )
 from .photonics import (
-    CountRecord,
-    EstimatedMoment,
     LeakageDetected,
     MeasurementSetting,
     NotProjectiveRealization,
     OpticalElement,
     builtin_settings,
     decompose_lx,
-    estimate_observable,
     hwp_matrix,
     measurement_unitary,
     prepare_state,

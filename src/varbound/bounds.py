@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import DimensionMismatch, Observable, PureState, _centre
+from .hermitian import DimensionMismatch, Observable, PureState
 
 SLACK_TOL = 1e-9
 EQ7_EPS = 1e-9
@@ -206,12 +206,13 @@ def rhs_eq7(var_a, var_b, cov, var_amb):
 def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     """Evaluate eq1..eq7 on normalized states ``psi`` (..., d) in one pass.
 
-    With u = Abar|Psi> and v = Bbar|Psi>: Cov(A,B) = Re<u|v>,
-    |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
-    bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
-    ({name: array}, FidelityTerms) with names mean_a, mean_b, var_a, var_b,
-    lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined)
-    and each name of ``means`` ({name: observable O}) with <O>.
+    With u = Abar|Psi> = A psi - <A> psi and v = Bbar|Psi>:
+    Cov(A,B) = Re<u|v>, |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2,
+    and the basis bounds read <psi_n|u>, <psi_n|v> (u, v for
+    ``basis=None``).  Returns ({name: array}, FidelityTerms) with names
+    mean_a, mean_b, var_a, var_b, lhs_prod, lhs_sum, cov, var_amb, eq1..eq7
+    (NaN where eq7 is undefined) and each name of ``means`` ({name:
+    observable O}) with <O>.
     """
     d = np.shape(psi)[-1]
     if a.dim != d or b.dim != d:
@@ -226,7 +227,7 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     mean_a, mean_b = np.vecdot(psi, a_psi).real, np.vecdot(psi, b_psi).real
     var_a = np.vecdot(a_psi, a_psi).real - mean_a * mean_a
     var_b = np.vecdot(b_psi, b_psi).real - mean_b * mean_b
-    u, v = _centre(psi, a), _centre(psi, b)
+    u, v = a_psi - mean_a[..., None] * psi, b_psi - mean_b[..., None] * psi
     uv = np.vecdot(u, v)
     pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix().conj().T, w) for w in (u, v))
     b_values = b.eigenvalues[list(pairing)]

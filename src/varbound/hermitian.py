@@ -55,13 +55,6 @@ class PureState:
     def dim(self):
         return self.amplitudes.size
 
-    def density(self):
-        """Rank-one projector |psi><psi|."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def _matrix_tol(m):
     """Hermiticity and reconstruction tolerance, relative to the largest entry."""
@@ -230,8 +223,9 @@ def moments(state: PureState, obs: Observable) -> MomentStats:
 
 def _centre(psi, obs):
     """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
-    normalized amplitudes of shape (..., d); the bounds, the basis search
-    and the sampled columns all centre through here."""
+    normalized amplitudes of shape (..., d); the basis search and the
+    sampled columns centre through here (``evaluate_states`` centres the
+    A psi it already holds the same way)."""
     o_psi = np.matvec(obs.matrix, psi)
     return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
 

@@ -41,11 +41,7 @@ class NotProjectiveRealization(RuntimeError):
 
 
 class BadProbabilities(ValueError):
-    """Probability vector is negative or unnormalized."""
-
-
-class ZeroCounts(ValueError):
-    """Count record is empty; no estimate possible."""
+    """Probabilities are negative or do not sum to 1."""
 
 
 def hwp_matrix(angle):
@@ -195,11 +191,6 @@ def _builtin_observable(name) -> Observable:
     return _BUILTIN_OBS[name]
 
 
-def embed_qutrit(state: PureState):
-    """Qutrit amplitudes placed on modes (u,H), (u,V), (l,V)."""
-    return EMBED @ state.amplitudes
-
-
 def prepare_state(theta) -> PureState:
     """State preparation circuit: splitter then two upper-rail plates.
 
@@ -242,72 +233,27 @@ def measurement_unitary(setting: MeasurementSetting):
     return v
 
 
-def projection_probabilities(state: PureState, setting: MeasurementSetting):
-    """Outcome probabilities |(V psi)_i|^2, in eigenvalue order."""
-    v = measurement_unitary(setting)
-    p = np.abs(v @ state.amplitudes) ** 2
-    total = p.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise BadProbabilities(f"probabilities sum to {total}")
+def projection_probabilities(psi, setting: MeasurementSetting):
+    """Outcome probabilities |(V psi)_i|^2 of qutrit amplitudes ``psi``
+    (..., 3), in eigenvalue order; every row must sum to 1."""
+    p = np.abs(np.matvec(measurement_unitary(setting), psi)) ** 2
+    total = p.sum(axis=-1, keepdims=True)
+    # "not <=" so that a NaN row also fails
+    if not np.all(np.abs(total - 1.0) <= 1e-10):
+        raise BadProbabilities(f"probabilities sum to {total.ravel()}")
     return p / total
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Simulated Poissonian detector counts for one setting."""
-
-    counts: np.ndarray
-    probabilities: np.ndarray
-    expected_total: int
-    seed: int
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-
-def sample_counts(probabilities, total, seed) -> CountRecord:
-    """Independent Poisson(N * P_i) draws per outcome, deterministic per seed."""
+def sample_counts(probabilities, total, seed):
+    """Independent Poisson(total * p) counts for every probability block
+    (..., k) of the stack, all from one generator seeded by ``seed``;
+    int64, of the stack's shape."""
     p = np.asarray(probabilities, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
-        raise BadProbabilities(f"bad probability vector {p}")
     if total <= 0:
         raise BadProbabilities("total counts must be positive")
-    p = np.clip(p, 0.0, None)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(total * p)
-    return CountRecord(
-        counts=counts.astype(np.int64),
-        probabilities=p,
-        expected_total=int(total),
-        seed=int(seed),
-    )
-
-
-@dataclass(frozen=True)
-class EstimatedMoment:
-    """Point estimate with a one-standard-deviation Poisson error bar."""
-
-    value: float
-    sigma: float
-
-
-def estimate_from_counts(counts, values):
-    """Ratio estimator sum(values*n)/sum(n) with first-order Poisson sigma."""
-    n = np.asarray(counts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    total = n.sum()
-    if total <= 0:
-        raise ZeroCounts("no counts recorded")
-    value = float(np.dot(values, n) / total)
-    # d(value)/dn_i = (values_i - value)/total; Var(n_i) = n_i
-    var = float(np.sum(n * ((values - value) / total) ** 2))
-    return EstimatedMoment(value=value, sigma=float(np.sqrt(var)))
-
-
-def estimate_observable(record: CountRecord, eigenvalues) -> EstimatedMoment:
-    """First-moment estimate from one count record."""
-    return estimate_from_counts(record.counts, eigenvalues)
+    if not (np.all(p >= -1e-12) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-10)):
+        raise BadProbabilities("a probability block is negative or does not sum to 1")
+    return np.random.default_rng(seed).poisson(total * np.clip(p, 0.0, None)).astype(np.int64)
 
 
 def decompose_lx():

@@ -6,10 +6,13 @@ The ideal columns of the sweep points and of the dense grid, and so the
 rows' statuses, come from one ``evaluate_states`` call over the merged
 grid; ``verify`` re-checks sweep and dense rows alike.
 
-Every sampled quantity is estimated from the four settings' simulated
-counts; derived columns propagate one-standard-deviation Poisson error
-bars to first order by one-count central differences through the full
-column formula, all perturbed count vectors of a trial in one call.
+The counts of every (row, trial, setting) are drawn in one call from one
+generator seeded by the config seed.  Every sampled quantity is estimated
+from the four settings' counts; derived columns propagate one-standard-
+deviation Poisson error bars to first order by one-count central
+differences through the full column formula, all perturbed count vectors
+of a trial in one call.  A setting with no counts leaves the columns that
+read it undefined.
 """
 
 from __future__ import annotations
@@ -230,10 +233,9 @@ def _sampled_columns(counts, lx, ly, bases):
     in undefined rows (None for a column no basis produces).
     """
     n = np.asarray(counts, dtype=float).reshape(*np.shape(counts)[:-1], 4, 3)
-    totals = n.sum(axis=-1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ConfigError("a setting recorded zero total counts")
-    probs = n / totals
+    # a setting with no counts gives NaN in the columns that read it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = n / n.sum(axis=-1, keepdims=True)
     a_vals, b_vals = lx.eigenvalues, ly.eigenvalues
     values = np.array([a_vals, b_vals, SPIN1_EIGENVALUE_ORDER, SPIN1_EIGENVALUE_ORDER])
 
@@ -269,7 +271,7 @@ def _sampled_columns(counts, lx, ly, bases):
         for col, rhs in rhs_by_column.items():
             cols[col] = rhs(pa, pb)
     if n.ndim == 2:
-        return {c: None if v is None else float(v) for c, v in cols.items()}
+        return {c: None if v is None or np.isnan(v) else float(v) for c, v in cols.items()}
     return cols
 
 
@@ -315,20 +317,22 @@ def run_sweep(config: SweepConfig):
     grid = sorted(set(config.thetas) | set(dense))
     ideal_by_theta = dict(zip(grid, _ideal_columns(family_amplitudes(grid), lx, ly, lz, lp, basis)))
 
+    # (rows, trials, 4 settings, 3 outcomes) counts from one generator
+    amps = family_amplitudes(config.thetas)
+    probs = np.stack([projection_probabilities(amps, settings[n]) for n in SETTING_NAMES], -2)
+    shape = (len(config.thetas), config.trials, 4, 3)
+    counts = sample_counts(np.broadcast_to(probs[:, None], shape), config.counts, config.seed)
+
     rows = []
     for j, theta in enumerate(config.thetas):
-        state = family_state(theta)
-        opt, bases = _bases(state, lx, ly, basis, config.optimize_basis)
+        opt, bases = _bases(family_state(theta), lx, ly, basis, config.optimize_basis)
         ideal = ideal_by_theta[theta] | opt
 
-        probs = [projection_probabilities(state, settings[name]) for name in SETTING_NAMES]
         sampled_acc, sigma_acc = {}, {}
         for trial in range(config.trials):
-            counts = np.concatenate([
-                sample_counts(p, config.counts, config.seed + 1000 * j + 10 * trial + si).counts
-                for si, p in enumerate(probs)
-            ])
-            vals, sigs = _propagate_sigmas(counts, lambda c: _sampled_columns(c, lx, ly, bases))
+            vals, sigs = _propagate_sigmas(
+                counts[j, trial].ravel(), lambda c: _sampled_columns(c, lx, ly, bases)
+            )
             for col, v in vals.items():
                 if v is None:
                     continue
@@ -336,8 +340,7 @@ def run_sweep(config: SweepConfig):
                 sigma_acc.setdefault(col, []).append(sigs[col])
         sampled = {c: float(np.mean(v)) for c, v in sampled_acc.items()}
         sigma = {
-            c: float(np.sqrt(np.mean(np.square(sigma_acc[c]))) / np.sqrt(config.trials))
-            for c in sigma_acc
+            c: float(np.sqrt(np.mean(np.square(s)) / len(s))) for c, s in sigma_acc.items()
         }
 
         statuses = {

@@ -43,7 +43,7 @@ def test_criterion_1_reverse_bound_anchors():
     settings = builtin_settings()
     dark_ok = True
     for name, obs in (("Lx", LX), ("Ly", LY)):
-        p = projection_probabilities(family_state(np.pi / 2), settings[name])
+        p = projection_probabilities(family_state(np.pi / 2).amplitudes, settings[name])
         dark_ok &= p[int(np.argmin(np.abs(obs.eigenvalues)))] < 1e-15
     dark_spread = 2.0 / counts
     windows = {
@@ -110,7 +110,7 @@ def test_criterion_4_circuit_equivalence():
     for theta in SWEEP_THETAS:
         s = family_state(theta)
         for name, setting in settings.items():
-            p = projection_probabilities(s, setting)
+            p = projection_probabilities(s.amplitudes, setting)
             ref = np.abs(obs[name].eigenvector_matrix().conj().T @ s.amplitudes) ** 2
             worst = max(worst, float(np.max(np.abs(p - ref))))
     residual = decompose_lx()[4]

@@ -1,21 +1,18 @@
 """Tests for the optical-circuit twin: elements, preparation, measurement
-circuits, count sampling and moment estimation."""
+circuits and count sampling."""
 
 import numpy as np
 import pytest
 
-from varbound.hermitian import builtin_spin1, family_state
+from varbound.hermitian import builtin_spin1, family_amplitudes, family_state
 from varbound.photonics import (
     BadProbabilities,
-    CountRecord,
     EMBED,
     LEAKAGE_MODE,
     OpticalElement,
-    ZeroCounts,
     builtin_settings,
     compose,
     decompose_lx,
-    estimate_observable,
     hwp_matrix,
     measurement_unitary,
     prepare_state,
@@ -91,7 +88,7 @@ class TestMeasurementCircuits:
         assert np.max(np.abs(out[LEAKAGE_MODE])) < 1e-10
 
     def test_lz_identity_routing(self):
-        p = projection_probabilities(family_state(0.3), SETTINGS["Lz"])
+        p = projection_probabilities(family_state(0.3).amplitudes, SETTINGS["Lz"])
         # outcomes in eigenvalue order (-1, 1, 0) pick components (3, 1, 2)
         assert np.allclose(p, [0.0, np.cos(0.3) ** 2, np.sin(0.3) ** 2], atol=1e-12)
 
@@ -99,18 +96,18 @@ class TestMeasurementCircuits:
     def test_circuit_equals_eigensystem_probabilities(self, name):
         for theta in SWEEP_THETAS:
             s = family_state(theta)
-            p = projection_probabilities(s, SETTINGS[name])
+            p = projection_probabilities(s.amplitudes, SETTINGS[name])
             ref = np.abs(OBS[name].eigenvector_matrix().conj().T @ s.amplitudes) ** 2
             assert np.max(np.abs(p - ref)) < 1e-10
 
     def test_lx_probabilities_anchors(self):
         assert np.allclose(
-            projection_probabilities(family_state(0.0), SETTINGS["Lx"]), [0.25, 0.25, 0.5],
-            atol=1e-12,
+            projection_probabilities(family_state(0.0).amplitudes, SETTINGS["Lx"]),
+            [0.25, 0.25, 0.5], atol=1e-12,
         )
         assert np.allclose(
-            projection_probabilities(family_state(np.pi / 2), SETTINGS["Lx"]), [0.5, 0.5, 0.0],
-            atol=1e-12,
+            projection_probabilities(family_state(np.pi / 2).amplitudes, SETTINGS["Lx"]),
+            [0.5, 0.5, 0.0], atol=1e-12,
         )
 
 
@@ -135,19 +132,20 @@ class TestDecomposition:
 
 class TestSampling:
     def test_deterministic_outcome(self):
-        rec = sample_counts([1.0, 0.0, 0.0], 5000, seed=1)
-        assert rec.counts[1] == 0 and rec.counts[2] == 0
+        counts = sample_counts([1.0, 0.0, 0.0], 5000, seed=1)
+        assert counts.dtype == np.int64
+        assert counts[1] == 0 and counts[2] == 0
 
     def test_seed_reproducibility(self):
         a = sample_counts([0.2, 0.3, 0.5], 10_000, seed=99)
         b = sample_counts([0.2, 0.3, 0.5], 10_000, seed=99)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         fractions = []
         for seed in range(200):
-            rec = sample_counts([0.5, 0.5, 0.0], 10_000, seed=seed)
-            fractions.append(rec.counts[0] / (rec.counts[0] + rec.counts[1]))
+            counts = sample_counts([0.5, 0.5, 0.0], 10_000, seed=seed)
+            fractions.append(counts[0] / (counts[0] + counts[1]))
         assert np.mean(fractions) == pytest.approx(0.5, abs=0.01)
 
     def test_bad_probabilities(self):
@@ -156,44 +154,72 @@ class TestSampling:
         with pytest.raises(BadProbabilities):
             sample_counts([1.0, 0.0, 0.0], 0, seed=0)
 
+    @pytest.mark.parametrize("bad_block", [[0.5, 0.2, 0.2], [1.1, -0.1, 0.0], [np.nan, 0.5, 0.5]])
+    def test_bad_block_in_a_stack(self, bad_block):
+        """One bad (..., k) block anywhere in a stack rejects the stack."""
+        stack = np.full((2, 3, 4, 3), 1 / 3)
+        stack[1, 2, 3] = bad_block
+        with pytest.raises(BadProbabilities):
+            sample_counts(stack, 1000, seed=0)
+
+    @pytest.mark.parametrize("total", [0, -5])
+    def test_non_positive_total(self, total):
+        with pytest.raises(BadProbabilities):
+            sample_counts(np.full((2, 4, 3), 1 / 3), total, seed=0)
+
+    def test_stack_from_one_generator(self):
+        """A stack is one Poisson draw over the whole array, in C order."""
+        p = np.stack([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]] * 3).reshape(3, 2, 3)
+        counts = sample_counts(p, 10_000, seed=5)
+        assert counts.shape == p.shape and counts.dtype == np.int64
+        assert np.array_equal(counts, np.random.default_rng(5).poisson(10_000 * p))
+        assert np.all(counts[:, 1, 1:] == 0)
+
+
+class TestBatchedProbabilities:
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_batch_equals_per_state_calls(self, name):
+        amps = family_amplitudes(SWEEP_THETAS)
+        batch = projection_probabilities(amps, SETTINGS[name])
+        assert batch.shape == (11, 3)
+        for psi, row in zip(amps, batch):
+            assert np.array_equal(row, projection_probabilities(psi, SETTINGS[name]))
+
+    def test_unnormalized_row_rejected(self):
+        amps = family_amplitudes(SWEEP_THETAS)
+        amps[4] *= 1.01
+        with pytest.raises(BadProbabilities):
+            projection_probabilities(amps, SETTINGS["Lx"])
+
+
+def _mean_and_sigma(counts, values):
+    """Count mean sum(values * n) / sum(n) and its first-order Poisson
+    sigma sqrt(sum n_i (values_i - mean)^2) / sum(n)."""
+    n = np.asarray(counts, dtype=float)
+    mean = values @ n / n.sum()
+    return mean, np.sqrt(n @ (values - mean) ** 2) / n.sum()
+
 
 class TestEstimation:
-    def test_degenerate_counts(self):
-        rec = CountRecord(
-            counts=np.array([1000, 0, 0]), probabilities=np.array([1.0, 0, 0]),
-            expected_total=1000, seed=0,
-        )
-        est = estimate_observable(rec, [1.0, -1.0, 0.0])
-        assert est.value == pytest.approx(1.0)
-        assert est.sigma == pytest.approx(0.0)
-
-    def test_zero_counts_rejected(self):
-        rec = CountRecord(
-            counts=np.array([0, 0, 0]), probabilities=np.array([1.0, 0, 0]),
-            expected_total=10, seed=0,
-        )
-        with pytest.raises(ZeroCounts):
-            estimate_observable(rec, [1.0, -1.0, 0.0])
-
     def test_sigma_matches_binomial_oracle(self):
         # theta = pi/2 under the Lx setting: P = (1/2, 1/2, 0), outcomes +-1
-        p = projection_probabilities(family_state(np.pi / 2), SETTINGS["Lx"])
+        p = projection_probabilities(family_state(np.pi / 2).amplitudes, SETTINGS["Lx"])
         n = 10_000
         oracle = np.sqrt(0.5 * 0.5 * (1 - (-1)) ** 2 / n)
         values, sigmas = [], []
         for seed in range(50):
-            est = estimate_observable(sample_counts(p, n, seed), LX.eigenvalues)
-            values.append(est.value)
-            sigmas.append(est.sigma)
+            value, sigma = _mean_and_sigma(sample_counts(p, n, seed), LX.eigenvalues)
+            values.append(value)
+            sigmas.append(sigma)
         assert np.mean(sigmas) == pytest.approx(oracle, rel=0.05)
         assert abs(np.mean(values)) < 3 * oracle
 
     def test_error_shrinks_as_sqrt_n(self):
-        p = projection_probabilities(family_state(0.3), SETTINGS["Lx"])
+        p = projection_probabilities(family_state(0.3).amplitudes, SETTINGS["Lx"])
         errors = {}
         for n in (10**3, 10**5):
             errs = [
-                abs(estimate_observable(sample_counts(p, n, seed), LX.eigenvalues).value
+                abs(_mean_and_sigma(sample_counts(p, n, seed), LX.eigenvalues)[0]
                     - float(p @ LX.eigenvalues))
                 for seed in range(100)
             ]

@@ -10,8 +10,9 @@ from varbound.basis_search import OptimizerConfig
 from varbound.bounds import OrthonormalBasis, evaluate_all
 from varbound.cli import main
 from varbound.hermitian import (
-    builtin_spin1, family_state, haar_random_state, make_observable, moments,
+    builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable, moments,
 )
+from varbound import photonics
 from varbound.photonics import builtin_settings, projection_probabilities, sample_counts
 from varbound.sweep import (
     CSV_COLUMNS,
@@ -231,6 +232,8 @@ class TestEmitAndVerify:
             payload["config"].pop("out_dir")
             payloads.append(payload)
         assert payloads[0] == payloads[1]
+        csv = [(tmp_path / name / "sweep.csv").read_bytes() for name in ("a", "b")]
+        assert csv[0] == csv[1]
 
     def test_verify_accepts_good_dataset(self, emitted):
         out, _ = emitted
@@ -354,6 +357,33 @@ class TestPropagateSigmas:
         assert sig["cut"] == pytest.approx(np.sqrt(700 * deriv**2), rel=1e-12)
         assert sig["m"] > sig["cut"]
 
+    def test_empty_setting_leaves_its_columns_undefined(self):
+        """A setting with no counts makes undefined exactly the columns that
+        read it: None on one vector, NaN on a batch."""
+        _, bases = sweep._bases(family_state(0.3), LX, LY, OrthonormalBasis.computational(3), False)
+        counts = np.array([3, 2, 1, 2, 2, 2, 0, 0, 0, 2, 1, 3])
+        one = sweep._sampled_columns(counts, LX, LY, bases)
+        reads_lz = {"mean_lz", "rhs_eq1", "rhs_eq2_canon", "rhs_eq5_canon"}
+        unbased = {"rhs_eq2_opt", "rhs_eq5_opt"}
+        assert {c for c, v in one.items() if v is None} == reads_lz | unbased
+        assert all(np.isfinite(v) for v in one.values() if v is not None)
+        batch = sweep._sampled_columns(np.vstack([counts, counts]), LX, LY, bases)
+        for col in VALUE_COLUMNS:
+            if col in unbased:
+                assert batch[col] is None
+            else:
+                assert np.all(np.isnan(batch[col])) == (col in reads_lz), col
+
+    def test_lone_count_still_gets_a_sigma(self):
+        """The -1 vector of a lone Lz count empties that setting; it adds
+        nothing to the error bars instead of failing the run."""
+        counts = np.array([3, 2, 1, 2, 2, 2, 0, 1, 0, 2, 1, 3])
+        _, bases = sweep._bases(family_state(0.3), LX, LY, OrthonormalBasis.computational(3), False)
+        fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
+        base, sig = sweep._propagate_sigmas(counts, fn)
+        assert base["lhs_sum"] == pytest.approx(fn(counts)["lhs_sum"], rel=1e-15)
+        assert np.isfinite(sig["lhs_sum"]) and sig["lhs_sum"] > 0
+
 
 def _loop_propagate_sigmas(counts_flat, column_fn):
     """The per-perturbation loop that _propagate_sigmas replaced, kept as
@@ -379,18 +409,16 @@ class TestBatchedSigmas:
         """20 seeds at the 11 sweep points, including theta = pi/2, where
         the 0-outcome ports of Lx and Ly are dark and count zero."""
         basis = OrthonormalBasis.computational(3)
-        settings = builtin_settings()
+        thetas = theta_grid(11)
+        probs = _sweep_probabilities(thetas)
+        fns = []
+        for theta in thetas:
+            _, bases = sweep._bases(family_state(theta), LX, LY, basis, False)
+            fns.append(lambda c, bases=bases: sweep._sampled_columns(c, LX, LY, bases))
         dark = 0
-        for j, theta in enumerate(theta_grid(11)):
-            state = family_state(theta)
-            _, bases = sweep._bases(state, LX, LY, basis, False)
-            fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
-            probs = [projection_probabilities(state, settings[n]) for n in sweep.SETTING_NAMES]
-            for seed in range(20):
-                counts = np.concatenate([
-                    sample_counts(p, 10_000, 1000 * seed + 10 * j + si).counts
-                    for si, p in enumerate(probs)
-                ])
+        for seed in range(20):
+            for theta, fn, row_counts in zip(thetas, fns, sample_counts(probs, 10_000, seed)):
+                counts = row_counts.ravel()
                 dark += np.count_nonzero(counts == 0)
                 base, sig = sweep._propagate_sigmas(counts, fn)
                 ref_base, ref_sig = _loop_propagate_sigmas(counts, fn)
@@ -405,30 +433,73 @@ class TestBatchedSigmas:
         assert dark > 0
 
 
+def _sweep_probabilities(thetas):
+    """(rows, 4, 3) setting probabilities of the family states at ``thetas``."""
+    settings, amps = builtin_settings(), family_amplitudes(thetas)
+    return np.stack([projection_probabilities(amps, settings[n]) for n in sweep.SETTING_NAMES], -2)
+
+
 class TestTrials:
     def test_trials_keep_their_draws(self):
-        """Trial t of seed s draws what trial 0 of seed s + 10 t draws."""
-        s = 4
-        rows, _, _ = run_sweep(SweepConfig(seed=s, trials=3))
-        singles = [run_sweep(SweepConfig(seed=s + 10 * t))[0] for t in range(3)]
+        """Trial t of row j reads counts[j, t] of one (rows, trials, 4, 3)
+        draw seeded by the config seed; the row reports the mean over trials
+        and the error bar of that mean."""
+        cfg = SweepConfig(seed=4, trials=3)
+        rows, _, _ = run_sweep(cfg)
+        shape = (len(cfg.thetas), cfg.trials, 4, 3)
+        probs = np.broadcast_to(_sweep_probabilities(cfg.thetas)[:, None], shape)
+        counts = sample_counts(probs, cfg.counts, cfg.seed)
+        basis = OrthonormalBasis.computational(3)
         for j, row in enumerate(rows):
-            cols = set().union(*(r[j].sampled for r in singles))
+            _, bases = sweep._bases(family_state(row.theta), LX, LY, basis, False)
+            fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
+            trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
+            cols = {col for base, _ in trials for col, v in base.items() if v is not None}
             assert set(row.sampled) == cols
             for col in cols:
-                vals = [r[j].sampled[col] for r in singles if col in r[j].sampled]
+                vals = [base[col] for base, _ in trials if base[col] is not None]
+                sigs = np.array([sig[col] for _, sig in trials if col in sig])
                 assert row.sampled[col] == pytest.approx(np.mean(vals), rel=1e-15, abs=0), (j, col)
+                assert row.sigma[col] == pytest.approx(
+                    np.sqrt(np.mean(sigs**2) / sigs.size), rel=1e-15, abs=0
+                ), (j, col)
 
     @pytest.mark.parametrize("trials", [1, 4])
     def test_probabilities_once_per_setting_and_row(self, monkeypatch, trials):
+        """One projection_probabilities call per setting, over all rows,
+        whatever the number of rows or trials."""
         calls = []
 
-        def counted(state, setting):
-            calls.append(setting)
-            return projection_probabilities(state, setting)
+        def counted(psi, setting):
+            calls.append(np.shape(psi))
+            return projection_probabilities(psi, setting)
 
         monkeypatch.setattr(sweep, "projection_probabilities", counted)
-        run_sweep(SweepConfig(thetas=theta_grid(3), trials=trials))
-        assert len(calls) == 4 * 3
+        for steps in (3, 11):
+            calls.clear()
+            run_sweep(SweepConfig(thetas=theta_grid(steps), trials=trials))
+            assert calls == [(steps, 3)] * 4
+
+    def test_one_generator_one_draw(self, monkeypatch):
+        """A run makes one generator, seeded by the config seed, and draws
+        all its counts in one poisson call."""
+        calls, make_rng = [], np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def poisson(self, lam):
+                calls.append(("poisson", np.shape(lam)))
+                return self.rng.poisson(lam)
+
+        def default_rng(seed):
+            calls.append(("default_rng", seed))
+            return Counted(seed)
+
+        monkeypatch.setattr(photonics.np.random, "default_rng", default_rng)
+        run_sweep(SweepConfig(thetas=theta_grid(5), seed=12, trials=3))
+        assert calls == [("default_rng", 12), ("poisson", (5, 3, 4, 3))]
 
 
 class TestStatus:
@@ -477,7 +548,8 @@ class TestBuildReport:
 def _noise_free_counts(state, n):
     settings = builtin_settings()
     return np.concatenate([
-        n * projection_probabilities(state, settings[name]) for name in sweep.SETTING_NAMES
+        n * projection_probabilities(state.amplitudes, settings[name])
+        for name in sweep.SETTING_NAMES
     ])
 
 
@@ -542,6 +614,14 @@ class TestCli:
             assert main(["sweep", "--config", str(cfg)]) == 2
         assert main(["sweep", "--theta-steps", "0", "--out", str(tmp_path / "o")]) == 2
         assert main(["sweep", "--dense", "-3", "--out", str(tmp_path / "o")]) == 2
+
+    def test_single_count_runs(self, tmp_path):
+        """At one count per setting some settings record nothing; the run
+        still finishes, and verify agrees with its verdict."""
+        out = tmp_path / "one"
+        status = main(["sweep", "--counts", "1", "--seed", "1", "--out", str(out)])
+        assert status in (0, 1)
+        assert main(["verify", str(out / "sweep.json")]) == status
 
     def test_verify_missing_dataset(self, tmp_path):
         assert main(["verify", str(tmp_path / "none.json")]) == 2
