@@ -4,7 +4,10 @@ emit figure-ready CSV/JSON datasets with a machine-readable verdict.
 
 The ideal columns of the sweep points and of the dense grid, and so the
 rows' statuses, come from one ``evaluate_states`` call over the merged
-grid; ``verify`` re-checks sweep and dense rows alike.
+grid; ``verify`` re-checks sweep and dense rows alike, each check as one
+array expression over all rows.  ``emit`` builds each row's record once for
+both formats and writes ``sweep.json`` as compact JSON that records the
+Python and numpy versions.
 
 The counts of every (row, trial, setting) are drawn in one call from one
 generator seeded by the config seed.  Every sampled quantity is estimated
@@ -12,7 +15,9 @@ from the four settings' counts; derived columns propagate one-standard-
 deviation Poisson error bars to first order by one-count central
 differences through the full column formula, all perturbed count vectors
 of a trial in one call.  A setting with no counts leaves the columns that
-read it undefined.
+read it undefined.  A sampled column with zero sigma fails the report and
+``verify`` when it lies off its ideal value by more than the slack
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 import time
+from itertools import chain
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -29,6 +36,7 @@ import numpy as np
 from . import __version__
 from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
+    SLACK_TOL,
     OrthonormalBasis,
     _slack_tol,
     evaluate_states,
@@ -380,6 +388,8 @@ def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
                 zs[col] = (v - ideal) / sig
                 if abs(zs[col]) > z_limit:
                     ok = False
+            elif abs(v - ideal) > _slack_tol(v, ideal):
+                ok = False
         z_scores.append(zs)
         if "violated" in r.statuses.values():
             ok = False
@@ -401,46 +411,41 @@ def _slacks(values):
     ]
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def _row_record(row):
-    rec = {"j": row.j, "theta": row.theta}
-    for col in VALUE_COLUMNS:
-        rec[col] = row.ideal.get(col)
-    for col in VALUE_COLUMNS:
-        rec[f"sampled_{col}"] = row.sampled.get(col)
-    for col in VALUE_COLUMNS:
-        rec[f"sigma_{col}"] = row.sigma.get(col)
-    return rec
+    """The row's dataset record, keyed and ordered by CSV_COLUMNS."""
+    return dict(zip(CSV_COLUMNS, (
+        row.j, row.theta, *map(row.ideal.get, VALUE_COLUMNS),
+        *map(row.sampled.get, VALUE_COLUMNS), *map(row.sigma.get, VALUE_COLUMNS),
+    )))
 
 
 def emit(rows, report, config: SweepConfig, dense_rows=()):
     """Write CSV/JSON datasets; returns the list of written paths."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    records = [_row_record(r) for r in rows]
+    dense_records = [_row_record(r) for r in dense_rows]
     written = []
     if "csv" in config.formats:
         path = out / "sweep.csv"
-        _write_csv(path, rows)
+        _write_csv(path, records)
         written.append(path)
-        if dense_rows:
+        if dense_records:
             dpath = out / "dense.csv"
-            _write_csv(dpath, dense_rows)
+            _write_csv(dpath, dense_records)
             written.append(dpath)
     if "json" in config.formats:
         path = out / "sweep.json"
         payload = {
             "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "seed": config.seed,
             "config_hash": config.hash(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "config": asdict(config),
-            "rows": [_row_record(r) | {"statuses": r.statuses} for r in rows],
-            "dense": [_row_record(r) for r in dense_rows],
+            "rows": [rec | {"statuses": r.statuses} for rec, r in zip(records, rows)],
+            "dense": dense_records,
             "report": {
                 "statuses": report.statuses,
                 "worst_slack": report.worst_slack,
@@ -448,26 +453,26 @@ def emit(rows, report, config: SweepConfig, dense_rows=()):
                 "ok": report.ok,
             },
         }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        # no indent: any indent makes json fall back from its C encoder
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         written.append(path)
     return written
 
 
-def _write_csv(path, rows):
+def _write_csv(path, records):
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        rec = _row_record(row)
-        lines.append(",".join(
-            str(rec["j"]) if c == "j" else _fmt(rec[c]) for c in CSV_COLUMNS
-        ))
+    for rec in records:
+        j, *values = rec.values()
+        lines.append(",".join([str(j), *["" if v is None else repr(float(v)) for v in values]]))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _load_rows(path):
-    """The sweep rows followed by the dense rows of a JSON dataset, or None
-    when it is missing or malformed: no rows, a missing or non-list dense
-    entry, a row without lhs_prod or lhs_sum, a non-numeric value or a
-    negative sigma."""
+    """The sweep rows followed by the dense rows of a JSON dataset as one
+    (rows, DATA_COLUMNS) float array, NaN where null or absent, and the
+    mask of present cells; None when the dataset is missing or malformed:
+    no rows, a missing or non-list dense entry, a row without lhs_prod or
+    lhs_sum, a non-numeric value or a negative sigma."""
     try:
         payload = json.loads(Path(path).read_text())
         rows, dense = payload["rows"], payload["dense"]
@@ -476,35 +481,46 @@ def _load_rows(path):
     if not isinstance(rows, list) or not rows or not isinstance(dense, list):
         return None
     rows = rows + dense
-    for row in rows:
-        if not isinstance(row, dict) or row.get("lhs_prod") is None or row.get("lhs_sum") is None:
-            return None
-        for col in DATA_COLUMNS:
-            v = row.get(col)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-                return None
-            if col.startswith("sigma_") and v is not None and v < 0:
-                return None
-    return rows
+    if not all(isinstance(row, dict) for row in rows):
+        return None
+    cells = [list(map(row.get, DATA_COLUMNS)) for row in rows]
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float, type(None)}:
+        return None
+    try:
+        table = np.array(cells, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    present = np.array(cells, dtype=object) != None  # noqa: E711 (elementwise)
+    if not present[:, [DATA_COLUMNS.index("lhs_prod"), DATA_COLUMNS.index("lhs_sum")]].all():
+        return None
+    _, _, sigma = np.hsplit(table, 3)
+    if (sigma < 0).any():
+        return None
+    return table, present
+
+
+def _array_tol(a, b):
+    """_slack_tol over arrays."""
+    return SLACK_TOL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
 
 
 def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
-    """Re-check a written JSON dataset, sweep and dense rows alike; returns
-    a process exit status: 0 ok, 1 violation or non-finite value, 2 missing
-    or malformed."""
-    rows = _load_rows(path)
-    if rows is None:
+    """Re-check a written JSON dataset, sweep and dense rows alike, each
+    check over the whole table at once; returns a process exit status:
+    0 ok, 1 violation or non-finite value, 2 missing or malformed.  A
+    sampled column with zero sigma must match its ideal value to the
+    slack tolerance."""
+    loaded = _load_rows(path)
+    if loaded is None:
         return 2
-    for row in rows:
-        if any(row.get(col) is not None and not math.isfinite(row[col]) for col in DATA_COLUMNS):
+    table, present = loaded
+    if (present & ~np.isfinite(table)).any():
+        return 1
+    ideal, sampled, sigma = np.hsplit(table, 3)
+    col = dict(zip(VALUE_COLUMNS, ideal.T))
+    for _, lhs, rhs, direction in RELATIONS:
+        if (slack(direction, col[lhs], col[rhs]) < -_array_tol(col[lhs], col[rhs])).any():
             return 1
-        if any(s < -tol for s, tol in _slacks(row)):
-            return 1
-        for col in VALUE_COLUMNS:
-            v, s = row.get(f"sampled_{col}"), row.get(f"sigma_{col}")
-            ideal = row.get(col)
-            if v is None or s is None or ideal is None or s <= 0:
-                continue
-            if abs(v - ideal) > z_limit * s:
-                return 1
-    return 0
+    dev = abs(sampled - ideal)
+    off = np.where(sigma > 0, dev > z_limit * sigma, (sigma == 0) & (dev > _array_tol(sampled, ideal)))
+    return int(off.any())

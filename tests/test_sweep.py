@@ -1,13 +1,17 @@
 """Tests for the sweep harness: configs, datasets, verification, CLI."""
 
 import json
+import math
+import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig
-from varbound.bounds import OrthonormalBasis, evaluate_all
+from varbound.bounds import OrthonormalBasis, _slack_tol, evaluate_all
 from varbound.cli import main
 from varbound.hermitian import (
     builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable, moments,
@@ -17,6 +21,8 @@ from varbound.photonics import builtin_settings, projection_probabilities, sampl
 from varbound.sweep import (
     CSV_COLUMNS,
     ConfigError,
+    DATA_COLUMNS,
+    RELATIONS,
     SweepConfig,
     VALUE_COLUMNS,
     build_report,
@@ -220,6 +226,43 @@ class TestEmitAndVerify:
         assert payload["report"]["ok"] is True
         assert len(payload["config_hash"]) == 16
 
+    def test_compact_json_records_versions(self, emitted):
+        out, _ = emitted
+        text = (out / "sweep.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        payload = json.loads(text)
+        assert payload["python"] == platform.python_version()
+        assert payload["numpy"] == np.__version__
+
+    def test_written_values_equal_rows_bit_for_bit(self, tmp_path):
+        """Every cell of sweep.json, sweep.csv and dense.csv is the row's
+        value bit for bit; null and the empty string mark the same cells."""
+        cfg = SweepConfig(counts=4000, dense=50, out_dir=str(tmp_path))
+        rows, report, dense = run_sweep(cfg)
+        emit(rows, report, cfg, dense)
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        for name, kind, mem in (("sweep.csv", "rows", rows), ("dense.csv", "dense", dense)):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == ",".join(CSV_COLUMNS)
+            assert len(lines) - 1 == len(payload[kind]) == len(mem) >= 11
+            for row, line, rec in zip(mem, lines[1:], payload[kind]):
+                cells = dict(zip(CSV_COLUMNS, line.split(","), strict=True))
+                assert int(cells["j"]) == rec["j"] == row.j
+                expected = {"theta": row.theta} | {
+                    f"{prefix}{col}": source.get(col)
+                    for prefix, source in (("", row.ideal), ("sampled_", row.sampled),
+                                           ("sigma_", row.sigma))
+                    for col in VALUE_COLUMNS
+                }
+                for col, value in expected.items():
+                    if value is None:
+                        assert cells[col] == "" and rec[col] is None, (kind, row.j, col)
+                    else:
+                        bits = repr(float(value))
+                        assert repr(float(cells[col])) == bits == repr(rec[col]), (kind, row.j, col)
+                if kind == "rows":
+                    assert rec["statuses"] == row.statuses
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         payloads = []
         for name in ("a", "b"):
@@ -260,6 +303,21 @@ class TestEmitAndVerify:
         bad.write_text(json.dumps(payload))
         assert verify_dataset(bad) == 1
 
+    def test_verify_checks_zero_sigma_columns(self, emitted, tmp_path):
+        """A column with zero sigma must equal its ideal value to the slack
+        tolerance, relative to the larger value: lhs_sum is 2 at theta =
+        pi/2, so the tolerance there is 2e-9."""
+        out, _ = emitted
+        payload = json.loads((out / "sweep.json").read_text())
+        row = payload["rows"][5]
+        assert row["lhs_sum"] == pytest.approx(2.0)
+        row["sigma_lhs_sum"] = 0.0
+        bad = tmp_path / "zero_sigma.json"
+        for offset, status in ((1.5e-9, 0), (-1.5e-9, 0), (1e-6, 1), (-1e-6, 1)):
+            row["sampled_lhs_sum"] = row["lhs_sum"] + offset
+            bad.write_text(json.dumps(payload))
+            assert verify_dataset(bad) == status, offset
+
     def test_verify_accepts_a_minimal_dataset(self, tmp_path):
         """The malformed-dense cases below differ from this dataset only in
         their dense entry."""
@@ -281,6 +339,8 @@ class TestEmitAndVerify:
         {"rows": [GOOD_ROW], "dense": None}, {"rows": [GOOD_ROW], "dense": [3.0]},
         {"rows": [GOOD_ROW], "dense": [{"lhs_prod": 0.25}]},
         {"rows": [GOOD_ROW], "dense": [{"lhs_prod": 0.25, "lhs_sum": 1.0, "rhs_eq7": "2"}]},
+        # an integer beyond the float range
+        {"rows": [GOOD_ROW | {"rhs_eq1": 10**400}], "dense": []},
     ])
     def test_verify_rejects_malformed_dataset(self, tmp_path, payload):
         bad = tmp_path / "malformed.json"
@@ -328,6 +388,125 @@ class TestEmitAndVerify:
         bad = tmp_path / "opt.json"
         bad.write_text(json.dumps(payload))
         assert verify_dataset(bad) == 1
+
+
+def _reference_load_rows(path):
+    """The row-by-row loader that sweep._load_rows replaced, kept as its
+    reference: the sweep rows followed by the dense rows, or None when the
+    dataset is missing or malformed."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        rows, dense = payload["rows"], payload["dense"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if not isinstance(rows, list) or not rows or not isinstance(dense, list):
+        return None
+    rows = rows + dense
+    for row in rows:
+        if not isinstance(row, dict) or row.get("lhs_prod") is None or row.get("lhs_sum") is None:
+            return None
+        for col in DATA_COLUMNS:
+            v = row.get(col)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+                return None
+            if col.startswith("sigma_") and v is not None and v < 0:
+                return None
+    return rows
+
+
+def _reference_verify(path, z_limit=sweep.DEFAULT_Z_LIMIT):
+    """The row-by-row verify_dataset that the whole-table checks replaced,
+    kept as their reference, with the zero-sigma rule."""
+    rows = _reference_load_rows(path)
+    if rows is None:
+        return 2
+    for row in rows:
+        if any(row.get(col) is not None and not math.isfinite(row[col]) for col in DATA_COLUMNS):
+            return 1
+        if any(s < -tol for s, tol in sweep._slacks(row)):
+            return 1
+        for col in VALUE_COLUMNS:
+            v, s = row.get(f"sampled_{col}"), row.get(f"sigma_{col}")
+            ideal = row.get(col)
+            if v is None or s is None or ideal is None:
+                continue
+            if s > 0 and abs(v - ideal) > z_limit * s:
+                return 1
+            if s == 0 and abs(v - ideal) > _slack_tol(v, ideal):
+                return 1
+    return 0
+
+
+@pytest.fixture(scope="module")
+def dense_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dense20")
+    cfg = SweepConfig(counts=4000, dense=20, out_dir=str(out))
+    rows, report, dense = run_sweep(cfg)
+    emit(rows, report, cfg, dense)
+    return out, json.loads((out / "sweep.json").read_text())
+
+
+@st.composite
+def _corruptions(draw, payload):
+    """(kind, row index, {column: value}) that corrupts one cell of a sweep
+    or dense row, or two cells for a sampled value and its sigma."""
+    kind = draw(st.sampled_from(["rows", "dense"]))
+    i = draw(st.integers(0, len(payload[kind]) - 1))
+    row = payload[kind][i]
+    how = draw(st.sampled_from([
+        "nan", "inf", "bool", "string", "list", "negative_sigma", "null_lhs",
+        "slack", "z", "zero_sigma",
+    ]))
+    col = draw(st.sampled_from(("theta",) + DATA_COLUMNS))
+    value = draw(st.sampled_from(VALUE_COLUMNS))
+    ideal = row[value] if row[value] is not None else 0.5
+    if how == "nan":
+        return kind, i, {col: math.nan}
+    if how == "inf":
+        return kind, i, {col: draw(st.sampled_from([math.inf, -math.inf]))}
+    if how == "bool":
+        return kind, i, {col: draw(st.booleans())}
+    if how == "string":
+        return kind, i, {col: "0.5"}
+    if how == "list":
+        return kind, i, {col: [0.5]}
+    if how == "negative_sigma":
+        return kind, i, {f"sigma_{value}": -draw(st.floats(1e-300, 1.0))}
+    if how == "null_lhs":
+        return kind, i, {draw(st.sampled_from(["lhs_prod", "lhs_sum"])): None}
+    if how == "slack":
+        _, lhs, rhs, direction = draw(st.sampled_from(RELATIONS))
+        # within a few tolerances (1e-9 relative to the larger side) of the edge
+        step = draw(st.floats(-3e-9, 3e-9)) * (1 if direction == "lower" else -1)
+        return kind, i, {rhs: row[lhs] + step * max(1.0, abs(row[lhs]))}
+    sigma = row.get(f"sigma_{value}") or draw(st.floats(1e-6, 1e-2))
+    if how == "z":
+        z = draw(st.floats(4.9, 5.1)) * draw(st.sampled_from([-1.0, 1.0]))
+        return kind, i, {f"sampled_{value}": ideal + z * sigma,
+                         f"sigma_{value}": sigma}
+    return kind, i, {f"sampled_{value}": ideal + draw(st.floats(-3e-9, 3e-9)) * max(1.0, abs(ideal)),
+                     f"sigma_{value}": 0.0}
+
+
+class TestVerifyMatchesReference:
+    """The whole-table verify_dataset returns the row-by-row reference's
+    exit status on a dense dataset with one corrupted cell."""
+
+    def test_untouched_dataset(self, dense_dataset):
+        out, _ = dense_dataset
+        assert verify_dataset(out / "sweep.json") == _reference_verify(out / "sweep.json") == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_corrupted_cell(self, dense_dataset, data):
+        out, payload = dense_dataset
+        kind, i, cells = data.draw(_corruptions(payload))
+        corrupted = json.loads(json.dumps(payload))
+        corrupted[kind][i].update(cells)
+        path = out / "corrupted.json"
+        path.write_text(json.dumps(corrupted))
+        assert verify_dataset(path) == _reference_verify(path), (kind, i, cells)
 
 
 class TestPropagateSigmas:
@@ -543,6 +722,36 @@ class TestBuildReport:
         assert report.worst_slack > -1e-9
         rows[0].ideal["rhs_eq2_opt"] = rows[0].ideal["lhs_prod"] + 0.5
         assert build_report(rows).worst_slack == pytest.approx(-0.5)
+
+    def test_zero_sigma_column_checked_against_ideal(self):
+        """A column with zero sigma gets no z-score; it fails the report
+        when it lies off its ideal value by more than the slack tolerance."""
+        rows, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
+        assert report.ok
+        rows[0].sigma["mean_lx"] = 0.0
+        for offset, ok in ((1e-12, True), (1e-6, False), (-1e-6, False)):
+            rows[0].sampled["mean_lx"] = rows[0].ideal["mean_lx"] + offset
+            report = build_report(rows)
+            assert report.ok is ok, offset
+            assert "mean_lx" not in report.z_scores[0]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_single_counts_off_ideal_with_zero_sigma(self, tmp_path, seed):
+        """At one count per setting these seeds have no |z| above the limit
+        and no violated relation; only zero-sigma columns lie off their
+        ideal values, and the report and verify both flag them."""
+        cfg = SweepConfig(counts=1, seed=seed, out_dir=str(tmp_path))
+        rows, report, dense = run_sweep(cfg)
+        assert all(abs(z) <= sweep.DEFAULT_Z_LIMIT for zs in report.z_scores for z in zs.values())
+        assert not any("violated" in r.statuses.values() for r in rows)
+        off = [
+            (r.j, col) for r in rows for col, v in r.sampled.items()
+            if r.ideal[col] is not None and r.sigma[col] == 0
+            and abs(v - r.ideal[col]) > _slack_tol(v, r.ideal[col])
+        ]
+        assert off and not report.ok
+        emit(rows, report, cfg, dense)
+        assert verify_dataset(tmp_path / "sweep.json") == 1
 
 
 def _noise_free_counts(state, n):
