@@ -31,7 +31,7 @@ for name, setting in settings.items():
 print("\nRow check (max entrywise |difference| of magnitudes):")
 for name, setting in settings.items():
     v = measurement_unitary(setting)
-    bras = observables[name].eigenvector_matrix().conj().T
+    bras = observables[name].eigenvectors.conj().T
     print(f"  {name}: {np.max(np.abs(np.abs(v) - np.abs(bras))):.2e}")
 
 # circuit output probabilities match the eigensystem for the whole family
@@ -40,7 +40,7 @@ for j in range(11):
     s = family_state(j * np.pi / 10)
     for name, setting in settings.items():
         p = projection_probabilities(s.amplitudes, setting)
-        ref = np.abs(observables[name].eigenvector_matrix().conj().T @ s.amplitudes) ** 2
+        ref = np.abs(observables[name].eigenvectors.conj().T @ s.amplitudes) ** 2
         worst = max(worst, float(np.max(np.abs(p - ref))))
 print(f"\nCircuit vs eigensystem probabilities over the sweep: max |dP| = {worst:.2e}")
 

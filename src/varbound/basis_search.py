@@ -59,7 +59,7 @@ def haar_basis(dim, seed) -> OrthonormalBasis:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r))).conj()
-    return OrthonormalBasis.from_matrix(q)
+    return OrthonormalBasis(q)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def optimize_bound(objective, state, a, b, config: OptimizerConfig | None = None
             best_val, best_x = val, x
             trace.winner = r
 
-    basis = OrthonormalBasis.from_matrix(unitary_from_params(best_x, dim))
+    basis = OrthonormalBasis(unitary_from_params(best_x, dim))
     # report the exact bound-module value at the winning basis
     best_val = evaluate_all(state, a, b, basis).results[objective].rhs
     return basis, float(best_val), trace

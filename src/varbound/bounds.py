@@ -36,51 +36,39 @@ class InvalidPairing(ValueError):
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Complete orthonormal basis {|psi_n>} used by the basis-dependent bounds."""
+    """Complete orthonormal basis {|psi_n>} used by the basis-dependent
+    bounds: the columns of a unitary ``matrix`` (read-only, checked here)."""
 
-    vectors: tuple[PureState, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        d = self.vectors[0].dim
-        mat = np.column_stack([v.amplitudes for v in self.vectors])
-        if len(self.vectors) != d:
-            raise IncompleteBasis(f"{len(self.vectors)} vectors for dimension {d}")
-        gram = mat.conj().T @ mat
-        if np.max(np.abs(gram - np.eye(d))) > 1e-10:
-            raise IncompleteBasis("vectors are not orthonormal to 1e-10")
-        mat.flags.writeable = False
-        object.__setattr__(self, "_matrix", mat)
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+            raise IncompleteBasis(f"basis matrix of shape {m.shape} is not square of size >= 2")
+        # "not <=" so that a NaN also fails
+        if not np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= 1e-10:
+            raise IncompleteBasis("columns are not orthonormal to 1e-10")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def computational(cls, dim):
-        eye = np.eye(dim, dtype=complex)
-        return cls(tuple(PureState(eye[:, k]) for k in range(dim)))
-
-    @classmethod
-    def from_matrix(cls, unitary):
-        u = np.asarray(unitary, dtype=complex)
-        return cls(tuple(PureState(u[:, k]) for k in range(u.shape[1])))
+        return cls(np.eye(dim))
 
     @property
     def dim(self):
-        return self.vectors[0].dim
-
-    def matrix(self):
-        """The vectors as columns (read-only, built once)."""
-        return self._matrix
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
 class FidelityTerms:
-    """Eigenvalue/fidelity data entering the optimization-free bounds."""
+    """Shifted eigenvalues and eigenstate fidelities entering the
+    optimization-free bounds, B's already in the pairing order."""
 
-    a_values: np.ndarray
-    b_values: np.ndarray
     a_shifted: np.ndarray
     b_shifted: np.ndarray
     fid_a: np.ndarray
     fid_b: np.ndarray
-    pairing: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -100,8 +88,8 @@ class BoundResult:
 
 def _slack_tol(lhs, rhs):
     """Tolerance on a relation's slack, relative to the size of its sides
-    (the relations are scale-covariant)."""
-    return SLACK_TOL * max(1.0, abs(lhs), abs(rhs))
+    (the relations are scale-covariant); elementwise on arrays."""
+    return SLACK_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
 def _result(relation_id, direction, lhs, rhs, intermediates=None):
@@ -229,16 +217,12 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     var_b = np.vecdot(b_psi, b_psi).real - mean_b * mean_b
     u, v = a_psi - mean_a[..., None] * psi, b_psi - mean_b[..., None] * psi
     uv = np.vecdot(u, v)
-    pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix().conj().T, w) for w in (u, v))
-    b_values = b.eigenvalues[list(pairing)]
+    pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix.conj().T, w) for w in (u, v))
     fid = FidelityTerms(
-        a_values=a.eigenvalues.copy(),
-        b_values=b_values,
         a_shifted=a.eigenvalues - mean_a[..., None],
-        b_shifted=b_values - mean_b[..., None],
+        b_shifted=b.eigenvalues[list(pairing)] - mean_b[..., None],
         fid_a=np.abs(np.matvec(a.eigenvectors.conj().T, psi)) ** 2,
         fid_b=np.abs(np.matvec(b.eigenvectors.conj().T, psi))[..., list(pairing)] ** 2,
-        pairing=pairing,
     )
     fid_args = (fid.a_shifted, fid.b_shifted, fid.fid_a, fid.fid_b)
     out = {

@@ -1,10 +1,11 @@
 """Small dense complex Hermitian algebra: observables, eigensystems, moments.
 
 Everything here is exact-enough double precision for dimensions up to ~8.
-Eigensystems come from LAPACK (``numpy.linalg.eigh``); degenerate clusters
-are re-orthonormalized and each eigenvector's phase is fixed afterwards
-(largest-magnitude component real and positive), so non-degenerate
-eigenvectors do not depend on LAPACK's phase convention.
+Eigensystems are LAPACK's (``numpy.linalg.eigh``: ascending, orthonormal),
+optionally permuted to a requested eigenvalue order, with each
+eigenvector's phase fixed afterwards (largest-magnitude component real and
+positive), so non-degenerate eigenvectors do not depend on LAPACK's phase
+convention.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 MATRIX_TOL = 1e-10
 NORM_TOL = 1e-12
-DEGENERACY_TOL = 1e-9
 
 
 class NonHermitianError(ValueError):
@@ -93,10 +93,6 @@ class Observable:
     def dim(self):
         return self.matrix.shape[0]
 
-    def eigenvector_matrix(self):
-        """Eigenvectors as columns, in stored order (read-only)."""
-        return self.eigenvectors
-
 
 @dataclass(frozen=True)
 class MomentStats:
@@ -114,52 +110,14 @@ class MomentStats:
         return float(np.sqrt(max(self.variance, 0.0)))
 
 
-def _fix_phases(vectors):
-    """Make the largest-magnitude component of each column real positive."""
-    out = np.array(vectors, dtype=complex)
-    for k in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, k])))
-        piv = out[i, k]
-        if abs(piv) > 0:
-            out[:, k] *= np.conj(piv) / abs(piv)
-    return out
-
-
-def _orthonormalize_clusters(w, vectors):
-    """Modified Gram-Schmidt inside each degenerate eigenvalue cluster."""
-    out = np.array(vectors, dtype=complex)
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or abs(w[k] - w[start]) > DEGENERACY_TOL:
-            for i in range(start, k):
-                for j in range(start, i):
-                    out[:, i] -= np.vdot(out[:, j], out[:, i]) * out[:, j]
-                out[:, i] /= np.linalg.norm(out[:, i])
-            start = k
-    return out
-
-
-def _match_order(sorted_values, target_order):
-    """Permutation mapping sorted eigenvalues onto requested values, to 1e-8 relative."""
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(sorted_values))))
-    remaining = list(range(len(sorted_values)))
-    perm = []
-    for t in target_order:
-        k = min(remaining, key=lambda i: abs(sorted_values[i] - t))
-        if abs(sorted_values[k] - t) > tol:
-            raise ValueError(f"requested eigenvalue {t} not present in spectrum {sorted_values}")
-        perm.append(k)
-        remaining.remove(k)
-    return perm
-
-
 def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     """Build an Observable from a Hermitian matrix; the Observable checks
     the eigensystem on construction.
 
-    ``eigenvalue_order`` optionally re-permutes the (ascending-sorted)
-    spectrum to a caller-supplied value sequence, e.g. (-1, 1, 0) for the
-    spin-1 components.
+    ``eigenvalue_order`` optionally re-permutes the ascending spectrum to a
+    caller-supplied value sequence, e.g. (-1, 1, 0) for the spin-1
+    components: the k-th smallest requested value takes the k-th smallest
+    eigenvalue, which must lie within 1e-8 (relative) of it.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
@@ -172,13 +130,17 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     m = 0.5 * (m + m.conj().T)
 
     w, v = np.linalg.eigh(m)
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    v = _orthonormalize_clusters(w, v)
     if eigenvalue_order is not None:
-        perm = _match_order(w, eigenvalue_order)
-        w, v = w[perm], v[:, perm]
-    v = _fix_phases(v)
+        target = np.asarray(eigenvalue_order, dtype=float)
+        rank = np.argsort(np.argsort(target, kind="stable"))
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
+        # "not <=" so that a NaN request also fails
+        if target.shape != w.shape or not np.max(np.abs(w[rank] - target)) <= tol:
+            raise ValueError(f"requested eigenvalues {target} not present in spectrum {w}")
+        w, v = w[rank], v[:, rank]
+    # largest-magnitude component of each column real and positive
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
+    v = v * (pivot.conj() / np.abs(pivot))
     return Observable(matrix=m, eigenvalues=w, eigenvectors=v, name=name)
 
 

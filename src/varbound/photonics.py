@@ -225,7 +225,7 @@ def measurement_unitary(setting: MeasurementSetting):
         raise LeakageDetected(f"(lower,H) output amplitude {leak:g}")
     v = restricted[list(setting.ports), :]
     obs = _builtin_observable(setting.observable)
-    bras = obs.eigenvector_matrix().conj().T
+    bras = obs.eigenvectors.conj().T
     if np.max(np.abs(np.abs(v) - np.abs(bras))) > LEAKAGE_TOL:
         raise NotProjectiveRealization(
             f"circuit rows for {setting.observable} do not match its eigenbras"

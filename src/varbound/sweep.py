@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
-    SLACK_TOL,
     OrthonormalBasis,
     _slack_tol,
     evaluate_states,
@@ -90,6 +89,8 @@ BASIS_COLUMNS = ("rhs_eq2_canon", "rhs_eq5_canon", "rhs_eq2_opt", "rhs_eq5_opt")
 
 SETTING_NAMES = ("Lx", "Ly", "Lz", "Lp")
 DEFAULT_Z_LIMIT = 5.0
+# below numpy's Poisson ceiling (a mean near 9.2e18 is "too large")
+MAX_COUNTS = 10**18
 OPTIMIZER = OptimizerConfig(restarts=6, max_iters=400)
 
 
@@ -119,6 +120,8 @@ class SweepConfig:
             raise ConfigError("theta list must be non-empty")
         if self.counts < 1 or self.trials < 1:
             raise ConfigError("counts and trials must be >= 1")
+        if self.counts > MAX_COUNTS:
+            raise ConfigError(f"counts must be <= {MAX_COUNTS}, got {self.counts}")
         if self.dense < 0:
             raise ConfigError(f"dense must be >= 0, got {self.dense}")
         for f in self.formats:
@@ -214,12 +217,12 @@ def _ideal_columns(psi, lx, ly, lz, lp, basis):
 def _bases(state, lx, ly, basis, optimize):
     """Optimized-basis columns of one state (none unless ``optimize``) and
     the bases [(matrix, {column: rhs function})] of the basis columns."""
-    bases = [(basis.matrix(), {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
+    bases = [(basis.matrix, {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
     opt = {}
     if optimize:
         for rid, rhs in (("eq2", rhs_eq2), ("eq5", rhs_eq5)):
             b, opt[f"rhs_{rid}_opt"], _ = optimize_bound(rid, state, lx, ly, OPTIMIZER)
-            bases.append((b.matrix(), {f"rhs_{rid}_opt": rhs}))
+            bases.append((b.matrix, {f"rhs_{rid}_opt": rhs}))
     return opt, bases
 
 
@@ -499,11 +502,6 @@ def _load_rows(path):
     return table, present
 
 
-def _array_tol(a, b):
-    """_slack_tol over arrays."""
-    return SLACK_TOL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
-
-
 def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
     """Re-check a written JSON dataset, sweep and dense rows alike, each
     check over the whole table at once; returns a process exit status:
@@ -519,8 +517,8 @@ def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
     ideal, sampled, sigma = np.hsplit(table, 3)
     col = dict(zip(VALUE_COLUMNS, ideal.T))
     for _, lhs, rhs, direction in RELATIONS:
-        if (slack(direction, col[lhs], col[rhs]) < -_array_tol(col[lhs], col[rhs])).any():
+        if (slack(direction, col[lhs], col[rhs]) < -_slack_tol(col[lhs], col[rhs])).any():
             return 1
     dev = abs(sampled - ideal)
-    off = np.where(sigma > 0, dev > z_limit * sigma, (sigma == 0) & (dev > _array_tol(sampled, ideal)))
+    off = np.where(sigma > 0, dev > z_limit * sigma, (sigma == 0) & (dev > _slack_tol(sampled, ideal)))
     return int(off.any())

@@ -111,7 +111,7 @@ def test_criterion_4_circuit_equivalence():
         s = family_state(theta)
         for name, setting in settings.items():
             p = projection_probabilities(s.amplitudes, setting)
-            ref = np.abs(obs[name].eigenvector_matrix().conj().T @ s.amplitudes) ** 2
+            ref = np.abs(obs[name].eigenvectors.conj().T @ s.amplitudes) ** 2
             worst = max(worst, float(np.max(np.abs(p - ref))))
     residual = decompose_lx()[4]
     elapsed = time.perf_counter() - t0

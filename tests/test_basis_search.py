@@ -45,18 +45,18 @@ class TestUnitaryFromParams:
 
 class TestHaarBasis:
     def test_seed_determinism(self):
-        a = haar_basis(3, 123).matrix()
-        b = haar_basis(3, 123).matrix()
+        a = haar_basis(3, 123).matrix
+        b = haar_basis(3, 123).matrix
         assert np.array_equal(a, b)
 
     def test_orthonormality(self):
         for seed in range(50):
-            m = haar_basis(3, seed).matrix()
+            m = haar_basis(3, seed).matrix
             assert np.max(np.abs(m.conj().T @ m - np.eye(3))) < 1e-10
 
     def test_haar_first_moment(self):
         # E |<psi_1|e_1>|^2 = 1/d for Haar-distributed bases
-        overlaps = [abs(haar_basis(3, seed).vectors[0].amplitudes[0]) ** 2 for seed in range(1000)]
+        overlaps = [abs(haar_basis(3, seed).matrix[0, 0]) ** 2 for seed in range(1000)]
         assert np.mean(overlaps) == pytest.approx(1 / 3, abs=0.02)
 
 
@@ -105,7 +105,7 @@ class TestOptimizeBound:
         r2 = optimize_bound("eq2", s, LX, LY, cfg)
         assert r1[1] == r2[1]
         assert r1[2].restart_histories == r2[2].restart_histories
-        assert np.array_equal(r1[0].matrix(), r2[0].matrix())
+        assert np.array_equal(r1[0].matrix, r2[0].matrix)
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,22 @@ COMP = OrthonormalBasis.computational(3)
 SWEEP_THETAS = [j * np.pi / 10 for j in range(11)]
 
 
+class TestOrthonormalBasis:
+    def test_matrix_checked_and_read_only(self):
+        basis = OrthonormalBasis(LX.eigenvectors)
+        assert np.array_equal(basis.matrix, LX.eigenvectors) and basis.dim == 3
+        assert not basis.matrix.flags.writeable
+        assert np.array_equal(COMP.matrix, np.eye(3))
+
+    @pytest.mark.parametrize("matrix", [
+        (), np.eye(3)[:, :2], np.eye(3)[:2], [[1.0]], np.eye(2) * np.array([1.0, 1.0 + 1e-9]),
+        [[np.nan, 0], [0, 1]], np.full((2, 2), np.nan), np.zeros((2, 2, 2)),
+    ])
+    def test_rejects_incomplete_or_nonorthonormal(self, matrix):
+        with pytest.raises(IncompleteBasis):
+            OrthonormalBasis(matrix)
+
+
 class TestEq1:
     def test_theta_zero_equality(self):
         # <Lz> = 1, <Lp> = 0: rhs = 1/4 = (1/2)(1/2) = lhs
@@ -93,7 +109,7 @@ class TestEq2:
         assert abs(r.slack) < 1e-9
 
     def test_equal_observables_own_eigenbasis(self):
-        basis = OrthonormalBasis.from_matrix(LX.eigenvector_matrix())
+        basis = OrthonormalBasis(LX.eigenvectors)
         rng = np.random.default_rng(1)
         for _ in range(20):
             s = haar_random_state(3, rng)
@@ -167,7 +183,7 @@ class TestEq5:
         assert abs(r.slack) < 1e-9
 
     def test_equal_observables_own_eigenbasis(self):
-        basis = OrthonormalBasis.from_matrix(LX.eigenvector_matrix())
+        basis = OrthonormalBasis(LX.eigenvectors)
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = haar_random_state(3, rng)
@@ -423,7 +439,7 @@ class TestReferenceRoutes:
         assert rep.results["eq1"].rhs == pytest.approx(eq1, rel=1e-12, abs=0)
 
         b = b - mean_b * np.eye(d)
-        bh = basis.matrix().conj().T
+        bh = basis.matrix.conj().T
         e, f, g = bh @ (a @ psi), bh @ psi, bh @ (b @ psi)
         c, dn = e.conj() * g, f.conj() * g
         eq2 = np.sum(np.abs(c - dn * mean_a)) ** 2
@@ -515,7 +531,7 @@ def _rhs_inputs(d, seed, rows=6):
     rng = np.random.default_rng(seed)
     a = make_observable(_random_hermitian(rng, d))
     b = make_observable(_random_hermitian(rng, d))
-    bh = haar_basis(d, seed).matrix().conj().T
+    bh = haar_basis(d, seed).matrix.conj().T
     perm = rng.permutation(d)
     args = {k: [] for k in ("eq1", "eq2", "eq3", "eq4", "eq7")}
     for s in (haar_random_state(d, rng) for _ in range(rows)):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varbound.hermitian import (
     DimensionMismatch,
@@ -20,6 +22,74 @@ from varbound.hermitian import (
 )
 
 LX, LY, LZ, LP = builtin_spin1()
+
+# Reference eigensystem post-processing: the re-sort, cluster-wise
+# Gram-Schmidt, greedy eigenvalue matching and per-column phase fix that
+# ``make_observable`` applied to ``eigh`` before it took LAPACK's output as is.
+DEGENERACY_TOL = 1e-9
+
+
+def _fix_phases(vectors):
+    """Make the largest-magnitude component of each column real positive."""
+    out = np.array(vectors, dtype=complex)
+    for k in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, k])))
+        piv = out[i, k]
+        if abs(piv) > 0:
+            out[:, k] *= np.conj(piv) / abs(piv)
+    return out
+
+
+def _orthonormalize_clusters(w, vectors):
+    """Modified Gram-Schmidt inside each degenerate eigenvalue cluster."""
+    out = np.array(vectors, dtype=complex)
+    start = 0
+    for k in range(1, len(w) + 1):
+        if k == len(w) or abs(w[k] - w[start]) > DEGENERACY_TOL:
+            for i in range(start, k):
+                for j in range(start, i):
+                    out[:, i] -= np.vdot(out[:, j], out[:, i]) * out[:, j]
+                out[:, i] /= np.linalg.norm(out[:, i])
+            start = k
+    return out
+
+
+def _match_order(sorted_values, target_order):
+    """Permutation mapping sorted eigenvalues onto requested values, to 1e-8 relative."""
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(sorted_values))))
+    remaining = list(range(len(sorted_values)))
+    perm = []
+    for t in target_order:
+        k = min(remaining, key=lambda i: abs(sorted_values[i] - t))
+        if abs(sorted_values[k] - t) > tol:
+            raise ValueError(f"requested eigenvalue {t} not present in spectrum {sorted_values}")
+        perm.append(k)
+        remaining.remove(k)
+    return perm
+
+
+def _reference_eigensystem(m, eigenvalue_order=None):
+    """(eigenvalues, eigenvectors, permutation of eigh's columns)."""
+    w, v = np.linalg.eigh(m)
+    perm = np.argsort(w)
+    w, v = w[perm], v[:, perm]
+    v = _orthonormalize_clusters(w, v)
+    if eigenvalue_order is not None:
+        order = _match_order(w, eigenvalue_order)
+        w, v, perm = w[order], v[:, order], perm[order]
+    return w, _fix_phases(v), perm
+
+
+def _hermitian(d, seed, spectrum):
+    """Random Hermitian matrix, or U diag(spectrum) U^dag for a Haar U (so
+    repeated values give degenerate eigenvalues)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if spectrum is None:
+        return z + z.conj().T
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r))).conj()
+    return (q * np.asarray(spectrum, dtype=float)) @ q.conj().T
 
 
 class TestPureState:
@@ -46,14 +116,14 @@ class TestMakeObservable:
     def test_identity_degenerate(self):
         obs = make_observable(np.eye(3), "id")
         assert np.allclose(obs.eigenvalues, [1, 1, 1])
-        v = obs.eigenvector_matrix()
+        v = obs.eigenvectors
         assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
 
     def test_diagonal_lz(self):
         obs = make_observable(np.diag([1.0, 0.0, -1.0]), "Lz", eigenvalue_order=(-1, 1, 0))
         assert np.allclose(obs.eigenvalues, [-1, 1, 0])
         # eigenvectors of a diagonal matrix are basis vectors
-        v = obs.eigenvector_matrix()
+        v = obs.eigenvectors
         assert np.allclose(np.abs(v), np.eye(3)[:, [2, 0, 1]], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
@@ -79,7 +149,7 @@ class TestMakeObservable:
                 z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 h = z + z.conj().T
                 obs = make_observable(h)
-                v = obs.eigenvector_matrix()
+                v = obs.eigenvectors
                 recon = (v * obs.eigenvalues) @ v.conj().T
                 assert np.max(np.abs(recon - h)) < 1e-10
                 # agrees with the LAPACK spectrum
@@ -96,16 +166,75 @@ class TestMakeObservable:
             with pytest.raises(ValueError, match="not present"):
                 make_observable(scale * LX.matrix, eigenvalue_order=order)
 
+    @pytest.mark.parametrize("order", [(-1, 1, 0, 2), (-1, 1), (np.nan, 1, 0), 0.0])
+    def test_malformed_eigenvalue_order_rejected(self, order):
+        with pytest.raises(ValueError, match="not present"):
+            make_observable(LX.matrix, eigenvalue_order=order)
+
     def test_phase_fix_reproducible(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = z + z.conj().T
-        a = make_observable(h).eigenvector_matrix()
-        b = make_observable(h).eigenvector_matrix()
+        a = make_observable(h).eigenvectors
+        b = make_observable(h).eigenvectors
         assert np.array_equal(a, b)
         for k in range(4):
             i = int(np.argmax(np.abs(a[:, k])))
             assert a[i, k].real > 0 and abs(a[i, k].imag) < 1e-12
+
+
+class TestMatchesReference:
+    """make_observable equals the reference post-processing of the same
+    eigh call: bit-equal eigenvalues, the same column permutation and
+    eigenvectors within 1e-14, degenerate spectra included.  A column whose
+    two largest magnitudes tie to rounding (|v| = (1, 1)/sqrt 2 in a
+    degenerate pair) has no well-defined phase-fix pivot, so it is compared
+    up to phase."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        order=st.sampled_from([None, "sorted", "permuted"]),
+        data=st.data(),
+    )
+    def test_eigensystem_matches_reference(self, d, seed, degenerate, order, data):
+        spectrum = (
+            data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)) if degenerate else None
+        )
+        m = _hermitian(d, seed, spectrum)
+        h = 0.5 * (m + m.conj().T)
+        target = None
+        if order is not None:
+            # eigh's own values (eigvalsh rounds differently), so the
+            # greedy reference meets each request exactly
+            w = np.linalg.eigh(h)[0]
+            target = w if order == "sorted" else w[data.draw(st.permutations(range(d)))]
+        w_ref, v_ref, perm_ref = _reference_eigensystem(h, target)
+        obs = make_observable(m, eigenvalue_order=target)
+        assert np.array_equal(obs.eigenvalues, w_ref)
+        # which eigh column each eigenvector is (they differ only in phase)
+        _, v_eigh = np.linalg.eigh(obs.matrix)
+        perm = np.argmax(np.abs(v_eigh.conj().T @ obs.eigenvectors), axis=0)
+        assert np.array_equal(perm, perm_ref)
+        overlap = np.abs(np.vecdot(v_ref, obs.eigenvectors, axis=0))
+        assert np.max(np.abs(overlap - 1.0)) <= 1e-14
+        mags = np.sort(np.abs(v_ref), axis=0)
+        pivot_clear = mags[-1] - mags[-2] > 1e-12
+        assert np.max(np.abs(obs.eigenvectors - v_ref)[:, pivot_clear], initial=0.0) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_nominal_degenerate_order_accepted(self, d, seed, data):
+        """Requested exact values (e.g. integers) match a computed spectrum
+        that carries rounding, as the reference matching does."""
+        spectrum = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        m = _hermitian(d, seed, spectrum)
+        obs = make_observable(m, eigenvalue_order=spectrum)
+        w_ref, _, _ = _reference_eigensystem(0.5 * (m + m.conj().T), spectrum)
+        assert np.max(np.abs(obs.eigenvalues - np.asarray(spectrum, dtype=float))) <= 1e-8 * 2
+        assert np.allclose(obs.eigenvalues, w_ref, rtol=0, atol=1e-12)
 
 
 class TestObservable:
@@ -113,7 +242,6 @@ class TestObservable:
 
     def test_direct_construction_checked_and_read_only(self):
         obs = Observable(LX.matrix, LX.eigenvalues, LX.eigenvectors, "copy")
-        assert obs.eigenvector_matrix() is obs.eigenvectors
         assert not obs.eigenvectors.flags.writeable
         assert np.array_equal(obs.eigenvectors, LX.eigenvectors)
 
@@ -173,7 +301,7 @@ class TestMoments:
             psi = s.amplitudes
             proj = float(np.dot(
                 obs.eigenvalues,
-                np.abs(obs.eigenvector_matrix().conj().T @ psi) ** 2,
+                np.abs(obs.eigenvectors.conj().T @ psi) ** 2,
             ))
             direct = float(np.real(np.vdot(psi, obs.matrix @ psi)))
             assert abs(proj - direct) < 1e-10

@@ -73,7 +73,7 @@ class TestMeasurementCircuits:
     @pytest.mark.parametrize("name", list(SETTINGS))
     def test_rows_match_eigenbras(self, name):
         v = measurement_unitary(SETTINGS[name])
-        bras = OBS[name].eigenvector_matrix().conj().T
+        bras = OBS[name].eigenvectors.conj().T
         assert np.max(np.abs(np.abs(v) - np.abs(bras))) < 1e-10
 
     @pytest.mark.parametrize("name", list(SETTINGS))
@@ -97,7 +97,7 @@ class TestMeasurementCircuits:
         for theta in SWEEP_THETAS:
             s = family_state(theta)
             p = projection_probabilities(s.amplitudes, SETTINGS[name])
-            ref = np.abs(OBS[name].eigenvector_matrix().conj().T @ s.amplitudes) ** 2
+            ref = np.abs(OBS[name].eigenvectors.conj().T @ s.amplitudes) ** 2
             assert np.max(np.abs(p - ref)) < 1e-10
 
     def test_lx_probabilities_anchors(self):
@@ -126,7 +126,7 @@ class TestDecomposition:
 
     def test_rows_of_u_are_lx_eigenbras(self):
         u = decompose_lx()[0]
-        bras = LX.eigenvector_matrix().conj().T
+        bras = LX.eigenvectors.conj().T
         assert np.max(np.abs(np.abs(u) - np.abs(bras))) < 1e-10
 
 

@@ -51,6 +51,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(formats=("csv", "xml"))
 
+    def test_counts_above_poisson_ceiling_rejected(self):
+        # numpy's Poisson sampler refuses means near 9.2e18; a rejected
+        # value draws nothing
+        assert SweepConfig(counts=sweep.MAX_COUNTS).counts == sweep.MAX_COUNTS
+        for counts in (sweep.MAX_COUNTS + 1, 10**19, 10**400):
+            with pytest.raises(ConfigError, match="counts"):
+                SweepConfig(counts=counts)
+
     def test_hash_changes_with_config(self):
         assert SweepConfig().hash() != SweepConfig(seed=8).hash()
         assert SweepConfig().hash() == SweepConfig().hash()
@@ -823,6 +831,16 @@ class TestCli:
             assert main(["sweep", "--config", str(cfg)]) == 2
         assert main(["sweep", "--theta-steps", "0", "--out", str(tmp_path / "o")]) == 2
         assert main(["sweep", "--dense", "-3", "--out", str(tmp_path / "o")]) == 2
+
+    def test_counts_beyond_poisson_ceiling_exit_code(self, tmp_path, capsys):
+        huge = "10000000000000000000"
+        assert main(["sweep", "--counts", huge, "--out", str(tmp_path / "o")]) == 2
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"counts = {huge}\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: counts must be <=") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_single_count_runs(self, tmp_path):
         """At one count per setting some settings record nothing; the run
