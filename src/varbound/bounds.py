@@ -16,6 +16,7 @@ one relation of :func:`evaluate_all`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,38 +93,10 @@ def _slack_tol(lhs, rhs):
     return SLACK_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
 
 
-def _result(relation_id, direction, lhs, rhs, intermediates=None):
-    margin = slack(direction, lhs, rhs)
-    return BoundResult(
-        relation_id=relation_id,
-        direction=direction,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        satisfied=bool(margin >= -_slack_tol(lhs, rhs)),
-        slack=float(margin),
-        intermediates=intermediates,
-    )
-
-
-def _undefined(relation_id, direction, lhs, reason):
-    return BoundResult(
-        relation_id=relation_id,
-        direction=direction,
-        lhs=float(lhs),
-        rhs=None,
-        satisfied=True,
-        slack=None,
-        defined=False,
-        reason=reason,
-    )
-
-
 def _normalize_pairing(pairing, dim):
-    if pairing is None:
-        pairing = tuple(range(dim))
-    pairing = tuple(int(i) for i in pairing)
+    pairing = [int(i) for i in pairing]
     if sorted(pairing) != list(range(dim)):
-        raise InvalidPairing(f"{pairing} is not a permutation of 0..{dim - 1}")
+        raise InvalidPairing(f"{tuple(pairing)} is not a permutation of 0..{dim - 1}")
     return pairing
 
 
@@ -167,62 +140,72 @@ def rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
     return 0.5 * ((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2).sum(-1)
 
 
-def rhs_eq7(var_a, var_b, cov, var_amb):
+def rhs_eq7(var_a, var_b, var_amb):
     """Reverse sum bound 2 var(A-B) / (1 - Cov/(dA dB)) - 2 dA dB.
 
-    Undefined when a standard deviation is at most EQ7_EPS or the
-    denominator lies within EQ7_EPS of zero.  Scalars give ``(rhs, None)`` or
+    var(A-B) = var(A) + var(B) - 2 Cov gives the denominator as
+    (var(A-B) - (dA - dB)^2) / (2 dA dB), which keeps its relative accuracy
+    where Cov/(dA dB) nears 1 and 1 - Cov/(dA dB) would cancel.  Undefined
+    when a standard deviation is at most EQ7_EPS or the denominator lies
+    within EQ7_EPS of zero.  Scalars give ``(rhs, None)`` or
     ``(None, reason)``; arrays give ``(rhs, undefined)``, NaN where undefined
     (evaluate_all reads the reason from the scalar branch).
     """
     if isinstance(var_a, np.ndarray):
         undefined = np.minimum(var_a, var_b) <= EQ7_EPS**2
-        da_db = np.sqrt(np.where(undefined, 1.0, var_a * var_b))
-        denom = 1.0 - cov / da_db
+        da, db = np.sqrt(np.where(undefined, 1.0, [var_a, var_b]))
+        # diff * diff, not diff ** 2: a scalar ** 2 is libm's pow, which is
+        # off by an ulp now and then, so the scalar branch would round apart
+        two_da_db, diff = 2.0 * da * db, da - db
+        denom = (var_amb - diff * diff) / two_da_db
         undefined |= np.abs(denom) <= EQ7_EPS
-        rhs = 2.0 * var_amb / np.where(undefined, 1.0, denom) - 2.0 * da_db
+        rhs = 2.0 * var_amb / np.where(undefined, 1.0, denom) - two_da_db
         return np.where(undefined, np.nan, rhs), undefined
     if min(var_a, var_b) <= EQ7_EPS**2:
         return None, "degenerate variance"
-    da_db = np.sqrt(var_a * var_b)
-    denom = 1.0 - cov / da_db
+    da, db = np.sqrt(var_a), np.sqrt(var_b)
+    two_da_db, diff = 2.0 * da * db, da - db
+    denom = (var_amb - diff * diff) / two_da_db
     if abs(denom) <= EQ7_EPS:
         return None, "singular denominator"
-    return float(2.0 * var_amb / denom - 2.0 * da_db), None
+    return float(2.0 * var_amb / denom - two_da_db), None
 
 
 def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     """Evaluate eq1..eq7 on normalized states ``psi`` (..., d) in one pass.
 
     With u = Abar|Psi> = A psi - <A> psi and v = Bbar|Psi>:
-    Cov(A,B) = Re<u|v>, |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2,
-    and the basis bounds read <psi_n|u>, <psi_n|v> (u, v for
-    ``basis=None``).  Returns ({name: array}, FidelityTerms) with names
-    mean_a, mean_b, var_a, var_b, lhs_prod, lhs_sum, cov, var_amb, eq1..eq7
-    (NaN where eq7 is undefined) and each name of ``means`` ({name:
-    observable O}) with <O>.
+    var(A) = ||u||^2, var(B) = ||v||^2, Cov(A,B) = Re<u|v>,
+    |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
+    bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
+    ({name: array}, FidelityTerms) with names mean_a, mean_b, var_a, var_b,
+    lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined)
+    and each name of ``means`` ({name: observable O}) with <O>.
     """
     d = np.shape(psi)[-1]
     if a.dim != d or b.dim != d:
         raise DimensionMismatch(f"state dim {d} vs observables {a.dim}, {b.dim}")
     if basis is not None and basis.dim != d:
         raise IncompleteBasis("basis dimension does not match the state")
-    pairing = _normalize_pairing(pairing, d)
-    # moments as ``moments`` takes them, var = ||A psi||^2 - <A>^2, with
-    # <A>^2 a product: a scalar ** 2 is libm's pow, which is off by an ulp
-    # now and then, so one state and a stack would round apart
     a_psi, b_psi = np.matvec(a.matrix, psi), np.matvec(b.matrix, psi)
     mean_a, mean_b = np.vecdot(psi, a_psi).real, np.vecdot(psi, b_psi).real
-    var_a = np.vecdot(a_psi, a_psi).real - mean_a * mean_a
-    var_b = np.vecdot(b_psi, b_psi).real - mean_b * mean_b
     u, v = a_psi - mean_a[..., None] * psi, b_psi - mean_b[..., None] * psi
+    # var = ||u||^2, not ||A psi||^2 - <A>^2: on an eigenvector the
+    # difference rounds to about 1e-16, which eq7's degeneracy rule (a
+    # variance at most EQ7_EPS**2 = 1e-18) would miss by chance
+    var_a, var_b = np.vecdot(u, u).real, np.vecdot(v, v).real
     uv = np.vecdot(u, v)
     pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix.conj().T, w) for w in (u, v))
+    b_shifted = b.eigenvalues - mean_b[..., None]
+    fid_b = np.abs(np.matvec(b.eigenvectors.conj().T, psi)) ** 2
+    if pairing is not None:
+        pairing = _normalize_pairing(pairing, d)
+        b_shifted, fid_b = b_shifted[..., pairing], fid_b[..., pairing]
     fid = FidelityTerms(
         a_shifted=a.eigenvalues - mean_a[..., None],
-        b_shifted=b.eigenvalues[list(pairing)] - mean_b[..., None],
+        b_shifted=b_shifted,
         fid_a=np.abs(np.matvec(a.eigenvectors.conj().T, psi)) ** 2,
-        fid_b=np.abs(np.matvec(b.eigenvectors.conj().T, psi))[..., list(pairing)] ** 2,
+        fid_b=fid_b,
     )
     fid_args = (fid.a_shifted, fid.b_shifted, fid.fid_a, fid.fid_b)
     out = {
@@ -236,7 +219,7 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
         "eq5": rhs_eq5(pa, pb),
         "eq6": rhs_eq6(*fid_args),
     }
-    out["eq7"] = rhs_eq7(np.asarray(var_a), np.asarray(var_b), uv.real, out["var_amb"])[0]
+    out["eq7"] = rhs_eq7(np.asarray(var_a), np.asarray(var_b), out["var_amb"])[0]
     for name, obs in (means or {}).items():
         out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
     return out, fid
@@ -267,25 +250,30 @@ def evaluate_all(
     vector); eq7 degeneracy degrades to undefined, with the reason
     :func:`rhs_eq7` gives."""
     t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
-    prod, total = t["lhs_prod"], t["lhs_sum"]
+    # both sides, margins and verdicts of the seven relations as arrays:
+    # eq1..eq3 bound the product and eq4..eq6 the sum from below, eq7 the
+    # sum from above (see ``slack``)
+    ids = [f"eq{i}" for i in range(1, 8)]
+    lhs = np.array([t["lhs_prod"]] * 3 + [t["lhs_sum"]] * 4)
+    rhs = np.array([t[rid] for rid in ids])
+    margin = lhs - rhs
+    margin[6] = rhs[6] - lhs[6]
+    satisfied = margin >= -_slack_tol(lhs, rhs)
     results = {
-        "eq1": _result("eq1", "lower", prod, t["eq1"]),
-        "eq2": _result("eq2", "lower", prod, t["eq2"]),
-        "eq3": _result("eq3", "lower", prod, t["eq3"], fid),
-        "eq4": _result("eq4", "lower", total, t["eq4"]),
-        "eq5": _result("eq5", "lower", total, t["eq5"]),
-        "eq6": _result("eq6", "lower", total, t["eq6"], fid),
-        "eq7": (
-            _result("eq7", "upper", total, t["eq7"])
-            if not np.isnan(t["eq7"])
-            else _undefined("eq7", "upper", total, rhs_eq7(
-                *(float(t[k]) for k in ("var_a", "var_b", "cov", "var_amb")))[1])
-        ),
+        rid: BoundResult(rid, "upper" if rid == "eq7" else "lower", left, right, ok, gap,
+                         intermediates=fid if rid in ("eq3", "eq6") else None)
+        for rid, left, right, gap, ok in zip(
+            ids, lhs.tolist(), rhs.tolist(), margin.tolist(), satisfied.tolist())
     }
+    if math.isnan(results["eq7"].rhs):
+        results["eq7"] = BoundResult(
+            "eq7", "upper", results["eq7"].lhs, None, True, None, defined=False,
+            reason=rhs_eq7(*(float(t[k]) for k in ("var_a", "var_b", "var_amb")))[1],
+        )
     return UncertaintyReport(
         state_label=state.label,
         **{k: float(t[k]) for k in ("mean_a", "mean_b", "var_a", "var_b")},
-        product_lhs=float(prod), sum_lhs=float(total),
+        product_lhs=results["eq1"].lhs, sum_lhs=results["eq4"].lhs,
         results=results,
     )
 

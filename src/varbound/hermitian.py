@@ -42,7 +42,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError("state must be a vector of length >= 2")
-        if not (np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
+        if not np.isfinite(amp).all():
             raise ValueError("state amplitudes must be finite")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > NORM_TOL:
@@ -56,9 +56,10 @@ class PureState:
         return self.amplitudes.size
 
 
-def _matrix_tol(m):
-    """Hermiticity and reconstruction tolerance, relative to the largest entry."""
-    return MATRIX_TOL * max(1.0, float(np.max(np.abs(m))))
+def _matrix_tol(scale):
+    """Hermiticity and reconstruction tolerance, relative to ``scale``, the
+    largest entry's magnitude."""
+    return MATRIX_TOL * max(1.0, float(scale))
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,13 @@ class Observable:
         m, w, v = self.matrix, self.eigenvalues, self.eigenvectors
         if w.ndim != 1 or not m.shape == v.shape == (w.size, w.size):
             raise EigenFailure(f"shapes {m.shape}, {w.shape}, {v.shape} do not form an eigensystem")
+        vh = v.conj().T
+        gram = vh @ v
+        gram.flat[:: w.size + 1] -= 1.0
         # "not <=" so that a NaN from overflow (entries near 1e308) also fails
-        if not np.max(np.abs(v.conj().T @ v - np.eye(w.size))) <= NORM_TOL:
+        if not abs(gram).max() <= NORM_TOL:
             raise EigenFailure(f"eigenvectors are not orthonormal to {NORM_TOL}")
-        if not np.max(np.abs((v * w) @ v.conj().T - m)) <= _matrix_tol(m):
+        if not abs((v * w) @ vh - m).max() <= _matrix_tol(abs(m).max()):
             raise EigenFailure("eigensystem does not reconstruct the matrix")
 
     @property
@@ -122,25 +126,28 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("matrix must be square with dimension >= 2")
-    if not np.all(np.isfinite(m)):
+    scale = abs(m).max()
+    # |m_ij| overflows for finite parts near 1e308, so only then look closer
+    if not np.isfinite(scale) and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > _matrix_tol(m):
+    mh = m.conj().T
+    dev = abs(m - mh).max()
+    if dev > _matrix_tol(scale):
         raise NonHermitianError(f"max |M - M^dag| entry = {dev:g}")
-    m = 0.5 * (m + m.conj().T)
+    m = 0.5 * (m + mh)
 
     w, v = np.linalg.eigh(m)
     if eigenvalue_order is not None:
         target = np.asarray(eigenvalue_order, dtype=float)
         rank = np.argsort(np.argsort(target, kind="stable"))
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
+        tol = 1e-8 * max(1.0, float(abs(w).max()))
         # "not <=" so that a NaN request also fails
-        if target.shape != w.shape or not np.max(np.abs(w[rank] - target)) <= tol:
+        if target.shape != w.shape or not abs(w[rank] - target).max() <= tol:
             raise ValueError(f"requested eigenvalues {target} not present in spectrum {w}")
         w, v = w[rank], v[:, rank]
     # largest-magnitude component of each column real and positive
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
-    v = v * (pivot.conj() / np.abs(pivot))
+    pivot = v[abs(v).argmax(0), np.arange(w.size)]
+    v = v * (pivot.conj() / abs(pivot))
     return Observable(matrix=m, eigenvalues=w, eigenvectors=v, name=name)
 
 

@@ -269,7 +269,7 @@ def _sampled_columns(counts, lx, ly, bases):
         "rhs_eq4": rhs_eq4(mx2 + my2 + mp - (mx + my) ** 2),
         "rhs_eq3": rhs_eq3(a_sh, b_sh, px, py),
         "rhs_eq6": rhs_eq6(a_sh, b_sh, px, py),
-        "rhs_eq7": rhs_eq7(var_x, var_y, cov, mx2 + my2 - mp - (mx - my) ** 2)[0],
+        "rhs_eq7": rhs_eq7(var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2)[0],
     }
     cols.update(dict.fromkeys(BASIS_COLUMNS))
 

@@ -1,6 +1,8 @@
 """Tests for the seven relations, their oracles and their invariants."""
 
 import itertools
+from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ import varbound.hermitian as hermitian
 from varbound.basis_search import haar_basis
 from varbound.bounds import (
     EQ7_EPS,
+    BoundResult,
     IncompleteBasis,
     InvalidPairing,
     OrthonormalBasis,
+    UncertaintyReport,
     eq1_product_bound,
     eq2_product_bound,
     eq3_product_bound,
@@ -233,9 +237,23 @@ class TestEq7:
 
     def test_degeneracy_rule_is_std_at_most_eps(self):
         # one rule for the ideal and the sampled path: a std <= EQ7_EPS = 1e-9
-        assert rhs_eq7(1e-16, 1.0, 0.0, 1.0)[0] is not None  # std 1e-8
-        assert rhs_eq7(1e-19, 1.0, 0.0, 1.0) == (None, "degenerate variance")
-        assert rhs_eq7(1.0, 1.0, 1.0 - 1e-10, 1.0) == (None, "singular denominator")
+        assert rhs_eq7(1e-16, 1.0, 1.0)[0] is not None  # std 1e-8
+        assert rhs_eq7(1e-19, 1.0, 1.0) == (None, "degenerate variance")
+        # unit variances and Cov = 1 - 1e-10, so var(A - B) = 2e-10
+        assert rhs_eq7(1.0, 1.0, 2e-10) == (None, "singular denominator")
+
+    def test_undefined_on_exact_eigenstates(self):
+        """On an eigenvector of A, var(A) = ||Abar psi||^2 is rounding
+        (about 1e-31), far below the degeneracy rule's EQ7_EPS**2."""
+        rng = np.random.default_rng(23)
+        reasons = []
+        for i in range(300):
+            d = 2 + i % 5
+            a = _random_hermitian(rng, d)
+            b = make_observable(_random_hermitian(rng, d))
+            psi = np.linalg.eigh(a)[1][:, rng.integers(d)]
+            reasons.append(eq7_reverse_bound(PureState(psi), make_observable(a), b).reason)
+        assert reasons == ["degenerate variance"] * 300
 
     def test_rewritten_route_on_family(self):
         for theta in SWEEP_THETAS:
@@ -346,6 +364,33 @@ def _random_hermitian(rng, d):
     return 0.5 * (z + z.conj().T)
 
 
+def _exact_variance(matrix, psi):
+    """var(M) in the state psi/||psi||, exact in rationals from the float
+    entries of the Hermitian ``matrix`` and ``psi``."""
+    m = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in matrix]
+    p = [(Fraction(z.real), Fraction(z.imag)) for z in psi]
+    mp = [(sum(x * pr - y * pi for (x, y), (pr, pi) in zip(row, p)),
+           sum(x * pi + y * pr for (x, y), (pr, pi) in zip(row, p))) for row in m]
+    norm = sum(x * x + y * y for x, y in p)
+    mean = sum(x * mx + y * my for (x, y), (mx, my) in zip(p, mp)) / norm
+    return sum(x * x + y * y for x, y in mp) / norm - mean * mean
+
+
+def _exact_eq7(a, b, psi):
+    """eq7 from exact var(A), var(B), var(A - B) (Cov = (var(A) + var(B) -
+    var(A - B)) / 2) and dA dB to 2**-200 relative; None where the
+    relation is undefined."""
+    var_a, var_b, var_amb = (_exact_variance(m, psi) for m in (a, b, a - b))
+    if min(var_a, var_b) <= Fraction(EQ7_EPS) ** 2:
+        return None
+    prod = var_a * var_b
+    da_db = Fraction(isqrt(prod.numerator * prod.denominator * 4**200), prod.denominator * 2**200)
+    denom = 1 - (var_a + var_b - var_amb) / (2 * da_db)
+    if abs(denom) <= Fraction(EQ7_EPS):
+        return None
+    return float(2 * var_amb / denom - 2 * da_db)
+
+
 class TestAnyDimension:
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -363,9 +408,10 @@ class TestAnyDimension:
                 assert r.rhs is None and r.reason, (rid, r)
 
     def test_sum_and_reverse_match_eigensolve_route(self):
-        """var(A+B), var(A-B) from ||Abar Psi +- Bbar Psi||^2 agree with an
-        eigensolve of A+-B, also for B = U A U^dag with U = exp(i eps Y)
-        close to the identity, where the eq7 denominator nearly vanishes."""
+        """var(A+B) from ||Abar Psi + Bbar Psi||^2 agrees with an eigensolve
+        of A+B, and eq7 with its exact value, also for B = U A U^dag with
+        U = exp(i eps Y) close to the identity, where the eq7 denominator
+        nearly vanishes."""
         rng = np.random.default_rng(17)
         checked = 0
         for d in (2, 3, 4, 5, 6):
@@ -381,11 +427,9 @@ class TestAnyDimension:
                         b = 0.5 * (b + b.conj().T)
                     oa, ob = make_observable(a), make_observable(b)
                     s = haar_random_state(d, rng)
-                    ma, mb = moments(s, oa), moments(s, ob)
                     var_apb = moments(s, make_observable(a + b)).variance
-                    var_amb = moments(s, make_observable(a - b)).variance
                     assert eq4_sum_bound(s, oa, ob).rhs == pytest.approx(0.5 * var_apb, rel=1e-9)
-                    ref, _ = rhs_eq7(ma.variance, mb.variance, covariance(s, oa, ob), var_amb)
+                    ref = _exact_eq7(oa.matrix, ob.matrix, s.amplitudes)
                     r = eq7_reverse_bound(s, oa, ob)
                     assert (r.rhs is None) == (ref is None)
                     if ref is not None:
@@ -469,6 +513,105 @@ class TestSinglePass:
         assert not hasattr(bounds, "_centre")
 
 
+def _reference_result(relation_id, direction, lhs, rhs, intermediates=None):
+    margin = bounds.slack(direction, lhs, rhs)
+    return BoundResult(
+        relation_id=relation_id,
+        direction=direction,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        satisfied=bool(margin >= -bounds._slack_tol(lhs, rhs)),
+        slack=float(margin),
+        intermediates=intermediates,
+    )
+
+
+def _reference_undefined(relation_id, direction, lhs, reason):
+    return BoundResult(
+        relation_id=relation_id,
+        direction=direction,
+        lhs=float(lhs),
+        rhs=None,
+        satisfied=True,
+        slack=None,
+        defined=False,
+        reason=reason,
+    )
+
+
+def _reference_report(state, a, b, basis=None, pairing=None):
+    """evaluate_all assembled relation by relation, on the kernel's scalar
+    values."""
+    t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
+    prod, total = t["lhs_prod"], t["lhs_sum"]
+    results = {
+        "eq1": _reference_result("eq1", "lower", prod, t["eq1"]),
+        "eq2": _reference_result("eq2", "lower", prod, t["eq2"]),
+        "eq3": _reference_result("eq3", "lower", prod, t["eq3"], fid),
+        "eq4": _reference_result("eq4", "lower", total, t["eq4"]),
+        "eq5": _reference_result("eq5", "lower", total, t["eq5"]),
+        "eq6": _reference_result("eq6", "lower", total, t["eq6"], fid),
+        "eq7": (
+            _reference_result("eq7", "upper", total, t["eq7"])
+            if not np.isnan(t["eq7"])
+            else _reference_undefined("eq7", "upper", total, rhs_eq7(
+                *(float(t[k]) for k in ("var_a", "var_b", "var_amb")))[1])
+        ),
+    }
+    return UncertaintyReport(
+        state_label=state.label,
+        **{k: float(t[k]) for k in ("mean_a", "mean_b", "var_a", "var_b")},
+        product_lhs=float(prod), sum_lhs=float(total),
+        results=results,
+    )
+
+
+def _bits(x):
+    """A value as its type and exact bits."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return type(x).__name__, repr(x)
+
+
+def _report_bits(rep):
+    out = [_bits(getattr(rep, k)) for k in ("state_label", "mean_a", "mean_b", "var_a",
+                                             "var_b", "product_lhs", "sum_lhs")]
+    for rid, r in rep.results.items():
+        out.append(rid)
+        out += [_bits(getattr(r, k)) for k in ("relation_id", "direction", "lhs", "rhs", "slack",
+                                               "satisfied", "defined", "reason")]
+        fid = r.intermediates
+        out.append(fid if fid is None else [_bits(getattr(fid, k)) for k in (
+            "a_shifted", "b_shifted", "fid_a", "fid_b")])
+    return out
+
+
+class TestReportMatchesReference:
+    """evaluate_all takes every margin, tolerance and verdict in one array
+    expression; the relation-by-relation assembly is the reference, and
+    every field of the report agrees with it bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), with_basis=st.booleans(),
+           with_pairing=st.booleans())
+    def test_report_bit_identical(self, d, seed, with_basis, with_pairing):
+        """A Haar state, an exact eigenstate of A (eq7: degenerate variance)
+        and the pair (A, A) (eq7: singular denominator)."""
+        rng = np.random.default_rng(seed)
+        a = make_observable(_random_hermitian(rng, d))
+        b = make_observable(_random_hermitian(rng, d))
+        basis = haar_basis(d, seed) if with_basis else None
+        pairing = tuple(rng.permutation(d)) if with_pairing else None
+        haar = haar_random_state(d, rng)
+        reasons = set()
+        for state, bb in ((haar, b), (PureState(a.eigenvectors[:, 0], "eigenstate"), b),
+                          (haar, a)):
+            rep = evaluate_all(state, a, bb, basis, pairing)
+            assert _report_bits(rep) == _report_bits(_reference_report(state, a, bb, basis, pairing))
+            reasons.add(rep.results["eq7"].reason)
+        assert reasons == {None, "degenerate variance", "singular denominator"}
+
+
 def _report_values(rep):
     """Means, variances, both sides and the rhs (None where undefined) of
     every relation of one report."""
@@ -545,10 +688,10 @@ def _rhs_inputs(d, seed, rows=6):
         args["eq2"].append((bh @ u, bh @ v))
         args["eq3"].append((a.eigenvalues - ma.mean, b.eigenvalues[perm] - mb.mean, fid_a, fid_b[perm]))
         args["eq4"].append((np.vdot(u + v, u + v).real,))
-        args["eq7"].append((ma.variance, mb.variance, cov, np.vdot(u - v, u - v).real))
+        args["eq7"].append((ma.variance, mb.variance, np.vdot(u - v, u - v).real))
     args["eq7"][0] = (EQ7_EPS**2,) + args["eq7"][0][1:]
     var_a = args["eq7"][1][0]
-    args["eq7"][1] = (var_a, var_a, var_a, 0.0)
+    args["eq7"][1] = (var_a, var_a, 0.0)
     return {k: tuple(np.array(x) for x in zip(*per_row)) for k, per_row in args.items()}
 
 

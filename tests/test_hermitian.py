@@ -98,8 +98,9 @@ class TestPureState:
             PureState(np.array([1.0, 1.0]))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([np.nan, 0.0, 0.0]))
+        for bad in (np.nan, complex(0, np.nan), complex(0, np.inf), np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PureState(np.array([bad, 0.0, 0.0]))
 
     def test_family(self):
         s = family_state(0.0)
@@ -130,7 +131,9 @@ class TestMakeObservable:
         with pytest.raises(NonHermitianError):
             make_observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)]
+    )
     def test_rejects_nonfinite(self, bad):
         for pos in ((0, 0), (0, 1)):
             m = np.array([[0, 1], [1, 1]], dtype=complex)
@@ -141,6 +144,13 @@ class TestMakeObservable:
     def test_overflow_fails_reconstruction(self):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigenFailure):
             make_observable(np.array([[1e308, 0], [0, 1]], dtype=complex))
+
+    def test_overflowing_magnitude_is_not_nonfinite(self):
+        """|1.5e308 (1 + 1j)| overflows although both parts are finite, so
+        the eigensystem check fails, not the finiteness check."""
+        m = np.array([[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EigenFailure):
+            make_observable(m)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(11)
