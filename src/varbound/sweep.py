@@ -4,10 +4,13 @@ emit figure-ready CSV/JSON datasets with a machine-readable verdict.
 
 The ideal columns of the sweep points and of the dense grid, and so the
 rows' statuses, come from one ``evaluate_states`` call over the merged
-grid; ``verify`` re-checks sweep and dense rows alike, each check as one
-array expression over all rows.  ``emit`` builds each row's record once for
-both formats and writes ``sweep.json`` as compact JSON that records the
-Python and numpy versions.
+grid.  The dense grid stays one float table, NaN where a value is undefined
+or not computed, from that call to the files: ``emit`` turns it and the
+sweep rows into records, keys already in sorted order, with one function
+for both formats, and writes ``sweep.json`` as compact JSON that records
+the Python and numpy versions.  ``verify`` reads both back as one table, in
+which NaN marks exactly the null cells, and re-checks sweep and dense rows
+alike, each check as one array expression over all rows.
 
 The counts of every (row, trial, setting) are drawn in one call from one
 generator seeded by the config seed.  Every sampled quantity is estimated
@@ -28,7 +31,8 @@ import math
 import platform
 import time
 from itertools import chain
-from dataclasses import dataclass, field, asdict
+from operator import itemgetter
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +122,10 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.thetas) == 0:
             raise ConfigError("theta list must be non-empty")
+        if not all(map(math.isfinite, self.thetas)):
+            raise ConfigError(f"thetas must be finite, got {self.thetas}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.counts < 1 or self.trials < 1:
             raise ConfigError("counts and trials must be >= 1")
         if self.counts > MAX_COUNTS:
@@ -181,9 +189,9 @@ class DatasetRow:
     j: int
     theta: float
     ideal: dict
-    sampled: dict = field(default_factory=dict)
-    sigma: dict = field(default_factory=dict)
-    statuses: dict = field(default_factory=dict)
+    sampled: dict
+    sigma: dict
+    statuses: dict
 
 
 @dataclass
@@ -202,16 +210,12 @@ KERNEL_KEYS = dict(zip(VALUE_COLUMNS, (
 )))
 
 
-def _ideal_columns(psi, lx, ly, lz, lp, basis):
+def _ideal_table(psi, lx, ly, lz, lp, basis):
     """Ideal value columns of states ``psi`` (N, 3) from one kernel call, as
-    one {column: value} per state; None where undefined or not computed."""
+    an (N, VALUE_COLUMNS) float table; NaN where undefined or not computed."""
     values, _ = evaluate_states(psi, lx, ly, basis, means={"mean_lz": lz, "mean_lp": lp})
-    values = {key: v.tolist() for key, v in values.items()}
-    return [
-        {col: None if key is None or math.isnan(values[key][i]) else values[key][i]
-         for col, key in KERNEL_KEYS.items()}
-        for i in range(len(psi))
-    ]
+    nan = np.full(len(psi), np.nan)
+    return np.column_stack([nan if key is None else values[key] for key in KERNEL_KEYS.values()])
 
 
 def _bases(state, lx, ly, basis, optimize):
@@ -318,15 +322,16 @@ def _status(direction, lhs, rhs):
 
 
 def run_sweep(config: SweepConfig):
-    """Evaluate the full sweep; returns (rows, report, dense_rows).  The
-    ideal columns of the sweep points and of the dense grid, which holds
-    them, come from one kernel call over the merged grid."""
+    """Evaluate the full sweep; returns (rows, report, dense), ``dense`` the
+    dense grid (no points without ``config.dense``) as one (points,
+    CSV_COLUMNS) float table, NaN where undefined or not computed.  Its
+    ideal columns and the sweep rows' come from one kernel call."""
     lx, ly, lz, lp = builtin_spin1()
     basis = OrthonormalBasis.computational(3)
     settings = builtin_settings()
     dense = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
-    grid = sorted(set(config.thetas) | set(dense))
-    ideal_by_theta = dict(zip(grid, _ideal_columns(family_amplitudes(grid), lx, ly, lz, lp, basis)))
+    grid = np.array(sorted(set(config.thetas) | set(dense)))
+    ideal_table = _ideal_table(family_amplitudes(grid), lx, ly, lz, lp, basis)
 
     # (rows, trials, 4 settings, 3 outcomes) counts from one generator
     amps = family_amplitudes(config.thetas)
@@ -335,9 +340,11 @@ def run_sweep(config: SweepConfig):
     counts = sample_counts(np.broadcast_to(probs[:, None], shape), config.counts, config.seed)
 
     rows = []
+    at = np.searchsorted(grid, config.thetas)
     for j, theta in enumerate(config.thetas):
         opt, bases = _bases(family_state(theta), lx, ly, basis, config.optimize_basis)
-        ideal = ideal_by_theta[theta] | opt
+        values = ideal_table[at[j]].tolist()
+        ideal = {c: None if math.isnan(v) else v for c, v in zip(VALUE_COLUMNS, values)} | opt
 
         sampled_acc, sigma_acc = {}, {}
         for trial in range(config.trials):
@@ -363,13 +370,11 @@ def run_sweep(config: SweepConfig):
                                sampled=sampled, sigma=sigma, statuses=statuses))
 
     report = build_report(rows)
-    # dense curves cover the figure panels; the optimized-basis columns are
-    # only produced for the sweep points themselves
-    dense_rows = [
-        DatasetRow(j=j, theta=float(theta), ideal=ideal_by_theta[theta])
-        for j, theta in enumerate(grid)
-    ] if config.dense > 0 else []
-    return rows, report, dense_rows
+    # dense curves cover the figure panels: ideal columns only, and the
+    # optimized-basis columns are only produced for the sweep points
+    n = len(grid) if config.dense > 0 else 0
+    nan = np.full((n, 2 * len(VALUE_COLUMNS)), np.nan)
+    return rows, report, np.column_stack([np.arange(n), grid[:n], ideal_table[:n], nan])
 
 
 def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
@@ -414,20 +419,30 @@ def _slacks(values):
     ]
 
 
-def _row_record(row):
-    """The row's dataset record, keyed and ordered by CSV_COLUMNS."""
-    return dict(zip(CSV_COLUMNS, (
-        row.j, row.theta, *map(row.ideal.get, VALUE_COLUMNS),
-        *map(row.sampled.get, VALUE_COLUMNS), *map(row.sigma.get, VALUE_COLUMNS),
-    )))
+def _records(table, statuses=None):
+    """One dataset record per row of a (rows, CSV_COLUMNS) float table, its
+    keys in the order json sorts them: j an int, None where the table holds
+    NaN, and the row's entry of ``statuses`` when given."""
+    cells, keys = np.where(np.isnan(table), None, table), CSV_COLUMNS
+    cells[:, 0] = table[:, 0].astype(int).tolist()
+    if statuses is not None:
+        cells, keys = np.column_stack([cells, statuses]), keys + ("statuses",)
+    sorted_keys = sorted(keys)
+    order = [keys.index(k) for k in sorted_keys]
+    return [dict(zip(sorted_keys, rec)) for rec in cells[:, order].tolist()]
 
 
-def emit(rows, report, config: SweepConfig, dense_rows=()):
-    """Write CSV/JSON datasets; returns the list of written paths."""
+def emit(rows, report, config: SweepConfig, dense=()):
+    """Write CSV/JSON datasets of the sweep rows and of the dense
+    (points, CSV_COLUMNS) table from ``run_sweep``; returns the list of
+    written paths."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = [_row_record(r) for r in rows]
-    dense_records = [_row_record(r) for r in dense_rows]
+    table = np.array([
+        [r.j, r.theta, *(d.get(c) for d in (r.ideal, r.sampled, r.sigma) for c in VALUE_COLUMNS)]
+        for r in rows], dtype=float)
+    records = _records(table, [r.statuses for r in rows])
+    dense_records = _records(np.reshape(dense, (-1, len(CSV_COLUMNS))))
     written = []
     if "csv" in config.formats:
         path = out / "sweep.csv"
@@ -447,7 +462,7 @@ def emit(rows, report, config: SweepConfig, dense_rows=()):
             "config_hash": config.hash(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "config": asdict(config),
-            "rows": [rec | {"statuses": r.statuses} for rec, r in zip(records, rows)],
+            "rows": records,
             "dense": dense_records,
             "report": {
                 "statuses": report.statuses,
@@ -463,21 +478,23 @@ def emit(rows, report, config: SweepConfig, dense_rows=()):
 
 
 def _write_csv(path, records):
+    csv_cells = itemgetter(*CSV_COLUMNS)
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        j, *values = rec.values()
-        lines.append(",".join([str(j), *["" if v is None else repr(float(v)) for v in values]]))
+        lines.append(",".join(["" if v is None else repr(v) for v in csv_cells(rec)]))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _load_rows(path):
     """The sweep rows followed by the dense rows of a JSON dataset as one
-    (rows, DATA_COLUMNS) float array, NaN where null or absent, and the
-    mask of present cells; None when the dataset is missing or malformed:
-    no rows, a missing or non-list dense entry, a row without lhs_prod or
-    lhs_sum, a non-numeric value or a negative sigma."""
+    (rows, DATA_COLUMNS) float array, NaN exactly where null or absent and
+    inf where non-finite (a NaN literal included); None when the dataset is
+    missing or malformed: no rows, a missing or non-list dense entry, a row
+    without lhs_prod or lhs_sum, a non-numeric value or a negative sigma."""
     try:
-        payload = json.loads(Path(path).read_text())
+        # a NaN literal reads as inf, so a NaN in the table marks a null cell
+        constants = {"NaN": math.inf, "Infinity": math.inf, "-Infinity": -math.inf}
+        payload = json.loads(Path(path).read_text(), parse_constant=constants.__getitem__)
         rows, dense = payload["rows"], payload["dense"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -493,13 +510,11 @@ def _load_rows(path):
         table = np.array(cells, dtype=float)
     except OverflowError:  # an integer beyond the float range
         return None
-    present = np.array(cells, dtype=object) != None  # noqa: E711 (elementwise)
-    if not present[:, [DATA_COLUMNS.index("lhs_prod"), DATA_COLUMNS.index("lhs_sum")]].all():
-        return None
+    lhs = table[:, [DATA_COLUMNS.index("lhs_prod"), DATA_COLUMNS.index("lhs_sum")]]
     _, _, sigma = np.hsplit(table, 3)
-    if (sigma < 0).any():
+    if np.isnan(lhs).any() or (sigma < 0).any():
         return None
-    return table, present
+    return table
 
 
 def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
@@ -508,11 +523,10 @@ def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
     0 ok, 1 violation or non-finite value, 2 missing or malformed.  A
     sampled column with zero sigma must match its ideal value to the
     slack tolerance."""
-    loaded = _load_rows(path)
-    if loaded is None:
+    table = _load_rows(path)
+    if table is None:
         return 2
-    table, present = loaded
-    if (present & ~np.isfinite(table)).any():
+    if np.isinf(table).any():
         return 1
     ideal, sampled, sigma = np.hsplit(table, 3)
     col = dict(zip(VALUE_COLUMNS, ideal.T))

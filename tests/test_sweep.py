@@ -99,6 +99,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(dense=-5)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            SweepConfig(seed=-1)
+        p = tmp_path / "seed.cfg"
+        p.write_text("seed = -1\n")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config_from_file(p)
+        assert SweepConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("thetas", [(math.nan,), (0.1, math.inf), (-math.inf, 0.3)])
+    def test_nonfinite_theta_rejected(self, thetas):
+        with pytest.raises(ConfigError, match="thetas must be finite"):
+            SweepConfig(thetas=thetas)
+
     def test_optimize_basis_values(self, tmp_path):
         p = tmp_path / "flag.cfg"
         for value, expected in (("1", True), ("TRUE", True), ("Yes", True),
@@ -122,6 +136,11 @@ class TestConfig:
 
 
 GOOD_ROW = {"lhs_prod": 0.25, "lhs_sum": 1.0}
+
+
+def _cells(keys, values):
+    """{key: value} of one table row, None where the row holds NaN."""
+    return {k: None if math.isnan(v) else v for k, v in zip(keys, values.tolist(), strict=True)}
 
 
 @pytest.fixture(scope="module")
@@ -167,16 +186,16 @@ class TestRunSweep:
 
     def test_dense_rows_agree_at_shared_thetas(self, default_run):
         rows, _, dense = default_run
-        by_theta = {round(d.theta, 12): d for d in dense}
+        by_theta = {round(d["theta"], 12): d for d in (_cells(CSV_COLUMNS, d) for d in dense)}
         for r in rows:
             d = by_theta[round(r.theta, 12)]
             for col in ("var_lx", "var_ly", "rhs_eq1", "rhs_eq3", "rhs_eq4", "rhs_eq6"):
-                assert d.ideal[col] == pytest.approx(r.ideal[col], abs=1e-12)
+                assert d[col] == pytest.approx(r.ideal[col], abs=1e-12)
 
     def test_ideal_columns_from_one_kernel_call(self, monkeypatch):
         """The sweep points and the dense grid, which holds them, get their
-        ideal columns from one evaluate_states call; each dense row equals
-        evaluate_all of its state."""
+        ideal columns from one evaluate_states call; each row of the dense
+        table holds evaluate_all of its state and no sampled columns."""
         calls = []
 
         def counted(psi, *args, _fn=sweep.evaluate_states, **kwargs):
@@ -186,8 +205,9 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "evaluate_states", counted)
         rows, _, dense = run_sweep(SweepConfig(counts=2000, dense=50))
         assert calls == [(len(dense), 3)] and len(dense) >= 51
-        for d in dense:
-            state = family_state(d.theta)
+        assert dense.shape == (len(dense), len(CSV_COLUMNS))
+        for d in (_cells(CSV_COLUMNS, d) for d in dense):
+            state = family_state(d["theta"])
             rep = evaluate_all(state, LX, LY)
             expected = {
                 "mean_lz": moments(state, LZ).mean, "mean_lp": moments(state, LP).mean,
@@ -195,13 +215,14 @@ class TestRunSweep:
                 "var_ly": rep.var_b, "lhs_prod": rep.product_lhs, "lhs_sum": rep.sum_lhs,
                 "rhs_eq2_canon": rep.results["eq2"].rhs, "rhs_eq5_canon": rep.results["eq5"].rhs,
             } | {f"rhs_eq{i}": rep.results[f"eq{i}"].rhs for i in (1, 3, 4, 6, 7)}
-            assert set(expected) | {"rhs_eq2_opt", "rhs_eq5_opt"} == set(d.ideal)
+            assert set(expected) | {"rhs_eq2_opt", "rhs_eq5_opt"} == set(VALUE_COLUMNS)
             for col, value in expected.items():
                 if value is None:
-                    assert d.ideal[col] is None, (d.theta, col)
+                    assert d[col] is None, (d["theta"], col)
                 else:
-                    assert d.ideal[col] == pytest.approx(value, rel=1e-14, abs=1e-15), (d.theta, col)
-            assert d.ideal["rhs_eq2_opt"] is None and d.ideal["rhs_eq5_opt"] is None
+                    assert d[col] == pytest.approx(value, rel=1e-14, abs=1e-15), (d["theta"], col)
+            assert d["rhs_eq2_opt"] is None and d["rhs_eq5_opt"] is None
+            assert all(d[col] is None for col in DATA_COLUMNS[len(VALUE_COLUMNS):])
 
     def test_optimized_columns_present_when_requested(self):
         rows, _, _ = run_sweep(SweepConfig(thetas=(0.3,), counts=2000, optimize_basis=True))
@@ -243,33 +264,78 @@ class TestEmitAndVerify:
         assert payload["numpy"] == np.__version__
 
     def test_written_values_equal_rows_bit_for_bit(self, tmp_path):
-        """Every cell of sweep.json, sweep.csv and dense.csv is the row's
-        value bit for bit; null and the empty string mark the same cells."""
+        """Every cell of sweep.json, sweep.csv and dense.csv is the sweep
+        row's or the dense table's value bit for bit; null and the empty
+        string mark the same cells."""
         cfg = SweepConfig(counts=4000, dense=50, out_dir=str(tmp_path))
         rows, report, dense = run_sweep(cfg)
         emit(rows, report, cfg, dense)
         payload = json.loads((tmp_path / "sweep.json").read_text())
-        for name, kind, mem in (("sweep.csv", "rows", rows), ("dense.csv", "dense", dense)):
+        sweep_cells = [
+            {"j": row.j, "theta": row.theta} | {
+                f"{prefix}{col}": source.get(col)
+                for prefix, source in (("", row.ideal), ("sampled_", row.sampled),
+                                       ("sigma_", row.sigma))
+                for col in VALUE_COLUMNS
+            }
+            for row in rows
+        ]
+        dense_cells = [_cells(CSV_COLUMNS, d) for d in dense]
+        for name, kind, mem in (("sweep.csv", "rows", sweep_cells), ("dense.csv", "dense", dense_cells)):
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0] == ",".join(CSV_COLUMNS)
             assert len(lines) - 1 == len(payload[kind]) == len(mem) >= 11
-            for row, line, rec in zip(mem, lines[1:], payload[kind]):
+            for i, (expected, line, rec) in enumerate(zip(mem, lines[1:], payload[kind])):
                 cells = dict(zip(CSV_COLUMNS, line.split(","), strict=True))
-                assert int(cells["j"]) == rec["j"] == row.j
-                expected = {"theta": row.theta} | {
-                    f"{prefix}{col}": source.get(col)
-                    for prefix, source in (("", row.ideal), ("sampled_", row.sampled),
-                                           ("sigma_", row.sigma))
-                    for col in VALUE_COLUMNS
-                }
-                for col, value in expected.items():
+                assert int(cells["j"]) == rec["j"] == expected["j"] == i and type(rec["j"]) is int
+                for col in CSV_COLUMNS[1:]:
+                    value = expected[col]
                     if value is None:
-                        assert cells[col] == "" and rec[col] is None, (kind, row.j, col)
+                        assert cells[col] == "" and rec[col] is None, (kind, i, col)
                     else:
                         bits = repr(float(value))
-                        assert repr(float(cells[col])) == bits == repr(rec[col]), (kind, row.j, col)
+                        assert repr(float(cells[col])) == bits == repr(rec[col]), (kind, i, col)
                 if kind == "rows":
-                    assert rec["statuses"] == row.statuses
+                    assert rec["statuses"] == rows[i].statuses
+
+    def test_loaded_table_is_the_emitted_table(self, tmp_path):
+        """verify reads back the sweep rows stacked on run_sweep's dense
+        table bit for bit, NaN exactly where a cell is null; sweep.json is
+        compact JSON with sorted keys."""
+        cfg = SweepConfig(counts=4000, dense=50, out_dir=str(tmp_path))
+        rows, report, dense = run_sweep(cfg)
+        emit(rows, report, cfg, dense)
+        row_table = np.array([
+            [*map(r.ideal.get, VALUE_COLUMNS), *map(r.sampled.get, VALUE_COLUMNS),
+             *map(r.sigma.get, VALUE_COLUMNS)]
+            for r in rows
+        ], dtype=float)
+        expected = np.vstack([row_table, dense[:, 2:]])
+        loaded = sweep._load_rows(tmp_path / "sweep.json")
+        assert loaded.shape == expected.shape == (len(rows) + len(dense), len(DATA_COLUMNS))
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(loaded), nan) and nan.any() and not nan.all()
+        assert np.array_equal(loaded[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+        text = (tmp_path / "sweep.json").read_text()
+        payload = json.loads(text)
+        null = [[rec[col] is None for col in DATA_COLUMNS] for rec in payload["rows"] + payload["dense"]]
+        assert np.array_equal(nan, null)
+        assert text == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_nan_literal_loads_as_inf(self, tmp_path):
+        """A NaN in the loaded table marks a null cell only; a NaN literal
+        reads as a non-finite value."""
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"rows": [GOOD_ROW | {"rhs_eq1": math.nan, "rhs_eq3": None}],
+                                    "dense": [GOOD_ROW | {"rhs_eq4": -math.inf}]}))
+        table = sweep._load_rows(path)
+        expected = np.full((2, len(DATA_COLUMNS)), np.nan)
+        expected[:, DATA_COLUMNS.index("lhs_prod")] = 0.25
+        expected[:, DATA_COLUMNS.index("lhs_sum")] = 1.0
+        expected[0, DATA_COLUMNS.index("rhs_eq1")] = math.inf
+        expected[1, DATA_COLUMNS.index("rhs_eq4")] = -math.inf
+        np.testing.assert_array_equal(table, expected)
+        assert verify_dataset(path) == 1
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         payloads = []
@@ -780,9 +846,9 @@ class TestWrittenOnce:
         basis = OrthonormalBasis.computational(3)
         for theta in theta_grid(11):
             state = family_state(theta)
-            [ideal] = sweep._ideal_columns(state.amplitudes[None], LX, LY, LZ, LP, basis)
+            [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP, basis)
             opt, bases = sweep._bases(state, LX, LY, basis, optimize)
-            ideal |= opt
+            ideal = _cells(VALUE_COLUMNS, ideal) | opt
             sampled = sweep._sampled_columns(
                 _noise_free_counts(state, 10_000), LX, LY, bases
             )
@@ -840,6 +906,16 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("config error: counts must be <=") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["sweep", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed = -1\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: seed must be >= 0, got -1") == 2
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_single_count_runs(self, tmp_path):
