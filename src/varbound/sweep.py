@@ -14,12 +14,15 @@ alike, each check as one array expression over all rows.
 
 The counts of every (row, trial, setting) are drawn in one call from one
 generator seeded by the config seed.  Every sampled quantity is estimated
-from the four settings' counts; derived columns propagate one-standard-
-deviation Poisson error bars to first order by one-count central
+from the four settings' counts as one float table in VALUE_COLUMNS order,
+NaN where a column is undefined (a setting with no counts leaves the columns
+that read it undefined) or not computed; derived columns propagate one-
+standard-deviation Poisson error bars to first order by one-count central
 differences through the full column formula, all perturbed count vectors
-of a trial in one call.  A setting with no counts leaves the columns that
-read it undefined.  A sampled column with zero sigma fails the report and
-``verify`` when it lies off its ideal value by more than the slack
+of a trial in one call.  Each row reduces its (columns, trials) value and
+sigma tables once: the mean over the k trials that define a column, and
+sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the report
+and ``verify`` when it lies off its ideal value by more than the slack
 tolerance.
 """
 
@@ -89,7 +92,6 @@ RELATIONS = (
     ("eq6", "lhs_sum", "rhs_eq6", "lower"),
     ("eq7", "lhs_sum", "rhs_eq7", "upper"),
 )
-BASIS_COLUMNS = ("rhs_eq2_canon", "rhs_eq5_canon", "rhs_eq2_opt", "rhs_eq5_opt")
 
 SETTING_NAMES = ("Lx", "Ly", "Lz", "Lp")
 DEFAULT_Z_LIMIT = 5.0
@@ -220,13 +222,13 @@ def _ideal_table(psi, lx, ly, lz, lp, basis):
 
 def _bases(state, lx, ly, basis, optimize):
     """Optimized-basis columns of one state (none unless ``optimize``) and
-    the bases [(matrix, {column: rhs function})] of the basis columns."""
-    bases = [(basis.matrix, {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
+    the bases [(adjoint, {column: rhs function})] of the basis columns."""
+    bases = [(basis.matrix.conj().T, {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
     opt = {}
     if optimize:
         for rid, rhs in (("eq2", rhs_eq2), ("eq5", rhs_eq5)):
             b, opt[f"rhs_{rid}_opt"], _ = optimize_bound(rid, state, lx, ly, OPTIMIZER)
-            bases.append((b.matrix, {f"rhs_{rid}_opt": rhs}))
+            bases.append((b.matrix.conj().T, {f"rhs_{rid}_opt": rhs}))
     return opt, bases
 
 
@@ -244,27 +246,27 @@ def _sampled_columns(counts, lx, ly, bases):
     """All sampled value columns from raw counts of shape (..., 12), ordered
     [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the observable's eigenvalue
     order (-1, 1, 0); ``bases`` is the list built by :func:`_bases`.
-    On one 12-vector a column is a float or None; on a batch an array, NaN
-    in undefined rows (None for a column no basis produces).
+    Returns a (..., VALUE_COLUMNS) float table, one vector and a batch
+    alike, NaN where a column is undefined or no basis produces it.
     """
-    n = np.asarray(counts, dtype=float).reshape(*np.shape(counts)[:-1], 4, 3)
+    n = np.asarray(counts, dtype=float).reshape(-1, 4, 3)
     # a setting with no counts gives NaN in the columns that read it
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = n / n.sum(axis=-1, keepdims=True)
     a_vals, b_vals = lx.eigenvalues, ly.eigenvalues
     values = np.array([a_vals, b_vals, SPIN1_EIGENVALUE_ORDER, SPIN1_EIGENVALUE_ORDER])
 
-    mx, my, mz, mp = np.moveaxis(np.vecdot(probs, values), -1, 0)
-    mx2, my2 = np.moveaxis(np.vecdot(probs[..., :2, :], values[:2] ** 2), -1, 0)
+    mx, my, mz, mp = np.vecdot(probs, values).T
+    mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
 
     var_x = mx2 - mx**2
     var_y = my2 - my**2
     # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
     # and var(Lx +- Ly) from the Lz and Lp settings
     cov = 0.5 * mp - mx * my
-    a_sh = a_vals - mx[..., None]
-    b_sh = b_vals - my[..., None]
-    px, py = probs[..., 0, :], probs[..., 1, :]
+    a_sh = a_vals - mx[:, None]
+    b_sh = b_vals - my[:, None]
+    px, py = probs[:, 0], probs[:, 1]
     cols = {
         "mean_lx": mx, "mean_ly": my, "mean_lz": mz, "mean_lp": mp,
         "var_lx": var_x, "var_ly": var_y,
@@ -275,40 +277,39 @@ def _sampled_columns(counts, lx, ly, bases):
         "rhs_eq6": rhs_eq6(a_sh, b_sh, px, py),
         "rhs_eq7": rhs_eq7(var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2)[0],
     }
-    cols.update(dict.fromkeys(BASIS_COLUMNS))
 
     # basis-dependent bounds on the plug-in state
-    psi = _state_estimate(probs[..., 2, :], mx)
+    psi = _state_estimate(probs[:, 2], mx)
     abar_psi, bbar_psi = _centre(psi, lx), _centre(psi, ly)
-    for bm, rhs_by_column in bases:
-        bh = bm.conj().T
+    for bh, rhs_by_column in bases:
         pa, pb = np.matvec(bh, abar_psi), np.matvec(bh, bbar_psi)
         for col, rhs in rhs_by_column.items():
             cols[col] = rhs(pa, pb)
-    if n.ndim == 2:
-        return {c: None if v is None or np.isnan(v) else float(v) for c, v in cols.items()}
-    return cols
+    nan = np.full(len(n), np.nan)
+    table = np.array([cols.get(c, nan) for c in VALUE_COLUMNS]).T
+    return table.reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
 
 
 def _propagate_sigmas(counts_flat, column_fn):
     """First-order Poisson error bars via central differences with a
     one-count step, from one ``column_fn`` call on the base vector and the
     +1 and -1 vectors of each nonzero count (a zero count adds nothing).
-    ``column_fn`` gives arrays over that stack, NaN where undefined; a count
-    with an undefined side adds nothing to that column's error bar."""
+    ``column_fn`` maps that stack to a (vectors, columns) table, NaN where
+    undefined.  Returns the base vector's value row and its error-bar row,
+    both NaN where the value is undefined; a count with an undefined side
+    adds nothing to that column's error bar."""
     n = np.asarray(counts_flat, dtype=float)
     nz = np.flatnonzero(n)
-    step = np.eye(n.size)[nz]
-    cols = column_fn(np.vstack([n, n + step, n - step]))
-    names = [col for col, v in cols.items() if v is not None]
-    v = np.array([cols[col] for col in names])
+    k = np.arange(nz.size)
+    stack = np.empty((2 * nz.size + 1, n.size))
+    stack[:] = n
+    stack[1 + k, nz] += 1.0
+    stack[1 + nz.size + k, nz] -= 1.0
+    # one row per column, so each error bar sums along a contiguous row
+    v = np.ascontiguousarray(column_fn(stack).T)
     deriv = (v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0
     sig = np.sqrt(np.nansum(n[nz] * deriv**2, axis=-1))
-    base, sigma = dict.fromkeys(cols), {}
-    for col, b, s in zip(names, v[:, 0], sig):
-        if not np.isnan(b):
-            base[col], sigma[col] = float(b), float(s)
-    return base, sigma
+    return v[:, 0], np.where(np.isnan(v[:, 0]), np.nan, sig)
 
 
 def _status(direction, lhs, rhs):
@@ -346,20 +347,20 @@ def run_sweep(config: SweepConfig):
         values = ideal_table[at[j]].tolist()
         ideal = {c: None if math.isnan(v) else v for c, v in zip(VALUE_COLUMNS, values)} | opt
 
-        sampled_acc, sigma_acc = {}, {}
+        # (columns, trials) value and sigma tables: each mean below sums a
+        # contiguous row, trials in the order they ran
+        vals, sigs = np.empty((2, len(VALUE_COLUMNS), config.trials))
         for trial in range(config.trials):
-            vals, sigs = _propagate_sigmas(
+            vals[:, trial], sigs[:, trial] = _propagate_sigmas(
                 counts[j, trial].ravel(), lambda c: _sampled_columns(c, lx, ly, bases)
             )
-            for col, v in vals.items():
-                if v is None:
-                    continue
-                sampled_acc.setdefault(col, []).append(v)
-                sigma_acc.setdefault(col, []).append(sigs[col])
-        sampled = {c: float(np.mean(v)) for c, v in sampled_acc.items()}
-        sigma = {
-            c: float(np.sqrt(np.mean(np.square(s)) / len(s))) for c, s in sigma_acc.items()
-        }
+        # mean over the k trials that define a column and its error bar
+        # sqrt(mean sigma^2 / k); a column that no trial defines is left out
+        k = np.count_nonzero(~np.isnan(vals), axis=-1)
+        on, k = k > 0, k[k > 0]
+        cols = [c for c, defined in zip(VALUE_COLUMNS, on) if defined]
+        sampled = dict(zip(cols, (np.nansum(vals[on], axis=-1) / k).tolist()))
+        sigma = dict(zip(cols, np.sqrt(np.nansum(sigs[on] ** 2, axis=-1) / k / k).tolist()))
 
         statuses = {
             rid: _status(direction, ideal[lhs], ideal[rhs])
@@ -489,7 +490,8 @@ def _load_rows(path):
     """The sweep rows followed by the dense rows of a JSON dataset as one
     (rows, DATA_COLUMNS) float array, NaN exactly where null or absent and
     inf where non-finite (a NaN literal included); None when the dataset is
-    missing or malformed: no rows, a missing or non-list dense entry, a row
+    missing or malformed: no rows, a missing or non-list dense entry, a j
+    that is not the row's int index in its list, a non-finite theta, a row
     without lhs_prod or lhs_sum, a non-numeric value or a negative sigma."""
     try:
         # a NaN literal reads as inf, so a NaN in the table marks a null cell
@@ -500,19 +502,23 @@ def _load_rows(path):
         return None
     if not isinstance(rows, list) or not rows or not isinstance(dense, list):
         return None
+    index = [*range(len(rows)), *range(len(dense))]
     rows = rows + dense
     if not all(isinstance(row, dict) for row in rows):
         return None
-    cells = [list(map(row.get, DATA_COLUMNS)) for row in rows]
+    j = [row.get("j") for row in rows]
+    if j != index or set(map(type, j)) != {int}:
+        return None
+    cells = [list(map(row.get, CSV_COLUMNS[1:])) for row in rows]
     if not set(map(type, chain.from_iterable(cells))) <= {int, float, type(None)}:
         return None
     try:
-        table = np.array(cells, dtype=float)
+        theta, table = np.hsplit(np.array(cells, dtype=float), [1])
     except OverflowError:  # an integer beyond the float range
         return None
     lhs = table[:, [DATA_COLUMNS.index("lhs_prod"), DATA_COLUMNS.index("lhs_sum")]]
     _, _, sigma = np.hsplit(table, 3)
-    if np.isnan(lhs).any() or (sigma < 0).any():
+    if not np.isfinite(theta).all() or np.isnan(lhs).any() or (sigma < 0).any():
         return None
     return table
 

@@ -135,7 +135,8 @@ class TestConfig:
         assert config_from_file(p).thetas == (0.0,)
 
 
-GOOD_ROW = {"lhs_prod": 0.25, "lhs_sum": 1.0}
+GOOD_ROW = {"j": 0, "theta": 0.0, "lhs_prod": 0.25, "lhs_sum": 1.0}
+NO_J = {k: v for k, v in GOOD_ROW.items() if k != "j"}
 
 
 def _cells(keys, values):
@@ -235,6 +236,12 @@ class TestRunSweep:
         one = run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=1))[0][0]
         nine = run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=9))[0][0]
         assert nine.sigma["mean_lx"] == pytest.approx(one.sigma["mean_lx"] / 3, rel=0.2)
+
+
+_BAD_J_THETA = (
+    {"theta": "abc"}, {"theta": math.nan}, {"theta": [1]}, {"theta": math.inf}, {"theta": None},
+    {"theta": True}, {"j": 1}, {"j": 0.0}, {"j": False}, {"j": "0"}, {"j": None},
+)
 
 
 class TestEmitAndVerify:
@@ -415,6 +422,12 @@ class TestEmitAndVerify:
         {"rows": [GOOD_ROW], "dense": [{"lhs_prod": 0.25, "lhs_sum": 1.0, "rhs_eq7": "2"}]},
         # an integer beyond the float range
         {"rows": [GOOD_ROW | {"rhs_eq1": 10**400}], "dense": []},
+        # a theta that is not a finite number, or a j that is not the row's
+        # int index in its list, in a sweep row or in a dense row
+        *({"rows": [GOOD_ROW | bad], "dense": [GOOD_ROW]} for bad in _BAD_J_THETA),
+        *({"rows": [GOOD_ROW], "dense": [GOOD_ROW | bad]} for bad in _BAD_J_THETA),
+        {"rows": [NO_J], "dense": [GOOD_ROW]}, {"rows": [GOOD_ROW], "dense": [NO_J]},
+        {"rows": [GOOD_ROW, GOOD_ROW], "dense": []}, {"rows": [GOOD_ROW], "dense": [GOOD_ROW, GOOD_ROW]},
     ])
     def test_verify_rejects_malformed_dataset(self, tmp_path, payload):
         bad = tmp_path / "malformed.json"
@@ -476,9 +489,15 @@ def _reference_load_rows(path):
         return None
     if not isinstance(rows, list) or not rows or not isinstance(dense, list):
         return None
+    index = list(range(len(rows))) + list(range(len(dense)))
     rows = rows + dense
-    for row in rows:
+    for i, row in zip(index, rows):
         if not isinstance(row, dict) or row.get("lhs_prod") is None or row.get("lhs_sum") is None:
+            return None
+        j, theta = row.get("j"), row.get("theta")
+        if type(j) is not int or j != i:
+            return None
+        if type(theta) not in (int, float) or not math.isfinite(theta):
             return None
         for col in DATA_COLUMNS:
             v = row.get(col)
@@ -532,7 +551,7 @@ def _corruptions(draw, payload):
         "nan", "inf", "bool", "string", "list", "negative_sigma", "null_lhs",
         "slack", "z", "zero_sigma",
     ]))
-    col = draw(st.sampled_from(("theta",) + DATA_COLUMNS))
+    col = draw(st.sampled_from(("j", "theta") + DATA_COLUMNS))
     value = draw(st.sampled_from(VALUE_COLUMNS))
     ideal = row[value] if row[value] is not None else 0.5
     if how == "nan":
@@ -583,14 +602,23 @@ class TestVerifyMatchesReference:
         assert verify_dataset(path) == _reference_verify(path), (kind, i, cells)
 
 
+COL = {c: i for i, c in enumerate(VALUE_COLUMNS)}
+
+
+def _row_dict(row):
+    """{column: value} of a VALUE_COLUMNS row, without its NaN columns."""
+    return {c: v for c, v in _cells(VALUE_COLUMNS, row).items() if v is not None}
+
+
 class TestPropagateSigmas:
     def test_sigma_of_a_mean_is_poisson(self):
         """For m = sum n_k l_k / N the first-order Poisson error is
         sqrt(var / N); a zero count contributes nothing."""
         counts, values = np.array([300.0, 0.0, 700.0]), np.array([-1.0, 1.0, 0.0])
-        base, sig = sweep._propagate_sigmas(counts, lambda c: {"m": c @ values / c.sum(axis=-1)})
-        var = counts @ (values - base["m"]) ** 2 / counts.sum()
-        assert sig["m"] == pytest.approx(np.sqrt(var / counts.sum()), rel=1e-5)
+        base, sig = sweep._propagate_sigmas(counts, lambda c: (c @ values / c.sum(axis=-1))[:, None])
+        assert base.shape == sig.shape == (1,)
+        var = counts @ (values - base[0]) ** 2 / counts.sum()
+        assert sig[0] == pytest.approx(np.sqrt(var / counts.sum()), rel=1e-5)
 
     def test_undefined_side_adds_nothing(self):
         """A count whose -1 vector leaves a column undefined adds nothing to
@@ -600,32 +628,31 @@ class TestPropagateSigmas:
         def fn(c):
             m = c @ values / c.sum(axis=-1)
             never = np.full(m.shape, np.nan)
-            return {"m": m, "cut": np.where(c[..., 0] < 300, np.nan, m), "never": never, "none": None}
+            return np.stack([m, np.where(c[..., 0] < 300, np.nan, m), never], axis=-1)
 
         base, sig = sweep._propagate_sigmas(counts, fn)
-        assert base == {"m": base["m"], "cut": base["m"], "never": None, "none": None}
-        assert set(sig) == {"m", "cut"}
+        np.testing.assert_array_equal(base, [base[0], base[0], np.nan])
+        assert np.isnan(sig[2]) and np.isfinite(sig[:2]).all()
         m = lambda c: c @ values / c.sum()
         deriv = (m(counts + [0, 0, 1]) - m(counts - [0, 0, 1])) / 2
-        assert sig["cut"] == pytest.approx(np.sqrt(700 * deriv**2), rel=1e-12)
-        assert sig["m"] > sig["cut"]
+        assert sig[1] == pytest.approx(np.sqrt(700 * deriv**2), rel=1e-12)
+        assert sig[0] > sig[1]
 
     def test_empty_setting_leaves_its_columns_undefined(self):
         """A setting with no counts makes undefined exactly the columns that
-        read it: None on one vector, NaN on a batch."""
+        read it: NaN on one vector and on a batch alike."""
         _, bases = sweep._bases(family_state(0.3), LX, LY, OrthonormalBasis.computational(3), False)
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 0, 0, 2, 1, 3])
         one = sweep._sampled_columns(counts, LX, LY, bases)
+        assert one.shape == (len(VALUE_COLUMNS),)
         reads_lz = {"mean_lz", "rhs_eq1", "rhs_eq2_canon", "rhs_eq5_canon"}
         unbased = {"rhs_eq2_opt", "rhs_eq5_opt"}
-        assert {c for c, v in one.items() if v is None} == reads_lz | unbased
-        assert all(np.isfinite(v) for v in one.values() if v is not None)
+        assert set(VALUE_COLUMNS) - set(_row_dict(one)) == reads_lz | unbased
+        assert all(np.isfinite(v) for v in _row_dict(one).values())
         batch = sweep._sampled_columns(np.vstack([counts, counts]), LX, LY, bases)
+        assert batch.shape == (2, len(VALUE_COLUMNS))
         for col in VALUE_COLUMNS:
-            if col in unbased:
-                assert batch[col] is None
-            else:
-                assert np.all(np.isnan(batch[col])) == (col in reads_lz), col
+            assert np.all(np.isnan(batch[:, COL[col]])) == (col in reads_lz | unbased), col
 
     def test_lone_count_still_gets_a_sigma(self):
         """The -1 vector of a lone Lz count empties that setting; it adds
@@ -634,27 +661,87 @@ class TestPropagateSigmas:
         _, bases = sweep._bases(family_state(0.3), LX, LY, OrthonormalBasis.computational(3), False)
         fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
         base, sig = sweep._propagate_sigmas(counts, fn)
-        assert base["lhs_sum"] == pytest.approx(fn(counts)["lhs_sum"], rel=1e-15)
-        assert np.isfinite(sig["lhs_sum"]) and sig["lhs_sum"] > 0
+        i = COL["lhs_sum"]
+        assert base[i] == pytest.approx(fn(counts)[i], rel=1e-15)
+        assert np.isfinite(sig[i]) and sig[i] > 0
+
+
+# the settings each sampled column reads: an empty one leaves it undefined.
+# A basis column reads Lz for the plug-in magnitudes; it also takes the
+# relative sign from <Lx>, but copysign reads the sign bit of a NaN <Lx>, so
+# an empty Lx leaves it defined
+_READS = {
+    "mean_lx": "x", "mean_ly": "y", "mean_lz": "z", "mean_lp": "p",
+    "var_lx": "x", "var_ly": "y", "lhs_prod": "xy", "lhs_sum": "xy",
+    "rhs_eq1": "xyzp", "rhs_eq3": "xy", "rhs_eq4": "xyp", "rhs_eq6": "xy", "rhs_eq7": "xyp",
+    "rhs_eq2_canon": "z", "rhs_eq5_canon": "z",
+}
+
+
+def _eq7_undefined(counts):
+    """eq7's own undefined rule on the sampled variances, from the counts
+    of non-empty Lx, Ly and Lp settings."""
+    px, py, pp = (block / block.sum() for block in counts.reshape(4, 3)[[0, 1, 3]].astype(float))
+    vx, vy, vp = LX.eigenvalues, LY.eigenvalues, np.array(sweep.SPIN1_EIGENVALUE_ORDER)
+    mx, my, mp = px @ vx, py @ vy, pp @ vp
+    var_x, var_y = px @ vx**2 - mx**2, py @ vy**2 - my**2
+    var_amb = px @ vx**2 + py @ vy**2 - mp - (mx - my) ** 2
+    return bool(sweep.rhs_eq7(np.array([var_x]), np.array([var_y]), np.array([var_amb]))[1][0])
+
+
+class TestTableForm:
+    """_sampled_columns gives one float table, in VALUE_COLUMNS order, for
+    one count vector and for a batch alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(
+            st.lists(st.integers(0, 50), min_size=3, max_size=3).map(
+                lambda setting: setting if setting[0] % 4 else [0, 0, 0]  # empty settings often
+            ),
+            min_size=4, max_size=4,
+        ).map(lambda blocks: np.array(blocks).ravel()),
+        others=st.lists(st.lists(st.integers(0, 50), min_size=12, max_size=12), max_size=4),
+        at=st.integers(0, 4),
+        theta=st.sampled_from(theta_grid(11)),
+    )
+    def test_one_vector_is_its_batch_row(self, counts, others, at, theta):
+        """One vector's row equals its row in a batch bit for bit; NaN lies
+        exactly in the columns that read an empty setting, the unbased
+        optimized columns and eq7 where its own rule leaves it undefined."""
+        _, bases = sweep._bases(family_state(theta), LX, LY, OrthonormalBasis.computational(3), False)
+        one = sweep._sampled_columns(counts, LX, LY, bases)
+        batch = np.array(others, dtype=int).reshape(-1, 12)
+        at = min(at, len(batch))
+        table = sweep._sampled_columns(np.insert(batch, at, counts, axis=0), LX, LY, bases)
+        assert one.shape == (len(VALUE_COLUMNS),) and table.shape == (len(batch) + 1, len(VALUE_COLUMNS))
+        assert np.array_equal(one.view(np.uint64), table[at].view(np.uint64))
+
+        empty = {s for s, block in zip("xyzp", counts.reshape(4, 3)) if not block.any()}
+        expected = {c for c, reads in _READS.items() if empty & set(reads)}
+        expected |= {"rhs_eq2_opt", "rhs_eq5_opt"}
+        if not empty & set("xyp") and _eq7_undefined(counts):
+            expected.add("rhs_eq7")
+        assert {c for c in VALUE_COLUMNS if np.isnan(one[COL[c]])} == expected, empty
 
 
 def _loop_propagate_sigmas(counts_flat, column_fn):
     """The per-perturbation loop that _propagate_sigmas replaced, kept as
-    its reference: one scalar column_fn call per +-1 count vector."""
+    its reference: one column_fn call per +-1 count vector."""
     base = column_fn(counts_flat)
-    var = {k: 0.0 for k, v in base.items() if v is not None}
+    var = np.where(np.isnan(base), np.nan, 0.0)
     n = np.asarray(counts_flat, dtype=float)
     for k in np.flatnonzero(n):
         hi, lo = n.copy(), n.copy()
         hi[k] += 1.0
         lo[k] -= 1.0
         up, dn = column_fn(hi), column_fn(lo)
-        for col in var:
-            if up.get(col) is None or dn.get(col) is None:
+        for i in np.flatnonzero(~np.isnan(var)):
+            if np.isnan(up[i]) or np.isnan(dn[i]):
                 continue
-            deriv = (up[col] - dn[col]) / 2.0
-            var[col] += n[k] * deriv**2
-    return base, {col: float(np.sqrt(v)) for col, v in var.items()}
+            deriv = (up[i] - dn[i]) / 2.0
+            var[i] += n[k] * deriv**2
+    return base, np.sqrt(var)
 
 
 class TestBatchedSigmas:
@@ -675,14 +762,14 @@ class TestBatchedSigmas:
                 dark += np.count_nonzero(counts == 0)
                 base, sig = sweep._propagate_sigmas(counts, fn)
                 ref_base, ref_sig = _loop_propagate_sigmas(counts, fn)
-                assert base.keys() == ref_base.keys() and sig.keys() == ref_sig.keys()
-                for col, ref in ref_base.items():
-                    if ref is None:
-                        assert base[col] is None, (theta, seed, col)
-                    else:
-                        assert base[col] == pytest.approx(ref, rel=1e-15, abs=0), (theta, seed, col)
-                for col, ref in ref_sig.items():
-                    assert sig[col] == pytest.approx(ref, rel=1e-10, abs=0), (theta, seed, col)
+                assert base.shape == sig.shape == ref_base.shape == (len(VALUE_COLUMNS),)
+                assert np.array_equal(np.isnan(base), np.isnan(ref_base)), (theta, seed)
+                assert np.array_equal(np.isnan(sig), np.isnan(ref_sig)), (theta, seed)
+                assert np.array_equal(np.isnan(sig), np.isnan(base)), (theta, seed)
+                for col, i in COL.items():
+                    if not np.isnan(ref_base[i]):
+                        assert base[i] == pytest.approx(ref_base[i], rel=1e-15, abs=0), (theta, seed, col)
+                        assert sig[i] == pytest.approx(ref_sig[i], rel=1e-10, abs=0), (theta, seed, col)
         assert dark > 0
 
 
@@ -692,6 +779,29 @@ def _sweep_probabilities(thetas):
     return np.stack([projection_probabilities(amps, settings[n]) for n in sweep.SETTING_NAMES], -2)
 
 
+def _trial_counts(cfg):
+    """The (rows, trials, 4, 3) counts of a sweep, drawn as run_sweep draws them."""
+    shape = (len(cfg.thetas), cfg.trials, 4, 3)
+    probs = np.broadcast_to(_sweep_probabilities(cfg.thetas)[:, None], shape)
+    return sample_counts(probs, cfg.counts, cfg.seed)
+
+
+def _dict_trial_means(trials):
+    """The per-trial dict accumulation that run_sweep's (columns, trials)
+    tables replaced, kept as their reference: ``trials`` holds each trial's
+    (value, sigma) rows; returns the {column: mean} and {column: error bar
+    of the mean} dicts over the trials that define a column."""
+    sampled_acc, sigma_acc = {}, {}
+    for base, sig in trials:
+        vals, sigs = _row_dict(base), _row_dict(sig)
+        for col, v in vals.items():
+            sampled_acc.setdefault(col, []).append(v)
+            sigma_acc.setdefault(col, []).append(sigs[col])
+    sampled = {c: float(np.mean(v)) for c, v in sampled_acc.items()}
+    sigma = {c: float(np.sqrt(np.mean(np.square(s)) / len(s))) for c, s in sigma_acc.items()}
+    return sampled, sigma
+
+
 class TestTrials:
     def test_trials_keep_their_draws(self):
         """Trial t of row j reads counts[j, t] of one (rows, trials, 4, 3)
@@ -699,23 +809,46 @@ class TestTrials:
         and the error bar of that mean."""
         cfg = SweepConfig(seed=4, trials=3)
         rows, _, _ = run_sweep(cfg)
-        shape = (len(cfg.thetas), cfg.trials, 4, 3)
-        probs = np.broadcast_to(_sweep_probabilities(cfg.thetas)[:, None], shape)
-        counts = sample_counts(probs, cfg.counts, cfg.seed)
+        counts = _trial_counts(cfg)
         basis = OrthonormalBasis.computational(3)
         for j, row in enumerate(rows):
             _, bases = sweep._bases(family_state(row.theta), LX, LY, basis, False)
             fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
-            cols = {col for base, _ in trials for col, v in base.items() if v is not None}
-            assert set(row.sampled) == cols
+            defined = [~np.isnan(base) for base, _ in trials]
+            cols = {col for d in defined for col, i in COL.items() if d[i]}
+            assert set(row.sampled) == set(row.sigma) == cols
             for col in cols:
-                vals = [base[col] for base, _ in trials if base[col] is not None]
-                sigs = np.array([sig[col] for _, sig in trials if col in sig])
+                i = COL[col]
+                vals = [base[i] for base, _ in trials if not np.isnan(base[i])]
+                sigs = np.array([sig[i] for _, sig in trials if not np.isnan(sig[i])])
                 assert row.sampled[col] == pytest.approx(np.mean(vals), rel=1e-15, abs=0), (j, col)
                 assert row.sigma[col] == pytest.approx(
                     np.sqrt(np.mean(sigs**2) / sigs.size), rel=1e-15, abs=0
                 ), (j, col)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_column_undefined_in_some_trials(self, seed):
+        """At one count per setting whole settings count zero in some
+        trials; a column is averaged over the trials that define it, as the
+        per-trial dict accumulation did."""
+        cfg = SweepConfig(counts=1, trials=6, seed=seed)
+        rows, _, _ = run_sweep(cfg)
+        counts = _trial_counts(cfg)
+        basis = OrthonormalBasis.computational(3)
+        partial = 0
+        for j, row in enumerate(rows):
+            _, bases = sweep._bases(family_state(row.theta), LX, LY, basis, False)
+            fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
+            trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(cfg.trials)]
+            defined = np.array([~np.isnan(base) for base, _ in trials]).sum(axis=0)
+            partial += np.count_nonzero((defined > 0) & (defined < cfg.trials))
+            sampled, sigma = _dict_trial_means(trials)
+            assert row.sampled.keys() == sampled.keys() and row.sigma.keys() == sigma.keys()
+            for col, ref in sampled.items():
+                assert row.sampled[col] == pytest.approx(ref, rel=1e-15, abs=0), (j, col)
+                assert row.sigma[col] == pytest.approx(sigma[col], rel=1e-12, abs=0), (j, col)
+        assert partial > 0
 
     @pytest.mark.parametrize("trials", [1, 4])
     def test_probabilities_once_per_setting_and_row(self, monkeypatch, trials):
@@ -852,7 +985,8 @@ class TestWrittenOnce:
             sampled = sweep._sampled_columns(
                 _noise_free_counts(state, 10_000), LX, LY, bases
             )
-            assert set(sampled) == set(VALUE_COLUMNS)
+            assert sampled.shape == (len(VALUE_COLUMNS),)
+            sampled = _cells(VALUE_COLUMNS, sampled)
             for col in VALUE_COLUMNS:
                 if ideal[col] is None:
                     assert sampled[col] is None, (theta, col)
