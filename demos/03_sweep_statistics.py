@@ -9,25 +9,24 @@ that the optimized basis-dependent bounds dominate the computational-basis
 ones.
 """
 
-import numpy as np
-
 from varbound import SweepConfig, run_sweep
-from varbound.sweep import build_report
+from varbound.sweep import CSV_COLUMNS
 
 config = SweepConfig(counts=10_000, seed=7, optimize_basis=True)
-rows, report, _ = run_sweep(config)
+table, report, _ = run_sweep(config)
+j, theta, v, s, w, t, canon, opt = (
+    table[:, CSV_COLUMNS.index(c)]
+    for c in ("j", "theta", "sampled_lhs_sum", "sigma_lhs_sum", "sampled_rhs_eq7",
+              "sigma_rhs_eq7", "rhs_eq2_canon", "rhs_eq2_opt")
+)
 
 print("j  theta    sum lhs (sampled)      reverse rhs (sampled)")
-for r in rows:
-    v, s = r.sampled["lhs_sum"], r.sigma["lhs_sum"]
-    w, t = r.sampled["rhs_eq7"], r.sigma["rhs_eq7"]
-    print(f"{r.j:2d} {r.theta:.4f}  {v:.5f} +- {s:.5f}      {w:.5f} +- {t:.5f}")
+for row in zip(j.astype(int), theta, v, s, w, t):
+    print("{:2d} {:.4f}  {:.5f} +- {:.5f}      {:.5f} +- {:.5f}".format(*row))
 
 print("\nOptimized vs computational-basis bounds (variance product):")
-for r in rows:
-    gain = r.ideal["rhs_eq2_opt"] - r.ideal["rhs_eq2_canon"]
-    print(f"  theta={r.theta:.4f}: canonical {r.ideal['rhs_eq2_canon']:.6f}"
-          f"  optimized {r.ideal['rhs_eq2_opt']:.6f}  (gain {gain:+.6f})")
+for th, c, o in zip(theta, canon, opt):
+    print(f"  theta={th:.4f}: canonical {c:.6f}  optimized {o:.6f}  (gain {o - c:+.6f})")
 
-print(f"\nverdict: {'ok' if build_report(rows).ok else 'VIOLATION'}"
+print(f"\nverdict: {'ok' if report.ok else 'VIOLATION'}"
       f"  worst forward slack = {report.worst_slack:.3e}")

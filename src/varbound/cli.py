@@ -68,13 +68,13 @@ def main(argv=None):
     try:
         if args.command == "sweep":
             config = _sweep_config(args)
-            rows, report, dense_rows = run_sweep(config)
-            written = emit(rows, report, config, dense_rows)
+            table, report, dense = run_sweep(config)
+            written = emit(table, report, config, dense)
             for path in written:
                 print(f"wrote {path}")
-            for row in rows:
-                flags = " ".join(f"{k}:{v}" for k, v in sorted(row.statuses.items()))
-                print(f"j={row.j:2d} theta={row.theta:.4f}  {flags}")
+            for (j, theta), statuses in zip(table[:, :2].tolist(), report.statuses):
+                flags = " ".join(f"{k}:{v}" for k, v in sorted(statuses.items()))
+                print(f"j={int(j):2d} theta={theta:.4f}  {flags}")
             print("verdict:", "ok" if report.ok else "VIOLATION")
             return 0 if report.ok else 1
         if args.command == "verify":

@@ -2,15 +2,17 @@
 family, both ideally and through the simulated measurement pipeline, and
 emit figure-ready CSV/JSON datasets with a machine-readable verdict.
 
-The ideal columns of the sweep points and of the dense grid, and so the
-rows' statuses, come from one ``evaluate_states`` call over the merged
-grid.  The dense grid stays one float table, NaN where a value is undefined
-or not computed, from that call to the files: ``emit`` turns it and the
-sweep rows into records, keys already in sorted order, with one function
-for both formats, and writes ``sweep.json`` as compact JSON that records
-the Python and numpy versions.  ``verify`` reads both back as one table, in
-which NaN marks exactly the null cells, and re-checks sweep and dense rows
-alike, each check as one array expression over all rows.
+The sweep points and the dense grid are each one (points, CSV_COLUMNS)
+float table, NaN where a value is undefined or not computed, from
+``run_sweep`` to the files; their ideal columns come from one
+``evaluate_states`` call over the merged grid.  ``emit`` turns both tables
+into records, keys already in sorted order, with one function for both
+formats, and writes ``sweep.json`` as compact JSON that records the Python
+and numpy versions.  One function, ``build_report``, gives the verdict from
+the two tables: the relation statuses, the worst slack and the z-scores of
+the sweep rows, and ``ok`` over sweep and dense rows alike, each check one
+array expression.  ``verify`` reads a dataset back as the same two tables,
+NaN exactly where a cell is null, and passes them to the same function.
 
 The counts of every (row, trial, setting) are drawn in one call from one
 generator seeded by the config seed.  Every sampled quantity is estimated
@@ -21,9 +23,8 @@ standard-deviation Poisson error bars to first order by one-count central
 differences through the full column formula, all perturbed count vectors
 of a trial in one call.  Each row reduces its (columns, trials) value and
 sigma tables once: the mean over the k trials that define a column, and
-sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the report
-and ``verify`` when it lies off its ideal value by more than the slack
-tolerance.
+sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
+when it lies off its ideal value by more than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ DATA_COLUMNS = (
 )
 CSV_COLUMNS = ("j", "theta") + DATA_COLUMNS
 
-# (relation, lhs column, rhs column, direction) for every checked column;
-# the report's slacks and verify_dataset both read this table.
+# (relation, lhs column, rhs column, direction) for every checked column
 RELATIONS = (
     ("eq1", "lhs_prod", "rhs_eq1", "lower"),
     ("eq2", "lhs_prod", "rhs_eq2_canon", "lower"),
@@ -92,6 +92,8 @@ RELATIONS = (
     ("eq6", "lhs_sum", "rhs_eq6", "lower"),
     ("eq7", "lhs_sum", "rhs_eq7", "upper"),
 )
+# the report's statuses name the computational-basis ones
+STATUS_RELATIONS = [i for i, (_, _, rhs, _) in enumerate(RELATIONS) if not rhs.endswith("_opt")]
 
 SETTING_NAMES = ("Lx", "Ly", "Lz", "Lp")
 DEFAULT_Z_LIMIT = 5.0
@@ -187,16 +189,6 @@ def config_from_file(path) -> SweepConfig:
 
 
 @dataclass
-class DatasetRow:
-    j: int
-    theta: float
-    ideal: dict
-    sampled: dict
-    sigma: dict
-    statuses: dict
-
-
-@dataclass
 class VerificationReport:
     statuses: list  # per row: {relation: status}
     worst_slack: float
@@ -235,10 +227,12 @@ def _bases(state, lx, ly, basis, optimize):
 def _state_estimate(lz_probs, mean_lx):
     """Normalized plug-in amplitudes, up to a global sign, of a family state
     (cos t, -sin t, 0) from the counts alone: magnitudes from the identity-
-    routing setting, the relative sign from <Lx> = -sqrt(2) cos t sin t."""
+    routing setting, the relative sign from <Lx> = -sqrt(2) cos t sin t.
+    NaN when either is undefined."""
     # Lz outcomes are in eigenvalue order (-1, 1, 0) -> basis states (e3, e1, e2)
     amp = np.sqrt(lz_probs[..., [1, 2, 0]])
-    amp[..., 1] = np.copysign(amp[..., 1], mean_lx)
+    # copysign would read the sign bit of a NaN <Lx>
+    amp[..., 1] = np.where(np.isnan(mean_lx), np.nan, np.copysign(amp[..., 1], mean_lx))
     return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
 
 
@@ -312,26 +306,16 @@ def _propagate_sigmas(counts_flat, column_fn):
     return v[:, 0], np.where(np.isnan(v[:, 0]), np.nan, sig)
 
 
-def _status(direction, lhs, rhs):
-    """undefined, violated, tight or satisfied, to the relation's tolerance."""
-    if rhs is None:
-        return "undefined"
-    margin, tol = slack(direction, lhs, rhs), _slack_tol(lhs, rhs)
-    if margin < -tol:
-        return "violated"
-    return "tight" if abs(margin) <= tol else "satisfied"
-
-
 def run_sweep(config: SweepConfig):
-    """Evaluate the full sweep; returns (rows, report, dense), ``dense`` the
-    dense grid (no points without ``config.dense``) as one (points,
-    CSV_COLUMNS) float table, NaN where undefined or not computed.  Its
-    ideal columns and the sweep rows' come from one kernel call."""
+    """Evaluate the full sweep; returns (table, report, dense): the sweep
+    points and the dense grid (no points without ``config.dense``), each as
+    one (points, CSV_COLUMNS) float table, NaN where undefined or not
+    computed.  Their ideal columns come from one kernel call."""
     lx, ly, lz, lp = builtin_spin1()
     basis = OrthonormalBasis.computational(3)
     settings = builtin_settings()
-    dense = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
-    grid = np.array(sorted(set(config.thetas) | set(dense)))
+    dense_thetas = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
+    grid = np.array(sorted(set(config.thetas) | set(dense_thetas)))
     ideal_table = _ideal_table(family_amplitudes(grid), lx, ly, lz, lp, basis)
 
     # (rows, trials, 4 settings, 3 outcomes) counts from one generator
@@ -340,12 +324,14 @@ def run_sweep(config: SweepConfig):
     shape = (len(config.thetas), config.trials, 4, 3)
     counts = sample_counts(np.broadcast_to(probs[:, None], shape), config.counts, config.seed)
 
-    rows = []
-    at = np.searchsorted(grid, config.thetas)
+    table = np.full((len(config.thetas), len(CSV_COLUMNS)), np.nan)
+    table[:, 0], table[:, 1] = np.arange(len(table)), config.thetas
+    ideal, sampled, sigma = np.hsplit(table[:, 2:], 3)  # views into table
+    ideal[:] = ideal_table[np.searchsorted(grid, config.thetas)]
     for j, theta in enumerate(config.thetas):
         opt, bases = _bases(family_state(theta), lx, ly, basis, config.optimize_basis)
-        values = ideal_table[at[j]].tolist()
-        ideal = {c: None if math.isnan(v) else v for c, v in zip(VALUE_COLUMNS, values)} | opt
+        for col, v in opt.items():
+            ideal[j, VALUE_COLUMNS.index(col)] = v
 
         # (columns, trials) value and sigma tables: each mean below sums a
         # contiguous row, trials in the order they ran
@@ -355,69 +341,53 @@ def run_sweep(config: SweepConfig):
                 counts[j, trial].ravel(), lambda c: _sampled_columns(c, lx, ly, bases)
             )
         # mean over the k trials that define a column and its error bar
-        # sqrt(mean sigma^2 / k); a column that no trial defines is left out
+        # sqrt(mean sigma^2 / k); a column that no trial defines stays NaN
         k = np.count_nonzero(~np.isnan(vals), axis=-1)
-        on, k = k > 0, k[k > 0]
-        cols = [c for c, defined in zip(VALUE_COLUMNS, on) if defined]
-        sampled = dict(zip(cols, (np.nansum(vals[on], axis=-1) / k).tolist()))
-        sigma = dict(zip(cols, np.sqrt(np.nansum(sigs[on] ** 2, axis=-1) / k / k).tolist()))
+        with np.errstate(invalid="ignore"):
+            sampled[j] = np.nansum(vals, axis=-1) / k
+            sigma[j] = np.sqrt(np.nansum(sigs**2, axis=-1) / k / k)
 
-        statuses = {
-            rid: _status(direction, ideal[lhs], ideal[rhs])
-            for rid, lhs, rhs, direction in RELATIONS
-            if rhs not in ("rhs_eq2_opt", "rhs_eq5_opt")
-        }
-        rows.append(DatasetRow(j=j, theta=float(theta), ideal=ideal,
-                               sampled=sampled, sigma=sigma, statuses=statuses))
-
-    report = build_report(rows)
     # dense curves cover the figure panels: ideal columns only, and the
     # optimized-basis columns are only produced for the sweep points
     n = len(grid) if config.dense > 0 else 0
     nan = np.full((n, 2 * len(VALUE_COLUMNS)), np.nan)
-    return rows, report, np.column_stack([np.arange(n), grid[:n], ideal_table[:n], nan])
+    dense = np.column_stack([np.arange(n), grid[:n], ideal_table[:n], nan])
+    return table, build_report(table, dense), dense
 
 
-def build_report(rows, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
-    statuses = [r.statuses for r in rows]
-    worst = min(
-        (min((s for s, _ in _slacks(r.ideal)), default=np.inf) for r in rows),
-        default=np.inf,
-    )
-    z_scores = []
-    ok = True
-    for r in rows:
-        zs = {}
-        for col, v in r.sampled.items():
-            ideal = r.ideal.get(col)
-            sig = r.sigma.get(col, 0.0)
-            if ideal is None or sig is None:
-                continue
-            if sig > 0:
-                zs[col] = (v - ideal) / sig
-                if abs(zs[col]) > z_limit:
-                    ok = False
-            elif abs(v - ideal) > _slack_tol(v, ideal):
-                ok = False
-        z_scores.append(zs)
-        if "violated" in r.statuses.values():
-            ok = False
+def build_report(table, dense=None, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
+    """The verdict on a (rows, DATA_COLUMNS) or (rows, CSV_COLUMNS) float
+    table, NaN where a cell is undefined, and on the ``dense`` rows of the
+    same form, if given.  Statuses (undefined, violated, tight or satisfied,
+    to the slack tolerance), the worst slack and the z-scores cover
+    ``table``'s rows.  ``ok`` fails when any row violates a relation column,
+    the optimized-basis ones included, or holds a sampled column with
+    |value - ideal| / sigma > ``z_limit``, or with zero sigma and off its
+    ideal value by more than the slack tolerance."""
+    cells = table if dense is None else np.vstack([table, dense])
+    ideal, sampled, sigma = np.hsplit(cells[:, -len(DATA_COLUMNS):], 3)
+    col = dict(zip(VALUE_COLUMNS, ideal.T))
+    margin = np.array([slack(d, col[lhs], col[rhs]) for _, lhs, rhs, d in RELATIONS]).T
+    tol = np.array([_slack_tol(col[lhs], col[rhs]) for _, lhs, rhs, _ in RELATIONS]).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (sampled - ideal) / sigma
+    scored = (sigma > 0) & ~np.isnan(z)
+    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal))
+    ok = not ((margin < -tol).any() or (abs(z[scored]) > z_limit).any() or zero_off.any())
+    n = len(table)
+    m, t = margin[:n, STATUS_RELATIONS], tol[:n, STATUS_RELATIONS]
+    status = np.select([np.isnan(m), m < -t, abs(m) <= t], ["undefined", "violated", "tight"],
+                       "satisfied")
+    names = [RELATIONS[i][0] for i in STATUS_RELATIONS]
     return VerificationReport(
-        statuses=statuses,
-        worst_slack=float(worst) if np.isfinite(worst) else float("inf"),
-        z_scores=z_scores,
+        statuses=[dict(zip(names, row)) for row in status.tolist()],
+        worst_slack=float(np.fmin.reduce(margin[:n], axis=None, initial=np.inf)),
+        z_scores=[
+            {c: v for c, v, on in zip(VALUE_COLUMNS, zs, ons) if on}
+            for zs, ons in zip(z[:n].tolist(), scored[:n].tolist())
+        ],
         ok=ok,
     )
-
-
-def _slacks(values):
-    """(slack, tolerance) of every relation column in ``values`` that has
-    an rhs."""
-    return [
-        (slack(direction, values[lhs], values[rhs]), _slack_tol(values[lhs], values[rhs]))
-        for _, lhs, rhs, direction in RELATIONS
-        if values.get(rhs) is not None
-    ]
 
 
 def _records(table, statuses=None):
@@ -433,16 +403,13 @@ def _records(table, statuses=None):
     return [dict(zip(sorted_keys, rec)) for rec in cells[:, order].tolist()]
 
 
-def emit(rows, report, config: SweepConfig, dense=()):
-    """Write CSV/JSON datasets of the sweep rows and of the dense
-    (points, CSV_COLUMNS) table from ``run_sweep``; returns the list of
-    written paths."""
+def emit(table, report, config: SweepConfig, dense=()):
+    """Write CSV/JSON datasets of the sweep and dense (points, CSV_COLUMNS)
+    tables from ``run_sweep``, each sweep row with its entry of
+    ``report.statuses``; returns the list of written paths."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = np.array([
-        [r.j, r.theta, *(d.get(c) for d in (r.ideal, r.sampled, r.sigma) for c in VALUE_COLUMNS)]
-        for r in rows], dtype=float)
-    records = _records(table, [r.statuses for r in rows])
+    records = _records(table, report.statuses)
     dense_records = _records(np.reshape(dense, (-1, len(CSV_COLUMNS))))
     written = []
     if "csv" in config.formats:
@@ -487,9 +454,9 @@ def _write_csv(path, records):
 
 
 def _load_rows(path):
-    """The sweep rows followed by the dense rows of a JSON dataset as one
-    (rows, DATA_COLUMNS) float array, NaN exactly where null or absent and
-    inf where non-finite (a NaN literal included); None when the dataset is
+    """The sweep rows and the dense rows of a JSON dataset as two (rows,
+    DATA_COLUMNS) float arrays, NaN exactly where null or absent and inf
+    where non-finite (a NaN literal included); None when the dataset is
     missing or malformed: no rows, a missing or non-list dense entry, a j
     that is not the row's int index in its list, a non-finite theta, a row
     without lhs_prod or lhs_sum, a non-numeric value or a negative sigma."""
@@ -520,25 +487,16 @@ def _load_rows(path):
     _, _, sigma = np.hsplit(table, 3)
     if not np.isfinite(theta).all() or np.isnan(lhs).any() or (sigma < 0).any():
         return None
-    return table
+    return np.vsplit(table, [len(payload["rows"])])
 
 
 def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
-    """Re-check a written JSON dataset, sweep and dense rows alike, each
-    check over the whole table at once; returns a process exit status:
-    0 ok, 1 violation or non-finite value, 2 missing or malformed.  A
-    sampled column with zero sigma must match its ideal value to the
-    slack tolerance."""
-    table = _load_rows(path)
-    if table is None:
+    """Re-check a written JSON dataset, sweep and dense rows alike, with
+    :func:`build_report`; returns a process exit status: 0 ok, 1 violation
+    or non-finite value, 2 missing or malformed."""
+    tables = _load_rows(path)
+    if tables is None:
         return 2
-    if np.isinf(table).any():
+    if any(np.isinf(t).any() for t in tables):
         return 1
-    ideal, sampled, sigma = np.hsplit(table, 3)
-    col = dict(zip(VALUE_COLUMNS, ideal.T))
-    for _, lhs, rhs, direction in RELATIONS:
-        if (slack(direction, col[lhs], col[rhs]) < -_slack_tol(col[lhs], col[rhs])).any():
-            return 1
-    dev = abs(sampled - ideal)
-    off = np.where(sigma > 0, dev > z_limit * sigma, (sigma == 0) & (dev > _slack_tol(sampled, ideal)))
-    return int(off.any())
+    return 0 if build_report(*tables, z_limit=z_limit).ok else 1

@@ -16,11 +16,16 @@ from varbound.photonics import (
     projection_probabilities,
     sample_counts,
 )
-from varbound.sweep import SweepConfig, run_sweep
+from varbound.sweep import CSV_COLUMNS, VALUE_COLUMNS, SweepConfig, run_sweep
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
 SWEEP_THETAS = [j * np.pi / 10 for j in range(11)]
+
+
+def _cells(row):
+    """{column: value} of one sweep table row, None where the row holds NaN."""
+    return {c: None if np.isnan(v) else v for c, v in zip(CSV_COLUMNS, row.tolist(), strict=True)}
 
 
 def _verdict(num, ok, detail):
@@ -51,17 +56,17 @@ def test_criterion_1_reverse_bound_anchors():
         np.pi / 2: (0.05 * dark_spread, 5.0 * dark_spread),
         np.pi: (0.005, 0.03),
     }
-    rows, _, _ = run_sweep(SweepConfig(thetas=tuple(anchors), counts=counts))
+    table, _, _ = run_sweep(SweepConfig(thetas=tuple(anchors), counts=counts))
     sampled_ok = True
     details = []
-    for row, expected, (lo, hi) in zip(rows, anchors.values(), windows.values()):
+    for row, expected, (lo, hi) in zip(map(_cells, table), anchors.values(), windows.values()):
         for col in ("lhs_sum", "rhs_eq7"):
-            v, s = row.sampled[col], row.sigma[col]
+            v, s = row[f"sampled_{col}"], row[f"sigma_{col}"]
             within = abs(v - expected) <= 3 * s
             in_window = lo <= s <= hi
             sampled_ok &= within and in_window
             if not (within and in_window):
-                details.append(f"theta={row.theta:.3f} {col}={v:.5f} sigma={s:.2e}")
+                details.append(f"theta={row['theta']:.3f} {col}={v:.5f} sigma={s:.2e}")
     elapsed = time.perf_counter() - t0
     _verdict(
         1,
@@ -128,19 +133,19 @@ def test_criterion_5_statistical_calibration():
     theta = 0.35 * np.pi
     inside = total = 0
     for seed in range(100):
-        rows, _, _ = run_sweep(SweepConfig(thetas=(theta,), counts=10_000, seed=seed))
-        r = rows[0]
-        for col, v in r.sampled.items():
-            ideal, sig = r.ideal.get(col), r.sigma[col]
-            if ideal is None or sig <= 0:
+        table, _, _ = run_sweep(SweepConfig(thetas=(theta,), counts=10_000, seed=seed))
+        r = _cells(table[0])
+        for col in VALUE_COLUMNS:
+            v, ideal, sig = r[f"sampled_{col}"], r[col], r[f"sigma_{col}"]
+            if v is None or ideal is None or sig <= 0:
                 continue
             total += 1
             inside += abs(v - ideal) <= 2 * sig
     coverage = inside / total
     sigmas = {}
     for n in (10**3, 10**4, 10**5):
-        rows, _, _ = run_sweep(SweepConfig(thetas=(theta,), counts=n, seed=1))
-        sigmas[n] = rows[0].sigma["mean_lx"]
+        table, _, _ = run_sweep(SweepConfig(thetas=(theta,), counts=n, seed=1))
+        sigmas[n] = _cells(table[0])["sigma_mean_lx"]
     scale_ok = all(
         abs(sigmas[n] / sigmas[10 * n] / np.sqrt(10) - 1) < 0.2 for n in (10**3, 10**4)
     )
@@ -195,11 +200,12 @@ def _family_eq3(theta):
 
 
 def test_criterion_7_figure_orderings():
-    rows, _, _ = run_sweep(SweepConfig(counts=100))
+    table, _, _ = run_sweep(SweepConfig(counts=100))
+    rows = [_cells(row) for row in table]
     # orderings that hold for every state, by the triangle inequality
-    eq2_vs_eq1 = [r.ideal["rhs_eq2_canon"] - r.ideal["rhs_eq1"] for r in rows]
-    eq5_vs_eq4 = [r.ideal["rhs_eq5_canon"] - r.ideal["rhs_eq4"] for r in rows]
-    eq6_vs_eq4 = [r.ideal["rhs_eq6"] - r.ideal["rhs_eq4"] for r in rows]
+    eq2_vs_eq1 = [r["rhs_eq2_canon"] - r["rhs_eq1"] for r in rows]
+    eq5_vs_eq4 = [r["rhs_eq5_canon"] - r["rhs_eq4"] for r in rows]
+    eq6_vs_eq4 = [r["rhs_eq6"] - r["rhs_eq4"] for r in rows]
     ok_21 = all(d >= -1e-9 for d in eq2_vs_eq1)
     ok_54 = all(d >= -1e-9 for d in eq5_vs_eq4)
     ok_64 = all(d >= -1e-9 for d in eq6_vs_eq4)
@@ -209,19 +215,19 @@ def test_criterion_7_figure_orderings():
     closed_ok = signs_ok = True
     for r in rows:
         forms = {
-            "rhs_eq1": _family_eq1(r.theta),
-            "rhs_eq2_canon": _family_eq2_canon(r.theta),
-            "rhs_eq3": _family_eq3(r.theta),
+            "rhs_eq1": _family_eq1(r["theta"]),
+            "rhs_eq2_canon": _family_eq2_canon(r["theta"]),
+            "rhs_eq3": _family_eq3(r["theta"]),
         }
-        closed_ok &= all(abs(r.ideal[col] - v) <= 1e-12 for col, v in forms.items())
+        closed_ok &= all(abs(r[col] - v) <= 1e-12 for col, v in forms.items())
         for other in ("rhs_eq1", "rhs_eq2_canon"):
             expected = forms["rhs_eq3"] - forms[other]
-            got = r.ideal["rhs_eq3"] - r.ideal[other]
+            got = r["rhs_eq3"] - r[other]
             if abs(expected) <= 1e-9:
                 signs_ok &= abs(got) <= 1e-9
             else:
                 signs_ok &= np.sign(got) == np.sign(expected)
-    eq3_vs_eq1 = [r.ideal["rhs_eq3"] - r.ideal["rhs_eq1"] for r in rows]
+    eq3_vs_eq1 = [r["rhs_eq3"] - r["rhs_eq1"] for r in rows]
     _verdict(
         7,
         ok_21 and ok_54 and ok_64 and closed_ok and signs_ok,

@@ -3,6 +3,7 @@
 import json
 import math
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varbound.sweep as sweep
-from varbound.basis_search import OptimizerConfig
+from varbound.basis_search import OptimizerConfig, haar_basis
 from varbound.bounds import OrthonormalBasis, _slack_tol, evaluate_all
 from varbound.cli import main
 from varbound.hermitian import (
@@ -144,6 +145,22 @@ def _cells(keys, values):
     return {k: None if math.isnan(v) else v for k, v in zip(keys, values.tolist(), strict=True)}
 
 
+def _split(row):
+    """The ideal {column: value or None}, and the sampled and sigma {column:
+    value} of the defined cells, of one (CSV_COLUMNS) sweep row."""
+    cells = _cells(CSV_COLUMNS, row)
+    ideal = {c: cells[c] for c in VALUE_COLUMNS}
+    sampled, sigma = (
+        {c: cells[p + c] for c in VALUE_COLUMNS if cells[p + c] is not None}
+        for p in ("sampled_", "sigma_")
+    )
+    return ideal, sampled, sigma
+
+
+def _col(name):
+    return CSV_COLUMNS.index(name)
+
+
 @pytest.fixture(scope="module")
 def default_run():
     return run_sweep(SweepConfig(counts=4000, dense=20))
@@ -153,17 +170,17 @@ def default_run():
 def emitted(tmp_path_factory):
     out = tmp_path_factory.mktemp("emit")
     cfg = SweepConfig(counts=4000, dense=10, out_dir=str(out))
-    rows, report, dense = run_sweep(cfg)
-    paths = emit(rows, report, cfg, dense)
+    table, report, dense = run_sweep(cfg)
+    paths = emit(table, report, cfg, dense)
     return out, paths
 
 
 class TestRunSweep:
     def test_row_count_and_thetas(self, default_run):
-        rows, _, dense = default_run
-        assert len(rows) == 11
-        assert [r.j for r in rows] == list(range(11))
-        assert rows[5].theta == pytest.approx(np.pi / 2)
+        table, _, dense = default_run
+        assert table.shape == (11, len(CSV_COLUMNS))
+        assert table[:, 0].tolist() == list(range(11))
+        assert table[5, 1] == pytest.approx(np.pi / 2)
         assert len(dense) >= 21
 
     def test_no_violations_in_default_run(self, default_run):
@@ -174,24 +191,25 @@ class TestRunSweep:
             assert "violated" not in statuses.values()
 
     def test_reverse_bound_undefined_at_endpoints_only_when_degenerate(self, default_run):
-        rows, _, _ = default_run
-        for r in rows:
-            assert r.statuses["eq7"] in ("tight", "satisfied")
+        _, report, _ = default_run
+        for statuses in report.statuses:
+            assert statuses["eq7"] in ("tight", "satisfied")
 
     def test_sampled_columns_have_sigmas(self, default_run):
-        rows, _, _ = default_run
-        for r in rows:
-            for col, v in r.sampled.items():
+        table, _, _ = default_run
+        for row in table:
+            _, sampled, sigma = _split(row)
+            for col, v in sampled.items():
                 assert np.isfinite(v)
-                assert col in r.sigma and r.sigma[col] >= 0.0
+                assert col in sigma and sigma[col] >= 0.0
 
     def test_dense_rows_agree_at_shared_thetas(self, default_run):
-        rows, _, dense = default_run
+        table, _, dense = default_run
         by_theta = {round(d["theta"], 12): d for d in (_cells(CSV_COLUMNS, d) for d in dense)}
-        for r in rows:
-            d = by_theta[round(r.theta, 12)]
+        for r in (_cells(CSV_COLUMNS, row) for row in table):
+            d = by_theta[round(r["theta"], 12)]
             for col in ("var_lx", "var_ly", "rhs_eq1", "rhs_eq3", "rhs_eq4", "rhs_eq6"):
-                assert d[col] == pytest.approx(r.ideal[col], abs=1e-12)
+                assert d[col] == pytest.approx(r[col], abs=1e-12)
 
     def test_ideal_columns_from_one_kernel_call(self, monkeypatch):
         """The sweep points and the dense grid, which holds them, get their
@@ -204,7 +222,7 @@ class TestRunSweep:
             return _fn(psi, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "evaluate_states", counted)
-        rows, _, dense = run_sweep(SweepConfig(counts=2000, dense=50))
+        _, _, dense = run_sweep(SweepConfig(counts=2000, dense=50))
         assert calls == [(len(dense), 3)] and len(dense) >= 51
         assert dense.shape == (len(dense), len(CSV_COLUMNS))
         for d in (_cells(CSV_COLUMNS, d) for d in dense):
@@ -226,16 +244,16 @@ class TestRunSweep:
             assert all(d[col] is None for col in DATA_COLUMNS[len(VALUE_COLUMNS):])
 
     def test_optimized_columns_present_when_requested(self):
-        rows, _, _ = run_sweep(SweepConfig(thetas=(0.3,), counts=2000, optimize_basis=True))
-        r = rows[0]
-        assert r.ideal["rhs_eq2_opt"] >= r.ideal["rhs_eq2_canon"] - 1e-12
-        assert r.ideal["rhs_eq5_opt"] >= r.ideal["rhs_eq5_canon"] - 1e-12
-        assert "rhs_eq2_opt" in r.sampled and "rhs_eq5_opt" in r.sampled
+        table, _, _ = run_sweep(SweepConfig(thetas=(0.3,), counts=2000, optimize_basis=True))
+        ideal, sampled, _ = _split(table[0])
+        assert ideal["rhs_eq2_opt"] >= ideal["rhs_eq2_canon"] - 1e-12
+        assert ideal["rhs_eq5_opt"] >= ideal["rhs_eq5_canon"] - 1e-12
+        assert "rhs_eq2_opt" in sampled and "rhs_eq5_opt" in sampled
 
     def test_trials_reduce_reported_sigma(self):
-        one = run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=1))[0][0]
-        nine = run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=9))[0][0]
-        assert nine.sigma["mean_lx"] == pytest.approx(one.sigma["mean_lx"] / 3, rel=0.2)
+        one = _split(run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=1))[0][0])[2]
+        nine = _split(run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=9))[0][0])[2]
+        assert nine["mean_lx"] == pytest.approx(one["mean_lx"] / 3, rel=0.2)
 
 
 _BAD_J_THETA = (
@@ -275,18 +293,10 @@ class TestEmitAndVerify:
         row's or the dense table's value bit for bit; null and the empty
         string mark the same cells."""
         cfg = SweepConfig(counts=4000, dense=50, out_dir=str(tmp_path))
-        rows, report, dense = run_sweep(cfg)
-        emit(rows, report, cfg, dense)
+        table, report, dense = run_sweep(cfg)
+        emit(table, report, cfg, dense)
         payload = json.loads((tmp_path / "sweep.json").read_text())
-        sweep_cells = [
-            {"j": row.j, "theta": row.theta} | {
-                f"{prefix}{col}": source.get(col)
-                for prefix, source in (("", row.ideal), ("sampled_", row.sampled),
-                                       ("sigma_", row.sigma))
-                for col in VALUE_COLUMNS
-            }
-            for row in rows
-        ]
+        sweep_cells = [_cells(CSV_COLUMNS, row) for row in table]
         dense_cells = [_cells(CSV_COLUMNS, d) for d in dense]
         for name, kind, mem in (("sweep.csv", "rows", sweep_cells), ("dense.csv", "dense", dense_cells)):
             lines = (tmp_path / name).read_text().splitlines()
@@ -303,23 +313,20 @@ class TestEmitAndVerify:
                         bits = repr(float(value))
                         assert repr(float(cells[col])) == bits == repr(rec[col]), (kind, i, col)
                 if kind == "rows":
-                    assert rec["statuses"] == rows[i].statuses
+                    assert rec["statuses"] == report.statuses[i]
 
     def test_loaded_table_is_the_emitted_table(self, tmp_path):
-        """verify reads back the sweep rows stacked on run_sweep's dense
-        table bit for bit, NaN exactly where a cell is null; sweep.json is
-        compact JSON with sorted keys."""
+        """verify reads back run_sweep's sweep and dense tables bit for bit,
+        NaN exactly where a cell is null; sweep.json is compact JSON with
+        sorted keys."""
         cfg = SweepConfig(counts=4000, dense=50, out_dir=str(tmp_path))
-        rows, report, dense = run_sweep(cfg)
-        emit(rows, report, cfg, dense)
-        row_table = np.array([
-            [*map(r.ideal.get, VALUE_COLUMNS), *map(r.sampled.get, VALUE_COLUMNS),
-             *map(r.sigma.get, VALUE_COLUMNS)]
-            for r in rows
-        ], dtype=float)
-        expected = np.vstack([row_table, dense[:, 2:]])
-        loaded = sweep._load_rows(tmp_path / "sweep.json")
-        assert loaded.shape == expected.shape == (len(rows) + len(dense), len(DATA_COLUMNS))
+        table, report, dense = run_sweep(cfg)
+        emit(table, report, cfg, dense)
+        expected = np.vstack([table[:, 2:], dense[:, 2:]])
+        rows, dense_rows = sweep._load_rows(tmp_path / "sweep.json")
+        assert len(rows) == len(table) and len(dense_rows) == len(dense)
+        loaded = np.vstack([rows, dense_rows])
+        assert loaded.shape == expected.shape == (len(table) + len(dense), len(DATA_COLUMNS))
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(loaded), nan) and nan.any() and not nan.all()
         assert np.array_equal(loaded[~nan].view(np.uint64), expected[~nan].view(np.uint64))
@@ -335,7 +342,7 @@ class TestEmitAndVerify:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({"rows": [GOOD_ROW | {"rhs_eq1": math.nan, "rhs_eq3": None}],
                                     "dense": [GOOD_ROW | {"rhs_eq4": -math.inf}]}))
-        table = sweep._load_rows(path)
+        table = np.vstack(sweep._load_rows(path))
         expected = np.full((2, len(DATA_COLUMNS)), np.nan)
         expected[:, DATA_COLUMNS.index("lhs_prod")] = 0.25
         expected[:, DATA_COLUMNS.index("lhs_sum")] = 1.0
@@ -348,8 +355,8 @@ class TestEmitAndVerify:
         payloads = []
         for name in ("a", "b"):
             cfg = SweepConfig(counts=2000, thetas=(0.0, 0.6), out_dir=str(tmp_path / name))
-            rows, report, dense = run_sweep(cfg)
-            emit(rows, report, cfg, dense)
+            table, report, dense = run_sweep(cfg)
+            emit(table, report, cfg, dense)
             payload = json.loads((tmp_path / name / "sweep.json").read_text())
             payload.pop("timestamp")
             payload.pop("config_hash")
@@ -508,23 +515,47 @@ def _reference_load_rows(path):
     return rows
 
 
+def _slacks(values):
+    """(slack, tolerance) of every relation column in ``values`` that has
+    an rhs: the row-by-row form that build_report's slack table replaced,
+    kept as a reference."""
+    return [
+        (sweep.slack(direction, values[lhs], values[rhs]), _slack_tol(values[lhs], values[rhs]))
+        for _, lhs, rhs, direction in RELATIONS
+        if values.get(rhs) is not None
+    ]
+
+
+def _status(direction, lhs, rhs):
+    """undefined, violated, tight or satisfied, to the relation's tolerance:
+    the per-relation form that build_report's status table replaced, kept
+    as a reference."""
+    if rhs is None:
+        return "undefined"
+    margin, tol = sweep.slack(direction, lhs, rhs), _slack_tol(lhs, rhs)
+    if margin < -tol:
+        return "violated"
+    return "tight" if abs(margin) <= tol else "satisfied"
+
+
 def _reference_verify(path, z_limit=sweep.DEFAULT_Z_LIMIT):
     """The row-by-row verify_dataset that the whole-table checks replaced,
-    kept as their reference, with the zero-sigma rule."""
+    kept as their reference, with the zero-sigma rule.  A column fails on
+    its z-score |v - ideal| / sigma, the form the report records."""
     rows = _reference_load_rows(path)
     if rows is None:
         return 2
     for row in rows:
         if any(row.get(col) is not None and not math.isfinite(row[col]) for col in DATA_COLUMNS):
             return 1
-        if any(s < -tol for s, tol in sweep._slacks(row)):
+        if any(s < -tol for s, tol in _slacks(row)):
             return 1
         for col in VALUE_COLUMNS:
             v, s = row.get(f"sampled_{col}"), row.get(f"sigma_{col}")
             ideal = row.get(col)
             if v is None or s is None or ideal is None:
                 continue
-            if s > 0 and abs(v - ideal) > z_limit * s:
+            if s > 0 and abs(v - ideal) / s > z_limit:
                 return 1
             if s == 0 and abs(v - ideal) > _slack_tol(v, ideal):
                 return 1
@@ -535,22 +566,25 @@ def _reference_verify(path, z_limit=sweep.DEFAULT_Z_LIMIT):
 def dense_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("dense20")
     cfg = SweepConfig(counts=4000, dense=20, out_dir=str(out))
-    rows, report, dense = run_sweep(cfg)
-    emit(rows, report, cfg, dense)
+    table, report, dense = run_sweep(cfg)
+    emit(table, report, cfg, dense)
     return out, json.loads((out / "sweep.json").read_text())
 
 
+CORRUPTIONS = (
+    "nan", "inf", "bool", "string", "list", "negative_sigma", "null_lhs", "slack", "z", "zero_sigma",
+)
+
+
 @st.composite
-def _corruptions(draw, payload):
+def _corruptions(draw, payload, hows=CORRUPTIONS):
     """(kind, row index, {column: value}) that corrupts one cell of a sweep
-    or dense row, or two cells for a sampled value and its sigma."""
+    or dense row, or two cells for a sampled value and its sigma, in one of
+    the ways ``hows``."""
     kind = draw(st.sampled_from(["rows", "dense"]))
     i = draw(st.integers(0, len(payload[kind]) - 1))
     row = payload[kind][i]
-    how = draw(st.sampled_from([
-        "nan", "inf", "bool", "string", "list", "negative_sigma", "null_lhs",
-        "slack", "z", "zero_sigma",
-    ]))
+    how = draw(st.sampled_from(hows))
     col = draw(st.sampled_from(("j", "theta") + DATA_COLUMNS))
     value = draw(st.sampled_from(VALUE_COLUMNS))
     ideal = row[value] if row[value] is not None else 0.5
@@ -600,6 +634,56 @@ class TestVerifyMatchesReference:
         path = out / "corrupted.json"
         path.write_text(json.dumps(corrupted))
         assert verify_dataset(path) == _reference_verify(path), (kind, i, cells)
+
+
+@pytest.fixture(scope="module")
+def dense_tables(tmp_path_factory):
+    cfg = SweepConfig(counts=4000, dense=20, out_dir=str(tmp_path_factory.mktemp("agreement")))
+    table, _, dense = run_sweep(cfg)
+    tables = {"rows": table, "dense": dense}
+    return cfg, tables, {kind: sweep._records(t) for kind, t in tables.items()}
+
+
+class TestReportMatchesVerify:
+    """build_report's verdict on in-memory tables is verify's verdict on the
+    dataset that emit writes from them."""
+
+    def test_violated_optimized_column_fails_both(self, monkeypatch, tmp_path):
+        """rhs_eq2_opt 0.5 above lhs_prod, its sampled value moved by the
+        same amount so that its z-score is unchanged: the report and verify
+        both fail, and the worst slack reads the optimized column."""
+        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
+        cfg = SweepConfig(thetas=(0.4,), counts=4000, optimize_basis=True, out_dir=str(tmp_path))
+        table, report, dense = run_sweep(cfg)
+        assert report.ok and report.worst_slack > -1e-9
+        row = table[0]
+        shift = row[_col("lhs_prod")] + 0.5 - row[_col("rhs_eq2_opt")]
+        row[_col("rhs_eq2_opt")] += shift
+        row[_col("sampled_rhs_eq2_opt")] += shift
+        report = build_report(table, dense)
+        assert report.z_scores[0]["rhs_eq2_opt"] == pytest.approx(
+            (row[_col("sampled_rhs_eq2_opt")] - row[_col("rhs_eq2_opt")]) / row[_col("sigma_rhs_eq2_opt")]
+        )
+        assert report.worst_slack == pytest.approx(-0.5)
+        assert "violated" not in report.statuses[0].values()
+        assert not report.ok
+        emit(table, report, cfg, dense)
+        assert verify_dataset(tmp_path / "sweep.json") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_corrupted_cell(self, dense_tables, data):
+        """A finite corruption, as _corruptions makes it, of one cell or of
+        a sampled value and its sigma, in a sweep or a dense row."""
+        cfg, tables, records = dense_tables
+        kind, i, cells = data.draw(_corruptions(records, ("slack", "z", "zero_sigma")))
+        table, dense = (tables[k].copy() for k in ("rows", "dense"))
+        target = table if kind == "rows" else dense
+        for col, value in cells.items():
+            target[i, _col(col)] = value
+        report = build_report(table, dense)
+        emit(table, report, cfg, dense)
+        assert report.ok == (verify_dataset(Path(cfg.out_dir) / "sweep.json") == 0), (kind, i, cells)
 
 
 COL = {c: i for i, c in enumerate(VALUE_COLUMNS)}
@@ -667,14 +751,13 @@ class TestPropagateSigmas:
 
 
 # the settings each sampled column reads: an empty one leaves it undefined.
-# A basis column reads Lz for the plug-in magnitudes; it also takes the
-# relative sign from <Lx>, but copysign reads the sign bit of a NaN <Lx>, so
-# an empty Lx leaves it defined
+# A basis column reads Lz for the plug-in magnitudes and Lx for their
+# relative sign
 _READS = {
     "mean_lx": "x", "mean_ly": "y", "mean_lz": "z", "mean_lp": "p",
     "var_lx": "x", "var_ly": "y", "lhs_prod": "xy", "lhs_sum": "xy",
     "rhs_eq1": "xyzp", "rhs_eq3": "xy", "rhs_eq4": "xyp", "rhs_eq6": "xy", "rhs_eq7": "xyp",
-    "rhs_eq2_canon": "z", "rhs_eq5_canon": "z",
+    "rhs_eq2_canon": "xz", "rhs_eq5_canon": "xz",
 }
 
 
@@ -723,6 +806,20 @@ class TestTableForm:
         if not empty & set("xyp") and _eq7_undefined(counts):
             expected.add("rhs_eq7")
         assert {c for c in VALUE_COLUMNS if np.isnan(one[COL[c]])} == expected, empty
+
+    def test_empty_lx_leaves_basis_columns_undefined(self):
+        """The plug-in state takes its relative sign from <Lx>, which a
+        basis other than the computational one reads: with no Lx counts
+        the basis columns are undefined."""
+        _, bases = sweep._bases(family_state(0.3), LX, LY, haar_basis(3, 1), False)
+        ly_lz_lp = [2, 2, 2, 1, 3, 2, 2, 1, 3]
+        based = [COL["rhs_eq2_canon"], COL["rhs_eq5_canon"]]
+        empty = sweep._sampled_columns([0, 0, 0] + ly_lz_lp, LX, LY, bases)
+        assert np.isnan(empty[based]).all()
+        # <Lx> < 0 and > 0: the two signs give two values in this basis
+        neg, pos = (sweep._sampled_columns(lx + ly_lz_lp, LX, LY, bases)[based]
+                    for lx in ([3, 1, 2], [1, 3, 2]))
+        assert np.isfinite([neg, pos]).all() and (abs(neg - pos) > 1e-3).all()
 
 
 def _loop_propagate_sigmas(counts_flat, column_fn):
@@ -808,22 +905,23 @@ class TestTrials:
         draw seeded by the config seed; the row reports the mean over trials
         and the error bar of that mean."""
         cfg = SweepConfig(seed=4, trials=3)
-        rows, _, _ = run_sweep(cfg)
+        table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
         basis = OrthonormalBasis.computational(3)
-        for j, row in enumerate(rows):
-            _, bases = sweep._bases(family_state(row.theta), LX, LY, basis, False)
+        for j, row in enumerate(table):
+            _, row_sampled, row_sigma = _split(row)
+            _, bases = sweep._bases(family_state(row[1]), LX, LY, basis, False)
             fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
             defined = [~np.isnan(base) for base, _ in trials]
             cols = {col for d in defined for col, i in COL.items() if d[i]}
-            assert set(row.sampled) == set(row.sigma) == cols
+            assert set(row_sampled) == set(row_sigma) == cols
             for col in cols:
                 i = COL[col]
                 vals = [base[i] for base, _ in trials if not np.isnan(base[i])]
                 sigs = np.array([sig[i] for _, sig in trials if not np.isnan(sig[i])])
-                assert row.sampled[col] == pytest.approx(np.mean(vals), rel=1e-15, abs=0), (j, col)
-                assert row.sigma[col] == pytest.approx(
+                assert row_sampled[col] == pytest.approx(np.mean(vals), rel=1e-15, abs=0), (j, col)
+                assert row_sigma[col] == pytest.approx(
                     np.sqrt(np.mean(sigs**2) / sigs.size), rel=1e-15, abs=0
                 ), (j, col)
 
@@ -833,21 +931,22 @@ class TestTrials:
         trials; a column is averaged over the trials that define it, as the
         per-trial dict accumulation did."""
         cfg = SweepConfig(counts=1, trials=6, seed=seed)
-        rows, _, _ = run_sweep(cfg)
+        table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
         basis = OrthonormalBasis.computational(3)
         partial = 0
-        for j, row in enumerate(rows):
-            _, bases = sweep._bases(family_state(row.theta), LX, LY, basis, False)
+        for j, row in enumerate(table):
+            _, row_sampled, row_sigma = _split(row)
+            _, bases = sweep._bases(family_state(row[1]), LX, LY, basis, False)
             fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(cfg.trials)]
             defined = np.array([~np.isnan(base) for base, _ in trials]).sum(axis=0)
             partial += np.count_nonzero((defined > 0) & (defined < cfg.trials))
             sampled, sigma = _dict_trial_means(trials)
-            assert row.sampled.keys() == sampled.keys() and row.sigma.keys() == sigma.keys()
+            assert row_sampled.keys() == sampled.keys() and row_sigma.keys() == sigma.keys()
             for col, ref in sampled.items():
-                assert row.sampled[col] == pytest.approx(ref, rel=1e-15, abs=0), (j, col)
-                assert row.sigma[col] == pytest.approx(sigma[col], rel=1e-12, abs=0), (j, col)
+                assert row_sampled[col] == pytest.approx(ref, rel=1e-15, abs=0), (j, col)
+                assert row_sigma[col] == pytest.approx(sigma[col], rel=1e-12, abs=0), (j, col)
         assert partial > 0
 
     @pytest.mark.parametrize("trials", [1, 4])
@@ -890,13 +989,22 @@ class TestTrials:
 
 class TestStatus:
     def test_tolerance_is_relative(self):
-        """A = B makes eq1-eq6 tight at any scale; eq7 is undefined."""
+        """A = B makes eq1-eq6 tight at any scale; eq7 is undefined.  The
+        report's statuses of a table row holding the relations' sides equal
+        the per-relation reference."""
         a = make_observable(1e5 * np.diag([1.0, 2.0, -3.0]))
         rep = evaluate_all(haar_random_state(3, np.random.default_rng(1)), a, a)
-        statuses = {rid: sweep._status(r.direction, r.lhs, r.rhs) for rid, r in rep.results.items()}
+        statuses = {rid: _status(r.direction, r.lhs, r.rhs) for rid, r in rep.results.items()}
         assert statuses == dict.fromkeys(("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"), "tight") | {
             "eq7": "undefined"
         }
+        row = np.full(len(DATA_COLUMNS), np.nan)
+        for rid, lhs, rhs, _ in RELATIONS:
+            if not rhs.endswith("_opt"):
+                r = rep.results[rid]
+                row[DATA_COLUMNS.index(lhs)] = r.lhs
+                row[DATA_COLUMNS.index(rhs)] = np.nan if r.rhs is None else r.rhs
+        assert build_report(row[None]).statuses == [statuses]
 
 
 class TestCalibration:
@@ -906,10 +1014,10 @@ class TestCalibration:
         inside = total = 0
         for seed in range(40):
             cfg = SweepConfig(thetas=(theta,), counts=10_000, seed=seed)
-            rows, _, _ = run_sweep(cfg)
-            r = rows[0]
-            for col, v in r.sampled.items():
-                ideal, sig = r.ideal.get(col), r.sigma[col]
+            table, _, _ = run_sweep(cfg)
+            ideal_row, sampled, sigma = _split(table[0])
+            for col, v in sampled.items():
+                ideal, sig = ideal_row[col], sigma[col]
                 if ideal is None or sig <= 0:
                     continue
                 total += 1
@@ -919,26 +1027,26 @@ class TestCalibration:
 
 class TestBuildReport:
     def test_z_limit_enforced(self):
-        rows, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
+        table, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
         assert report.ok
-        rows[0].sampled["mean_lx"] = rows[0].ideal["mean_lx"] + 1.0
-        assert not build_report(rows).ok
+        table[0, _col("sampled_mean_lx")] = table[0, _col("mean_lx")] + 1.0
+        assert not build_report(table).ok
 
     def test_worst_slack_reads_optimized_columns(self):
-        rows, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
+        table, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
         assert report.worst_slack > -1e-9
-        rows[0].ideal["rhs_eq2_opt"] = rows[0].ideal["lhs_prod"] + 0.5
-        assert build_report(rows).worst_slack == pytest.approx(-0.5)
+        table[0, _col("rhs_eq2_opt")] = table[0, _col("lhs_prod")] + 0.5
+        assert build_report(table).worst_slack == pytest.approx(-0.5)
 
     def test_zero_sigma_column_checked_against_ideal(self):
         """A column with zero sigma gets no z-score; it fails the report
         when it lies off its ideal value by more than the slack tolerance."""
-        rows, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
+        table, report, _ = run_sweep(SweepConfig(thetas=(0.4,), counts=4000))
         assert report.ok
-        rows[0].sigma["mean_lx"] = 0.0
+        table[0, _col("sigma_mean_lx")] = 0.0
         for offset, ok in ((1e-12, True), (1e-6, False), (-1e-6, False)):
-            rows[0].sampled["mean_lx"] = rows[0].ideal["mean_lx"] + offset
-            report = build_report(rows)
+            table[0, _col("sampled_mean_lx")] = table[0, _col("mean_lx")] + offset
+            report = build_report(table)
             assert report.ok is ok, offset
             assert "mean_lx" not in report.z_scores[0]
 
@@ -948,16 +1056,17 @@ class TestBuildReport:
         and no violated relation; only zero-sigma columns lie off their
         ideal values, and the report and verify both flag them."""
         cfg = SweepConfig(counts=1, seed=seed, out_dir=str(tmp_path))
-        rows, report, dense = run_sweep(cfg)
+        table, report, dense = run_sweep(cfg)
         assert all(abs(z) <= sweep.DEFAULT_Z_LIMIT for zs in report.z_scores for z in zs.values())
-        assert not any("violated" in r.statuses.values() for r in rows)
+        assert not any("violated" in statuses.values() for statuses in report.statuses)
         off = [
-            (r.j, col) for r in rows for col, v in r.sampled.items()
-            if r.ideal[col] is not None and r.sigma[col] == 0
-            and abs(v - r.ideal[col]) > _slack_tol(v, r.ideal[col])
+            (j, col) for j, (ideal, sampled, sigma) in enumerate(map(_split, table))
+            for col, v in sampled.items()
+            if ideal[col] is not None and sigma[col] == 0
+            and abs(v - ideal[col]) > _slack_tol(v, ideal[col])
         ]
         assert off and not report.ok
-        emit(rows, report, cfg, dense)
+        emit(table, report, cfg, dense)
         assert verify_dataset(tmp_path / "sweep.json") == 1
 
 
