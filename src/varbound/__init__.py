@@ -7,18 +7,13 @@ __version__ = "0.1.0"
 from .hermitian import (
     DimensionMismatch,
     EigenFailure,
-    MomentStats,
     NonHermitianError,
     Observable,
     PureState,
-    anticommutator,
     builtin_spin1,
-    commutator,
-    covariance,
     family_state,
     haar_random_state,
     make_observable,
-    moments,
 )
 from .bounds import (
     BoundResult,
@@ -26,13 +21,6 @@ from .bounds import (
     InvalidPairing,
     OrthonormalBasis,
     UncertaintyReport,
-    eq1_product_bound,
-    eq2_product_bound,
-    eq3_product_bound,
-    eq4_sum_bound,
-    eq5_sum_bound,
-    eq6_sum_bound,
-    eq7_reverse_bound,
     evaluate_all,
     evaluate_states,
 )

@@ -10,8 +10,10 @@ feeds them estimates from counts and the basis search a trial basis.
 :func:`evaluate_all` is its one-state wrapper: every relation yields a
 :class:`BoundResult` carrying both sides and the slack; eq3 and eq6 also
 carry their :class:`FidelityTerms`.  Lower bounds use slack = lhs - rhs;
-the reverse bound uses slack = rhs - lhs.  The ``eqN_*`` evaluators return
-one relation of :func:`evaluate_all`.
+the reverse bound uses slack = rhs - lhs.  Every rule of a verdict scales
+with the observables: eq7 calls a variance degenerate when dA is at most
+EQ7_EPS of A's largest standard deviation ``max_std``, and the slack
+tolerance's floor is the size, in those scales, that the sides can reach.
 """
 
 from __future__ import annotations
@@ -87,10 +89,11 @@ class BoundResult:
     intermediates: object = None
 
 
-def _slack_tol(lhs, rhs):
+def _slack_tol(lhs, rhs, floor):
     """Tolerance on a relation's slack, relative to the size of its sides
-    (the relations are scale-covariant); elementwise on arrays."""
-    return SLACK_TOL * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+    or to ``floor``, whichever is larger (the relations are scale-
+    covariant); elementwise on arrays."""
+    return SLACK_TOL * np.maximum(floor, np.maximum(abs(lhs), abs(rhs)))
 
 
 def _normalize_pairing(pairing, dim):
@@ -140,35 +143,23 @@ def rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
     return 0.5 * ((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2).sum(-1)
 
 
-def rhs_eq7(var_a, var_b, var_amb):
+def rhs_eq7(var_a, var_b, var_amb, w_a, w_b):
     """Reverse sum bound 2 var(A-B) / (1 - Cov/(dA dB)) - 2 dA dB.
 
     var(A-B) = var(A) + var(B) - 2 Cov gives the denominator as
     (var(A-B) - (dA - dB)^2) / (2 dA dB), which keeps its relative accuracy
     where Cov/(dA dB) nears 1 and 1 - Cov/(dA dB) would cancel.  Undefined
-    when a standard deviation is at most EQ7_EPS or the denominator lies
-    within EQ7_EPS of zero.  Scalars give ``(rhs, None)`` or
-    ``(None, reason)``; arrays give ``(rhs, undefined)``, NaN where undefined
-    (evaluate_all reads the reason from the scalar branch).
+    where a variance is degenerate, dA <= EQ7_EPS w_a with w_a the largest
+    dA any state has (:attr:`Observable.max_std`; the same for B), or where
+    the denominator lies within EQ7_EPS of zero.  Returns (rhs, degenerate),
+    rhs NaN where undefined and ``degenerate`` the mask of the first reason.
     """
-    if isinstance(var_a, np.ndarray):
-        undefined = np.minimum(var_a, var_b) <= EQ7_EPS**2
-        da, db = np.sqrt(np.where(undefined, 1.0, [var_a, var_b]))
-        # diff * diff, not diff ** 2: a scalar ** 2 is libm's pow, which is
-        # off by an ulp now and then, so the scalar branch would round apart
-        two_da_db, diff = 2.0 * da * db, da - db
-        denom = (var_amb - diff * diff) / two_da_db
-        undefined |= np.abs(denom) <= EQ7_EPS
-        rhs = 2.0 * var_amb / np.where(undefined, 1.0, denom) - two_da_db
-        return np.where(undefined, np.nan, rhs), undefined
-    if min(var_a, var_b) <= EQ7_EPS**2:
-        return None, "degenerate variance"
-    da, db = np.sqrt(var_a), np.sqrt(var_b)
+    degenerate = (var_a <= EQ7_EPS**2 * w_a * w_a) | (var_b <= EQ7_EPS**2 * w_b * w_b)
+    da, db = np.sqrt(np.where(degenerate, 1.0, [var_a, var_b]))
     two_da_db, diff = 2.0 * da * db, da - db
     denom = (var_amb - diff * diff) / two_da_db
-    if abs(denom) <= EQ7_EPS:
-        return None, "singular denominator"
-    return float(2.0 * var_amb / denom - two_da_db), None
+    denom = np.where(degenerate | (np.abs(denom) <= EQ7_EPS), np.nan, denom)
+    return 2.0 * var_amb / denom - two_da_db, degenerate
 
 
 def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
@@ -179,8 +170,9 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
     bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
     ({name: array}, FidelityTerms) with names mean_a, mean_b, var_a, var_b,
-    lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined)
-    and each name of ``means`` ({name: observable O}) with <O>.
+    lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined),
+    eq7_degenerate (:func:`rhs_eq7`'s mask) and each name of ``means``
+    ({name: observable O}) with <O>.
     """
     d = np.shape(psi)[-1]
     if a.dim != d or b.dim != d:
@@ -191,8 +183,8 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     mean_a, mean_b = np.vecdot(psi, a_psi).real, np.vecdot(psi, b_psi).real
     u, v = a_psi - mean_a[..., None] * psi, b_psi - mean_b[..., None] * psi
     # var = ||u||^2, not ||A psi||^2 - <A>^2: on an eigenvector the
-    # difference rounds to about 1e-16, which eq7's degeneracy rule (a
-    # variance at most EQ7_EPS**2 = 1e-18) would miss by chance
+    # difference rounds to about 1e-16 of A's scale, which eq7's degeneracy
+    # rule (dA at most EQ7_EPS = 1e-9 of it) would miss by chance
     var_a, var_b = np.vecdot(u, u).real, np.vecdot(v, v).real
     uv = np.vecdot(u, v)
     pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix.conj().T, w) for w in (u, v))
@@ -219,7 +211,8 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
         "eq5": rhs_eq5(pa, pb),
         "eq6": rhs_eq6(*fid_args),
     }
-    out["eq7"] = rhs_eq7(np.asarray(var_a), np.asarray(var_b), out["var_amb"])[0]
+    out["eq7"], out["eq7_degenerate"] = rhs_eq7(
+        var_a, var_b, out["var_amb"], a.max_std, b.max_std)
     for name, obs in (means or {}).items():
         out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
     return out, fid
@@ -247,8 +240,9 @@ def evaluate_all(
     pairing=None,
 ) -> UncertaintyReport:
     """Evaluate eq1..eq7 on one state (:func:`evaluate_states` of one
-    vector); eq7 degeneracy degrades to undefined, with the reason
-    :func:`rhs_eq7` gives."""
+    vector); eq7 degeneracy degrades to undefined, with its reason.  The
+    slack tolerance's floor is (w_a w_b)^2 for the product and
+    max(w_a, w_b)^2 for the sum, with w the observables' ``max_std``."""
     t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
     # both sides, margins and verdicts of the seven relations as arrays:
     # eq1..eq3 bound the product and eq4..eq6 the sum from below, eq7 the
@@ -258,7 +252,9 @@ def evaluate_all(
     rhs = np.array([t[rid] for rid in ids])
     margin = lhs - rhs
     margin[6] = rhs[6] - lhs[6]
-    satisfied = margin >= -_slack_tol(lhs, rhs)
+    w_a, w_b = a.max_std, b.max_std
+    floor = np.array([(w_a * w_b) ** 2] * 3 + [max(w_a, w_b) ** 2] * 4)
+    satisfied = margin >= -_slack_tol(lhs, rhs, floor)
     results = {
         rid: BoundResult(rid, "upper" if rid == "eq7" else "lower", left, right, ok, gap,
                          intermediates=fid if rid in ("eq3", "eq6") else None)
@@ -266,60 +262,12 @@ def evaluate_all(
             ids, lhs.tolist(), rhs.tolist(), margin.tolist(), satisfied.tolist())
     }
     if math.isnan(results["eq7"].rhs):
-        results["eq7"] = BoundResult(
-            "eq7", "upper", results["eq7"].lhs, None, True, None, defined=False,
-            reason=rhs_eq7(*(float(t[k]) for k in ("var_a", "var_b", "var_amb")))[1],
-        )
+        reason = "degenerate variance" if t["eq7_degenerate"] else "singular denominator"
+        results["eq7"] = BoundResult("eq7", "upper", results["eq7"].lhs, None, True, None,
+                                     defined=False, reason=reason)
     return UncertaintyReport(
         state_label=state.label,
         **{k: float(t[k]) for k in ("mean_a", "mean_b", "var_a", "var_b")},
         product_lhs=results["eq1"].lhs, sum_lhs=results["eq4"].lhs,
         results=results,
     )
-
-
-def eq1_product_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Robertson-Schroedinger product bound."""
-    return evaluate_all(state, a, b).results["eq1"]
-
-
-def eq2_product_bound(
-    state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
-) -> BoundResult:
-    """Basis-dependent product bound (sum over |<Psi|Abar|psi_n><psi_n|Bbar|Psi>|)^2."""
-    return evaluate_all(state, a, b, basis).results["eq2"]
-
-
-def eq3_product_bound(
-    state: PureState, a: Observable, b: Observable, pairing=None
-) -> BoundResult:
-    """Optimization-free product bound from eigenstate fidelities."""
-    return evaluate_all(state, a, b, pairing=pairing).results["eq3"]
-
-
-def eq4_sum_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Sum bound: half the variance of A + B."""
-    return evaluate_all(state, a, b).results["eq4"]
-
-
-def eq5_sum_bound(
-    state: PureState, a: Observable, b: Observable, basis: OrthonormalBasis
-) -> BoundResult:
-    """Basis-dependent sum bound with the factor 1/2 of the un-rewritten form."""
-    return evaluate_all(state, a, b, basis).results["eq5"]
-
-
-def eq6_sum_bound(
-    state: PureState, a: Observable, b: Observable, pairing=None
-) -> BoundResult:
-    """Optimization-free sum bound from eigenstate fidelities."""
-    return evaluate_all(state, a, b, pairing=pairing).results["eq6"]
-
-
-def eq7_reverse_bound(state: PureState, a: Observable, b: Observable) -> BoundResult:
-    """Reverse (upper) bound on the variance sum.
-
-    Degenerate variances or a correlation ratio at 1 make the bound
-    undefined; an explicit undefined result is returned rather than raising.
-    """
-    return evaluate_all(state, a, b).results["eq7"]

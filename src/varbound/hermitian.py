@@ -1,11 +1,12 @@
-"""Small dense complex Hermitian algebra: observables, eigensystems, moments.
+"""Small dense complex Hermitian algebra: observables and eigensystems.
 
 Everything here is exact-enough double precision for dimensions up to ~8.
 Eigensystems are LAPACK's (``numpy.linalg.eigh``: ascending, orthonormal),
 optionally permuted to a requested eigenvalue order, with each
 eigenvector's phase fixed afterwards (largest-magnitude component real and
 positive), so non-degenerate eigenvectors do not depend on LAPACK's phase
-convention.
+convention.  Each Observable also carries its scale ``max_std``, half its
+spectrum's width, to which the relations' verdicts are relative.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ import numpy as np
 
 MATRIX_TOL = 1e-10
 NORM_TOL = 1e-12
+# A psi - <A> psi rounds at about 1e-15 of the largest |eigenvalue|, so a
+# spectrum narrower than this fraction of it is not resolved: an
+# observable's scale (``max_std``) is at least half this fraction of it,
+# and eq7's degeneracy rule, 1e-9 of the scale, stays above that rounding
+RESOLVED_SPREAD = 1e-4
 
 
 class NonHermitianError(ValueError):
@@ -75,6 +81,10 @@ class Observable:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     name: str = ""
+    # half the spectrum's width, the largest standard deviation any state
+    # has: the observable's scale in the relations' verdicts (at least
+    # RESOLVED_SPREAD / 2 of its largest |eigenvalue|)
+    max_std: float = field(init=False)
 
     def __post_init__(self):
         for key, dtype in (("matrix", complex), ("eigenvalues", float), ("eigenvectors", complex)):
@@ -92,26 +102,14 @@ class Observable:
             raise EigenFailure(f"eigenvectors are not orthonormal to {NORM_TOL}")
         if not abs((v * w) @ vh - m).max() <= _matrix_tol(abs(m).max()):
             raise EigenFailure("eigensystem does not reconstruct the matrix")
+        values = w.tolist()  # a short list's min and max cost less than numpy's
+        lo, hi = min(values), max(values)
+        width = max(hi - lo, RESOLVED_SPREAD * max(abs(lo), abs(hi)))
+        object.__setattr__(self, "max_std", width / 2)
 
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class MomentStats:
-    """First and second moments of an observable in a pure state."""
-
-    mean: float
-    second_moment: float
-    variance: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "variance", self.second_moment - self.mean**2)
-
-    @property
-    def std(self):
-        return float(np.sqrt(max(self.variance, 0.0)))
 
 
 def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
@@ -178,18 +176,6 @@ def _check_dims(state, *observables):
             raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
 
 
-def moments(state: PureState, obs: Observable) -> MomentStats:
-    """Mean <psi|M|psi>, second moment ||M psi||^2 and variance of ``obs``
-    in ``state``."""
-    _check_dims(state, obs)
-    psi = state.amplitudes
-    m_psi = obs.matrix @ psi
-    return MomentStats(
-        mean=float(np.real(np.vdot(psi, m_psi))),
-        second_moment=float(np.real(np.vdot(m_psi, m_psi))),
-    )
-
-
 def _centre(psi, obs):
     """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
     normalized amplitudes of shape (..., d); the basis search and the
@@ -197,27 +183,6 @@ def _centre(psi, obs):
     A psi it already holds the same way)."""
     o_psi = np.matvec(obs.matrix, psi)
     return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
-
-
-def covariance(state: PureState, a: Observable, b: Observable) -> float:
-    """Quantum covariance Cov(A,B) = Re<Abar psi|Bbar psi> = <{A,B}>/2 - <A><B>."""
-    _check_dims(state, a, b)
-    psi = state.amplitudes
-    return float(np.real(np.vdot(_centre(psi, a), _centre(psi, b))))
-
-
-def commutator(a: Observable, b: Observable):
-    """AB - BA (anti-Hermitian)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim} vs {b.dim}")
-    return a.matrix @ b.matrix - b.matrix @ a.matrix
-
-
-def anticommutator(a: Observable, b: Observable):
-    """AB + BA (Hermitian)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim} vs {b.dim}")
-    return a.matrix @ b.matrix + b.matrix @ a.matrix
 
 
 def family_amplitudes(thetas):

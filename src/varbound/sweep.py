@@ -269,7 +269,9 @@ def _sampled_columns(counts, lx, ly, bases):
         "rhs_eq4": rhs_eq4(mx2 + my2 + mp - (mx + my) ** 2),
         "rhs_eq3": rhs_eq3(a_sh, b_sh, px, py),
         "rhs_eq6": rhs_eq6(a_sh, b_sh, px, py),
-        "rhs_eq7": rhs_eq7(var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2)[0],
+        "rhs_eq7": rhs_eq7(
+            var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2, lx.max_std, ly.max_std
+        )[0],
     }
 
     # basis-dependent bounds on the plug-in state
@@ -368,11 +370,13 @@ def build_report(table, dense=None, z_limit=DEFAULT_Z_LIMIT) -> VerificationRepo
     ideal, sampled, sigma = np.hsplit(cells[:, -len(DATA_COLUMNS):], 3)
     col = dict(zip(VALUE_COLUMNS, ideal.T))
     margin = np.array([slack(d, col[lhs], col[rhs]) for _, lhs, rhs, d in RELATIONS]).T
-    tol = np.array([_slack_tol(col[lhs], col[rhs]) for _, lhs, rhs, _ in RELATIONS]).T
+    # the slack tolerance's floor is 1: Lx and Ly have max_std 1, so both
+    # of evaluate_all's floors, (w_a w_b)^2 and max(w_a, w_b)^2, read 1
+    tol = np.array([_slack_tol(col[lhs], col[rhs], 1.0) for _, lhs, rhs, _ in RELATIONS]).T
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (sampled - ideal) / sigma
     scored = (sigma > 0) & ~np.isnan(z)
-    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal))
+    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal, 1.0))
     ok = not ((margin < -tol).any() or (abs(z[scored]) > z_limit).any() or zero_off.any())
     n = len(table)
     m, t = margin[:n, STATUS_RELATIONS], tol[:n, STATUS_RELATIONS]

@@ -11,8 +11,8 @@ from varbound.basis_search import (
     param_count,
     unitary_from_params,
 )
-from varbound.bounds import OrthonormalBasis, eq2_product_bound, eq5_sum_bound
-from varbound.hermitian import builtin_spin1, family_state, moments
+from varbound.bounds import OrthonormalBasis, evaluate_all
+from varbound.hermitian import builtin_spin1, family_state
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
@@ -64,7 +64,7 @@ class TestOptimizeBound:
     def test_no_iterations_returns_initial_value(self):
         cfg = OptimizerConfig(restarts=1, max_iters=0)
         _, value, trace = optimize_bound("eq2", family_state(0.3), LX, LY, cfg)
-        comp_value = eq2_product_bound(family_state(0.3), LX, LY, COMP).rhs
+        comp_value = evaluate_all(family_state(0.3), LX, LY, COMP).results["eq2"].rhs
         assert value == pytest.approx(comp_value, abs=1e-12)
         assert trace.winner == 0
 
@@ -85,14 +85,8 @@ class TestOptimizeBound:
         for theta in rng.uniform(0.05, np.pi - 0.05, size=5):
             s = family_state(theta)
             basis, value, trace = optimize_bound(objective, s, LX, LY, cfg)
-            var_a = moments(s, LX).variance
-            var_b = moments(s, LY).variance
-            lhs = var_a * var_b if objective == "eq2" else var_a + var_b
-            comp = (
-                eq2_product_bound(s, LX, LY, COMP).rhs
-                if objective == "eq2"
-                else eq5_sum_bound(s, LX, LY, COMP).rhs
-            )
+            computational = evaluate_all(s, LX, LY, COMP).results[objective]
+            lhs, comp = computational.lhs, computational.rhs
             assert value <= lhs + 1e-9
             assert value >= comp - 1e-12
             for history in trace.restart_histories:

@@ -19,13 +19,6 @@ from varbound.bounds import (
     InvalidPairing,
     OrthonormalBasis,
     UncertaintyReport,
-    eq1_product_bound,
-    eq2_product_bound,
-    eq3_product_bound,
-    eq4_sum_bound,
-    eq5_sum_bound,
-    eq6_sum_bound,
-    eq7_reverse_bound,
     evaluate_all,
     evaluate_states,
     rhs_eq1,
@@ -40,16 +33,28 @@ from varbound.hermitian import (
     PureState,
     _centre,
     builtin_spin1,
-    covariance,
     family_state,
     haar_random_state,
     make_observable,
-    moments,
 )
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
 SWEEP_THETAS = [j * np.pi / 10 for j in range(11)]
+
+
+def _result(rid, state, a, b, basis=None, pairing=None):
+    """One relation of evaluate_all."""
+    return evaluate_all(state, a, b, basis, pairing).results[rid]
+
+
+def _moments(state, obs):
+    """Mean, second moment ||M psi||^2 and variance ||M psi||^2 - <M>^2 of
+    ``obs``: a second route to the kernel's variance ||Mbar psi||^2."""
+    psi = state.amplitudes
+    m_psi = obs.matrix @ psi
+    mean, second = np.vdot(psi, m_psi).real, np.vdot(m_psi, m_psi).real
+    return mean, second, second - mean**2
 
 
 class TestOrthonormalBasis:
@@ -71,13 +76,13 @@ class TestOrthonormalBasis:
 class TestEq1:
     def test_theta_zero_equality(self):
         # <Lz> = 1, <Lp> = 0: rhs = 1/4 = (1/2)(1/2) = lhs
-        r = eq1_product_bound(family_state(0.0), LX, LY)
+        r = _result("eq1", family_state(0.0), LX, LY)
         assert r.lhs == pytest.approx(0.25, abs=1e-12)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
     def test_theta_half_pi(self):
-        r = eq1_product_bound(family_state(np.pi / 2), LX, LY)
+        r = _result("eq1", family_state(np.pi / 2), LX, LY)
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -85,8 +90,8 @@ class TestEq1:
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = haar_random_state(3, rng)
-            r = eq1_product_bound(s, LX, LX)
-            var = moments(s, LX).variance
+            r = _result("eq1", s, LX, LX)
+            var = _moments(s, LX)[2]
             assert r.lhs == pytest.approx(var**2, abs=1e-10)
             assert r.rhs == pytest.approx(var**2, abs=1e-10)
 
@@ -94,21 +99,20 @@ class TestEq1:
         # rhs must equal |<Lz>/2|^2 + |<Lp>/2 - <Lx><Ly>|^2
         for theta in SWEEP_THETAS:
             s = family_state(theta)
-            r = eq1_product_bound(s, LX, LY)
-            mz = moments(s, LZ).mean
-            mp = moments(s, LP).mean
-            mx, my = moments(s, LX).mean, moments(s, LY).mean
+            r = _result("eq1", s, LX, LY)
+            mz, mp = _moments(s, LZ)[0], _moments(s, LP)[0]
+            mx, my = _moments(s, LX)[0], _moments(s, LY)[0]
             assert r.rhs == pytest.approx((mz / 2) ** 2 + (mp / 2 - mx * my) ** 2, abs=1e-10)
 
 
 class TestEq2:
     def test_theta_zero_tight(self):
-        r = eq2_product_bound(family_state(0.0), LX, LY, COMP)
+        r = _result("eq2", family_state(0.0), LX, LY, COMP)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
     def test_theta_half_pi_tight(self):
-        r = eq2_product_bound(family_state(np.pi / 2), LX, LY, COMP)
+        r = _result("eq2", family_state(np.pi / 2), LX, LY, COMP)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
@@ -117,25 +121,25 @@ class TestEq2:
         rng = np.random.default_rng(1)
         for _ in range(20):
             s = haar_random_state(3, rng)
-            r = eq2_product_bound(s, LX, LX, basis)
-            var = moments(s, LX).variance
+            r = _result("eq2", s, LX, LX, basis)
+            var = _moments(s, LX)[2]
             assert r.rhs == pytest.approx(var**2, abs=1e-10)
 
     def test_incomplete_basis_rejected(self):
         with pytest.raises(IncompleteBasis):
-            eq2_product_bound(family_state(0.2), LX, LY, OrthonormalBasis.computational(4))
+            _result("eq2", family_state(0.2), LX, LY, OrthonormalBasis.computational(4))
 
 
 class TestEq3:
     def test_theta_zero(self):
         # fidelities (1/4, 1/4, 1/2) per observable
-        r = eq3_product_bound(family_state(0.0), LX, LY)
+        r = _result("eq3", family_state(0.0), LX, LY)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(r.intermediates.fid_a, [0.25, 0.25, 0.5], atol=1e-12)
         assert np.allclose(r.intermediates.fid_b, [0.25, 0.25, 0.5], atol=1e-12)
 
     def test_theta_half_pi(self):
-        r = eq3_product_bound(family_state(np.pi / 2), LX, LY)
+        r = _result("eq3", family_state(np.pi / 2), LX, LY)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(r.intermediates.fid_a, [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -143,33 +147,33 @@ class TestEq3:
         rng = np.random.default_rng(2)
         for _ in range(20):
             s = haar_random_state(3, rng)
-            r = eq3_product_bound(s, LX, LX)
-            var = moments(s, LX).variance
+            r = _result("eq3", s, LX, LX)
+            var = _moments(s, LX)[2]
             assert r.rhs == pytest.approx(var**2, abs=1e-10)
 
     def test_invalid_pairing(self):
         with pytest.raises(InvalidPairing):
-            eq3_product_bound(family_state(0.0), LX, LY, pairing=(0, 0, 1))
+            _result("eq3", family_state(0.0), LX, LY, pairing=(0, 0, 1))
 
     def test_paper_pairing_satisfied_on_sweep(self):
         for theta in SWEEP_THETAS:
-            r = eq3_product_bound(family_state(theta), LX, LY, pairing=(0, 1, 2))
+            r = _result("eq3", family_state(theta), LX, LY, pairing=(0, 1, 2))
             assert r.satisfied, theta
 
 
 class TestEq4:
     def test_family_anchors(self):
-        r = eq4_sum_bound(family_state(0.0), LX, LY)
+        r = _result("eq4", family_state(0.0), LX, LY)
         assert (r.lhs, r.rhs) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.5, abs=1e-12))
-        r = eq4_sum_bound(family_state(np.pi / 2), LX, LY)
+        r = _result("eq4", family_state(np.pi / 2), LX, LY)
         assert (r.lhs, r.rhs) == (pytest.approx(2.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
     def test_equal_observables_equality(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = haar_random_state(3, rng)
-            r = eq4_sum_bound(s, LX, LX)
-            var = moments(s, LX).variance
+            r = _result("eq4", s, LX, LX)
+            var = _moments(s, LX)[2]
             assert r.lhs == pytest.approx(2 * var, abs=1e-10)
             assert r.rhs == pytest.approx(2 * var, abs=1e-10)
 
@@ -177,12 +181,12 @@ class TestEq4:
 class TestEq5:
     def test_theta_zero_tight(self):
         # single surviving term n=2: (sqrt(1/2) + sqrt(1/2))^2 / 2 = 1
-        r = eq5_sum_bound(family_state(0.0), LX, LY, COMP)
+        r = _result("eq5", family_state(0.0), LX, LY, COMP)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
     def test_theta_half_pi_tight(self):
-        r = eq5_sum_bound(family_state(np.pi / 2), LX, LY, COMP)
+        r = _result("eq5", family_state(np.pi / 2), LX, LY, COMP)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
@@ -191,60 +195,74 @@ class TestEq5:
         rng = np.random.default_rng(4)
         for _ in range(20):
             s = haar_random_state(3, rng)
-            r = eq5_sum_bound(s, LX, LX, basis)
-            var = moments(s, LX).variance
+            r = _result("eq5", s, LX, LX, basis)
+            var = _moments(s, LX)[2]
             assert r.rhs == pytest.approx(2 * var, abs=1e-10)
 
 
 class TestEq6:
     def test_family_anchors(self):
-        r = eq6_sum_bound(family_state(0.0), LX, LY)
+        r = _result("eq6", family_state(0.0), LX, LY)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
-        r = eq6_sum_bound(family_state(np.pi / 2), LX, LY)
+        r = _result("eq6", family_state(np.pi / 2), LX, LY)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_observables(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = haar_random_state(3, rng)
-            r = eq6_sum_bound(s, LX, LX)
-            var = moments(s, LX).variance
+            r = _result("eq6", s, LX, LX)
+            var = _moments(s, LX)[2]
             assert r.rhs == pytest.approx(2 * var, abs=1e-10)
 
     def test_paper_pairing_satisfied_on_sweep(self):
         for theta in SWEEP_THETAS:
-            assert eq6_sum_bound(family_state(theta), LX, LY).satisfied, theta
+            assert _result("eq6", family_state(theta), LX, LY).satisfied, theta
 
 
 class TestEq7:
     def test_theta_zero_equality(self):
         # Cov = 0, Delta(Lx-Ly)^2 = 1, DeltaLx DeltaLy = 1/2
-        r = eq7_reverse_bound(family_state(0.0), LX, LY)
+        r = _result("eq7", family_state(0.0), LX, LY)
         assert r.direction == "upper"
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_theta_half_pi_equality(self):
-        r = eq7_reverse_bound(family_state(np.pi / 2), LX, LY)
+        r = _result("eq7", family_state(np.pi / 2), LX, LY)
         assert r.lhs == pytest.approx(2.0, abs=1e-12)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_variance_undefined(self):
-        r = eq7_reverse_bound(family_state(0.0), LZ, LX)
+        r = _result("eq7", family_state(0.0), LZ, LX)
         assert not r.defined
         assert r.rhs is None
         assert "variance" in r.reason
 
     def test_degeneracy_rule_is_std_at_most_eps(self):
-        # one rule for the ideal and the sampled path: a std <= EQ7_EPS = 1e-9
-        assert rhs_eq7(1e-16, 1.0, 1.0)[0] is not None  # std 1e-8
-        assert rhs_eq7(1e-19, 1.0, 1.0) == (None, "degenerate variance")
-        # unit variances and Cov = 1 - 1e-10, so var(A - B) = 2e-10
-        assert rhs_eq7(1.0, 1.0, 2e-10) == (None, "singular denominator")
+        """One rule for the ideal and the sampled path: a std at most
+        EQ7_EPS = 1e-9 of its observable's max_std w, whatever the scale."""
+        for w in (1e-12, 1.0, 1e12):
+            v = w * w
+            rhs, degenerate = rhs_eq7(1e-16 * v, v, v, w, w)  # std 1e-8 w
+            assert not np.isnan(rhs) and not degenerate
+            for args in ((1e-19 * v, v, v, w, w), (v, 1e-19 * v, v, w, w)):  # std 3e-10 w
+                rhs, degenerate = rhs_eq7(*args)
+                assert np.isnan(rhs) and degenerate
+            # unit variances and Cov = 1 - 1e-10, so var(A - B) = 2e-10: the
+            # denominator's rule is dimensionless
+            rhs, degenerate = rhs_eq7(v, v, 2e-10 * v, w, w)
+            assert np.isnan(rhs) and not degenerate
+        # the same std (1e-8) is degenerate against its own, wider spectrum
+        assert [bool(rhs_eq7(*args)[1]) for args in (
+            (1e-16, 1.0, 1.0, 1.0, 100.0), (1e-16, 1.0, 1.0, 100.0, 1.0),
+            (1.0, 1e-16, 1.0, 100.0, 1.0), (1.0, 1e-16, 1.0, 1.0, 100.0),
+        )] == [False, True, False, True]
 
     def test_undefined_on_exact_eigenstates(self):
         """On an eigenvector of A, var(A) = ||Abar psi||^2 is rounding
-        (about 1e-31), far below the degeneracy rule's EQ7_EPS**2."""
+        (about 1e-31 of A's scale squared), far below the degeneracy rule's
+        (EQ7_EPS max_std)**2."""
         rng = np.random.default_rng(23)
         reasons = []
         for i in range(300):
@@ -252,20 +270,21 @@ class TestEq7:
             a = _random_hermitian(rng, d)
             b = make_observable(_random_hermitian(rng, d))
             psi = np.linalg.eigh(a)[1][:, rng.integers(d)]
-            reasons.append(eq7_reverse_bound(PureState(psi), make_observable(a), b).reason)
+            reasons.append(_result("eq7", PureState(psi), make_observable(a), b).reason)
         assert reasons == ["degenerate variance"] * 300
 
     def test_rewritten_route_on_family(self):
         for theta in SWEEP_THETAS:
             s = family_state(theta)
-            r = eq7_reverse_bound(s, LX, LY)
+            r = _result("eq7", s, LX, LY)
             if not r.defined:
                 continue
-            mx, my = moments(s, LX), moments(s, LY)
-            mp = moments(s, LP).mean
-            cov = 0.5 * mp - mx.mean * my.mean
-            var_diff = mx.second_moment + my.second_moment - mp - (mx.mean - my.mean) ** 2
-            expected = 2 * var_diff / (1 - cov / (mx.std * my.std)) - 2 * mx.std * my.std
+            (mx, mx2, var_x), (my, my2, var_y) = _moments(s, LX), _moments(s, LY)
+            mp = _moments(s, LP)[0]
+            cov = 0.5 * mp - mx * my
+            var_diff = mx2 + my2 - mp - (mx - my) ** 2
+            std_prod = np.sqrt(var_x * var_y)
+            expected = 2 * var_diff / (1 - cov / std_prod) - 2 * std_prod
             assert r.rhs == pytest.approx(expected, abs=1e-10)
 
 
@@ -291,19 +310,19 @@ class TestFamilyClosedForms:
     def test_dense_grid(self):
         for theta in np.linspace(0.0, np.pi, 401):
             s = family_state(theta)
-            assert eq1_product_bound(s, LX, LY).rhs == pytest.approx(_family_eq1(theta), abs=1e-12)
-            assert eq2_product_bound(s, LX, LY, COMP).rhs == pytest.approx(
+            assert _result("eq1", s, LX, LY).rhs == pytest.approx(_family_eq1(theta), abs=1e-12)
+            assert _result("eq2", s, LX, LY, COMP).rhs == pytest.approx(
                 _family_eq2_canon(theta), abs=1e-12
             )
-            assert eq3_product_bound(s, LX, LY).rhs == pytest.approx(_family_eq3(theta), abs=1e-12)
+            assert _result("eq3", s, LX, LY).rhs == pytest.approx(_family_eq3(theta), abs=1e-12)
 
     def test_eq3_below_rs_at_pi_over_10_for_every_pairing(self):
         s = family_state(np.pi / 10)
-        rs = eq1_product_bound(s, LX, LY).rhs
+        rs = _result("eq1", s, LX, LY).rhs
         assert rs == pytest.approx(0.2045339, abs=1e-7)
         best = 0.0
         for pairing in itertools.permutations(range(3)):
-            r = eq3_product_bound(s, LX, LY, pairing=pairing)
+            r = _result("eq3", s, LX, LY, pairing=pairing)
             t = r.intermediates
             abs_form = float(
                 np.sum(np.abs(np.sqrt(t.fid_a * t.fid_b) * t.a_shifted * t.b_shifted))
@@ -316,7 +335,7 @@ class TestFamilyClosedForms:
     def test_eq3_rs_crossover(self):
         def gap(frac):
             s = family_state(frac * np.pi)
-            return eq3_product_bound(s, LX, LY).rhs - eq1_product_bound(s, LX, LY).rhs
+            return _result("eq3", s, LX, LY).rhs - _result("eq1", s, LX, LY).rhs
 
         for below, above in ((0.237, 0.239), (0.763, 0.761)):
             assert gap(below) < 0 < gap(above)
@@ -376,12 +395,14 @@ def _exact_variance(matrix, psi):
     return sum(x * x + y * y for x, y in mp) / norm - mean * mean
 
 
-def _exact_eq7(a, b, psi):
+def _exact_eq7(a, b, psi, w_a, w_b):
     """eq7 from exact var(A), var(B), var(A - B) (Cov = (var(A) + var(B) -
     var(A - B)) / 2) and dA dB to 2**-200 relative; None where the
-    relation is undefined."""
+    relation is undefined (a std at most EQ7_EPS of ``w_a`` or ``w_b``, the
+    observables' max_std, or a denominator within EQ7_EPS of zero)."""
     var_a, var_b, var_amb = (_exact_variance(m, psi) for m in (a, b, a - b))
-    if min(var_a, var_b) <= Fraction(EQ7_EPS) ** 2:
+    if var_a <= (Fraction(EQ7_EPS) * Fraction(w_a)) ** 2 or var_b <= (
+            Fraction(EQ7_EPS) * Fraction(w_b)) ** 2:
         return None
     prod = var_a * var_b
     da_db = Fraction(isqrt(prod.numerator * prod.denominator * 4**200), prod.denominator * 2**200)
@@ -427,10 +448,11 @@ class TestAnyDimension:
                         b = 0.5 * (b + b.conj().T)
                     oa, ob = make_observable(a), make_observable(b)
                     s = haar_random_state(d, rng)
-                    var_apb = moments(s, make_observable(a + b)).variance
-                    assert eq4_sum_bound(s, oa, ob).rhs == pytest.approx(0.5 * var_apb, rel=1e-9)
-                    ref = _exact_eq7(oa.matrix, ob.matrix, s.amplitudes)
-                    r = eq7_reverse_bound(s, oa, ob)
+                    var_apb = _moments(s, make_observable(a + b))[2]
+                    rep = evaluate_all(s, oa, ob)
+                    assert rep.results["eq4"].rhs == pytest.approx(0.5 * var_apb, rel=1e-9)
+                    ref = _exact_eq7(oa.matrix, ob.matrix, s.amplitudes, oa.max_std, ob.max_std)
+                    r = rep.results["eq7"]
                     assert (r.rhs is None) == (ref is None)
                     if ref is not None:
                         assert r.rhs == pytest.approx(ref, rel=1e-9)
@@ -459,6 +481,66 @@ class TestAnyDimension:
             rep = evaluate_all(haar_random_state(3, rng), a, a)
             for rid, r in rep.results.items():
                 assert r.satisfied, (rid, r)
+
+
+class TestScaleCovariance:
+    """The relations are scale-covariant, and so is every rule of their
+    verdicts: eq7's degeneracy rule and the slack tolerance's floor scale
+    with the observables' max_std."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["haar", "eigenstate of A", "eigenstate of B"]))
+    def test_verdicts_keep_their_state_at_every_scale(self, d, seed, kind):
+        """With A and B scaled by 10^k, k in [-12, 12], each relation keeps
+        its k = 0 state: defined or undefined (with its reason), and
+        satisfied or not.  The state is a Haar state or an exact ``eigh``
+        eigenvector of A or B; the basis is a Haar basis, the pairing
+        random."""
+        rng = np.random.default_rng(seed)
+        a, b = _random_hermitian(rng, d), _random_hermitian(rng, d)
+        if kind == "haar":
+            psi = haar_random_state(d, rng).amplitudes
+        else:
+            psi = np.linalg.eigh(a if kind == "eigenstate of A" else b)[1][:, rng.integers(d)]
+        state, basis, pairing = PureState(psi), haar_basis(d, seed), tuple(rng.permutation(d))
+
+        def verdicts(k):
+            scale = 10.0**k
+            rep = evaluate_all(state, make_observable(scale * a), make_observable(scale * b),
+                               basis, pairing)
+            return {rid: (r.defined, r.reason, r.satisfied) for rid, r in rep.results.items()}
+
+        at_one = verdicts(0)
+        if kind != "haar":
+            assert at_one["eq7"][:2] == (False, "degenerate variance")
+        for k in range(-12, 13):
+            assert verdicts(k) == at_one, k
+
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e8, 1e12])
+    def test_shifted_and_identity_observables(self, shift):
+        """A + shift I and a multiple of the identity: A psi - <A> psi
+        rounds at about 1e-16 of the shift, which max_std's floor
+        (RESOLVED_SPREAD of the largest |eigenvalue|) keeps below the
+        verdicts' scale.  Every defined relation holds, on Haar states and
+        on exact eigenstates of A, where eq7 is degenerate, as it is for
+        the identity on every state."""
+        rng = np.random.default_rng(31)
+        for i in range(100):
+            d = 2 + i % 5
+            a = _random_hermitian(rng, d) + shift * np.eye(d)
+            b = make_observable(_random_hermitian(rng, d))
+            ident = make_observable((1.0 + shift) * np.eye(d))
+            eigenstate = PureState(np.linalg.eigh(a)[1][:, rng.integers(d)])
+            a = make_observable(a)
+            for state, obs in ((haar_random_state(d, rng), a), (eigenstate, a),
+                               (haar_random_state(d, rng), ident)):
+                rep = evaluate_all(state, obs, b)
+                for rid, r in rep.results.items():
+                    assert r.satisfied, (i, rid, r)
+                if obs is ident or state is eigenstate:
+                    assert rep.results["eq7"].reason == "degenerate variance", i
 
 
 class TestReferenceRoutes:
@@ -496,11 +578,10 @@ class TestReferenceRoutes:
 class TestSinglePass:
     def test_each_state_quantity_computed_once(self, monkeypatch):
         """evaluate_all is one evaluate_states call, which takes the moments
-        and centres A psi, B psi itself (no ``moments`` or ``_centre``
-        call), and every relation reads them."""
-        calls = {"evaluate_states": 0, "_centre": 0, "moments": 0}
-        for module, name in ((bounds, "evaluate_states"), (hermitian, "_centre"),
-                             (hermitian, "moments")):
+        and centres A psi, B psi itself (no ``_centre`` call), and every
+        relation reads them."""
+        calls = {"evaluate_states": 0, "_centre": 0}
+        for module, name in ((bounds, "evaluate_states"), (hermitian, "_centre")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -509,18 +590,18 @@ class TestSinglePass:
         rng = np.random.default_rng(9)
         a, b = (make_observable(_random_hermitian(rng, 4)) for _ in range(2))
         evaluate_all(haar_random_state(4, rng), a, b, haar_basis(4, 3), (3, 1, 0, 2))
-        assert calls == {"evaluate_states": 1, "_centre": 0, "moments": 0}
+        assert calls == {"evaluate_states": 1, "_centre": 0}
         assert not hasattr(bounds, "_centre")
 
 
-def _reference_result(relation_id, direction, lhs, rhs, intermediates=None):
+def _reference_result(relation_id, direction, lhs, rhs, floor, intermediates=None):
     margin = bounds.slack(direction, lhs, rhs)
     return BoundResult(
         relation_id=relation_id,
         direction=direction,
         lhs=float(lhs),
         rhs=float(rhs),
-        satisfied=bool(margin >= -bounds._slack_tol(lhs, rhs)),
+        satisfied=bool(margin >= -bounds._slack_tol(lhs, rhs, floor)),
         slack=float(margin),
         intermediates=intermediates,
     )
@@ -541,21 +622,26 @@ def _reference_undefined(relation_id, direction, lhs, reason):
 
 def _reference_report(state, a, b, basis=None, pairing=None):
     """evaluate_all assembled relation by relation, on the kernel's scalar
-    values."""
+    values: the slack floor is (w_a w_b)^2 for the product and
+    max(w_a, w_b)^2 for the sum, w the observables' max_std, and eq7 is
+    undefined for a degenerate variance when a std is at most EQ7_EPS w."""
     t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
     prod, total = t["lhs_prod"], t["lhs_sum"]
+    w_a, w_b = a.max_std, b.max_std
+    fp, fs = (w_a * w_b) ** 2, max(w_a, w_b) ** 2
+    degenerate = t["var_a"] <= EQ7_EPS**2 * w_a * w_a or t["var_b"] <= EQ7_EPS**2 * w_b * w_b
     results = {
-        "eq1": _reference_result("eq1", "lower", prod, t["eq1"]),
-        "eq2": _reference_result("eq2", "lower", prod, t["eq2"]),
-        "eq3": _reference_result("eq3", "lower", prod, t["eq3"], fid),
-        "eq4": _reference_result("eq4", "lower", total, t["eq4"]),
-        "eq5": _reference_result("eq5", "lower", total, t["eq5"]),
-        "eq6": _reference_result("eq6", "lower", total, t["eq6"], fid),
+        "eq1": _reference_result("eq1", "lower", prod, t["eq1"], fp),
+        "eq2": _reference_result("eq2", "lower", prod, t["eq2"], fp),
+        "eq3": _reference_result("eq3", "lower", prod, t["eq3"], fp, fid),
+        "eq4": _reference_result("eq4", "lower", total, t["eq4"], fs),
+        "eq5": _reference_result("eq5", "lower", total, t["eq5"], fs),
+        "eq6": _reference_result("eq6", "lower", total, t["eq6"], fs, fid),
         "eq7": (
-            _reference_result("eq7", "upper", total, t["eq7"])
+            _reference_result("eq7", "upper", total, t["eq7"], fs)
             if not np.isnan(t["eq7"])
-            else _reference_undefined("eq7", "upper", total, rhs_eq7(
-                *(float(t[k]) for k in ("var_a", "var_b", "var_amb")))[1])
+            else _reference_undefined("eq7", "upper", total, "degenerate variance" if degenerate
+                                      else "singular denominator")
         ),
     }
     return UncertaintyReport(
@@ -678,26 +764,28 @@ def _rhs_inputs(d, seed, rows=6):
     perm = rng.permutation(d)
     args = {k: [] for k in ("eq1", "eq2", "eq3", "eq4", "eq7")}
     for s in (haar_random_state(d, rng) for _ in range(rows)):
-        ma, mb = moments(s, a), moments(s, b)
+        mean_a, mean_b = (np.vdot(s.amplitudes, m.matrix @ s.amplitudes).real for m in (a, b))
         u, v = _centre(s.amplitudes, a), _centre(s.amplitudes, b)
-        cov = covariance(s, a, b)
+        cov = np.vdot(u, v).real
         comm = abs(np.vdot(s.amplitudes, (a.matrix @ b.matrix - b.matrix @ a.matrix) @ s.amplitudes))
         fid_a = np.abs(a.eigenvectors.conj().T @ s.amplitudes) ** 2
         fid_b = np.abs(b.eigenvectors.conj().T @ s.amplitudes) ** 2
         args["eq1"].append((comm, cov))
         args["eq2"].append((bh @ u, bh @ v))
-        args["eq3"].append((a.eigenvalues - ma.mean, b.eigenvalues[perm] - mb.mean, fid_a, fid_b[perm]))
+        args["eq3"].append((a.eigenvalues - mean_a, b.eigenvalues[perm] - mean_b, fid_a,
+                            fid_b[perm]))
         args["eq4"].append((np.vdot(u + v, u + v).real,))
-        args["eq7"].append((ma.variance, mb.variance, np.vdot(u - v, u - v).real))
-    args["eq7"][0] = (EQ7_EPS**2,) + args["eq7"][0][1:]
+        args["eq7"].append((np.vdot(u, u).real, np.vdot(v, v).real, np.vdot(u - v, u - v).real,
+                            a.max_std, b.max_std))
+    args["eq7"][0] = (EQ7_EPS**2 * a.max_std * a.max_std,) + args["eq7"][0][1:]
     var_a = args["eq7"][1][0]
-    args["eq7"][1] = (var_a, var_a, 0.0)
+    args["eq7"][1] = (var_a, var_a, 0.0, a.max_std, a.max_std)
     return {k: tuple(np.array(x) for x in zip(*per_row)) for k, per_row in args.items()}
 
 
 class TestBatchedRhs:
-    """Each rhs_eqN on a stack of inputs equals its per-row scalar calls, so
-    the sampled path can evaluate all perturbed count vectors at once."""
+    """Each rhs_eqN on a stack of inputs equals its per-row calls, so the
+    sampled path can evaluate all perturbed count vectors at once."""
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -714,11 +802,16 @@ class TestBatchedRhs:
             stacked = fn(*(x.reshape(2, 3, *x.shape[1:]) for x in args))
             np.testing.assert_allclose(stacked.ravel(), per_row, rtol=1e-15, atol=0)
 
+        # eq7 has one path: 0-d rows, a stack and a (2, 3) stack agree, NaN
+        # exactly in the undefined rows 0 (degenerate variance) and 1
+        # (singular denominator)
         args = inputs["eq7"]
-        rhs, undefined = rhs_eq7(*args)
-        per_row = [rhs_eq7(*(float(x[i]) for x in args)) for i in range(6)]
-        assert [r[1] for r in per_row[:2]] == ["degenerate variance", "singular denominator"]
-        assert undefined.tolist() == [r[0] is None for r in per_row]
-        assert np.all(np.isnan(rhs[undefined]))
-        defined = [r[0] for r in per_row if r[0] is not None]
-        np.testing.assert_allclose(rhs[~undefined], defined, rtol=1e-15, atol=0)
+        rhs, degenerate = rhs_eq7(*args)
+        per_row = [rhs_eq7(*(np.asarray(x[i]) for x in args)) for i in range(6)]
+        assert np.isnan(rhs).tolist() == [True, True, False, False, False, False]
+        assert degenerate.tolist() == [True] + [False] * 5
+        assert [bool(r[1]) for r in per_row] == degenerate.tolist()
+        np.testing.assert_allclose([r[0] for r in per_row], rhs, rtol=1e-15, atol=0)
+        stacked, stacked_degenerate = rhs_eq7(*(x.reshape(2, 3) for x in args))
+        np.testing.assert_allclose(stacked.ravel(), rhs, rtol=1e-15, atol=0)
+        assert stacked_degenerate.ravel().tolist() == degenerate.tolist()

@@ -1,24 +1,23 @@
-"""Tests for the Hermitian core: eigensystems, moments, covariance."""
+"""Tests for the Hermitian core: states, observables and eigensystems, and
+the moments and covariance that the one-pass kernel takes of them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varbound.bounds import evaluate_all, evaluate_states
 from varbound.hermitian import (
+    RESOLVED_SPREAD,
     DimensionMismatch,
     EigenFailure,
     NonHermitianError,
     Observable,
     PureState,
-    anticommutator,
     builtin_spin1,
-    commutator,
-    covariance,
     family_state,
     haar_random_state,
     make_observable,
-    moments,
 )
 
 LX, LY, LZ, LP = builtin_spin1()
@@ -274,32 +273,45 @@ class TestBuiltinSpin1:
         assert LP.matrix[0, 2] == pytest.approx(-1j)
 
     def test_lz_from_commutator(self):
-        assert np.allclose(-1j * commutator(LX, LY), LZ.matrix, atol=1e-12)
+        assert np.allclose(-1j * (LX.matrix @ LY.matrix - LY.matrix @ LX.matrix), LZ.matrix,
+                           atol=1e-12)
 
     def test_lp_from_anticommutator(self):
-        assert np.allclose(anticommutator(LX, LY), LP.matrix, atol=1e-12)
+        assert np.allclose(LX.matrix @ LY.matrix + LY.matrix @ LX.matrix, LP.matrix, atol=1e-12)
+
+
+def _kernel_moments(state, obs, other=LX):
+    """Mean and variance of ``obs`` in ``state`` as the one-pass kernel
+    takes them (``other`` is the second observable it needs)."""
+    t, _ = evaluate_states(state.amplitudes, obs, other)
+    return float(t["mean_a"]), float(t["var_a"])
+
+
+def _covariance(state, a, b):
+    t, _ = evaluate_states(state.amplitudes, a, b)
+    return float(t["cov"])
 
 
 class TestMoments:
     def test_eigenstate(self):
-        m = moments(family_state(0.0), LZ)
-        assert m.mean == pytest.approx(1.0, abs=1e-12)
-        assert m.variance == pytest.approx(0.0, abs=1e-12)
+        mean, var = _kernel_moments(family_state(0.0), LZ)
+        assert mean == pytest.approx(1.0, abs=1e-12)
+        assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_lx_on_basis_state(self):
         # direct 3x3 arithmetic: <Lx> = 0, <Lx^2> = 1/2 for (1,0,0)
-        m = moments(family_state(0.0), LX)
-        assert m.mean == pytest.approx(0.0, abs=1e-12)
-        assert m.variance == pytest.approx(0.5, abs=1e-12)
+        mean, var = _kernel_moments(family_state(0.0), LX)
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert var == pytest.approx(0.5, abs=1e-12)
 
     def test_lx_on_middle_state(self):
-        m = moments(family_state(np.pi / 2), LX)
-        assert m.mean == pytest.approx(0.0, abs=1e-12)
-        assert m.variance == pytest.approx(1.0, abs=1e-12)
+        mean, var = _kernel_moments(family_state(np.pi / 2), LX)
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert var == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            moments(PureState(np.array([1.0, 0.0])), LX)
+            evaluate_all(PureState(np.array([1.0, 0.0])), LX, LY)
 
     def test_projective_equals_quadratic_form(self):
         rng = np.random.default_rng(5)
@@ -315,7 +327,9 @@ class TestMoments:
             ))
             direct = float(np.real(np.vdot(psi, obs.matrix @ psi)))
             assert abs(proj - direct) < 1e-10
-            assert moments(s, obs).variance >= -1e-12
+            mean, var = _kernel_moments(s, obs, obs)
+            assert mean == pytest.approx(direct, abs=1e-10)
+            assert var >= -1e-12
 
 
 class TestCovariance:
@@ -323,35 +337,58 @@ class TestCovariance:
         rng = np.random.default_rng(7)
         for _ in range(50):
             s = haar_random_state(3, rng)
-            assert covariance(s, LX, LX) == pytest.approx(moments(s, LX).variance, abs=1e-12)
+            assert _covariance(s, LX, LX) == pytest.approx(_kernel_moments(s, LX)[1], abs=1e-12)
 
     def test_family_lx_ly_uncorrelated(self):
         # <Lp> = 0 and <Ly> = 0 for every real state in the family
         for theta in np.linspace(0, np.pi, 23):
-            assert covariance(family_state(theta), LX, LY) == pytest.approx(0.0, abs=1e-12)
+            assert _covariance(family_state(theta), LX, LY) == pytest.approx(0.0, abs=1e-12)
 
     def test_lx_lz_on_basis_state(self):
-        assert covariance(family_state(0.0), LX, LZ) == pytest.approx(0.0, abs=1e-12)
+        assert _covariance(family_state(0.0), LX, LZ) == pytest.approx(0.0, abs=1e-12)
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             s = haar_random_state(3, rng)
-            cov = covariance(s, LX, LY)
-            bound = moments(s, LX).std * moments(s, LY).std
+            cov = _covariance(s, LX, LY)
+            bound = np.sqrt(_kernel_moments(s, LX)[1] * _kernel_moments(s, LY)[1])
             assert abs(cov) <= bound + 1e-10
 
 
 class TestCommutators:
     def test_self_commutator_zero(self):
-        assert np.allclose(commutator(LX, LX), 0, atol=1e-14)
+        assert np.allclose(LX.matrix @ LX.matrix - LX.matrix @ LX.matrix, 0, atol=1e-14)
 
     def test_commutator_gives_i_lz(self):
-        assert np.allclose(commutator(LX, LY), 1j * LZ.matrix, atol=1e-12)
+        assert np.allclose(LX.matrix @ LY.matrix - LY.matrix @ LX.matrix, 1j * LZ.matrix,
+                           atol=1e-12)
 
     def test_anticommutator_gives_lp(self):
-        assert np.allclose(anticommutator(LX, LY), LP.matrix, atol=1e-12)
+        assert np.allclose(LX.matrix @ LY.matrix + LY.matrix @ LX.matrix, LP.matrix, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            commutator(LX, make_observable(np.eye(2)))
+            evaluate_all(family_state(0.0), LX, make_observable(np.eye(2)))
+
+
+class TestMaxStd:
+    """An observable's scale in the verdicts: half its spectrum's width, at
+    least RESOLVED_SPREAD / 2 of its largest |eigenvalue|."""
+
+    def test_spin1_components_have_unit_scale(self):
+        assert LX.max_std == LY.max_std == LZ.max_std == 1.0
+
+    def test_scale_covariant_and_shift_invariant(self):
+        a = make_observable(np.diag([-2.0, 0.5, 3.0]))
+        assert a.max_std == 2.5
+        assert make_observable(1e-6 * a.matrix).max_std == pytest.approx(2.5e-6, rel=1e-15)
+        shifted = make_observable(a.matrix + 10.0 * np.eye(3))
+        assert shifted.max_std == pytest.approx(2.5, rel=1e-14)
+
+    def test_unresolved_spread(self):
+        """A multiple of the identity, or a spread below RESOLVED_SPREAD of
+        the spectrum's largest |eigenvalue|, takes that rounding scale."""
+        assert make_observable(-3.0 * np.eye(4)).max_std == 1.5 * RESOLVED_SPREAD
+        near = make_observable(np.diag([1e8, 1e8 + 1.0]))
+        assert near.max_std == pytest.approx(0.5 * RESOLVED_SPREAD * (1e8 + 1.0), rel=1e-15)

@@ -15,7 +15,7 @@ from varbound.basis_search import OptimizerConfig, haar_basis
 from varbound.bounds import OrthonormalBasis, _slack_tol, evaluate_all
 from varbound.cli import main
 from varbound.hermitian import (
-    builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable, moments,
+    builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable,
 )
 from varbound import photonics
 from varbound.photonics import builtin_settings, projection_probabilities, sample_counts
@@ -227,9 +227,9 @@ class TestRunSweep:
         assert dense.shape == (len(dense), len(CSV_COLUMNS))
         for d in (_cells(CSV_COLUMNS, d) for d in dense):
             state = family_state(d["theta"])
-            rep = evaluate_all(state, LX, LY)
+            rep, zp = evaluate_all(state, LX, LY), evaluate_all(state, LZ, LP)
             expected = {
-                "mean_lz": moments(state, LZ).mean, "mean_lp": moments(state, LP).mean,
+                "mean_lz": zp.mean_a, "mean_lp": zp.mean_b,
                 "mean_lx": rep.mean_a, "mean_ly": rep.mean_b, "var_lx": rep.var_a,
                 "var_ly": rep.var_b, "lhs_prod": rep.product_lhs, "lhs_sum": rep.sum_lhs,
                 "rhs_eq2_canon": rep.results["eq2"].rhs, "rhs_eq5_canon": rep.results["eq5"].rhs,
@@ -520,7 +520,8 @@ def _slacks(values):
     an rhs: the row-by-row form that build_report's slack table replaced,
     kept as a reference."""
     return [
-        (sweep.slack(direction, values[lhs], values[rhs]), _slack_tol(values[lhs], values[rhs]))
+        (sweep.slack(direction, values[lhs], values[rhs]),
+         _slack_tol(values[lhs], values[rhs], 1.0))
         for _, lhs, rhs, direction in RELATIONS
         if values.get(rhs) is not None
     ]
@@ -532,7 +533,7 @@ def _status(direction, lhs, rhs):
     as a reference."""
     if rhs is None:
         return "undefined"
-    margin, tol = sweep.slack(direction, lhs, rhs), _slack_tol(lhs, rhs)
+    margin, tol = sweep.slack(direction, lhs, rhs), _slack_tol(lhs, rhs, 1.0)
     if margin < -tol:
         return "violated"
     return "tight" if abs(margin) <= tol else "satisfied"
@@ -557,7 +558,7 @@ def _reference_verify(path, z_limit=sweep.DEFAULT_Z_LIMIT):
                 continue
             if s > 0 and abs(v - ideal) / s > z_limit:
                 return 1
-            if s == 0 and abs(v - ideal) > _slack_tol(v, ideal):
+            if s == 0 and abs(v - ideal) > _slack_tol(v, ideal, 1.0):
                 return 1
     return 0
 
@@ -769,7 +770,7 @@ def _eq7_undefined(counts):
     mx, my, mp = px @ vx, py @ vy, pp @ vp
     var_x, var_y = px @ vx**2 - mx**2, py @ vy**2 - my**2
     var_amb = px @ vx**2 + py @ vy**2 - mp - (mx - my) ** 2
-    return bool(sweep.rhs_eq7(np.array([var_x]), np.array([var_y]), np.array([var_amb]))[1][0])
+    return bool(np.isnan(sweep.rhs_eq7(var_x, var_y, var_amb, LX.max_std, LY.max_std)[0]))
 
 
 class TestTableForm:
@@ -1063,7 +1064,7 @@ class TestBuildReport:
             (j, col) for j, (ideal, sampled, sigma) in enumerate(map(_split, table))
             for col, v in sampled.items()
             if ideal[col] is not None and sigma[col] == 0
-            and abs(v - ideal[col]) > _slack_tol(v, ideal[col])
+            and abs(v - ideal[col]) > _slack_tol(v, ideal[col], 1.0)
         ]
         assert off and not report.ok
         emit(table, report, cfg, dense)
