@@ -12,8 +12,9 @@ feeds them estimates from counts and the basis search a trial basis.
 carry their :class:`FidelityTerms`.  Lower bounds use slack = lhs - rhs;
 the reverse bound uses slack = rhs - lhs.  Every rule of a verdict scales
 with the observables: eq7 calls a variance degenerate when dA is at most
-EQ7_EPS of A's largest standard deviation ``max_std``, and the slack
-tolerance's floor is the size, in those scales, that the sides can reach.
+EQ7_EPS of A's largest standard deviation ``max_std`` or within A's
+``resolution``, and the slack tolerance's floor (:func:`_slack_floors`) is
+the size, in those scales, that the sides can reach, or their rounding.
 """
 
 from __future__ import annotations
@@ -96,6 +97,28 @@ def _slack_tol(lhs, rhs, floor):
     return SLACK_TOL * np.maximum(floor, np.maximum(abs(lhs), abs(rhs)))
 
 
+def _slack_floors(a, b):
+    """The slack tolerance's floors (product, sum) for observables a, b:
+    (w_a w_b)^2 and max(w_a, w_b)^2 with w = ``max_std``, or where larger
+    the margin's rounding over SLACK_TOL.  A side is g^2, |g| <= w_a w_b
+    (or w_a + w_b), of vectors that round by r = ``resolution``, so it
+    rounds by up to (s_a s_b)^2 - (w_a w_b)^2 (or (s_a + s_b)^2 -
+    (w_a + w_b)^2), s = w + r, and the margin by twice that: linear in r."""
+    w_a, w_b, r_a, r_b = a.max_std, b.max_std, a.resolution, b.resolution
+    s_a, s_b = w_a + r_a, w_b + r_b
+    prod_rounding = (r_a * s_b + w_a * r_b) * (s_a * s_b + w_a * w_b)
+    sum_rounding = (r_a + r_b) * (s_a + s_b + w_a + w_b)
+    return (max((w_a * w_b) ** 2, 2.0 * prod_rounding / SLACK_TOL),
+            max(max(w_a, w_b) ** 2, 2.0 * sum_rounding / SLACK_TOL))
+
+
+def _degenerate_std(obs):
+    """The std at or below which eq7 calls a variance degenerate: EQ7_EPS
+    of ``max_std``, or the ``resolution`` where larger (a shift c I rounds
+    A psi at about c ulps but leaves the spread)."""
+    return max(EQ7_EPS * obs.max_std, obs.resolution)
+
+
 def _normalize_pairing(pairing, dim):
     pairing = [int(i) for i in pairing]
     if sorted(pairing) != list(range(dim)):
@@ -143,18 +166,18 @@ def rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
     return 0.5 * ((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2).sum(-1)
 
 
-def rhs_eq7(var_a, var_b, var_amb, w_a, w_b):
+def rhs_eq7(var_a, var_b, var_amb, min_std_a, min_std_b):
     """Reverse sum bound 2 var(A-B) / (1 - Cov/(dA dB)) - 2 dA dB.
 
     var(A-B) = var(A) + var(B) - 2 Cov gives the denominator as
     (var(A-B) - (dA - dB)^2) / (2 dA dB), which keeps its relative accuracy
     where Cov/(dA dB) nears 1 and 1 - Cov/(dA dB) would cancel.  Undefined
-    where a variance is degenerate, dA <= EQ7_EPS w_a with w_a the largest
-    dA any state has (:attr:`Observable.max_std`; the same for B), or where
-    the denominator lies within EQ7_EPS of zero.  Returns (rhs, degenerate),
-    rhs NaN where undefined and ``degenerate`` the mask of the first reason.
+    where a variance is degenerate, dA <= min_std_a or dB <= min_std_b
+    (:func:`_degenerate_std` of each observable), or where the denominator
+    lies within EQ7_EPS of zero.  Returns (rhs, degenerate), rhs NaN where
+    undefined and ``degenerate`` the mask of the first reason.
     """
-    degenerate = (var_a <= EQ7_EPS**2 * w_a * w_a) | (var_b <= EQ7_EPS**2 * w_b * w_b)
+    degenerate = (var_a <= min_std_a * min_std_a) | (var_b <= min_std_b * min_std_b)
     da, db = np.sqrt(np.where(degenerate, 1.0, [var_a, var_b]))
     two_da_db, diff = 2.0 * da * db, da - db
     denom = (var_amb - diff * diff) / two_da_db
@@ -212,7 +235,7 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
         "eq6": rhs_eq6(*fid_args),
     }
     out["eq7"], out["eq7_degenerate"] = rhs_eq7(
-        var_a, var_b, out["var_amb"], a.max_std, b.max_std)
+        var_a, var_b, out["var_amb"], _degenerate_std(a), _degenerate_std(b))
     for name, obs in (means or {}).items():
         out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
     return out, fid
@@ -241,8 +264,7 @@ def evaluate_all(
 ) -> UncertaintyReport:
     """Evaluate eq1..eq7 on one state (:func:`evaluate_states` of one
     vector); eq7 degeneracy degrades to undefined, with its reason.  The
-    slack tolerance's floor is (w_a w_b)^2 for the product and
-    max(w_a, w_b)^2 for the sum, with w the observables' ``max_std``."""
+    slack tolerance's floors are :func:`_slack_floors`."""
     t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
     # both sides, margins and verdicts of the seven relations as arrays:
     # eq1..eq3 bound the product and eq4..eq6 the sum from below, eq7 the
@@ -252,8 +274,8 @@ def evaluate_all(
     rhs = np.array([t[rid] for rid in ids])
     margin = lhs - rhs
     margin[6] = rhs[6] - lhs[6]
-    w_a, w_b = a.max_std, b.max_std
-    floor = np.array([(w_a * w_b) ** 2] * 3 + [max(w_a, w_b) ** 2] * 4)
+    prod_floor, sum_floor = _slack_floors(a, b)
+    floor = np.array([prod_floor] * 3 + [sum_floor] * 4)
     satisfied = margin >= -_slack_tol(lhs, rhs, floor)
     results = {
         rid: BoundResult(rid, "upper" if rid == "eq7" else "lower", left, right, ok, gap,

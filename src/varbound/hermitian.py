@@ -6,7 +6,7 @@ optionally permuted to a requested eigenvalue order, with each
 eigenvector's phase fixed afterwards (largest-magnitude component real and
 positive), so non-degenerate eigenvectors do not depend on LAPACK's phase
 convention.  Each Observable also carries its scale ``max_std``, half its
-spectrum's width, to which the relations' verdicts are relative.
+spectrum's width, and its ``resolution``, the rounding of a computed one.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import numpy as np
 
 MATRIX_TOL = 1e-10
 NORM_TOL = 1e-12
-# A psi - <A> psi rounds at about 1e-15 of the largest |eigenvalue|, so a
-# spectrum narrower than this fraction of it is not resolved: an
-# observable's scale (``max_std``) is at least half this fraction of it,
-# and eq7's degeneracy rule, 1e-9 of the scale, stays above that rounding
-RESOLVED_SPREAD = 1e-4
+EPS = float(np.finfo(float).eps)
+# A psi rounds by up to d ulps of the largest |eigenvalue| (each entry is a
+# length-d sum), and LAPACK's eigenvectors leave A v - lambda v at up to 2.6 d
+# (30,000 random matrices, d = 2..8): a std below RESOLVED_ULPS d is rounding
+RESOLVED_ULPS = 8
 
 
 class NonHermitianError(ValueError):
@@ -81,10 +81,11 @@ class Observable:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     name: str = ""
-    # half the spectrum's width, the largest standard deviation any state
-    # has: the observable's scale in the relations' verdicts (at least
-    # RESOLVED_SPREAD / 2 of its largest |eigenvalue|)
+    # half the spectrum's width, the largest std any state has (the scale of
+    # the verdicts), and RESOLVED_ULPS d ulps of the largest |eigenvalue|,
+    # the rounding of a computed A psi - <A> psi and so of a computed std
     max_std: float = field(init=False)
+    resolution: float = field(init=False)
 
     def __post_init__(self):
         for key, dtype in (("matrix", complex), ("eigenvalues", float), ("eigenvectors", complex)):
@@ -104,8 +105,8 @@ class Observable:
             raise EigenFailure("eigensystem does not reconstruct the matrix")
         values = w.tolist()  # a short list's min and max cost less than numpy's
         lo, hi = min(values), max(values)
-        width = max(hi - lo, RESOLVED_SPREAD * max(abs(lo), abs(hi)))
-        object.__setattr__(self, "max_std", width / 2)
+        object.__setattr__(self, "max_std", (hi - lo) / 2)
+        object.__setattr__(self, "resolution", RESOLVED_ULPS * w.size * EPS * max(-lo, hi))
 
     @property
     def dim(self):
@@ -161,13 +162,8 @@ def builtin_spin1():
     ly = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
     lz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     lp = lx @ ly + ly @ lx
-    order = SPIN1_EIGENVALUE_ORDER
-    return (
-        make_observable(lx, "Lx", order),
-        make_observable(ly, "Ly", order),
-        make_observable(lz, "Lz", order),
-        make_observable(lp, "Lp", order),
-    )
+    return tuple(make_observable(m, name, SPIN1_EIGENVALUE_ORDER)
+                 for m, name in ((lx, "Lx"), (ly, "Ly"), (lz, "Lz"), (lp, "Lp")))
 
 
 def _check_dims(state, *observables):

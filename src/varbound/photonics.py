@@ -95,8 +95,7 @@ def compose(elements):
     return m
 
 
-def _deg(x):
-    return np.deg2rad(x)
+_deg = np.deg2rad
 
 
 @dataclass(frozen=True)
@@ -119,16 +118,8 @@ class MeasurementSetting:
 
 
 def _setting(name, h1, h2, h3, h4, q, elements, ports):
-    return MeasurementSetting(
-        observable=name,
-        h1=None if h1 is None else _deg(h1),
-        h2=None if h2 is None else _deg(h2),
-        h3=None if h3 is None else _deg(h3),
-        h4=None if h4 is None else _deg(h4),
-        q=None if q is None else _deg(q),
-        elements=tuple(elements),
-        ports=ports,
-    )
+    angles = (None if x is None else _deg(x) for x in (h1, h2, h3, h4, q))
+    return MeasurementSetting(name, *angles, tuple(elements), ports)
 
 
 def builtin_settings():
@@ -180,14 +171,12 @@ def builtin_settings():
     return {"Lx": lx, "Ly": ly, "Lz": lz, "Lp": lp}
 
 
-_BUILTIN_OBS = None
+_BUILTIN_OBS = {}
 
 
 def _builtin_observable(name) -> Observable:
-    global _BUILTIN_OBS
-    if _BUILTIN_OBS is None:
-        lx, ly, lz, lp = builtin_spin1()
-        _BUILTIN_OBS = {"Lx": lx, "Ly": ly, "Lz": lz, "Lp": lp}
+    if not _BUILTIN_OBS:
+        _BUILTIN_OBS.update(zip(("Lx", "Ly", "Lz", "Lp"), builtin_spin1()))
     return _BUILTIN_OBS[name]
 
 

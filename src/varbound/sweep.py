@@ -45,6 +45,8 @@ from . import __version__
 from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
     OrthonormalBasis,
+    _degenerate_std,
+    _slack_floors,
     _slack_tol,
     evaluate_states,
     rhs_eq1,
@@ -58,7 +60,8 @@ from .bounds import (
 )
 from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1
 from .hermitian import family_amplitudes, family_state
-from .photonics import builtin_settings, projection_probabilities, sample_counts
+from .photonics import _builtin_observable, builtin_settings
+from .photonics import projection_probabilities, sample_counts
 
 
 class ConfigError(ValueError):
@@ -270,7 +273,7 @@ def _sampled_columns(counts, lx, ly, bases):
         "rhs_eq3": rhs_eq3(a_sh, b_sh, px, py),
         "rhs_eq6": rhs_eq6(a_sh, b_sh, px, py),
         "rhs_eq7": rhs_eq7(
-            var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2, lx.max_std, ly.max_std
+            var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2, _degenerate_std(lx), _degenerate_std(ly)
         )[0],
     }
 
@@ -370,13 +373,14 @@ def build_report(table, dense=None, z_limit=DEFAULT_Z_LIMIT) -> VerificationRepo
     ideal, sampled, sigma = np.hsplit(cells[:, -len(DATA_COLUMNS):], 3)
     col = dict(zip(VALUE_COLUMNS, ideal.T))
     margin = np.array([slack(d, col[lhs], col[rhs]) for _, lhs, rhs, d in RELATIONS]).T
-    # the slack tolerance's floor is 1: Lx and Ly have max_std 1, so both
-    # of evaluate_all's floors, (w_a w_b)^2 and max(w_a, w_b)^2, read 1
-    tol = np.array([_slack_tol(col[lhs], col[rhs], 1.0) for _, lhs, rhs, _ in RELATIONS]).T
+    # evaluate_all's floors for Lx and Ly (both 1); sigma = 0 takes the sum's
+    prod_floor, sum_floor = _slack_floors(_builtin_observable("Lx"), _builtin_observable("Ly"))
+    floor = {"lhs_prod": prod_floor, "lhs_sum": sum_floor}
+    tol = np.array([_slack_tol(col[lhs], col[rhs], floor[lhs]) for _, lhs, rhs, _ in RELATIONS]).T
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (sampled - ideal) / sigma
     scored = (sigma > 0) & ~np.isnan(z)
-    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal, 1.0))
+    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal, sum_floor))
     ok = not ((margin < -tol).any() or (abs(z[scored]) > z_limit).any() or zero_off.any())
     n = len(table)
     m, t = margin[:n, STATUS_RELATIONS], tol[:n, STATUS_RELATIONS]

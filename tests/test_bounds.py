@@ -241,23 +241,29 @@ class TestEq7:
 
     def test_degeneracy_rule_is_std_at_most_eps(self):
         """One rule for the ideal and the sampled path: a std at most
-        EQ7_EPS = 1e-9 of its observable's max_std w, whatever the scale."""
+        EQ7_EPS = 1e-9 of its observable's max_std w, whatever the scale,
+        or within its resolution where a shift makes that the larger."""
         for w in (1e-12, 1.0, 1e12):
+            m = bounds._degenerate_std(make_observable(w * np.diag([1.0, -1.0])))
+            assert m == EQ7_EPS * w
             v = w * w
-            rhs, degenerate = rhs_eq7(1e-16 * v, v, v, w, w)  # std 1e-8 w
+            rhs, degenerate = rhs_eq7(1e-16 * v, v, v, m, m)  # std 1e-8 w
             assert not np.isnan(rhs) and not degenerate
-            for args in ((1e-19 * v, v, v, w, w), (v, 1e-19 * v, v, w, w)):  # std 3e-10 w
+            for args in ((1e-19 * v, v, v, m, m), (v, 1e-19 * v, v, m, m)):  # std 3e-10 w
                 rhs, degenerate = rhs_eq7(*args)
                 assert np.isnan(rhs) and degenerate
             # unit variances and Cov = 1 - 1e-10, so var(A - B) = 2e-10: the
             # denominator's rule is dimensionless
-            rhs, degenerate = rhs_eq7(v, v, 2e-10 * v, w, w)
+            rhs, degenerate = rhs_eq7(v, v, 2e-10 * v, m, m)
             assert np.isnan(rhs) and not degenerate
         # the same std (1e-8) is degenerate against its own, wider spectrum
         assert [bool(rhs_eq7(*args)[1]) for args in (
-            (1e-16, 1.0, 1.0, 1.0, 100.0), (1e-16, 1.0, 1.0, 100.0, 1.0),
-            (1.0, 1e-16, 1.0, 100.0, 1.0), (1.0, 1e-16, 1.0, 1.0, 100.0),
+            (1e-16, 1.0, 1.0, 1e-9, 1e-7), (1e-16, 1.0, 1.0, 1e-7, 1e-9),
+            (1.0, 1e-16, 1.0, 1e-7, 1e-9), (1.0, 1e-16, 1.0, 1e-9, 1e-7),
         )] == [False, True, False, True]
+        # A + 1e12 I rounds A psi - <A> psi at about 1e-4, far above 1e-9 w
+        shifted = make_observable(np.diag([1.0, -1.0]) + 1e12 * np.eye(2))
+        assert bounds._degenerate_std(shifted) == shifted.resolution > 1e-4
 
     def test_undefined_on_exact_eigenstates(self):
         """On an eigenvector of A, var(A) = ||Abar psi||^2 is rounding
@@ -395,14 +401,13 @@ def _exact_variance(matrix, psi):
     return sum(x * x + y * y for x, y in mp) / norm - mean * mean
 
 
-def _exact_eq7(a, b, psi, w_a, w_b):
+def _exact_eq7(a, b, psi, min_std_a, min_std_b):
     """eq7 from exact var(A), var(B), var(A - B) (Cov = (var(A) + var(B) -
     var(A - B)) / 2) and dA dB to 2**-200 relative; None where the
-    relation is undefined (a std at most EQ7_EPS of ``w_a`` or ``w_b``, the
-    observables' max_std, or a denominator within EQ7_EPS of zero)."""
+    relation is undefined (a std at most ``min_std_a`` or ``min_std_b``, or
+    a denominator within EQ7_EPS of zero)."""
     var_a, var_b, var_amb = (_exact_variance(m, psi) for m in (a, b, a - b))
-    if var_a <= (Fraction(EQ7_EPS) * Fraction(w_a)) ** 2 or var_b <= (
-            Fraction(EQ7_EPS) * Fraction(w_b)) ** 2:
+    if var_a <= Fraction(min_std_a) ** 2 or var_b <= Fraction(min_std_b) ** 2:
         return None
     prod = var_a * var_b
     da_db = Fraction(isqrt(prod.numerator * prod.denominator * 4**200), prod.denominator * 2**200)
@@ -451,7 +456,8 @@ class TestAnyDimension:
                     var_apb = _moments(s, make_observable(a + b))[2]
                     rep = evaluate_all(s, oa, ob)
                     assert rep.results["eq4"].rhs == pytest.approx(0.5 * var_apb, rel=1e-9)
-                    ref = _exact_eq7(oa.matrix, ob.matrix, s.amplitudes, oa.max_std, ob.max_std)
+                    ref = _exact_eq7(oa.matrix, ob.matrix, s.amplitudes,
+                                     bounds._degenerate_std(oa), bounds._degenerate_std(ob))
                     r = rep.results["eq7"]
                     assert (r.rhs is None) == (ref is None)
                     if ref is not None:
@@ -485,8 +491,8 @@ class TestAnyDimension:
 
 class TestScaleCovariance:
     """The relations are scale-covariant, and so is every rule of their
-    verdicts: eq7's degeneracy rule and the slack tolerance's floor scale
-    with the observables' max_std."""
+    verdicts: eq7's degeneracy rule and the slack tolerance's floors scale
+    with the observables' max_std and resolution."""
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
@@ -521,11 +527,11 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("shift", [0.0, 1e4, 1e8, 1e12])
     def test_shifted_and_identity_observables(self, shift):
         """A + shift I and a multiple of the identity: A psi - <A> psi
-        rounds at about 1e-16 of the shift, which max_std's floor
-        (RESOLVED_SPREAD of the largest |eigenvalue|) keeps below the
-        verdicts' scale.  Every defined relation holds, on Haar states and
-        on exact eigenstates of A, where eq7 is degenerate, as it is for
-        the identity on every state."""
+        rounds at about 1e-16 of the shift, which the observable's
+        resolution covers in eq7's degeneracy rule and in the slack floors.
+        Every defined relation holds, on Haar states and on exact
+        eigenstates of A, where eq7 is degenerate, as it is for the
+        identity on every state."""
         rng = np.random.default_rng(31)
         for i in range(100):
             d = 2 + i % 5
@@ -541,6 +547,24 @@ class TestScaleCovariance:
                     assert r.satisfied, (i, rid, r)
                 if obs is ident or state is eigenstate:
                     assert rep.results["eq7"].reason == "degenerate variance", i
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e8, 1e12])
+    def test_violation_beyond_rounding_shows(self, shift, monkeypatch):
+        """The slack tolerance on A + shift I grows with the shift's
+        rounding, not with its square.  With B = A, eq1 and eq4 hold with
+        equality; raising their right-hand sides by 1e-7 + 1e4 eps shift
+        (relative) makes both read violated at every shift (2e-4 at 1e8)."""
+        a = make_observable(np.diag([1.0, 0.0, -1.0]) + shift * np.eye(3))
+        state = PureState(np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))  # var(A) = 1
+        rep = evaluate_all(state, a, a)
+        assert rep.var_a == pytest.approx(1.0, rel=1e-3)
+        assert rep.results["eq1"].satisfied and rep.results["eq4"].satisfied
+        excess = 1.0 + 1e-7 + 1e4 * np.finfo(float).eps * shift
+        for name in ("rhs_eq1", "rhs_eq4"):
+            monkeypatch.setattr(bounds, name, lambda *args, _fn=getattr(bounds, name):
+                                excess * _fn(*args))
+        rep = evaluate_all(state, a, a)
+        assert not rep.results["eq1"].satisfied and not rep.results["eq4"].satisfied
 
 
 class TestReferenceRoutes:
@@ -622,14 +646,14 @@ def _reference_undefined(relation_id, direction, lhs, reason):
 
 def _reference_report(state, a, b, basis=None, pairing=None):
     """evaluate_all assembled relation by relation, on the kernel's scalar
-    values: the slack floor is (w_a w_b)^2 for the product and
-    max(w_a, w_b)^2 for the sum, w the observables' max_std, and eq7 is
-    undefined for a degenerate variance when a std is at most EQ7_EPS w."""
+    values: the slack floors are ``_slack_floors`` (product, sum), and eq7
+    is undefined for a degenerate variance when a std is at most
+    ``_degenerate_std`` of its observable."""
     t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
     prod, total = t["lhs_prod"], t["lhs_sum"]
-    w_a, w_b = a.max_std, b.max_std
-    fp, fs = (w_a * w_b) ** 2, max(w_a, w_b) ** 2
-    degenerate = t["var_a"] <= EQ7_EPS**2 * w_a * w_a or t["var_b"] <= EQ7_EPS**2 * w_b * w_b
+    fp, fs = bounds._slack_floors(a, b)
+    m_a, m_b = bounds._degenerate_std(a), bounds._degenerate_std(b)
+    degenerate = t["var_a"] <= m_a * m_a or t["var_b"] <= m_b * m_b
     results = {
         "eq1": _reference_result("eq1", "lower", prod, t["eq1"], fp),
         "eq2": _reference_result("eq2", "lower", prod, t["eq2"], fp),
@@ -762,6 +786,7 @@ def _rhs_inputs(d, seed, rows=6):
     b = make_observable(_random_hermitian(rng, d))
     bh = haar_basis(d, seed).matrix.conj().T
     perm = rng.permutation(d)
+    m_a, m_b = bounds._degenerate_std(a), bounds._degenerate_std(b)
     args = {k: [] for k in ("eq1", "eq2", "eq3", "eq4", "eq7")}
     for s in (haar_random_state(d, rng) for _ in range(rows)):
         mean_a, mean_b = (np.vdot(s.amplitudes, m.matrix @ s.amplitudes).real for m in (a, b))
@@ -776,10 +801,10 @@ def _rhs_inputs(d, seed, rows=6):
                             fid_b[perm]))
         args["eq4"].append((np.vdot(u + v, u + v).real,))
         args["eq7"].append((np.vdot(u, u).real, np.vdot(v, v).real, np.vdot(u - v, u - v).real,
-                            a.max_std, b.max_std))
-    args["eq7"][0] = (EQ7_EPS**2 * a.max_std * a.max_std,) + args["eq7"][0][1:]
+                            m_a, m_b))
+    args["eq7"][0] = (m_a * m_a,) + args["eq7"][0][1:]
     var_a = args["eq7"][1][0]
-    args["eq7"][1] = (var_a, var_a, 0.0, a.max_std, a.max_std)
+    args["eq7"][1] = (var_a, var_a, 0.0, m_a, m_a)
     return {k: tuple(np.array(x) for x in zip(*per_row)) for k, per_row in args.items()}
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from varbound.bounds import evaluate_all, evaluate_states
 from varbound.hermitian import (
-    RESOLVED_SPREAD,
+    EPS,
+    RESOLVED_ULPS,
     DimensionMismatch,
     EigenFailure,
     NonHermitianError,
@@ -373,8 +374,8 @@ class TestCommutators:
 
 
 class TestMaxStd:
-    """An observable's scale in the verdicts: half its spectrum's width, at
-    least RESOLVED_SPREAD / 2 of its largest |eigenvalue|."""
+    """An observable's scale in the verdicts, half its spectrum's width, and
+    its resolution, RESOLVED_ULPS d ulps of its largest |eigenvalue|."""
 
     def test_spin1_components_have_unit_scale(self):
         assert LX.max_std == LY.max_std == LZ.max_std == 1.0
@@ -386,9 +387,14 @@ class TestMaxStd:
         shifted = make_observable(a.matrix + 10.0 * np.eye(3))
         assert shifted.max_std == pytest.approx(2.5, rel=1e-14)
 
-    def test_unresolved_spread(self):
-        """A multiple of the identity, or a spread below RESOLVED_SPREAD of
-        the spectrum's largest |eigenvalue|, takes that rounding scale."""
-        assert make_observable(-3.0 * np.eye(4)).max_std == 1.5 * RESOLVED_SPREAD
+    def test_resolution_follows_the_largest_eigenvalue(self):
+        """The spread is exact, also for a multiple of the identity or a
+        shifted narrow spectrum; the resolution grows with the shift."""
+        ident = make_observable(-3.0 * np.eye(4))
+        assert ident.max_std == 0.0
+        assert ident.resolution == RESOLVED_ULPS * 4 * EPS * 3.0
         near = make_observable(np.diag([1e8, 1e8 + 1.0]))
-        assert near.max_std == pytest.approx(0.5 * RESOLVED_SPREAD * (1e8 + 1.0), rel=1e-15)
+        assert near.max_std == 0.5
+        assert near.resolution == pytest.approx(RESOLVED_ULPS * 2 * EPS * (1e8 + 1.0), rel=1e-15)
+        assert LX.resolution == pytest.approx(RESOLVED_ULPS * 3 * EPS, rel=1e-15)
+        assert make_observable(np.zeros((2, 2))).resolution == 0.0

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig, haar_basis
-from varbound.bounds import OrthonormalBasis, _slack_tol, evaluate_all
+from varbound.bounds import (
+    OrthonormalBasis,
+    _degenerate_std,
+    _slack_floors,
+    _slack_tol,
+    evaluate_all,
+)
 from varbound.cli import main
 from varbound.hermitian import (
     builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable,
@@ -35,6 +41,9 @@ from varbound.sweep import (
 )
 
 LX, LY, LZ, LP = builtin_spin1()
+# the slack tolerance's floors for Lx and Ly by the relation's lhs column;
+# the sigma = 0 check takes the sum's
+FLOOR = dict(zip(("lhs_prod", "lhs_sum"), _slack_floors(LX, LY)))
 
 
 class TestConfig:
@@ -521,19 +530,19 @@ def _slacks(values):
     kept as a reference."""
     return [
         (sweep.slack(direction, values[lhs], values[rhs]),
-         _slack_tol(values[lhs], values[rhs], 1.0))
+         _slack_tol(values[lhs], values[rhs], FLOOR[lhs]))
         for _, lhs, rhs, direction in RELATIONS
         if values.get(rhs) is not None
     ]
 
 
-def _status(direction, lhs, rhs):
+def _status(direction, lhs, rhs, floor):
     """undefined, violated, tight or satisfied, to the relation's tolerance:
     the per-relation form that build_report's status table replaced, kept
     as a reference."""
     if rhs is None:
         return "undefined"
-    margin, tol = sweep.slack(direction, lhs, rhs), _slack_tol(lhs, rhs, 1.0)
+    margin, tol = sweep.slack(direction, lhs, rhs), _slack_tol(lhs, rhs, floor)
     if margin < -tol:
         return "violated"
     return "tight" if abs(margin) <= tol else "satisfied"
@@ -558,7 +567,7 @@ def _reference_verify(path, z_limit=sweep.DEFAULT_Z_LIMIT):
                 continue
             if s > 0 and abs(v - ideal) / s > z_limit:
                 return 1
-            if s == 0 and abs(v - ideal) > _slack_tol(v, ideal, 1.0):
+            if s == 0 and abs(v - ideal) > _slack_tol(v, ideal, FLOOR["lhs_sum"]):
                 return 1
     return 0
 
@@ -770,7 +779,8 @@ def _eq7_undefined(counts):
     mx, my, mp = px @ vx, py @ vy, pp @ vp
     var_x, var_y = px @ vx**2 - mx**2, py @ vy**2 - my**2
     var_amb = px @ vx**2 + py @ vy**2 - mp - (mx - my) ** 2
-    return bool(np.isnan(sweep.rhs_eq7(var_x, var_y, var_amb, LX.max_std, LY.max_std)[0]))
+    min_x, min_y = _degenerate_std(LX), _degenerate_std(LY)
+    return bool(np.isnan(sweep.rhs_eq7(var_x, var_y, var_amb, min_x, min_y)[0]))
 
 
 class TestTableForm:
@@ -995,7 +1005,9 @@ class TestStatus:
         the per-relation reference."""
         a = make_observable(1e5 * np.diag([1.0, 2.0, -3.0]))
         rep = evaluate_all(haar_random_state(3, np.random.default_rng(1)), a, a)
-        statuses = {rid: _status(r.direction, r.lhs, r.rhs) for rid, r in rep.results.items()}
+        lhs_column = {rid: lhs for rid, lhs, _, _ in RELATIONS}
+        statuses = {rid: _status(r.direction, r.lhs, r.rhs, FLOOR[lhs_column[rid]])
+                    for rid, r in rep.results.items()}
         assert statuses == dict.fromkeys(("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"), "tight") | {
             "eq7": "undefined"
         }
@@ -1064,7 +1076,7 @@ class TestBuildReport:
             (j, col) for j, (ideal, sampled, sigma) in enumerate(map(_split, table))
             for col, v in sampled.items()
             if ideal[col] is not None and sigma[col] == 0
-            and abs(v - ideal[col]) > _slack_tol(v, ideal[col], 1.0)
+            and abs(v - ideal[col]) > _slack_tol(v, ideal[col], FLOOR["lhs_sum"])
         ]
         assert off and not report.ok
         emit(table, report, cfg, dense)
