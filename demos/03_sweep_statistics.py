@@ -9,8 +9,7 @@ that the optimized basis-dependent bounds dominate the computational-basis
 ones.
 """
 
-from varbound import SweepConfig, run_sweep
-from varbound.sweep import CSV_COLUMNS
+from varbound.sweep import CSV_COLUMNS, SweepConfig, run_sweep
 
 config = SweepConfig(counts=10_000, seed=7, optimize_basis=True)
 table, report, _ = run_sweep(config)

@@ -1,6 +1,11 @@
 """Forward and reverse variance uncertainty bounds for finite-dimensional
 observables, plus a linear-optics digital twin of the qutrit measurement
-pipeline that produced them."""
+pipeline that produced them.
+
+``import varbound`` loads the relations (``hermitian``, ``bounds``) and the
+twin (``photonics``) only.  The sweep and the basis search are imported
+from their own modules, ``varbound.sweep`` and ``varbound.basis_search``.
+"""
 
 __version__ = "0.1.0"
 
@@ -24,13 +29,6 @@ from .bounds import (
     evaluate_all,
     evaluate_states,
 )
-from .basis_search import (
-    OptimizerConfig,
-    OptimizationTrace,
-    haar_basis,
-    optimize_bound,
-    unitary_from_params,
-)
 from .photonics import (
     LeakageDetected,
     MeasurementSetting,
@@ -44,12 +42,4 @@ from .photonics import (
     projection_probabilities,
     qwp_matrix,
     sample_counts,
-)
-from .sweep import (
-    ConfigError,
-    SweepConfig,
-    config_from_file,
-    emit,
-    run_sweep,
-    verify_dataset,
 )

@@ -69,7 +69,11 @@ def main(argv=None):
         if args.command == "sweep":
             config = _sweep_config(args)
             table, report, dense = run_sweep(config)
-            written = emit(table, report, config, dense)
+            try:
+                written = emit(table, report, config, dense)
+            except OSError as exc:
+                print(f"error: cannot write: {exc}", file=sys.stderr)
+                return 2
             for path in written:
                 print(f"wrote {path}")
             for (j, theta), statuses in zip(table[:, :2].tolist(), report.statuses):

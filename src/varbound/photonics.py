@@ -100,51 +100,42 @@ _deg = np.deg2rad
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Wave-plate angles (radians; None = plate removed) plus the circuit
-    realization for one observable's projective measurement.
+    """The circuit that realizes one observable's projective measurement:
+    wave plates (angles in radians) and beam displacers in order, a plate
+    the setting removes left out.
 
     ``ports[i]`` is the output mode detecting outcome i, in the
     observable's stored eigenvalue order.
     """
 
     observable: str
-    h1: float | None
-    h2: float | None
-    h3: float | None
-    h4: float | None
-    q: float | None
     elements: tuple[OpticalElement, ...]
     ports: tuple[int, int, int]
-
-
-def _setting(name, h1, h2, h3, h4, q, elements, ports):
-    angles = (None if x is None else _deg(x) for x in (h1, h2, h3, h4, q))
-    return MeasurementSetting(name, *angles, tuple(elements), ports)
 
 
 def builtin_settings():
     """The four tabulated wave-plate settings with their circuit layouts.
 
-    Angles follow the published table (degrees): removed plates compose as
-    identity.  Beam-displacer layout and plate rails differ per observable
+    Angles follow the published table (degrees); a plate the table removes
+    is left out.  Beam-displacer layout and plate rails differ per observable
     because the network is physically rearranged between settings; each
     layout was chosen so the row contract holds with (lower,H) kept empty.
     """
-    lx = _setting(
-        "Lx", 45.0, 22.5, -45.0, 22.5, None,
-        [
+    lx = MeasurementSetting(
+        "Lx",
+        (
             OpticalElement("HWP", _deg(45.0), "both"),
             OpticalElement("BDH"),
             OpticalElement("HWP", _deg(22.5), "upper"),
             OpticalElement("HWP", _deg(-45.0), "both"),
             OpticalElement("BDV"),
             OpticalElement("HWP", _deg(22.5), "upper"),
-        ],
+        ),
         ports=(0, 1, 3),
     )
-    ly = _setting(
-        "Ly", -45.0, 22.5, 45.0, 22.5, 0.0,
-        [
+    ly = MeasurementSetting(
+        "Ly",
+        (
             OpticalElement("HWP", _deg(-45.0), "both"),
             OpticalElement("BDH"),
             OpticalElement("HWP", _deg(22.5), "upper"),
@@ -152,20 +143,20 @@ def builtin_settings():
             OpticalElement("BDV"),
             OpticalElement("QWP", _deg(0.0), "upper"),
             OpticalElement("HWP", _deg(22.5), "upper"),
-        ],
+        ),
         ports=(0, 1, 3),
     )
-    lz = _setting("Lz", None, None, None, None, None, [], ports=(3, 0, 1))
-    lp = _setting(
-        "Lp", 0.0, 0.0, -45.0, 22.5, 0.0,
-        [
+    lz = MeasurementSetting("Lz", (), ports=(3, 0, 1))
+    lp = MeasurementSetting(
+        "Lp",
+        (
             OpticalElement("HWP", _deg(0.0), "both"),
             OpticalElement("BDV"),
             OpticalElement("HWP", _deg(0.0), "lower"),
             OpticalElement("HWP", _deg(-45.0), "upper"),
             OpticalElement("QWP", _deg(0.0), "upper"),
             OpticalElement("HWP", _deg(22.5), "upper"),
-        ],
+        ),
         ports=(0, 1, 3),
     )
     return {"Lx": lx, "Ly": ly, "Lz": lz, "Lp": lp}

@@ -1174,6 +1174,20 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        """An --out that cannot be made a directory exits 2 with one error
+        line and no verdict."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker / "x", blocker):
+            assert main(["sweep", "--theta-steps", "3", "--counts", "2000",
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: cannot write: ")
+            assert captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
+            assert "verdict" not in captured.out
+
     def test_single_count_runs(self, tmp_path):
         """At one count per setting some settings record nothing; the run
         still finishes, and verify agrees with its verdict."""
