@@ -8,31 +8,23 @@ import sys
 import numpy as np
 
 from .photonics import decompose_lx
-from .sweep import (
-    ConfigError,
-    SweepConfig,
-    config_from_file,
-    emit,
-    run_sweep,
-    theta_grid,
-    verify_dataset,
-)
+from .sweep import ConfigError, SweepConfig, config_from_file, emit, run_sweep, verify_dataset
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="varbound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sw = sub.add_parser("sweep", help="run the state-family sweep and emit datasets")
-    sw.add_argument("--config", help="key=value config file; flags below override nothing when given")
-    sw.add_argument("--theta-steps", type=int, default=11)
-    sw.add_argument("--counts", type=int, default=10_000)
-    sw.add_argument("--seed", type=int, default=7)
-    sw.add_argument("--trials", type=int, default=1)
-    sw.add_argument("--optimize-basis", action="store_true")
-    sw.add_argument("--dense", type=int, default=0)
-    sw.add_argument("--out", default="out")
-    sw.add_argument("--format", default="csv,json")
+    # only the flags given reach the namespace; config_from_file parses them
+    # as the config file's keys, which they override
+    sw = sub.add_parser("sweep", help="run the state-family sweep and emit datasets",
+                        argument_default=argparse.SUPPRESS)
+    sw.add_argument("--config", help="key=value config file; a flag below overrides its key")
+    for flag in ("--theta-steps", "--counts", "--seed", "--trials", "--dense"):
+        sw.add_argument(flag)
+    sw.add_argument("--optimize-basis", action="store_const", const="1", dest="optimize_basis")
+    sw.add_argument("--out", dest="out_dir")
+    sw.add_argument("--format", dest="formats")
 
     vf = sub.add_parser("verify", help="re-check a written JSON dataset")
     vf.add_argument("dataset")
@@ -43,18 +35,8 @@ def _build_parser():
 
 
 def _sweep_config(args) -> SweepConfig:
-    if args.config:
-        return config_from_file(args.config)
-    return SweepConfig(
-        thetas=theta_grid(args.theta_steps),
-        counts=args.counts,
-        seed=args.seed,
-        trials=args.trials,
-        optimize_basis=args.optimize_basis,
-        dense=args.dense,
-        out_dir=args.out,
-        formats=tuple(args.format.split(",")),
-    )
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    return config_from_file(getattr(args, "config", None), flags)
 
 
 def _print_matrix(name, m):

@@ -7,11 +7,14 @@ eigenvector's phase fixed afterwards (largest-magnitude component real and
 positive), so non-degenerate eigenvectors do not depend on LAPACK's phase
 convention.  Each Observable also carries its scale ``max_std``, half its
 spectrum's width, and its ``resolution``, the rounding of a computed one.
+The built-in spin-1 observables are built once per process and shared, as
+an Observable is frozen and its arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -153,10 +156,12 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
 SPIN1_EIGENVALUE_ORDER = (-1.0, 1.0, 0.0)
 
 
+@cache
 def builtin_spin1():
     """The four spin-1 observables Lx, Ly, Lz and Lp = LxLy + LyLx.
 
-    Eigensystems use the pairing order (-1, 1, 0).
+    Eigensystems use the pairing order (-1, 1, 0).  Built once per process:
+    every caller shares the one tuple of frozen, read-only Observables.
     """
     lx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
     ly = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
@@ -188,11 +193,9 @@ def family_amplitudes(thetas):
     return np.stack([np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1).astype(complex)
 
 
-def family_state(theta, label=None) -> PureState:
+def family_state(theta) -> PureState:
     """The swept qutrit family (cos t, -sin t, 0)."""
-    if label is None:
-        label = f"theta={theta:.4f}"
-    return PureState(family_amplitudes(theta), label)
+    return PureState(family_amplitudes(theta), f"theta={theta:.4f}")
 
 
 def haar_random_state(dim, rng) -> PureState:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import Observable, PureState, builtin_spin1
+from .hermitian import PureState, builtin_spin1
 
 # mode order: 0=(upper,H) 1=(upper,V) 2=(lower,H) 3=(lower,V)
-MODE_LABELS = (("upper", "H"), ("upper", "V"), ("lower", "H"), ("lower", "V"))
 LEAKAGE_MODE = 2
 QUTRIT_MODES = (0, 1, 3)
 LEAKAGE_TOL = 1e-10
@@ -162,15 +161,6 @@ def builtin_settings():
     return {"Lx": lx, "Ly": ly, "Lz": lz, "Lp": lp}
 
 
-_BUILTIN_OBS = {}
-
-
-def _builtin_observable(name) -> Observable:
-    if not _BUILTIN_OBS:
-        _BUILTIN_OBS.update(zip(("Lx", "Ly", "Lz", "Lp"), builtin_spin1()))
-    return _BUILTIN_OBS[name]
-
-
 def prepare_state(theta) -> PureState:
     """State preparation circuit: splitter then two upper-rail plates.
 
@@ -204,7 +194,7 @@ def measurement_unitary(setting: MeasurementSetting):
     if leak > LEAKAGE_TOL:
         raise LeakageDetected(f"(lower,H) output amplitude {leak:g}")
     v = restricted[list(setting.ports), :]
-    obs = _builtin_observable(setting.observable)
+    obs = {o.name: o for o in builtin_spin1()}[setting.observable]
     bras = obs.eigenvectors.conj().T
     if np.max(np.abs(np.abs(v) - np.abs(bras))) > LEAKAGE_TOL:
         raise NotProjectiveRealization(

@@ -60,8 +60,7 @@ from .bounds import (
 )
 from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1
 from .hermitian import family_amplitudes, family_state
-from .photonics import _builtin_observable, builtin_settings
-from .photonics import projection_probabilities, sample_counts
+from .photonics import builtin_settings, projection_probabilities, sample_counts
 
 
 class ConfigError(ValueError):
@@ -163,19 +162,25 @@ def _parse_bool(key, value):
         raise ConfigError(f"{key} must be 1/true/yes or 0/false/no, got {value!r}") from None
 
 
-def config_from_file(path) -> SweepConfig:
-    """Flat key=value config file mirroring the CLI flags."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+def config_from_file(path=None, flags=None) -> SweepConfig:
+    """The sweep's settings, parsed here alone: the keys of a flat key=value
+    config file, if ``path`` is given, then the {key: string} ``flags``
+    (the CLI's), each overriding its key; an unset key keeps SweepConfig's
+    default."""
+    pairs = []
+    if path:
+        p = Path(path)
+        if not p.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        for line in p.read_text().splitlines():
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"bad config line: {line!r}")
+            pairs.append([s.strip() for s in line.split("=", 1)])
     kwargs = {}
-    for line in p.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for key, value in chain(pairs, (flags or {}).items()):
         if key == "theta_steps":
             kwargs["thetas"] = theta_grid(_parse_int(key, value))
         elif key in ("counts", "seed", "trials", "dense"):
@@ -360,28 +365,28 @@ def run_sweep(config: SweepConfig):
     return table, build_report(table, dense), dense
 
 
-def build_report(table, dense=None, z_limit=DEFAULT_Z_LIMIT) -> VerificationReport:
+def build_report(table, dense=None) -> VerificationReport:
     """The verdict on a (rows, DATA_COLUMNS) or (rows, CSV_COLUMNS) float
     table, NaN where a cell is undefined, and on the ``dense`` rows of the
     same form, if given.  Statuses (undefined, violated, tight or satisfied,
     to the slack tolerance), the worst slack and the z-scores cover
     ``table``'s rows.  ``ok`` fails when any row violates a relation column,
     the optimized-basis ones included, or holds a sampled column with
-    |value - ideal| / sigma > ``z_limit``, or with zero sigma and off its
+    |value - ideal| / sigma > DEFAULT_Z_LIMIT, or with zero sigma and off its
     ideal value by more than the slack tolerance."""
     cells = table if dense is None else np.vstack([table, dense])
     ideal, sampled, sigma = np.hsplit(cells[:, -len(DATA_COLUMNS):], 3)
     col = dict(zip(VALUE_COLUMNS, ideal.T))
     margin = np.array([slack(d, col[lhs], col[rhs]) for _, lhs, rhs, d in RELATIONS]).T
     # evaluate_all's floors for Lx and Ly (both 1); sigma = 0 takes the sum's
-    prod_floor, sum_floor = _slack_floors(_builtin_observable("Lx"), _builtin_observable("Ly"))
+    prod_floor, sum_floor = _slack_floors(*builtin_spin1()[:2])
     floor = {"lhs_prod": prod_floor, "lhs_sum": sum_floor}
     tol = np.array([_slack_tol(col[lhs], col[rhs], floor[lhs]) for _, lhs, rhs, _ in RELATIONS]).T
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (sampled - ideal) / sigma
     scored = (sigma > 0) & ~np.isnan(z)
     zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal, sum_floor))
-    ok = not ((margin < -tol).any() or (abs(z[scored]) > z_limit).any() or zero_off.any())
+    ok = not ((margin < -tol).any() or (abs(z[scored]) > DEFAULT_Z_LIMIT).any() or zero_off.any())
     n = len(table)
     m, t = margin[:n, STATUS_RELATIONS], tol[:n, STATUS_RELATIONS]
     status = np.select([np.isnan(m), m < -t, abs(m) <= t], ["undefined", "violated", "tight"],
@@ -498,7 +503,7 @@ def _load_rows(path):
     return np.vsplit(table, [len(payload["rows"])])
 
 
-def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
+def verify_dataset(path):
     """Re-check a written JSON dataset, sweep and dense rows alike, with
     :func:`build_report`; returns a process exit status: 0 ok, 1 violation
     or non-finite value, 2 missing or malformed."""
@@ -507,4 +512,4 @@ def verify_dataset(path, z_limit=DEFAULT_Z_LIMIT):
         return 2
     if any(np.isinf(t).any() for t in tables):
         return 1
-    return 0 if build_report(*tables, z_limit=z_limit).ok else 1
+    return 0 if build_report(*tables).ok else 1

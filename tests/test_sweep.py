@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varbound.hermitian as hermitian
 import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig, haar_basis
 from varbound.bounds import (
@@ -19,7 +20,7 @@ from varbound.bounds import (
     _slack_tol,
     evaluate_all,
 )
-from varbound.cli import main
+from varbound.cli import _build_parser, _sweep_config, main
 from varbound.hermitian import (
     builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable,
 )
@@ -251,6 +252,25 @@ class TestRunSweep:
                     assert d[col] == pytest.approx(value, rel=1e-14, abs=1e-15), (d["theta"], col)
             assert d["rhs_eq2_opt"] is None and d["rhs_eq5_opt"] is None
             assert all(d[col] is None for col in DATA_COLUMNS[len(VALUE_COLUMNS):])
+
+    def test_builtin_observables_built_once(self, monkeypatch, tmp_path):
+        """builtin_spin1 returns one shared tuple, so once it is built a
+        sweep, its report and the emitted dataset's verify build no
+        eigensystem."""
+        assert builtin_spin1() is builtin_spin1()
+        calls = []
+
+        def counted(*args, _fn=hermitian.make_observable, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, "make_observable", counted)
+        config = SweepConfig(thetas=theta_grid(3), counts=2000, out_dir=str(tmp_path))
+        table, report, dense = run_sweep(config)
+        build_report(table, dense)
+        emit(table, report, config, dense)
+        assert verify_dataset(tmp_path / "sweep.json") == 0
+        assert calls == []
 
     def test_optimized_columns_present_when_requested(self):
         table, _, _ = run_sweep(SweepConfig(thetas=(0.3,), counts=2000, optimize_basis=True))
@@ -1141,6 +1161,29 @@ class TestCli:
         cfg = tmp_path / "cfg"
         cfg.write_text(f"theta_steps = 3\ncounts = 2000\nout_dir = {tmp_path / 'o'}\n")
         assert main(["sweep", "--config", str(cfg)]) == 0
+
+    def test_flag_overrides_config_key(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"theta_steps = 3\ncounts = 2000\nseed = 1\nout_dir = {tmp_path / 'k'}\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        config = json.loads((out / "sweep.json").read_text())["config"]
+        assert (config["seed"], config["counts"], len(config["thetas"])) == (7, 2000, 3)
+        assert not (tmp_path / "k").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--counts", "ten"), ("--trials", "1.5"), ("--theta-steps", "x"),
+    ])
+    def test_non_integer_flag_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert main(["sweep", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        assert err == f"config error: {key} must be an integer, got {value!r}\n"
+        assert not out.exists()
+
+    def test_flag_defaults_are_sweep_config_defaults(self):
+        assert _sweep_config(_build_parser().parse_args(["sweep"])) == SweepConfig()
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
