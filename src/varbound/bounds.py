@@ -8,13 +8,13 @@ state are computed, feeds them a stack of states in one pass; the sweep
 feeds them estimates from counts and the basis search a trial basis.
 
 :func:`evaluate_all` is its one-state wrapper: every relation yields a
-:class:`BoundResult` carrying both sides and the slack; eq3 and eq6 also
-carry their :class:`FidelityTerms`.  Lower bounds use slack = lhs - rhs;
-the reverse bound uses slack = rhs - lhs.  Every rule of a verdict scales
-with the observables: eq7 calls a variance degenerate when dA is at most
-EQ7_EPS of A's largest standard deviation ``max_std`` or within A's
-``resolution``, and the slack tolerance's floor (:func:`_slack_floors`) is
-the size, in those scales, that the sides can reach, or their rounding.
+:class:`BoundResult` carrying both sides and the slack.  Lower bounds use
+slack = lhs - rhs; the reverse bound uses slack = rhs - lhs.  Every rule of
+a verdict scales with the observables: eq7 calls a variance degenerate when
+dA is at most EQ7_EPS of A's largest standard deviation ``max_std`` or
+within A's ``resolution``, and the slack tolerance's floor
+(:func:`_slack_floors`) is the size, in those scales, that the sides can
+reach, or their rounding.
 """
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ class OrthonormalBasis:
 
 
 @dataclass(frozen=True)
-class FidelityTerms:
-    """Shifted eigenvalues and eigenstate fidelities entering the
-    optimization-free bounds, B's already in the pairing order."""
-
-    a_shifted: np.ndarray
-    b_shifted: np.ndarray
-    fid_a: np.ndarray
-    fid_b: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """One evaluated relation side."""
 
@@ -87,7 +76,6 @@ class BoundResult:
     slack: float | None
     defined: bool = True
     reason: str | None = None
-    intermediates: object = None
 
 
 def _slack_tol(lhs, rhs, floor):
@@ -192,10 +180,11 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     var(A) = ||u||^2, var(B) = ||v||^2, Cov(A,B) = Re<u|v>,
     |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
     bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
-    ({name: array}, FidelityTerms) with names mean_a, mean_b, var_a, var_b,
+    one {name: array} dict: of shape (...) mean_a, mean_b, var_a, var_b,
     lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined),
     eq7_degenerate (:func:`rhs_eq7`'s mask) and each name of ``means``
-    ({name: observable O}) with <O>.
+    ({name: observable O}) with <O>; of shape (..., d) the inputs of eq3 and
+    eq6, a_shifted, b_shifted, fid_a and fid_b (B's in the pairing order).
     """
     d = np.shape(psi)[-1]
     if a.dim != d or b.dim != d:
@@ -211,34 +200,32 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     var_a, var_b = np.vecdot(u, u).real, np.vecdot(v, v).real
     uv = np.vecdot(u, v)
     pa, pb = (u, v) if basis is None else (np.matvec(basis.matrix.conj().T, w) for w in (u, v))
-    b_shifted = b.eigenvalues - mean_b[..., None]
-    fid_b = np.abs(np.matvec(b.eigenvectors.conj().T, psi)) ** 2
+    # the inputs of eq3 and eq6, B's in the pairing order
+    fid = {
+        "a_shifted": a.eigenvalues - mean_a[..., None],
+        "b_shifted": b.eigenvalues - mean_b[..., None],
+        "fid_a": np.abs(np.matvec(a.eigenvectors.conj().T, psi)) ** 2,
+        "fid_b": np.abs(np.matvec(b.eigenvectors.conj().T, psi)) ** 2,
+    }
     if pairing is not None:
         pairing = _normalize_pairing(pairing, d)
-        b_shifted, fid_b = b_shifted[..., pairing], fid_b[..., pairing]
-    fid = FidelityTerms(
-        a_shifted=a.eigenvalues - mean_a[..., None],
-        b_shifted=b_shifted,
-        fid_a=np.abs(np.matvec(a.eigenvectors.conj().T, psi)) ** 2,
-        fid_b=fid_b,
-    )
-    fid_args = (fid.a_shifted, fid.b_shifted, fid.fid_a, fid.fid_b)
+        fid["b_shifted"], fid["fid_b"] = fid["b_shifted"][..., pairing], fid["fid_b"][..., pairing]
     out = {
         "mean_a": mean_a, "mean_b": mean_b, "var_a": var_a, "var_b": var_b,
         "lhs_prod": var_a * var_b, "lhs_sum": var_a + var_b,
-        "cov": uv.real, "var_amb": np.vecdot(u - v, u - v).real,
+        "cov": uv.real, "var_amb": np.vecdot(u - v, u - v).real, **fid,
         "eq1": rhs_eq1(2.0 * np.abs(uv.imag), uv.real),
         "eq2": rhs_eq2(pa, pb),
-        "eq3": rhs_eq3(*fid_args),
+        "eq3": rhs_eq3(**fid),
         "eq4": rhs_eq4(np.vecdot(u + v, u + v).real),
         "eq5": rhs_eq5(pa, pb),
-        "eq6": rhs_eq6(*fid_args),
+        "eq6": rhs_eq6(**fid),
     }
     out["eq7"], out["eq7_degenerate"] = rhs_eq7(
         var_a, var_b, out["var_amb"], _degenerate_std(a), _degenerate_std(b))
     for name, obs in (means or {}).items():
         out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
-    return out, fid
+    return out
 
 
 @dataclass(frozen=True)
@@ -265,7 +252,7 @@ def evaluate_all(
     """Evaluate eq1..eq7 on one state (:func:`evaluate_states` of one
     vector); eq7 degeneracy degrades to undefined, with its reason.  The
     slack tolerance's floors are :func:`_slack_floors`."""
-    t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
+    t = evaluate_states(state.amplitudes, a, b, basis, pairing)
     # both sides, margins and verdicts of the seven relations as arrays:
     # eq1..eq3 bound the product and eq4..eq6 the sum from below, eq7 the
     # sum from above (see ``slack``)
@@ -278,8 +265,7 @@ def evaluate_all(
     floor = np.array([prod_floor] * 3 + [sum_floor] * 4)
     satisfied = margin >= -_slack_tol(lhs, rhs, floor)
     results = {
-        rid: BoundResult(rid, "upper" if rid == "eq7" else "lower", left, right, ok, gap,
-                         intermediates=fid if rid in ("eq3", "eq6") else None)
+        rid: BoundResult(rid, "upper" if rid == "eq7" else "lower", left, right, ok, gap)
         for rid, left, right, gap, ok in zip(
             ids, lhs.tolist(), rhs.tolist(), margin.tolist(), satisfied.tolist())
     }

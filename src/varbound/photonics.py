@@ -72,6 +72,8 @@ class OpticalElement:
     def matrix(self):
         m = np.eye(4, dtype=complex)
         if self.kind in ("HWP", "QWP"):
+            if self.target not in ("upper", "lower", "both"):
+                raise ValueError(f"unknown wave-plate target {self.target!r}")
             jones = hwp_matrix(self.angle) if self.kind == "HWP" else qwp_matrix(self.angle)
             if self.target in ("upper", "both"):
                 m[0:2, 0:2] = jones

@@ -190,7 +190,7 @@ def config_from_file(path=None, flags=None) -> SweepConfig:
         elif key == "out_dir":
             kwargs[key] = value
         elif key == "formats":
-            kwargs[key] = tuple(value.split(","))
+            kwargs[key] = tuple(f.strip() for f in value.split(","))
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return SweepConfig(**kwargs)
@@ -215,7 +215,7 @@ KERNEL_KEYS = dict(zip(VALUE_COLUMNS, (
 def _ideal_table(psi, lx, ly, lz, lp, basis):
     """Ideal value columns of states ``psi`` (N, 3) from one kernel call, as
     an (N, VALUE_COLUMNS) float table; NaN where undefined or not computed."""
-    values, _ = evaluate_states(psi, lx, ly, basis, means={"mean_lz": lz, "mean_lp": lp})
+    values = evaluate_states(psi, lx, ly, basis, means={"mean_lz": lz, "mean_lp": lp})
     nan = np.full(len(psi), np.nan)
     return np.column_stack([nan if key is None else values[key] for key in KERNEL_KEYS.values()])
 
@@ -445,12 +445,7 @@ def emit(table, report, config: SweepConfig, dense=()):
             "config": asdict(config),
             "rows": records,
             "dense": dense_records,
-            "report": {
-                "statuses": report.statuses,
-                "worst_slack": report.worst_slack,
-                "z_scores": report.z_scores,
-                "ok": report.ok,
-            },
+            "report": asdict(report),
         }
         # no indent: any indent makes json fall back from its C encoder
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 """Tests for the seven relations, their oracles and their invariants."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import isqrt
@@ -134,14 +135,16 @@ class TestEq3:
     def test_theta_zero(self):
         # fidelities (1/4, 1/4, 1/2) per observable
         r = _result("eq3", family_state(0.0), LX, LY)
+        t = evaluate_states(family_state(0.0).amplitudes, LX, LY)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
-        assert np.allclose(r.intermediates.fid_a, [0.25, 0.25, 0.5], atol=1e-12)
-        assert np.allclose(r.intermediates.fid_b, [0.25, 0.25, 0.5], atol=1e-12)
+        assert np.allclose(t["fid_a"], [0.25, 0.25, 0.5], atol=1e-12)
+        assert np.allclose(t["fid_b"], [0.25, 0.25, 0.5], atol=1e-12)
 
     def test_theta_half_pi(self):
         r = _result("eq3", family_state(np.pi / 2), LX, LY)
+        t = evaluate_states(family_state(np.pi / 2).amplitudes, LX, LY)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(r.intermediates.fid_a, [0.5, 0.5, 0.0], atol=1e-12)
+        assert np.allclose(t["fid_a"], [0.5, 0.5, 0.0], atol=1e-12)
 
     def test_equal_observables_identity_pairing(self):
         rng = np.random.default_rng(2)
@@ -329,9 +332,9 @@ class TestFamilyClosedForms:
         best = 0.0
         for pairing in itertools.permutations(range(3)):
             r = _result("eq3", s, LX, LY, pairing=pairing)
-            t = r.intermediates
+            t = evaluate_states(s.amplitudes, LX, LY, pairing=pairing)
             abs_form = float(
-                np.sum(np.abs(np.sqrt(t.fid_a * t.fid_b) * t.a_shifted * t.b_shifted))
+                np.sum(np.abs(np.sqrt(t["fid_a"] * t["fid_b"]) * t["a_shifted"] * t["b_shifted"]))
             ) ** 2
             assert r.rhs <= abs_form + 1e-12
             best = max(best, abs_form)
@@ -616,9 +619,10 @@ class TestSinglePass:
         evaluate_all(haar_random_state(4, rng), a, b, haar_basis(4, 3), (3, 1, 0, 2))
         assert calls == {"evaluate_states": 1, "_centre": 0}
         assert not hasattr(bounds, "_centre")
+        assert "intermediates" not in {f.name for f in dataclasses.fields(BoundResult)}
 
 
-def _reference_result(relation_id, direction, lhs, rhs, floor, intermediates=None):
+def _reference_result(relation_id, direction, lhs, rhs, floor):
     margin = bounds.slack(direction, lhs, rhs)
     return BoundResult(
         relation_id=relation_id,
@@ -627,7 +631,6 @@ def _reference_result(relation_id, direction, lhs, rhs, floor, intermediates=Non
         rhs=float(rhs),
         satisfied=bool(margin >= -bounds._slack_tol(lhs, rhs, floor)),
         slack=float(margin),
-        intermediates=intermediates,
     )
 
 
@@ -649,7 +652,7 @@ def _reference_report(state, a, b, basis=None, pairing=None):
     values: the slack floors are ``_slack_floors`` (product, sum), and eq7
     is undefined for a degenerate variance when a std is at most
     ``_degenerate_std`` of its observable."""
-    t, fid = evaluate_states(state.amplitudes, a, b, basis, pairing)
+    t = evaluate_states(state.amplitudes, a, b, basis, pairing)
     prod, total = t["lhs_prod"], t["lhs_sum"]
     fp, fs = bounds._slack_floors(a, b)
     m_a, m_b = bounds._degenerate_std(a), bounds._degenerate_std(b)
@@ -657,10 +660,10 @@ def _reference_report(state, a, b, basis=None, pairing=None):
     results = {
         "eq1": _reference_result("eq1", "lower", prod, t["eq1"], fp),
         "eq2": _reference_result("eq2", "lower", prod, t["eq2"], fp),
-        "eq3": _reference_result("eq3", "lower", prod, t["eq3"], fp, fid),
+        "eq3": _reference_result("eq3", "lower", prod, t["eq3"], fp),
         "eq4": _reference_result("eq4", "lower", total, t["eq4"], fs),
         "eq5": _reference_result("eq5", "lower", total, t["eq5"], fs),
-        "eq6": _reference_result("eq6", "lower", total, t["eq6"], fs, fid),
+        "eq6": _reference_result("eq6", "lower", total, t["eq6"], fs),
         "eq7": (
             _reference_result("eq7", "upper", total, t["eq7"], fs)
             if not np.isnan(t["eq7"])
@@ -690,9 +693,6 @@ def _report_bits(rep):
         out.append(rid)
         out += [_bits(getattr(r, k)) for k in ("relation_id", "direction", "lhs", "rhs", "slack",
                                                "satisfied", "defined", "reason")]
-        fid = r.intermediates
-        out.append(fid if fid is None else [_bits(getattr(fid, k)) for k in (
-            "a_shifted", "b_shifted", "fid_a", "fid_b")])
     return out
 
 
@@ -759,9 +759,13 @@ class TestStateKernel:
         reasons = set()
         for bb in (b, a):
             for shape, stack in (((n,), psi[:n]), ((2, 3), psi[:6].reshape(2, 3, d))):
-                values, _ = evaluate_states(stack, a, bb, basis, pairing)
+                values = evaluate_states(stack, a, bb, basis, pairing)
                 for k, v in values.items():
-                    assert v.shape == shape, k
+                    per_level = k in ("a_shifted", "b_shifted", "fid_a", "fid_b")
+                    assert v.shape == (shape + (d,) if per_level else shape), k
+                fid = [values[k] for k in ("a_shifted", "b_shifted", "fid_a", "fid_b")]
+                for rid, rhs in (("eq3", rhs_eq3), ("eq6", rhs_eq6)):
+                    assert rhs(*fid).tobytes() == values[rid].tobytes(), rid
                 flat = {k: v.ravel() for k, v in values.items()}
                 for i in range(int(np.prod(shape))):
                     rep = evaluate_all(states[i], a, bb, basis, pairing)

@@ -284,12 +284,12 @@ class TestBuiltinSpin1:
 def _kernel_moments(state, obs, other=LX):
     """Mean and variance of ``obs`` in ``state`` as the one-pass kernel
     takes them (``other`` is the second observable it needs)."""
-    t, _ = evaluate_states(state.amplitudes, obs, other)
+    t = evaluate_states(state.amplitudes, obs, other)
     return float(t["mean_a"]), float(t["var_a"])
 
 
 def _covariance(state, a, b):
-    t, _ = evaluate_states(state.amplitudes, a, b)
+    t = evaluate_states(state.amplitudes, a, b)
     return float(t["cov"])
 
 

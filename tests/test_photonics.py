@@ -48,6 +48,12 @@ class TestWavePlates:
             m = OpticalElement(kind).matrix()
             assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["HWP", "QWP"])
+    def test_unknown_target_rejected(self, kind):
+        """A misspelled rail raises instead of leaving the plate out."""
+        with pytest.raises(ValueError, match="'uper'"):
+            OpticalElement(kind, 0.3, "uper").matrix()
+
 
 class TestPrepareState:
     @pytest.mark.parametrize(

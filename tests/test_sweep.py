@@ -1182,6 +1182,27 @@ class TestCli:
         assert err == f"config error: {key} must be an integer, got {value!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("as_flag", [True, False])
+    def test_format_items_stripped(self, tmp_path, capsys, as_flag):
+        """Spaces around each item of the format list are dropped, as the
+        flag and as the config key; an empty item is still a config error."""
+        cfg, out = tmp_path / "cfg", tmp_path / "o"
+
+        def sweep(formats):
+            if as_flag:
+                return main(["sweep", "--theta-steps", "3", "--counts", "2000",
+                             "--format", formats, "--out", str(out)])
+            cfg.write_text(f"theta_steps = 3\ncounts = 2000\nformats = {formats}\n"
+                           f"out_dir = {out}\n")
+            return main(["sweep", "--config", str(cfg)])
+
+        assert sweep("csv,,json") == 2
+        assert capsys.readouterr().err == "config error: unknown output format ''\n"
+        assert not out.exists()
+        assert sweep("csv, json") == 0
+        assert (out / "sweep.csv").is_file()
+        assert json.loads((out / "sweep.json").read_text())["config"]["formats"] == ["csv", "json"]
+
     def test_flag_defaults_are_sweep_config_defaults(self):
         assert _sweep_config(_build_parser().parse_args(["sweep"])) == SweepConfig()
 
