@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varbound.basis_search import (
     BadParameterCount,
     OptimizerConfig,
+    _compass_search,
+    _objective_fn,
     haar_basis,
     optimize_bound,
     param_count,
     unitary_from_params,
 )
 from varbound.bounds import OrthonormalBasis, evaluate_all
-from varbound.hermitian import builtin_spin1, family_state
+from varbound.hermitian import builtin_spin1, family_state, haar_random_state, make_observable
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
@@ -42,6 +46,19 @@ class TestUnitaryFromParams:
         with pytest.raises(BadParameterCount):
             unitary_from_params(np.zeros(3), 3)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_stack_rows_are_single_calls(self, dim):
+        n = param_count(dim)
+        params = np.random.default_rng(dim).uniform(-np.pi, np.pi, (7, n))
+        stack = unitary_from_params(params, dim)
+        assert stack.shape == (7, dim, dim)
+        for row, u in zip(params, stack):
+            assert u.tobytes() == unitary_from_params(row, dim).tobytes()
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+        for bad in (np.zeros((7, n + 1)), np.zeros((n, 7)), np.zeros((2, n - 1))):
+            with pytest.raises(BadParameterCount):
+                unitary_from_params(bad, dim)
+
 
 class TestHaarBasis:
     def test_seed_determinism(self):
@@ -58,6 +75,89 @@ class TestHaarBasis:
         # E |<psi_1|e_1>|^2 = 1/d for Haar-distributed bases
         overlaps = [abs(haar_basis(3, seed).matrix[0, 0]) ** 2 for seed in range(1000)]
         assert np.mean(overlaps) == pytest.approx(1 / 3, abs=0.02)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "2"])
+    def test_restarts_rejected(self, bad):
+        with pytest.raises(ValueError, match="restarts"):
+            OptimizerConfig(restarts=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "2"])
+    def test_max_iters_rejected(self, bad):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(max_iters=bad)
+
+    @pytest.mark.parametrize("bad", [-3, 1.5, False, "0"])
+    def test_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=bad)
+
+
+def _random_hermitian(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return make_observable(0.5 * (z + z.conj().T))
+
+
+def _serial_compass(fn, x0, dim, config):
+    """Reference: first-improvement compass search scoring one move per call."""
+    x = np.array(x0, dtype=float)
+    best = fn(unitary_from_params(x, dim))
+    history = [best]
+    step = config.initial_step
+    for _ in range(config.max_iters):
+        improved = False
+        for k in range(x.size):
+            for delta in (step, -step):
+                trial = x.copy()
+                trial[k] += delta
+                val = fn(unitary_from_params(trial, dim))
+                if val > best:
+                    best, x = val, trial
+                    improved = True
+                    break
+        history.append(best)
+        if not improved:
+            step *= config.shrink_factor
+            if step < config.tolerance:
+                break
+    return x, best, history
+
+
+class TestCompassSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 4), family=st.booleans(), objective=st.sampled_from(["eq2", "eq5"]),
+           seed=st.integers(0, 2**32 - 1), max_iters=st.integers(0, 60), zero_start=st.booleans())
+    def test_batch_is_serial_search(self, d, family, objective, seed, max_iters, zero_start):
+        """Batched scoring takes the serial loop's path bit for bit: same x,
+        best and history.  A family state is a qutrit with Lx and Ly (d is
+        then 3); a Haar state takes a random Hermitian pair in d."""
+        rng = np.random.default_rng(seed)
+        if family:
+            state, a, b = family_state(rng.uniform(0, np.pi)), LX, LY
+        else:
+            state = haar_random_state(d, rng)
+            a, b = (_random_hermitian(rng, d) for _ in range(2))
+        n = param_count(state.dim)
+        x0 = np.zeros(n) if zero_start else rng.uniform(-np.pi, np.pi, n)
+        fn = _objective_fn(objective, state, a, b)
+        cfg = OptimizerConfig(restarts=1, max_iters=max_iters)
+        x, best, history = _compass_search(fn, x0, state.dim, cfg)
+        ref_x, ref_best, ref_history = _serial_compass(fn, x0, state.dim, cfg)
+        assert x.tobytes() == ref_x.tobytes()
+        assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+
+    @pytest.mark.parametrize("objective", ["eq2", "eq5"])
+    def test_objective_stack_rows_are_single_calls(self, objective):
+        """A lone basis matrix gets the bits of its row in a stack, also
+        where a float64 scalar's pow(x, 2) and x * x round apart."""
+        rng = np.random.default_rng(4)
+        fn = _objective_fn(objective, family_state(0.3), LX, LY)
+        stack = unitary_from_params(rng.uniform(-np.pi, np.pi, (2000, param_count(3))), 3)
+        values = fn(stack)
+        assert values.shape == (2000,)
+        assert values.tobytes() == np.array([fn(u) for u in stack]).tobytes()
 
 
 class TestOptimizeBound:
