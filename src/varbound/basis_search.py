@@ -3,19 +3,20 @@ unitary group.
 
 The objectives contain absolute values, so a compass (coordinate) search
 over a phase/angle parametrization of U(d) is used instead of anything
-gradient-based.  It takes the first improving move, scoring the moves of a
-sweep as one batch of unitaries.  Restarts are independently seeded and
-merged by max, so the result is deterministic for a given config.
+gradient-based.  Every (state, restart) pair is one search taking the first
+improving move, and all run in lockstep: one batch of unitaries scores the
+moves each search has left in its sweep.  Restarts are independently seeded
+and merged by max per state, so the result is deterministic for a config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import OrthonormalBasis, evaluate_all, rhs_eq2, rhs_eq5
-from .hermitian import _centre, _check_dims
+from .hermitian import PureState, _centre, _check_dims
 
 
 class BadParameterCount(ValueError):
@@ -79,95 +80,115 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("shrink_factor must lie in (0, 1)")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name, high in (("initial_step", np.inf), ("tolerance", np.inf), ("shrink_factor", 1.0)):
+            # "not 0 < value < high" so that a NaN also fails
+            if not 0.0 < getattr(self, name) < high:
+                raise ValueError(f"{name} must lie in (0, {high}), got {getattr(self, name)!r}")
 
 
 @dataclass
 class OptimizationTrace:
-    """Per-restart best-value histories and the winning restart index."""
+    """Each search's best-value history and each state's winning restart."""
 
-    restart_histories: list = field(default_factory=list)
-    winner: int = -1
+    restart_histories: list
+    winner: int | list
 
 
-def _objective_fn(objective, state, a, b):
-    """rhs of eq2 or eq5 of basis matrices, shape (..., d, d) to (...); a
-    stack row has the bits of its own call (matvec projects per matrix)."""
+def _objective_fn(objective, states, a, b):
+    """rhs of eq2 or eq5 of basis matrices, shape (..., d, d) to (...), each
+    on state ``owner`` (shape (...), default 0) of ``states``, a PureState or
+    a sequence, with Abar psi and Bbar psi stacked as w, shape (states, 2, d);
+    a stack row has the bits of its own call (matvec projects per matrix)."""
     rhs = {"eq2": rhs_eq2, "eq5": rhs_eq5}.get(objective)
     if rhs is None:
         raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
-    _check_dims(state, a, b)
-    w = np.stack([_centre(state.amplitudes, o) for o in (a, b)])  # Abar psi, Bbar psi
+    states = [states] if isinstance(states, PureState) else states
+    for state in states:
+        _check_dims(state, a, b)
+    w = np.array([[_centre(s.amplitudes, o) for o in (a, b)] for s in states])
 
-    def fn(bm):
+    def fn(bm, owner=0):
         # a length-one axis: rhs squares an array (x * x) for one matrix too, never pow
-        proj = np.matvec(bm.conj().mT[..., None, None, :, :], w)
+        proj = np.matvec(bm.conj().mT[..., None, None, :, :], w[owner][..., None, :, :])
         return rhs(proj[..., 0, :], proj[..., 1, :])[..., 0]
 
     return fn
 
 
 def _compass_search(fn, x0, dim, config):
-    """Maximize fn(U(params)) by +-step coordinate moves with step shrinking.
+    """Maximize fn(U(params), s) from each start x0[s], shape (S, n), by
+    +-step coordinate moves with step shrinking: S searches in lockstep.
 
-    First improvement, as a move-by-move loop: a sweep tries k+, k-, (k+1)+,
-    ... and takes the first move that beats ``best``, then goes on from the
-    next coordinate.  The moves left are scored from x as one batch, so a
-    sweep with no improvement costs one call.
+    Each search is the move-by-move first-improvement loop: a sweep tries
+    k+, k-, (k+1)+, ... and takes the first move that beats the search's
+    ``best``, then goes on from the next coordinate.  A round scores the
+    moves that every running search has left in its sweep, each from its own
+    x and step, as one batch; a search whose sweep finds no improvement ends
+    that sweep.  Returns x (S, n), best (S,) and each search's history of
+    ``best`` after every sweep.
     """
     x = np.array(x0, dtype=float)
-    moves = np.kron(np.eye(x.size), [[1.0], [-1.0]])  # rows +e_0, -e_0, +e_1, ...
-    best = fn(unitary_from_params(x, dim))
-    history = [best]
-    step = config.initial_step
-    for _ in range(config.max_iters):
-        start, improved = 0, False
-        while start < len(moves):
-            # x + (+-0.0) == x as x never holds -0.0: each row moves one coordinate
-            trials = x + step * moves[start:]
-            vals = fn(unitary_from_params(trials, dim))
-            i = int(np.argmax(vals > best))
-            if not vals[i] > best:
-                break
-            best, x, improved = vals[i], trials[i], True
-            start = 2 * ((start + i) // 2 + 1)
-        history.append(best)
-        if not improved:
-            step *= config.shrink_factor
-            if step < config.tolerance:
-                break
-    return x, best, history
+    moves = np.kron(np.eye(x.shape[1]), [[1.0], [-1.0]])  # rows +e_0, -e_0, +e_1, ...
+    n_moves, every = len(moves), np.arange(len(x))
+    best = fn(unitary_from_params(x, dim), every)
+    histories = [[v] for v in best]
+    step = np.full(len(x), config.initial_step, dtype=float)
+    # each search's first move left in its sweep; n_moves once it has stopped
+    start = np.full(len(x), 0 if config.max_iters else n_moves)
+    while (ran := start < n_moves).any():
+        s, k = np.nonzero(np.arange(n_moves) >= start[:, None])
+        # x + (+-0.0) == x as x never holds -0.0: each row moves one coordinate
+        trials = x[s] + step[s, None] * moves[k]
+        vals = np.full((len(x), n_moves), np.nan)
+        vals[s, k] = fn(unitary_from_params(trials, dim), s)
+        better = vals > best[:, None]
+        first = better.argmax(1)
+        hit = better[every, first]
+        best = np.where(hit, vals[every, first], best)
+        x += np.where(hit, step, 0.0)[:, None] * moves[first]  # x + (+-0.0) == x where no hit
+        start = np.where(hit, 2 * (first // 2 + 1), n_moves)
+        for e in np.flatnonzero(ran & (start == n_moves)):
+            # an accepted move raises best: the sweep improved iff best rose
+            improved = best[e] > histories[e][-1]
+            histories[e].append(best[e])
+            if not improved:
+                step[e] *= config.shrink_factor
+            if len(histories[e]) <= config.max_iters and (improved or step[e] >= config.tolerance):
+                start[e] = 0
+    return x, best, histories
 
 
-def optimize_bound(objective, state, a, b, config: OptimizerConfig | None = None):
-    """Maximize the eq2 or eq5 bound over complete orthonormal bases.
+def optimize_bound(objective, states, a, b, config: OptimizerConfig | None = None):
+    """Maximize the eq2 or eq5 bound over complete orthonormal bases, for
+    one state or a sequence of states.
 
-    Returns (basis, best_value, trace).  Restart 0 starts from the
-    computational basis, so the result never falls below it.
+    Every (state, restart) pair is one search, and one
+    :func:`_compass_search` call runs them all in lockstep.  Restart r
+    starts every state from the same point, restart 0 from the computational
+    basis, so no result falls below it.  Returns (basis, value, trace) for a
+    PureState and (bases, values, trace) for a sequence; each value is the
+    exact ``evaluate_all`` one at its basis.  The trace lists every search's
+    history, state by state, and each state's winning restart.
     """
     if config is None:
         config = OptimizerConfig()
-    dim = state.dim
+    single = isinstance(states, PureState)
+    states = [states] if single else list(states)
+    if not states:
+        raise ValueError("no states to optimize")
+    restarts, dim = config.restarts, states[0].dim
+    # search j * restarts + r optimizes state j from restart r
+    fn = _objective_fn(objective, [s for s in states for _ in range(restarts)], a, b)
     n = param_count(dim)
-    fn = _objective_fn(objective, state, a, b)
+    x0 = [np.random.default_rng(config.seed + r).uniform(-np.pi, np.pi, n) if r else np.zeros(n)
+          for r in range(restarts)]
+    x, best, histories = _compass_search(fn, np.tile(x0, (len(states), 1)), dim, config)
 
-    trace = OptimizationTrace()
-    best_val, best_x = -np.inf, None
-    for r in range(config.restarts):
-        rng = np.random.default_rng(config.seed + r)
-        x0 = rng.uniform(-np.pi, np.pi, size=n) if r else np.zeros(n)
-        x, val, history = _compass_search(fn, x0, dim, config)
-        trace.restart_histories.append(history)
-        if val > best_val:
-            best_val, best_x = val, x
-            trace.winner = r
-
-    basis = OrthonormalBasis(unitary_from_params(best_x, dim))
-    # report the exact bound-module value at the winning basis
-    best_val = evaluate_all(state, a, b, basis).results[objective].rhs
-    return basis, float(best_val), trace
+    winners = best.reshape(len(states), restarts).argmax(1)
+    picks = x[winners + np.arange(0, len(x), restarts)]
+    bases = [OrthonormalBasis(u) for u in unitary_from_params(picks, dim)]
+    # report the exact bound-module value at each winning basis
+    values = [float(evaluate_all(s, a, b, m).results[objective].rhs) for s, m in zip(states, bases)]
+    if single:
+        return bases[0], values[0], OptimizationTrace(histories, int(winners[0]))
+    return bases, values, OptimizationTrace(histories, winners.tolist())

@@ -220,15 +220,19 @@ def _ideal_table(psi, lx, ly, lz, lp, basis):
     return np.column_stack([nan if key is None else values[key] for key in KERNEL_KEYS.values()])
 
 
-def _bases(state, lx, ly, basis, optimize):
-    """Optimized-basis columns of one state (none unless ``optimize``) and
-    the bases [(adjoint, {column: rhs function})] of the basis columns."""
-    bases = [(basis.matrix.conj().T, {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
+def _bases(states, lx, ly, basis, optimize):
+    """Optimized-basis columns of the states, {column: one value per state}
+    (none unless ``optimize``), from one basis search per objective, and each
+    state's bases [(adjoint, {column: rhs function})] of the basis columns."""
+    bases = [[(basis.matrix.conj().T, {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
+             for _ in states]
     opt = {}
     if optimize:
         for rid, rhs in (("eq2", rhs_eq2), ("eq5", rhs_eq5)):
-            b, opt[f"rhs_{rid}_opt"], _ = optimize_bound(rid, state, lx, ly, OPTIMIZER)
-            bases.append((b.matrix.conj().T, {f"rhs_{rid}_opt": rhs}))
+            col = f"rhs_{rid}_opt"
+            found, opt[col], _ = optimize_bound(rid, states, lx, ly, OPTIMIZER)
+            for row, b in zip(bases, found):
+                row.append((b.matrix.conj().T, {col: rhs}))
     return opt, bases
 
 
@@ -338,11 +342,11 @@ def run_sweep(config: SweepConfig):
     table[:, 0], table[:, 1] = np.arange(len(table)), config.thetas
     ideal, sampled, sigma = np.hsplit(table[:, 2:], 3)  # views into table
     ideal[:] = ideal_table[np.searchsorted(grid, config.thetas)]
-    for j, theta in enumerate(config.thetas):
-        opt, bases = _bases(family_state(theta), lx, ly, basis, config.optimize_basis)
-        for col, v in opt.items():
-            ideal[j, VALUE_COLUMNS.index(col)] = v
-
+    states = [family_state(theta) for theta in config.thetas]
+    opt, row_bases = _bases(states, lx, ly, basis, config.optimize_basis)
+    for col, values in opt.items():
+        ideal[:, VALUE_COLUMNS.index(col)] = values
+    for j, bases in enumerate(row_bases):
         # (columns, trials) value and sigma tables: each mean below sums a
         # contiguous row, trials in the order they ran
         vals, sigs = np.empty((2, len(VALUE_COLUMNS), config.trials))

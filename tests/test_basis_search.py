@@ -93,6 +93,12 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=bad)
 
+    @pytest.mark.parametrize("name", ["initial_step", "tolerance", "shrink_factor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_step_fields_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: bad})
+
 
 def _random_hermitian(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -127,26 +133,31 @@ def _serial_compass(fn, x0, dim, config):
 class TestCompassSearch:
     @settings(max_examples=80, deadline=None)
     @given(d=st.integers(2, 4), family=st.booleans(), objective=st.sampled_from(["eq2", "eq5"]),
-           seed=st.integers(0, 2**32 - 1), max_iters=st.integers(0, 60), zero_start=st.booleans())
-    def test_batch_is_serial_search(self, d, family, objective, seed, max_iters, zero_start):
-        """Batched scoring takes the serial loop's path bit for bit: same x,
-        best and history.  A family state is a qutrit with Lx and Ly (d is
-        then 3); a Haar state takes a random Hermitian pair in d."""
+           seed=st.integers(0, 2**32 - 1), max_iters=st.integers(0, 60),
+           zero_starts=st.lists(st.booleans(), min_size=1, max_size=4))
+    def test_batch_is_serial_search(self, d, family, objective, seed, max_iters, zero_starts):
+        """1-4 (state, start) searches run in lockstep each take the serial
+        loop's path bit for bit: same x, best and history.  Family states
+        are qutrits with Lx and Ly (d is then 3); Haar states share a
+        random Hermitian pair in d."""
         rng = np.random.default_rng(seed)
         if family:
-            state, a, b = family_state(rng.uniform(0, np.pi)), LX, LY
+            states, a, b = [family_state(rng.uniform(0, np.pi)) for _ in zero_starts], LX, LY
         else:
-            state = haar_random_state(d, rng)
+            states = [haar_random_state(d, rng) for _ in zero_starts]
             a, b = (_random_hermitian(rng, d) for _ in range(2))
-        n = param_count(state.dim)
-        x0 = np.zeros(n) if zero_start else rng.uniform(-np.pi, np.pi, n)
-        fn = _objective_fn(objective, state, a, b)
+        dim = states[0].dim
+        n = param_count(dim)
+        x0 = np.array([np.zeros(n) if z else rng.uniform(-np.pi, np.pi, n) for z in zero_starts])
         cfg = OptimizerConfig(restarts=1, max_iters=max_iters)
-        x, best, history = _compass_search(fn, x0, state.dim, cfg)
-        ref_x, ref_best, ref_history = _serial_compass(fn, x0, state.dim, cfg)
-        assert x.tobytes() == ref_x.tobytes()
-        assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
-        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        x, best, histories = _compass_search(_objective_fn(objective, states, a, b), x0, dim, cfg)
+        assert len(histories) == len(states)
+        for s, state in enumerate(states):
+            fn = _objective_fn(objective, state, a, b)
+            ref_x, ref_best, ref_history = _serial_compass(fn, x0[s], dim, cfg)
+            assert x[s].tobytes() == ref_x.tobytes()
+            assert best[s].tobytes() == np.float64(ref_best).tobytes()
+            assert np.array(histories[s]).tobytes() == np.array(ref_history).tobytes()
 
     @pytest.mark.parametrize("objective", ["eq2", "eq5"])
     def test_objective_stack_rows_are_single_calls(self, objective):
@@ -200,6 +211,19 @@ class TestOptimizeBound:
         assert r1[1] == r2[1]
         assert r1[2].restart_histories == r2[2].restart_histories
         assert np.array_equal(r1[0].matrix, r2[0].matrix)
+
+    def test_states_batch_is_one_state_calls(self):
+        """A sequence of states gives each state's basis, value, restart
+        histories (state by state) and winner of its one-state call."""
+        cfg = OptimizerConfig(restarts=3, max_iters=40, seed=2)
+        states = [family_state(t) for t in (0.2, 1.1, 2.5)]
+        bases, values, trace = optimize_bound("eq5", states, LX, LY, cfg)
+        assert len(bases) == len(values) == len(trace.winner) == 3
+        for j, s in enumerate(states):
+            basis, value, one = optimize_bound("eq5", s, LX, LY, cfg)
+            assert bases[j].matrix.tobytes() == basis.matrix.tobytes()
+            assert values[j] == value and trace.winner[j] == one.winner
+            assert trace.restart_histories[3 * j : 3 * j + 3] == one.restart_histories
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Smoke test: the narrative demos that read the eigensystem API run to
-completion.  Demo 03 (about 2 s) is left out to keep the suite fast."""
+completion.  Demo 03 (about 1 s) is left out to keep the suite fast."""
 
 import os
 import subprocess

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import varbound.hermitian as hermitian
 import varbound.sweep as sweep
-from varbound.basis_search import OptimizerConfig, haar_basis
+from varbound.basis_search import OptimizerConfig, haar_basis, optimize_bound
 from varbound.bounds import (
     OrthonormalBasis,
     _degenerate_std,
@@ -278,6 +278,28 @@ class TestRunSweep:
         assert ideal["rhs_eq2_opt"] >= ideal["rhs_eq2_canon"] - 1e-12
         assert ideal["rhs_eq5_opt"] >= ideal["rhs_eq5_canon"] - 1e-12
         assert "rhs_eq2_opt" in sampled and "rhs_eq5_opt" in sampled
+
+    def test_one_basis_search_per_objective(self, monkeypatch):
+        """A sweep over five angles makes one optimize_bound call per
+        objective, and each row's optimized column has the bits of a
+        one-state search."""
+        cfg = OptimizerConfig(restarts=2, max_iters=15)
+        monkeypatch.setattr(sweep, "OPTIMIZER", cfg)
+        calls = []
+
+        def counted(objective, states, *args, _fn=sweep.optimize_bound):
+            calls.append((objective, states))
+            return _fn(objective, states, *args)
+
+        monkeypatch.setattr(sweep, "optimize_bound", counted)
+        thetas = theta_grid(5)
+        table, _, _ = run_sweep(SweepConfig(thetas=thetas, counts=2000, optimize_basis=True))
+        assert len(calls) == 2
+        assert [(objective, len(states)) for objective, states in calls] == [("eq2", 5), ("eq5", 5)]
+        for row, theta in zip(table, thetas):
+            for objective in ("eq2", "eq5"):
+                _, value, _ = optimize_bound(objective, family_state(theta), LX, LY, cfg)
+                assert row[_col(f"rhs_{objective}_opt")].tobytes() == np.float64(value).tobytes()
 
     def test_trials_reduce_reported_sigma(self):
         one = _split(run_sweep(SweepConfig(thetas=(0.8,), counts=2000, trials=1))[0][0])[2]
@@ -755,7 +777,7 @@ class TestPropagateSigmas:
     def test_empty_setting_leaves_its_columns_undefined(self):
         """A setting with no counts makes undefined exactly the columns that
         read it: NaN on one vector and on a batch alike."""
-        _, bases = sweep._bases(family_state(0.3), LX, LY, OrthonormalBasis.computational(3), False)
+        _, [bases] = sweep._bases([family_state(0.3)], LX, LY, OrthonormalBasis.computational(3), False)
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 0, 0, 2, 1, 3])
         one = sweep._sampled_columns(counts, LX, LY, bases)
         assert one.shape == (len(VALUE_COLUMNS),)
@@ -772,7 +794,7 @@ class TestPropagateSigmas:
         """The -1 vector of a lone Lz count empties that setting; it adds
         nothing to the error bars instead of failing the run."""
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 1, 0, 2, 1, 3])
-        _, bases = sweep._bases(family_state(0.3), LX, LY, OrthonormalBasis.computational(3), False)
+        _, [bases] = sweep._bases([family_state(0.3)], LX, LY, OrthonormalBasis.computational(3), False)
         fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
         base, sig = sweep._propagate_sigmas(counts, fn)
         i = COL["lhs_sum"]
@@ -823,7 +845,7 @@ class TestTableForm:
         """One vector's row equals its row in a batch bit for bit; NaN lies
         exactly in the columns that read an empty setting, the unbased
         optimized columns and eq7 where its own rule leaves it undefined."""
-        _, bases = sweep._bases(family_state(theta), LX, LY, OrthonormalBasis.computational(3), False)
+        _, [bases] = sweep._bases([family_state(theta)], LX, LY, OrthonormalBasis.computational(3), False)
         one = sweep._sampled_columns(counts, LX, LY, bases)
         batch = np.array(others, dtype=int).reshape(-1, 12)
         at = min(at, len(batch))
@@ -842,7 +864,7 @@ class TestTableForm:
         """The plug-in state takes its relative sign from <Lx>, which a
         basis other than the computational one reads: with no Lx counts
         the basis columns are undefined."""
-        _, bases = sweep._bases(family_state(0.3), LX, LY, haar_basis(3, 1), False)
+        _, [bases] = sweep._bases([family_state(0.3)], LX, LY, haar_basis(3, 1), False)
         ly_lz_lp = [2, 2, 2, 1, 3, 2, 2, 1, 3]
         based = [COL["rhs_eq2_canon"], COL["rhs_eq5_canon"]]
         empty = sweep._sampled_columns([0, 0, 0] + ly_lz_lp, LX, LY, bases)
@@ -881,7 +903,7 @@ class TestBatchedSigmas:
         probs = _sweep_probabilities(thetas)
         fns = []
         for theta in thetas:
-            _, bases = sweep._bases(family_state(theta), LX, LY, basis, False)
+            _, [bases] = sweep._bases([family_state(theta)], LX, LY, basis, False)
             fns.append(lambda c, bases=bases: sweep._sampled_columns(c, LX, LY, bases))
         dark = 0
         for seed in range(20):
@@ -941,7 +963,7 @@ class TestTrials:
         basis = OrthonormalBasis.computational(3)
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
-            _, bases = sweep._bases(family_state(row[1]), LX, LY, basis, False)
+            _, [bases] = sweep._bases([family_state(row[1])], LX, LY, basis, False)
             fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
             defined = [~np.isnan(base) for base, _ in trials]
@@ -968,7 +990,7 @@ class TestTrials:
         partial = 0
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
-            _, bases = sweep._bases(family_state(row[1]), LX, LY, basis, False)
+            _, [bases] = sweep._bases([family_state(row[1])], LX, LY, basis, False)
             fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(cfg.trials)]
             defined = np.array([~np.isnan(base) for base, _ in trials]).sum(axis=0)
@@ -1122,8 +1144,8 @@ class TestWrittenOnce:
         for theta in theta_grid(11):
             state = family_state(theta)
             [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP, basis)
-            opt, bases = sweep._bases(state, LX, LY, basis, optimize)
-            ideal = _cells(VALUE_COLUMNS, ideal) | opt
+            opt, [bases] = sweep._bases([state], LX, LY, basis, optimize)
+            ideal = _cells(VALUE_COLUMNS, ideal) | {col: v for col, [v] in opt.items()}
             sampled = sweep._sampled_columns(
                 _noise_free_counts(state, 10_000), LX, LY, bases
             )
