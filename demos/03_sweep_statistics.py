@@ -28,4 +28,4 @@ for th, c, o in zip(theta, canon, opt):
     print(f"  theta={th:.4f}: canonical {c:.6f}  optimized {o:.6f}  (gain {o - c:+.6f})")
 
 print(f"\nverdict: {'ok' if report.ok else 'VIOLATION'}"
-      f"  worst forward slack = {report.worst_slack:.3e}")
+      f"  worst slack = {report.worst_slack:.3e}")

@@ -7,14 +7,16 @@ last axis).  :func:`evaluate_states`, the one place the quantities of a
 state are computed, feeds them a stack of states in one pass; the sweep
 feeds them estimates from counts and the basis search a trial basis.
 
-:func:`evaluate_all` is its one-state wrapper: every relation yields a
-:class:`BoundResult` carrying both sides and the slack.  Lower bounds use
-slack = lhs - rhs; the reverse bound uses slack = rhs - lhs.  Every rule of
-a verdict scales with the observables: eq7 calls a variance degenerate when
-dA is at most EQ7_EPS of A's largest standard deviation ``max_std`` or
-within A's ``resolution``, and the slack tolerance's floor
-(:func:`_slack_floors`) is the size, in those scales, that the sides can
-reach, or their rounding.
+:data:`RELATIONS` names each relation once: its id, the side it bounds
+(the product lhs_prod or the sum lhs_sum) and its direction.  One rule,
+:func:`verdicts`, reads that table and gives the margins (lhs - rhs for a
+lower bound, rhs - lhs for the upper one), tolerances and status codes of
+any batch of relation columns; :func:`evaluate_all`, the kernel's one-state
+wrapper, and the sweep's report both call it.  Every rule of a verdict
+scales with the observables: eq7 calls a variance degenerate when dA is at
+most EQ7_EPS of A's largest standard deviation ``max_std`` or within A's
+``resolution``, and the slack tolerance's floor (:func:`_slack_floors`) is
+the size, in those scales, that the sides can reach, or their rounding.
 """
 
 from __future__ import annotations
@@ -78,6 +80,29 @@ class BoundResult:
     reason: str | None = None
 
 
+# The seven relations, each written once: (id, left side, direction).  eq1..
+# eq3 bound the product lhs_prod = var(A) var(B) and eq4..eq6 the sum
+# lhs_sum = var(A) + var(B) from below; eq7 bounds the sum from above.
+RELATIONS = (
+    ("eq1", "lhs_prod", "lower"),
+    ("eq2", "lhs_prod", "lower"),
+    ("eq3", "lhs_prod", "lower"),
+    ("eq4", "lhs_sum", "lower"),
+    ("eq5", "lhs_sum", "lower"),
+    ("eq6", "lhs_sum", "lower"),
+    ("eq7", "lhs_sum", "upper"),
+)
+RELATION_IDS = tuple(rid for rid, _, _ in RELATIONS)
+# (bounds the sum, bounds from above) of each relation
+_MASKS = np.array([(side == "lhs_sum", direction == "upper") for _, side, direction in RELATIONS]).T
+# a verdict's status codes, by name: a margin's status is undefined where it
+# is NaN, violated below -tolerance, tight within +-tolerance, else satisfied
+STATUSES = ("satisfied", "tight", "violated", "undefined")
+SATISFIED, TIGHT, VIOLATED, UNDEFINED = range(len(STATUSES))
+# the reason codes of an undefined reverse bound, eq7; 0 for none
+REASONS = (None, "degenerate variance", "singular denominator")
+
+
 def _slack_tol(lhs, rhs, floor):
     """Tolerance on a relation's slack, relative to the size of its sides
     or to ``floor``, whichever is larger (the relations are scale-
@@ -91,13 +116,21 @@ def _slack_floors(a, b):
     the margin's rounding over SLACK_TOL.  A side is g^2, |g| <= w_a w_b
     (or w_a + w_b), of vectors that round by r = ``resolution``, so it
     rounds by up to (s_a s_b)^2 - (w_a w_b)^2 (or (s_a + s_b)^2 -
-    (w_a + w_b)^2), s = w + r, and the margin by twice that: linear in r."""
+    (w_a + w_b)^2), s = w + r, and the margin by twice that: linear in r.
+    Raises ValueError, naming the scales, where a floor is not finite."""
     w_a, w_b, r_a, r_b = a.max_std, b.max_std, a.resolution, b.resolution
     s_a, s_b = w_a + r_a, w_b + r_b
     prod_rounding = (r_a * s_b + w_a * r_b) * (s_a * s_b + w_a * w_b)
     sum_rounding = (r_a + r_b) * (s_a + s_b + w_a + w_b)
-    return (max((w_a * w_b) ** 2, 2.0 * prod_rounding / SLACK_TOL),
-            max(max(w_a, w_b) ** 2, 2.0 * sum_rounding / SLACK_TOL))
+    try:
+        floors = (max((w_a * w_b) ** 2, 2.0 * prod_rounding / SLACK_TOL),
+                  max(max(w_a, w_b) ** 2, 2.0 * sum_rounding / SLACK_TOL))
+    except OverflowError:  # a Python float's ** 2 beyond the float range
+        floors = (math.inf,)
+    if not all(map(math.isfinite, floors)):
+        raise ValueError(f"observables of max_std {w_a:.3g}, {w_b:.3g} and resolution {r_a:.3g}, "
+                         f"{r_b:.3g} are too large for a finite slack tolerance")
+    return floors
 
 
 def _degenerate_std(obs):
@@ -114,10 +147,24 @@ def _normalize_pairing(pairing, dim):
     return pairing
 
 
-def slack(direction, lhs, rhs):
-    """Margin by which a relation holds: lhs - rhs for a lower bound,
-    rhs - lhs for the upper one."""
-    return lhs - rhs if direction == "lower" else rhs - lhs
+def verdicts(sides, rhs, floors, relations=slice(None), degenerate=None):
+    """The verdict rule on right sides ``rhs`` (..., k) of ``relations``
+    (indices into RELATIONS, all seven by default; one may repeat), NaN
+    where undefined.  ``sides`` maps lhs_prod and lhs_sum to arrays of the
+    batch shape (...); ``floors`` is (product, sum) of :func:`_slack_floors`.
+    Returns (lhs, margin, tolerance, status, reason), each (..., k): status
+    codes of STATUSES, and with eq7's ``degenerate`` array (...) the codes
+    of REASONS, else None."""
+    on_sum, upper = _MASKS[:, relations]
+    lhs = np.where(on_sum, sides["lhs_sum"][..., None], sides["lhs_prod"][..., None])
+    margin = np.where(upper, rhs - lhs, lhs - rhs)
+    tol = _slack_tol(lhs, rhs, np.where(on_sum, floors[1], floors[0]))
+    undefined = np.isnan(margin)
+    # int first: two bool arrays would add as a logical or
+    status = 3 * undefined + (margin <= tol) + (margin < -tol)
+    # eq7 is the one upper bound; reason 1 where degenerate, else 2
+    reason = None if degenerate is None else (upper & undefined) * (2 - degenerate[..., None])
+    return lhs, margin, tol, status, reason
 
 
 def rhs_eq1(comm_abs, cov):
@@ -250,32 +297,22 @@ def evaluate_all(
     pairing=None,
 ) -> UncertaintyReport:
     """Evaluate eq1..eq7 on one state (:func:`evaluate_states` of one
-    vector); eq7 degeneracy degrades to undefined, with its reason.  The
-    slack tolerance's floors are :func:`_slack_floors`."""
+    vector) with :func:`verdicts`, the slack tolerance's floors those of
+    :func:`_slack_floors` (checked before the kernel runs); an undefined
+    eq7 has no rhs or slack and carries its reason."""
+    floors = _slack_floors(a, b)
     t = evaluate_states(state.amplitudes, a, b, basis, pairing)
-    # both sides, margins and verdicts of the seven relations as arrays:
-    # eq1..eq3 bound the product and eq4..eq6 the sum from below, eq7 the
-    # sum from above (see ``slack``)
-    ids = [f"eq{i}" for i in range(1, 8)]
-    lhs = np.array([t["lhs_prod"]] * 3 + [t["lhs_sum"]] * 4)
-    rhs = np.array([t[rid] for rid in ids])
-    margin = lhs - rhs
-    margin[6] = rhs[6] - lhs[6]
-    prod_floor, sum_floor = _slack_floors(a, b)
-    floor = np.array([prod_floor] * 3 + [sum_floor] * 4)
-    satisfied = margin >= -_slack_tol(lhs, rhs, floor)
-    results = {
-        rid: BoundResult(rid, "upper" if rid == "eq7" else "lower", left, right, ok, gap)
-        for rid, left, right, gap, ok in zip(
-            ids, lhs.tolist(), rhs.tolist(), margin.tolist(), satisfied.tolist())
-    }
-    if math.isnan(results["eq7"].rhs):
-        reason = "degenerate variance" if t["eq7_degenerate"] else "singular denominator"
-        results["eq7"] = BoundResult("eq7", "upper", results["eq7"].lhs, None, True, None,
-                                     defined=False, reason=reason)
+    rhs = np.array([t[rid] for rid in RELATION_IDS])
+    lhs, margin, _, status, reason = verdicts(t, rhs, floors, degenerate=t["eq7_degenerate"])
+    results = {}
+    for (rid, _, direction), left, right, gap, code, why in zip(
+            RELATIONS, lhs.tolist(), rhs.tolist(), margin.tolist(), status.tolist(), reason.tolist()):
+        defined = code != UNDEFINED
+        results[rid] = BoundResult(rid, direction, left, right if defined else None,
+                                   code != VIOLATED, gap if defined else None, defined, REASONS[why])
     return UncertaintyReport(
         state_label=state.label,
         **{k: float(t[k]) for k in ("mean_a", "mean_b", "var_a", "var_b")},
-        product_lhs=results["eq1"].lhs, sum_lhs=results["eq4"].lhs,
+        product_lhs=float(t["lhs_prod"]), sum_lhs=float(t["lhs_sum"]),
         results=results,
     )

@@ -10,9 +10,10 @@ into records, keys already in sorted order, with one function for both
 formats, and writes ``sweep.json`` as compact JSON that records the Python
 and numpy versions.  One function, ``build_report``, gives the verdict from
 the two tables: the relation statuses, the worst slack and the z-scores of
-the sweep rows, and ``ok`` over sweep and dense rows alike, each check one
-array expression.  ``verify`` reads a dataset back as the same two tables,
-NaN exactly where a cell is null, and passes them to the same function.
+the sweep rows, and ``ok`` over sweep and dense rows alike, the relation
+columns judged by ``bounds.verdicts``, the rule of ``evaluate_all`` too.
+``verify`` reads a dataset back as the same two tables, NaN exactly where a
+cell is null, and passes them to the same function.
 
 The counts of every (row, trial, setting) are drawn in one call from one
 generator seeded by the config seed.  Every sampled quantity is estimated
@@ -44,6 +45,9 @@ import numpy as np
 from . import __version__
 from .basis_search import OptimizerConfig, optimize_bound
 from .bounds import (
+    RELATION_IDS,
+    STATUSES,
+    VIOLATED,
     OrthonormalBasis,
     _degenerate_std,
     _slack_floors,
@@ -56,7 +60,7 @@ from .bounds import (
     rhs_eq5,
     rhs_eq6,
     rhs_eq7,
-    slack,
+    verdicts,
 )
 from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1
 from .hermitian import family_amplitudes, family_state
@@ -82,20 +86,9 @@ DATA_COLUMNS = (
 )
 CSV_COLUMNS = ("j", "theta") + DATA_COLUMNS
 
-# (relation, lhs column, rhs column, direction) for every checked column
-RELATIONS = (
-    ("eq1", "lhs_prod", "rhs_eq1", "lower"),
-    ("eq2", "lhs_prod", "rhs_eq2_canon", "lower"),
-    ("eq2", "lhs_prod", "rhs_eq2_opt", "lower"),
-    ("eq3", "lhs_prod", "rhs_eq3", "lower"),
-    ("eq4", "lhs_sum", "rhs_eq4", "lower"),
-    ("eq5", "lhs_sum", "rhs_eq5_canon", "lower"),
-    ("eq5", "lhs_sum", "rhs_eq5_opt", "lower"),
-    ("eq6", "lhs_sum", "rhs_eq6", "lower"),
-    ("eq7", "lhs_sum", "rhs_eq7", "upper"),
-)
-# the report's statuses name the computational-basis ones
-STATUS_RELATIONS = [i for i, (_, _, rhs, _) in enumerate(RELATIONS) if not rhs.endswith("_opt")]
+# {rhs column: relation id} of every checked column, rhs_eqN[_canon|_opt]
+# checking eqN; a relation's side and direction are in bounds.RELATIONS
+RELATIONS = {c: rid for c in VALUE_COLUMNS for rid in RELATION_IDS if c.split("_")[1] == rid}
 
 SETTING_NAMES = ("Lx", "Ly", "Lz", "Lp")
 DEFAULT_Z_LIMIT = 5.0
@@ -206,10 +199,9 @@ class VerificationReport:
 
 # the kernel output behind each ideal column (eq2, eq5 in the computational
 # basis); the optimized-basis columns come from the basis search
-KERNEL_KEYS = dict(zip(VALUE_COLUMNS, (
-    "mean_a", "mean_b", "mean_lz", "mean_lp", "var_a", "var_b", "lhs_prod", "eq1", "eq2", None,
-    "eq3", "lhs_sum", "eq4", "eq5", None, "eq6", "eq7",
-)))
+_RENAMED = {"mean_lx": "mean_a", "mean_ly": "mean_b", "var_lx": "var_a", "var_ly": "var_b"}
+KERNEL_KEYS = {c: None if c.endswith("_opt") else RELATIONS.get(c, _RENAMED.get(c, c))
+               for c in VALUE_COLUMNS}
 
 
 def _ideal_table(psi, lx, ly, lz, lp, basis):
@@ -372,8 +364,8 @@ def run_sweep(config: SweepConfig):
 def build_report(table, dense=None) -> VerificationReport:
     """The verdict on a (rows, DATA_COLUMNS) or (rows, CSV_COLUMNS) float
     table, NaN where a cell is undefined, and on the ``dense`` rows of the
-    same form, if given.  Statuses (undefined, violated, tight or satisfied,
-    to the slack tolerance), the worst slack and the z-scores cover
+    same form, if given.  Statuses (``bounds.verdicts``' names, by relation
+    in the computational basis), the worst slack and the z-scores cover
     ``table``'s rows.  ``ok`` fails when any row violates a relation column,
     the optimized-basis ones included, or holds a sampled column with
     |value - ideal| / sigma > DEFAULT_Z_LIMIT, or with zero sigma and off its
@@ -381,23 +373,23 @@ def build_report(table, dense=None) -> VerificationReport:
     cells = table if dense is None else np.vstack([table, dense])
     ideal, sampled, sigma = np.hsplit(cells[:, -len(DATA_COLUMNS):], 3)
     col = dict(zip(VALUE_COLUMNS, ideal.T))
-    margin = np.array([slack(d, col[lhs], col[rhs]) for _, lhs, rhs, d in RELATIONS]).T
     # evaluate_all's floors for Lx and Ly (both 1); sigma = 0 takes the sum's
-    prod_floor, sum_floor = _slack_floors(*builtin_spin1()[:2])
-    floor = {"lhs_prod": prod_floor, "lhs_sum": sum_floor}
-    tol = np.array([_slack_tol(col[lhs], col[rhs], floor[lhs]) for _, lhs, rhs, _ in RELATIONS]).T
+    floors = _slack_floors(*builtin_spin1()[:2])
+    rhs = np.column_stack([col[c] for c in RELATIONS])
+    relations = [RELATION_IDS.index(rid) for rid in RELATIONS.values()]
+    _, margin, _, status, _ = verdicts(col, rhs, floors, relations)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (sampled - ideal) / sigma
     scored = (sigma > 0) & ~np.isnan(z)
-    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal, sum_floor))
-    ok = not ((margin < -tol).any() or (abs(z[scored]) > DEFAULT_Z_LIMIT).any() or zero_off.any())
+    zero_off = (sigma == 0) & (abs(sampled - ideal) > _slack_tol(sampled, ideal, floors[1]))
+    ok = not ((status == VIOLATED).any() or (abs(z[scored]) > DEFAULT_Z_LIMIT).any()
+              or zero_off.any())
     n = len(table)
-    m, t = margin[:n, STATUS_RELATIONS], tol[:n, STATUS_RELATIONS]
-    status = np.select([np.isnan(m), m < -t, abs(m) <= t], ["undefined", "violated", "tight"],
-                       "satisfied")
-    names = [RELATIONS[i][0] for i in STATUS_RELATIONS]
+    names = np.array(STATUSES)[status[:n]].tolist()
     return VerificationReport(
-        statuses=[dict(zip(names, row)) for row in status.tolist()],
+        # each relation's status in the computational basis
+        statuses=[{rid: s for (c, rid), s in zip(RELATIONS.items(), row) if not c.endswith("_opt")}
+                  for row in names],
         worst_slack=float(np.fmin.reduce(margin[:n], axis=None, initial=np.inf)),
         z_scores=[
             {c: v for c, v, on in zip(VALUE_COLUMNS, zs, ons) if on}

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import math
+import warnings
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varbound.bounds as bounds
@@ -623,7 +625,7 @@ class TestSinglePass:
 
 
 def _reference_result(relation_id, direction, lhs, rhs, floor):
-    margin = bounds.slack(direction, lhs, rhs)
+    margin = lhs - rhs if direction == "lower" else rhs - lhs
     return BoundResult(
         relation_id=relation_id,
         direction=direction,
@@ -720,6 +722,173 @@ class TestReportMatchesReference:
             assert _report_bits(rep) == _report_bits(_reference_report(state, a, bb, basis, pairing))
             reasons.add(rep.results["eq7"].reason)
         assert reasons == {None, "degenerate variance", "singular denominator"}
+
+
+# each relation's side and direction, written out here so that the
+# references below do not read the program's relation table
+REFERENCE_TABLE = {
+    "eq1": ("lhs_prod", "lower"), "eq2": ("lhs_prod", "lower"), "eq3": ("lhs_prod", "lower"),
+    "eq4": ("lhs_sum", "lower"), "eq5": ("lhs_sum", "lower"), "eq6": ("lhs_sum", "lower"),
+    "eq7": ("lhs_sum", "upper"),
+}
+
+
+def _reference_verdict(rid, sides, rhs, floors, degenerate):
+    """(lhs, margin, tolerance, status, reason) of one relation cell, one
+    scalar at a time."""
+    side, direction = REFERENCE_TABLE[rid]
+    lhs, floor = sides[side], floors[side == "lhs_sum"]
+    margin = lhs - rhs if direction == "lower" else rhs - lhs
+    tol = bounds._slack_tol(lhs, rhs, floor)
+    if math.isnan(margin):
+        reason = None
+        if rid == "eq7":
+            reason = "degenerate variance" if degenerate else "singular denominator"
+        return lhs, margin, tol, "undefined", reason
+    if margin < -tol:
+        return lhs, margin, tol, "violated", None
+    return lhs, margin, tol, "tight" if abs(margin) <= tol else "satisfied", None
+
+
+@st.composite
+def _verdict_inputs(draw):
+    """(sides, rhs, floors, relation indices, degenerate) of a few rows.  A
+    cell's rhs is NaN, any value, exactly +-tolerance from a zero lhs or
+    one ulp beyond it (that cell's side is then zero in its row)."""
+    rows = draw(st.integers(1, 4))
+    relations = draw(st.lists(st.integers(0, 6), min_size=1, max_size=9))
+    floors = tuple(draw(st.floats(1e-6, 1e6)) for _ in range(2))
+    value = st.floats(-1e3, 1e3) | st.just(0.0)
+    sides = {k: np.array([draw(value) for _ in range(rows)]) for k in ("lhs_prod", "lhs_sum")}
+    rhs = np.empty((rows, len(relations)))
+    for i, j in itertools.product(range(rows), range(len(relations))):
+        side = REFERENCE_TABLE[f"eq{relations[j] + 1}"][0]
+        kind = draw(st.sampled_from(["nan", "any", "edge", "beyond"]))
+        if kind == "nan":
+            rhs[i, j] = np.nan
+        elif kind == "any":
+            rhs[i, j] = draw(value)
+        else:
+            sides[side][i] = 0.0
+            edge = draw(st.sampled_from([-1.0, 1.0])) * bounds.SLACK_TOL * floors[side == "lhs_sum"]
+            rhs[i, j] = edge if kind == "edge" else np.nextafter(edge, np.copysign(np.inf, edge))
+    degenerate = np.array([draw(st.booleans()) for _ in range(rows)])
+    return sides, rhs, floors, relations, degenerate
+
+
+def _verdict_bits(out):
+    """The five outputs of bounds.verdicts as exact bits."""
+    return [_bits(np.asarray(x)) for x in out]
+
+
+class TestVerdicts:
+    """bounds.verdicts is the one verdict rule of evaluate_all and the
+    sweep's report."""
+
+    def test_relation_table(self):
+        assert {rid: (side, d) for rid, side, d in bounds.RELATIONS} == REFERENCE_TABLE
+        assert bounds.RELATION_IDS == tuple(REFERENCE_TABLE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_verdict_inputs())
+    def test_rows_are_one_row_calls_and_reference(self, inputs):
+        """A (rows, relations) call gives, row by row, the bits of one-row
+        calls and of the scalar reference, NaN rhs, margins at
+        +-tolerance and eq7's two undefined reasons included."""
+        sides, rhs, floors, relations, degenerate = inputs
+        out = bounds.verdicts(sides, rhs, floors, relations, degenerate)
+        assert all(np.shape(x) == rhs.shape for x in out)
+        for i in range(len(rhs)):
+            row = {k: v[i] for k, v in sides.items()}
+            one = bounds.verdicts(row, rhs[i], floors, relations, degenerate[i])
+            assert _verdict_bits(one) == _verdict_bits([x[i] for x in out])
+            for j, rel in enumerate(relations):
+                ref = _reference_verdict(f"eq{rel + 1}", row, rhs[i, j], floors, degenerate[i])
+                got = (out[0][i, j], out[1][i, j], out[2][i, j],
+                       bounds.STATUSES[out[3][i, j]], bounds.REASONS[out[4][i, j]])
+                assert [_bits(np.float64(x)) for x in got[:3]] == [_bits(np.float64(x)) for x in ref[:3]]
+                assert got[3:] == ref[3:], (rel, rhs[i, j], row)
+
+    def test_ties_and_reasons(self):
+        """The edges of the rule at fixed points: a margin of exactly
+        -tolerance is tight, one ulp below it violated; an undefined eq7
+        reads its reason from ``degenerate``."""
+        tol = bounds.SLACK_TOL * 4.0
+        sides = {"lhs_prod": np.zeros(2), "lhs_sum": np.zeros(2)}
+        rhs = np.array([[tol, np.nextafter(tol, 1.0), -tol, np.nan, np.nan]] * 2)
+        _, margin, t, status, reason = bounds.verdicts(sides, rhs, (4.0, 4.0), [0, 0, 6, 6, 3],
+                                                       np.array([True, False]))
+        assert (t[:, :3] == tol).all() and margin[0, 0] == margin[0, 2] == -tol
+        assert [[bounds.STATUSES[c] for c in row] for row in status] == [
+            ["tight", "violated", "tight", "undefined", "undefined"]] * 2
+        assert [[bounds.REASONS[c] for c in row] for row in reason] == [
+            [None, None, None, "degenerate variance", None],
+            [None, None, None, "singular denominator", None]]
+        assert bounds.verdicts(sides, rhs, (4.0, 4.0), [0, 0, 6, 6, 3])[4] is None
+
+    @pytest.mark.parametrize("scale_a, scale_b, gap, product_ok", [(3.0, 2.0, 2e-8, True),
+                                                                  (0.5, 1.0, 8e-10, False)])
+    def test_product_and_sum_floors(self, monkeypatch, scale_a, scale_b, gap, product_ok):
+        """With a Lx and b Ly the floors differ: (36, 9) for a, b = 3, 2 and
+        (0.25, 1) for 0.5, 1, each above its side at theta = 0.  Each right
+        side is planted ``gap`` on the wrong side of its lhs, a gap that the
+        product floor's tolerance covers and the sum floor's does not (the
+        reverse in the second case), so the verdicts show that eq1-eq3 read
+        the product floor and eq4-eq7 the sum floor."""
+        lx, ly = builtin_spin1()[:2]
+        a, b = make_observable(scale_a * lx.matrix), make_observable(scale_b * ly.matrix)
+        fp, fs = bounds._slack_floors(a, b)
+        assert fp != fs
+
+        def planted(*args, _fn=bounds.evaluate_states):
+            t = dict(_fn(*args))
+            for rid, (side, direction) in REFERENCE_TABLE.items():
+                t[rid] = t[side] + (gap if direction == "lower" else -gap)
+            return t
+
+        monkeypatch.setattr(bounds, "evaluate_states", planted)
+        rep = evaluate_all(family_state(0.0), a, b)
+        assert rep.product_lhs < fp and rep.sum_lhs < fs
+        assert {rid: r.satisfied for rid, r in rep.results.items()} == {
+            rid: product_ok if side == "lhs_prod" else not product_ok
+            for rid, (side, _) in REFERENCE_TABLE.items()}
+
+
+class TestHugeObservables:
+    """Observables too large for a finite slack tolerance are rejected with
+    a ValueError that names their scale, before the kernel runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 300))
+    @example(k=77)
+    @example(k=78)
+    def test_result_or_value_error(self, k):
+        """s diag(1, -1, 0) and s diag(0, 1, -1), s = 10^k: the product floor
+        (s^2)^2 is finite up to k = 77, and then the report is the
+        reference's; from k = 78 a ValueError, never an OverflowError or
+        a RuntimeWarning."""
+        s = 10.0**k
+        state = PureState(np.ones(3) / np.sqrt(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = make_observable(s * np.diag([1.0, -1.0, 0.0]))
+            b = make_observable(s * np.diag([0.0, 1.0, -1.0]))
+            if k >= 78:
+                with pytest.raises(ValueError, match="max_std 1e\\+.* too large"):
+                    evaluate_all(state, a, b)
+            else:
+                rep = evaluate_all(state, a, b)
+                assert _report_bits(rep) == _report_bits(_reference_report(state, a, b))
+                assert all(r.satisfied for r in rep.results.values())
+
+    @pytest.mark.parametrize("shift", [1e200, 1e290])
+    def test_huge_shift_rejected(self, shift):
+        """A shift's rounding makes the floors infinite; before, the
+        infinite tolerance read every relation as satisfied."""
+        a = make_observable(np.diag([1.0, -1.0, 0.0]) + shift * np.eye(3))
+        b = make_observable(np.diag([0.0, 1.0, -1.0]))
+        with pytest.raises(ValueError, match="resolution .* too large"):
+            evaluate_all(PureState(np.ones(3) / np.sqrt(3)), a, b)
 
 
 def _report_values(rep):

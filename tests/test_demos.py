@@ -1,5 +1,6 @@
 """Smoke test: the narrative demos that read the eigensystem API run to
-completion.  Demo 03 (about 1 s) is left out to keep the suite fast."""
+completion, with a RuntimeWarning an error as in the suite.  Demo 03 (about
+1 s) is left out to keep the suite fast."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

@@ -30,7 +30,6 @@ from varbound.sweep import (
     CSV_COLUMNS,
     ConfigError,
     DATA_COLUMNS,
-    RELATIONS,
     SweepConfig,
     VALUE_COLUMNS,
     build_report,
@@ -45,6 +44,20 @@ LX, LY, LZ, LP = builtin_spin1()
 # the slack tolerance's floors for Lx and Ly by the relation's lhs column;
 # the sigma = 0 check takes the sum's
 FLOOR = dict(zip(("lhs_prod", "lhs_sum"), _slack_floors(LX, LY)))
+# (relation, lhs column, rhs column, direction) of every checked column,
+# written out here so that the references below do not read the program's
+# relation table
+RELATION_COLUMNS = (
+    ("eq1", "lhs_prod", "rhs_eq1", "lower"),
+    ("eq2", "lhs_prod", "rhs_eq2_canon", "lower"),
+    ("eq2", "lhs_prod", "rhs_eq2_opt", "lower"),
+    ("eq3", "lhs_prod", "rhs_eq3", "lower"),
+    ("eq4", "lhs_sum", "rhs_eq4", "lower"),
+    ("eq5", "lhs_sum", "rhs_eq5_canon", "lower"),
+    ("eq5", "lhs_sum", "rhs_eq5_opt", "lower"),
+    ("eq6", "lhs_sum", "rhs_eq6", "lower"),
+    ("eq7", "lhs_sum", "rhs_eq7", "upper"),
+)
 
 
 class TestConfig:
@@ -571,9 +584,9 @@ def _slacks(values):
     an rhs: the row-by-row form that build_report's slack table replaced,
     kept as a reference."""
     return [
-        (sweep.slack(direction, values[lhs], values[rhs]),
+        (values[lhs] - values[rhs] if direction == "lower" else values[rhs] - values[lhs],
          _slack_tol(values[lhs], values[rhs], FLOOR[lhs]))
-        for _, lhs, rhs, direction in RELATIONS
+        for _, lhs, rhs, direction in RELATION_COLUMNS
         if values.get(rhs) is not None
     ]
 
@@ -584,7 +597,8 @@ def _status(direction, lhs, rhs, floor):
     as a reference."""
     if rhs is None:
         return "undefined"
-    margin, tol = sweep.slack(direction, lhs, rhs), _slack_tol(lhs, rhs, floor)
+    margin = lhs - rhs if direction == "lower" else rhs - lhs
+    tol = _slack_tol(lhs, rhs, floor)
     if margin < -tol:
         return "violated"
     return "tight" if abs(margin) <= tol else "satisfied"
@@ -655,7 +669,7 @@ def _corruptions(draw, payload, hows=CORRUPTIONS):
     if how == "null_lhs":
         return kind, i, {draw(st.sampled_from(["lhs_prod", "lhs_sum"])): None}
     if how == "slack":
-        _, lhs, rhs, direction = draw(st.sampled_from(RELATIONS))
+        _, lhs, rhs, direction = draw(st.sampled_from(RELATION_COLUMNS))
         # within a few tolerances (1e-9 relative to the larger side) of the edge
         step = draw(st.floats(-3e-9, 3e-9)) * (1 if direction == "lower" else -1)
         return kind, i, {rhs: row[lhs] + step * max(1.0, abs(row[lhs]))}
@@ -1047,19 +1061,53 @@ class TestStatus:
         the per-relation reference."""
         a = make_observable(1e5 * np.diag([1.0, 2.0, -3.0]))
         rep = evaluate_all(haar_random_state(3, np.random.default_rng(1)), a, a)
-        lhs_column = {rid: lhs for rid, lhs, _, _ in RELATIONS}
+        lhs_column = {rid: lhs for rid, lhs, _, _ in RELATION_COLUMNS}
         statuses = {rid: _status(r.direction, r.lhs, r.rhs, FLOOR[lhs_column[rid]])
                     for rid, r in rep.results.items()}
         assert statuses == dict.fromkeys(("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"), "tight") | {
             "eq7": "undefined"
         }
         row = np.full(len(DATA_COLUMNS), np.nan)
-        for rid, lhs, rhs, _ in RELATIONS:
+        for rid, lhs, rhs, _ in RELATION_COLUMNS:
             if not rhs.endswith("_opt"):
                 r = rep.results[rid]
                 row[DATA_COLUMNS.index(lhs)] = r.lhs
                 row[DATA_COLUMNS.index(rhs)] = np.nan if r.rhs is None else r.rhs
         assert build_report(row[None]).statuses == [statuses]
+
+
+class TestRelationColumns:
+    def test_columns_map_onto_relations(self):
+        """Every checked column's relation, and the kernel output behind
+        each ideal column, as written out here."""
+        assert sweep.RELATIONS == {rhs: rid for rid, _, rhs, _ in RELATION_COLUMNS}
+        assert sweep.KERNEL_KEYS == dict(zip(VALUE_COLUMNS, (
+            "mean_a", "mean_b", "mean_lz", "mean_lp", "var_a", "var_b", "lhs_prod", "eq1", "eq2",
+            None, "eq3", "lhs_sum", "eq4", "eq5", None, "eq6", "eq7")))
+
+    @pytest.mark.parametrize("scale_a, scale_b, gap, product_ok", [(3.0, 2.0, 2e-8, True),
+                                                                  (0.5, 1.0, 8e-10, False)])
+    def test_product_and_sum_floors(self, monkeypatch, scale_a, scale_b, gap, product_ok):
+        """The report with a Lx and b Ly in place of Lx and Ly, whose floors
+        are both 1: floors (36, 9) and (0.25, 1).  Every relation column,
+        the optimized ones included, is planted ``gap`` on the wrong side of
+        its lhs; the product floor's tolerance covers that gap and the sum
+        floor's does not (the reverse in the second case), so eq1-eq3 read
+        tight and eq4-eq7 violated, or the reverse."""
+        lx, ly, lz, lp = builtin_spin1()
+        a, b = make_observable(scale_a * lx.matrix), make_observable(scale_b * ly.matrix)
+        monkeypatch.setattr(sweep, "builtin_spin1", lambda: (a, b, lz, lp))
+        fp, fs = _slack_floors(a, b)
+        row = np.full(len(DATA_COLUMNS), np.nan)
+        sides = {"lhs_prod": 0.5 * fp, "lhs_sum": 0.5 * fs}
+        for rid, lhs, rhs, direction in RELATION_COLUMNS:
+            row[DATA_COLUMNS.index(lhs)] = sides[lhs]
+            row[DATA_COLUMNS.index(rhs)] = sides[lhs] + (gap if direction == "lower" else -gap)
+        report = build_report(row[None])
+        ok, bad = ("tight", "violated") if product_ok else ("violated", "tight")
+        assert report.statuses == [{rid: ok if lhs == "lhs_prod" else bad
+                                    for rid, lhs, _, _ in RELATION_COLUMNS}]
+        assert not report.ok
 
 
 class TestCalibration:
