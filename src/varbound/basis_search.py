@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import OrthonormalBasis, evaluate_all, rhs_eq2, rhs_eq5
-from .hermitian import PureState, _centre, _check_dims
+from .hermitian import _centre, _check_dims
 
 
 class BadParameterCount(ValueError):
@@ -91,18 +91,17 @@ class OptimizationTrace:
     """Each search's best-value history and each state's winning restart."""
 
     restart_histories: list
-    winner: int | list
+    winner: list
 
 
 def _objective_fn(objective, states, a, b):
     """rhs of eq2 or eq5 of basis matrices, shape (..., d, d) to (...), each
-    on state ``owner`` (shape (...), default 0) of ``states``, a PureState or
-    a sequence, with Abar psi and Bbar psi stacked as w, shape (states, 2, d);
-    a stack row has the bits of its own call (matvec projects per matrix)."""
+    on state ``owner`` (shape (...), default 0) of the sequence ``states``,
+    with Abar psi and Bbar psi stacked as w, shape (states, 2, d); a stack
+    row has the bits of its own call (matvec projects per matrix)."""
     rhs = {"eq2": rhs_eq2, "eq5": rhs_eq5}.get(objective)
     if rhs is None:
         raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
-    states = [states] if isinstance(states, PureState) else states
     for state in states:
         _check_dims(state, a, b)
     w = np.array([[_centre(s.amplitudes, o) for o in (a, b)] for s in states])
@@ -160,20 +159,19 @@ def _compass_search(fn, x0, dim, config):
 
 def optimize_bound(objective, states, a, b, config: OptimizerConfig | None = None):
     """Maximize the eq2 or eq5 bound over complete orthonormal bases, for
-    one state or a sequence of states.
+    each of a sequence of states.
 
     Every (state, restart) pair is one search, and one
     :func:`_compass_search` call runs them all in lockstep.  Restart r
     starts every state from the same point, restart 0 from the computational
-    basis, so no result falls below it.  Returns (basis, value, trace) for a
-    PureState and (bases, values, trace) for a sequence; each value is the
-    exact ``evaluate_all`` one at its basis.  The trace lists every search's
+    basis, so no result falls below it.  Returns (bases, values, trace), a
+    list of one basis and one value per state; each value is the exact
+    ``evaluate_all`` one at its basis.  The trace lists every search's
     history, state by state, and each state's winning restart.
     """
     if config is None:
         config = OptimizerConfig()
-    single = isinstance(states, PureState)
-    states = [states] if single else list(states)
+    states = list(states)
     if not states:
         raise ValueError("no states to optimize")
     restarts, dim = config.restarts, states[0].dim
@@ -189,6 +187,4 @@ def optimize_bound(objective, states, a, b, config: OptimizerConfig | None = Non
     bases = [OrthonormalBasis(u) for u in unitary_from_params(picks, dim)]
     # report the exact bound-module value at each winning basis
     values = [float(evaluate_all(s, a, b, m).results[objective].rhs) for s, m in zip(states, bases)]
-    if single:
-        return bases[0], values[0], OptimizationTrace(histories, int(winners[0]))
     return bases, values, OptimizationTrace(histories, winners.tolist())

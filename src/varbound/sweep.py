@@ -21,9 +21,11 @@ from the four settings' counts as one float table in VALUE_COLUMNS order,
 NaN where a column is undefined (a setting with no counts leaves the columns
 that read it undefined) or not computed; derived columns propagate one-
 standard-deviation Poisson error bars to first order by one-count central
-differences through the full column formula, all perturbed count vectors
-of a trial in one call.  Each row reduces its (columns, trials) value and
-sigma tables once: the mean over the k trials that define a column, and
+differences through the full column formula, all perturbed count vectors of
+a trial in one call.  The computational-basis columns read the centred
+plug-in vectors; the optimized-basis ones project them onto a row's two
+optimal bases.  The (rows, columns, trials) value and sigma tables are
+reduced once: the mean over the k trials that define a column, and
 sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
 when it lies off its ideal value by more than the slack tolerance.
 """
@@ -48,7 +50,6 @@ from .bounds import (
     RELATION_IDS,
     STATUSES,
     VIOLATED,
-    OrthonormalBasis,
     _degenerate_std,
     _slack_floors,
     _slack_tol,
@@ -94,7 +95,14 @@ SETTING_NAMES = ("Lx", "Ly", "Lz", "Lp")
 DEFAULT_Z_LIMIT = 5.0
 # below numpy's Poisson ceiling (a mean near 9.2e18 is "too large")
 MAX_COUNTS = 10**18
+# most cells of a count (rows x trials x 12), sweep or dense table
+MAX_CELLS = 10**7
 OPTIMIZER = OptimizerConfig(restarts=6, max_iters=400)
+
+
+def _check_cells(table, setting, cells):
+    if cells > MAX_CELLS:
+        raise ConfigError(f"{setting} makes a {table} table of {cells} cells, over {MAX_CELLS}")
 
 
 def theta_grid(steps):
@@ -102,9 +110,8 @@ def theta_grid(steps):
     (the dense grid merges sweep angles by float equality)."""
     if steps < 1:
         raise ConfigError(f"theta_steps must be >= 1, got {steps}")
-    if steps == 1:
-        return (0.0,)
-    return tuple(j * np.pi / (steps - 1) for j in range(steps))
+    _check_cells("sweep", f"theta_steps = {steps}", steps * len(CSV_COLUMNS))
+    return tuple(j * np.pi / max(steps - 1, 1) for j in range(steps))
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,13 @@ class SweepConfig:
     formats: tuple = ("csv", "json")
 
     def __post_init__(self):
-        if len(self.thetas) == 0:
+        rows = len(self.thetas)
+        if rows == 0:
             raise ConfigError("theta list must be non-empty")
+        _check_cells("sweep", f"{rows} thetas", rows * len(CSV_COLUMNS))
+        _check_cells("count", f"trials = {self.trials}", rows * self.trials * 12)
+        dense_rows = self.dense + 1 + rows if self.dense else 0  # merged with the sweep's
+        _check_cells("dense", f"dense = {self.dense}", dense_rows * len(CSV_COLUMNS))
         if not all(map(math.isfinite, self.thetas)):
             raise ConfigError(f"thetas must be finite, got {self.thetas}")
         if self.seed < 0:
@@ -204,28 +216,12 @@ KERNEL_KEYS = {c: None if c.endswith("_opt") else RELATIONS.get(c, _RENAMED.get(
                for c in VALUE_COLUMNS}
 
 
-def _ideal_table(psi, lx, ly, lz, lp, basis):
+def _ideal_table(psi, lx, ly, lz, lp):
     """Ideal value columns of states ``psi`` (N, 3) from one kernel call, as
     an (N, VALUE_COLUMNS) float table; NaN where undefined or not computed."""
-    values = evaluate_states(psi, lx, ly, basis, means={"mean_lz": lz, "mean_lp": lp})
+    values = evaluate_states(psi, lx, ly, means={"mean_lz": lz, "mean_lp": lp})
     nan = np.full(len(psi), np.nan)
     return np.column_stack([nan if key is None else values[key] for key in KERNEL_KEYS.values()])
-
-
-def _bases(states, lx, ly, basis, optimize):
-    """Optimized-basis columns of the states, {column: one value per state}
-    (none unless ``optimize``), from one basis search per objective, and each
-    state's bases [(adjoint, {column: rhs function})] of the basis columns."""
-    bases = [[(basis.matrix.conj().T, {"rhs_eq2_canon": rhs_eq2, "rhs_eq5_canon": rhs_eq5})]
-             for _ in states]
-    opt = {}
-    if optimize:
-        for rid, rhs in (("eq2", rhs_eq2), ("eq5", rhs_eq5)):
-            col = f"rhs_{rid}_opt"
-            found, opt[col], _ = optimize_bound(rid, states, lx, ly, OPTIMIZER)
-            for row, b in zip(bases, found):
-                row.append((b.matrix.conj().T, {col: rhs}))
-    return opt, bases
 
 
 def _state_estimate(lz_probs, mean_lx):
@@ -240,12 +236,13 @@ def _state_estimate(lz_probs, mean_lx):
     return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
 
 
-def _sampled_columns(counts, lx, ly, bases):
+def _sampled_columns(counts, lx, ly, opt_adjoints=None):
     """All sampled value columns from raw counts of shape (..., 12), ordered
     [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the observable's eigenvalue
-    order (-1, 1, 0); ``bases`` is the list built by :func:`_bases`.
-    Returns a (..., VALUE_COLUMNS) float table, one vector and a batch
-    alike, NaN where a column is undefined or no basis produces it.
+    order (-1, 1, 0); ``opt_adjoints`` (2, 3, 3), the adjoints of the eq2
+    and eq5 optimal bases, gives the optimized-basis columns.  Returns a
+    (..., VALUE_COLUMNS) float table, one vector and a batch alike, NaN
+    where a column is undefined or not computed.
     """
     n = np.asarray(counts, dtype=float).reshape(-1, 4, 3)
     # a setting with no counts gives NaN in the columns that read it
@@ -278,13 +275,15 @@ def _sampled_columns(counts, lx, ly, bases):
         )[0],
     }
 
-    # basis-dependent bounds on the plug-in state
+    # basis-dependent bounds on the plug-in state: the computational basis
+    # reads Abar psi and Bbar psi themselves
     psi = _state_estimate(probs[:, 2], mx)
-    abar_psi, bbar_psi = _centre(psi, lx), _centre(psi, ly)
-    for bh, rhs_by_column in bases:
-        pa, pb = np.matvec(bh, abar_psi), np.matvec(bh, bbar_psi)
-        for col, rhs in rhs_by_column.items():
-            cols[col] = rhs(pa, pb)
+    w = np.stack([_centre(psi, lx), _centre(psi, ly)])
+    cols["rhs_eq2_canon"], cols["rhs_eq5_canon"] = rhs_eq2(*w), rhs_eq5(*w)
+    if opt_adjoints is not None:
+        # p[i] projects Abar psi and Bbar psi onto basis i: eq2's, then eq5's
+        p = np.matvec(opt_adjoints[:, None, None], w)
+        cols["rhs_eq2_opt"], cols["rhs_eq5_opt"] = rhs_eq2(*p[0]), rhs_eq5(*p[1])
     nan = np.full(len(n), np.nan)
     table = np.array([cols.get(c, nan) for c in VALUE_COLUMNS]).T
     return table.reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
@@ -318,11 +317,10 @@ def run_sweep(config: SweepConfig):
     one (points, CSV_COLUMNS) float table, NaN where undefined or not
     computed.  Their ideal columns come from one kernel call."""
     lx, ly, lz, lp = builtin_spin1()
-    basis = OrthonormalBasis.computational(3)
     settings = builtin_settings()
     dense_thetas = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
     grid = np.array(sorted(set(config.thetas) | set(dense_thetas)))
-    ideal_table = _ideal_table(family_amplitudes(grid), lx, ly, lz, lp, basis)
+    ideal_table = _ideal_table(family_amplitudes(grid), lx, ly, lz, lp)
 
     # (rows, trials, 4 settings, 3 outcomes) counts from one generator
     amps = family_amplitudes(config.thetas)
@@ -334,24 +332,29 @@ def run_sweep(config: SweepConfig):
     table[:, 0], table[:, 1] = np.arange(len(table)), config.thetas
     ideal, sampled, sigma = np.hsplit(table[:, 2:], 3)  # views into table
     ideal[:] = ideal_table[np.searchsorted(grid, config.thetas)]
-    states = [family_state(theta) for theta in config.thetas]
-    opt, row_bases = _bases(states, lx, ly, basis, config.optimize_basis)
-    for col, values in opt.items():
-        ideal[:, VALUE_COLUMNS.index(col)] = values
-    for j, bases in enumerate(row_bases):
-        # (columns, trials) value and sigma tables: each mean below sums a
-        # contiguous row, trials in the order they ran
-        vals, sigs = np.empty((2, len(VALUE_COLUMNS), config.trials))
+    # each row's (2, 3, 3) adjoints of its eq2 and eq5 optimal bases, from
+    # one basis search per objective over all rows
+    adjoints = [None] * len(table)
+    if config.optimize_basis:
+        states = [family_state(theta) for theta in config.thetas]
+        adjoints = np.empty((len(table), 2, 3, 3), dtype=complex)
+        for i, rid in enumerate(("eq2", "eq5")):
+            bases, ideal[:, VALUE_COLUMNS.index(f"rhs_{rid}_opt")], _ = optimize_bound(
+                rid, states, lx, ly, OPTIMIZER)
+            adjoints[:, i] = [b.matrix.conj().T for b in bases]
+    # (rows, columns, trials) value and sigma tables: each mean below sums a
+    # contiguous row, trials in the order they ran
+    vals, sigs = np.empty((2, len(table), len(VALUE_COLUMNS), config.trials))
+    for j, adj in enumerate(adjoints):
         for trial in range(config.trials):
-            vals[:, trial], sigs[:, trial] = _propagate_sigmas(
-                counts[j, trial].ravel(), lambda c: _sampled_columns(c, lx, ly, bases)
-            )
-        # mean over the k trials that define a column and its error bar
-        # sqrt(mean sigma^2 / k); a column that no trial defines stays NaN
-        k = np.count_nonzero(~np.isnan(vals), axis=-1)
-        with np.errstate(invalid="ignore"):
-            sampled[j] = np.nansum(vals, axis=-1) / k
-            sigma[j] = np.sqrt(np.nansum(sigs**2, axis=-1) / k / k)
+            vals[j, :, trial], sigs[j, :, trial] = _propagate_sigmas(
+                counts[j, trial].ravel(), lambda c: _sampled_columns(c, lx, ly, adj))
+    # mean over the k trials that define a column and its error bar
+    # sqrt(mean sigma^2 / k); a column that no trial defines stays NaN
+    k = np.count_nonzero(~np.isnan(vals), axis=-1)
+    with np.errstate(invalid="ignore"):
+        sampled[:] = np.nansum(vals, axis=-1) / k
+        sigma[:] = np.sqrt(np.nansum(sigs**2, axis=-1) / k / k)
 
     # dense curves cover the figure panels: ideal columns only, and the
     # optimized-basis columns are only produced for the sweep points

@@ -166,7 +166,7 @@ def test_criterion_6_optimizer():
         s = family_state(theta)
         for objective in ("eq2", "eq5"):
             t0 = time.perf_counter()
-            _, value, _ = optimize_bound(objective, s, LX, LY, cfg)
+            _, [value], _ = optimize_bound(objective, [s], LX, LY, cfg)
             per_state_ok &= (time.perf_counter() - t0) < 5.0
             computational = evaluate_all(s, LX, LY, COMP).results[objective]
             lhs, comp = computational.lhs, computational.rhs

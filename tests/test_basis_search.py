@@ -153,7 +153,7 @@ class TestCompassSearch:
         x, best, histories = _compass_search(_objective_fn(objective, states, a, b), x0, dim, cfg)
         assert len(histories) == len(states)
         for s, state in enumerate(states):
-            fn = _objective_fn(objective, state, a, b)
+            fn = _objective_fn(objective, [state], a, b)
             ref_x, ref_best, ref_history = _serial_compass(fn, x0[s], dim, cfg)
             assert x[s].tobytes() == ref_x.tobytes()
             assert best[s].tobytes() == np.float64(ref_best).tobytes()
@@ -164,7 +164,7 @@ class TestCompassSearch:
         """A lone basis matrix gets the bits of its row in a stack, also
         where a float64 scalar's pow(x, 2) and x * x round apart."""
         rng = np.random.default_rng(4)
-        fn = _objective_fn(objective, family_state(0.3), LX, LY)
+        fn = _objective_fn(objective, [family_state(0.3)], LX, LY)
         stack = unitary_from_params(rng.uniform(-np.pi, np.pi, (2000, param_count(3))), 3)
         values = fn(stack)
         assert values.shape == (2000,)
@@ -174,19 +174,19 @@ class TestCompassSearch:
 class TestOptimizeBound:
     def test_no_iterations_returns_initial_value(self):
         cfg = OptimizerConfig(restarts=1, max_iters=0)
-        _, value, trace = optimize_bound("eq2", family_state(0.3), LX, LY, cfg)
+        _, [value], trace = optimize_bound("eq2", [family_state(0.3)], LX, LY, cfg)
         comp_value = evaluate_all(family_state(0.3), LX, LY, COMP).results["eq2"].rhs
         assert value == pytest.approx(comp_value, abs=1e-12)
-        assert trace.winner == 0
+        assert trace.winner == [0]
 
     def test_eq2_theta_zero_reaches_product_lhs(self):
         s = family_state(0.0)
-        _, value, _ = optimize_bound("eq2", s, LX, LY, OptimizerConfig(restarts=4, max_iters=300))
+        _, [value], _ = optimize_bound("eq2", [s], LX, LY, OptimizerConfig(restarts=4, max_iters=300))
         assert value == pytest.approx(0.25, abs=1e-6)
 
     def test_eq5_theta_half_pi_reaches_sum_lhs(self):
         s = family_state(np.pi / 2)
-        _, value, _ = optimize_bound("eq5", s, LX, LY, OptimizerConfig(restarts=4, max_iters=300))
+        _, [value], _ = optimize_bound("eq5", [s], LX, LY, OptimizerConfig(restarts=4, max_iters=300))
         assert value == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("objective", ["eq2", "eq5"])
@@ -195,7 +195,7 @@ class TestOptimizeBound:
         rng = np.random.default_rng(17)
         for theta in rng.uniform(0.05, np.pi - 0.05, size=5):
             s = family_state(theta)
-            basis, value, trace = optimize_bound(objective, s, LX, LY, cfg)
+            [basis], [value], trace = optimize_bound(objective, [s], LX, LY, cfg)
             computational = evaluate_all(s, LX, LY, COMP).results[objective]
             lhs, comp = computational.lhs, computational.rhs
             assert value <= lhs + 1e-9
@@ -206,11 +206,11 @@ class TestOptimizeBound:
     def test_seed_determinism_bitwise(self):
         cfg = OptimizerConfig(restarts=3, max_iters=100, seed=21)
         s = family_state(0.7)
-        r1 = optimize_bound("eq2", s, LX, LY, cfg)
-        r2 = optimize_bound("eq2", s, LX, LY, cfg)
+        r1 = optimize_bound("eq2", [s], LX, LY, cfg)
+        r2 = optimize_bound("eq2", [s], LX, LY, cfg)
         assert r1[1] == r2[1]
         assert r1[2].restart_histories == r2[2].restart_histories
-        assert np.array_equal(r1[0].matrix, r2[0].matrix)
+        assert np.array_equal(r1[0][0].matrix, r2[0][0].matrix)
 
     def test_states_batch_is_one_state_calls(self):
         """A sequence of states gives each state's basis, value, restart
@@ -220,11 +220,11 @@ class TestOptimizeBound:
         bases, values, trace = optimize_bound("eq5", states, LX, LY, cfg)
         assert len(bases) == len(values) == len(trace.winner) == 3
         for j, s in enumerate(states):
-            basis, value, one = optimize_bound("eq5", s, LX, LY, cfg)
+            [basis], [value], one = optimize_bound("eq5", [s], LX, LY, cfg)
             assert bases[j].matrix.tobytes() == basis.matrix.tobytes()
-            assert values[j] == value and trace.winner[j] == one.winner
+            assert values[j] == value and [trace.winner[j]] == one.winner
             assert trace.restart_histories[3 * j : 3 * j + 3] == one.restart_histories
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            optimize_bound("eq9", family_state(0.1), LX, LY, OptimizerConfig(restarts=1))
+            optimize_bound("eq9", [family_state(0.1)], LX, LY, OptimizerConfig(restarts=1))

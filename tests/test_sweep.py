@@ -14,7 +14,6 @@ import varbound.hermitian as hermitian
 import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig, haar_basis, optimize_bound
 from varbound.bounds import (
-    OrthonormalBasis,
     _degenerate_std,
     _slack_floors,
     _slack_tol,
@@ -82,6 +81,24 @@ class TestConfig:
         for counts in (sweep.MAX_COUNTS + 1, 10**19, 10**400):
             with pytest.raises(ConfigError, match="counts"):
                 SweepConfig(counts=counts)
+
+    @pytest.mark.parametrize("field", ["trials", "dense"])
+    def test_oversized_tables_rejected(self, field):
+        # building a config allocates nothing, so the limit itself is tried
+        rows, width = len(SweepConfig().thetas), len(CSV_COLUMNS)
+        limit = {"trials": sweep.MAX_CELLS // (rows * 12),
+                 "dense": sweep.MAX_CELLS // width - 1 - rows}
+        assert getattr(SweepConfig(**{field: limit[field]}), field) == limit[field]
+        for value in (limit[field] + 1, 10**15, 10**400):
+            with pytest.raises(ConfigError, match=f"{field} = {value} makes a"):
+                SweepConfig(**{field: value})
+
+    def test_oversized_theta_grid_rejected(self):
+        for steps in (10**15, 10**400):
+            with pytest.raises(ConfigError, match=f"theta_steps = {steps} makes a sweep table"):
+                theta_grid(steps)
+        with pytest.raises(ConfigError, match=f"{10**15} thetas makes a sweep table"):
+            SweepConfig(thetas=range(10**15))
 
     def test_hash_changes_with_config(self):
         assert SweepConfig().hash() != SweepConfig(seed=8).hash()
@@ -311,7 +328,7 @@ class TestRunSweep:
         assert [(objective, len(states)) for objective, states in calls] == [("eq2", 5), ("eq5", 5)]
         for row, theta in zip(table, thetas):
             for objective in ("eq2", "eq5"):
-                _, value, _ = optimize_bound(objective, family_state(theta), LX, LY, cfg)
+                _, [value], _ = optimize_bound(objective, [family_state(theta)], LX, LY, cfg)
                 assert row[_col(f"rhs_{objective}_opt")].tobytes() == np.float64(value).tobytes()
 
     def test_trials_reduce_reported_sigma(self):
@@ -791,15 +808,14 @@ class TestPropagateSigmas:
     def test_empty_setting_leaves_its_columns_undefined(self):
         """A setting with no counts makes undefined exactly the columns that
         read it: NaN on one vector and on a batch alike."""
-        _, [bases] = sweep._bases([family_state(0.3)], LX, LY, OrthonormalBasis.computational(3), False)
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 0, 0, 2, 1, 3])
-        one = sweep._sampled_columns(counts, LX, LY, bases)
+        one = sweep._sampled_columns(counts, LX, LY)
         assert one.shape == (len(VALUE_COLUMNS),)
         reads_lz = {"mean_lz", "rhs_eq1", "rhs_eq2_canon", "rhs_eq5_canon"}
         unbased = {"rhs_eq2_opt", "rhs_eq5_opt"}
         assert set(VALUE_COLUMNS) - set(_row_dict(one)) == reads_lz | unbased
         assert all(np.isfinite(v) for v in _row_dict(one).values())
-        batch = sweep._sampled_columns(np.vstack([counts, counts]), LX, LY, bases)
+        batch = sweep._sampled_columns(np.vstack([counts, counts]), LX, LY)
         assert batch.shape == (2, len(VALUE_COLUMNS))
         for col in VALUE_COLUMNS:
             assert np.all(np.isnan(batch[:, COL[col]])) == (col in reads_lz | unbased), col
@@ -808,8 +824,7 @@ class TestPropagateSigmas:
         """The -1 vector of a lone Lz count empties that setting; it adds
         nothing to the error bars instead of failing the run."""
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 1, 0, 2, 1, 3])
-        _, [bases] = sweep._bases([family_state(0.3)], LX, LY, OrthonormalBasis.computational(3), False)
-        fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
+        fn = lambda c: sweep._sampled_columns(c, LX, LY)
         base, sig = sweep._propagate_sigmas(counts, fn)
         i = COL["lhs_sum"]
         assert base[i] == pytest.approx(fn(counts)[i], rel=1e-15)
@@ -853,17 +868,15 @@ class TestTableForm:
         ).map(lambda blocks: np.array(blocks).ravel()),
         others=st.lists(st.lists(st.integers(0, 50), min_size=12, max_size=12), max_size=4),
         at=st.integers(0, 4),
-        theta=st.sampled_from(theta_grid(11)),
     )
-    def test_one_vector_is_its_batch_row(self, counts, others, at, theta):
+    def test_one_vector_is_its_batch_row(self, counts, others, at):
         """One vector's row equals its row in a batch bit for bit; NaN lies
         exactly in the columns that read an empty setting, the unbased
         optimized columns and eq7 where its own rule leaves it undefined."""
-        _, [bases] = sweep._bases([family_state(theta)], LX, LY, OrthonormalBasis.computational(3), False)
-        one = sweep._sampled_columns(counts, LX, LY, bases)
+        one = sweep._sampled_columns(counts, LX, LY)
         batch = np.array(others, dtype=int).reshape(-1, 12)
         at = min(at, len(batch))
-        table = sweep._sampled_columns(np.insert(batch, at, counts, axis=0), LX, LY, bases)
+        table = sweep._sampled_columns(np.insert(batch, at, counts, axis=0), LX, LY)
         assert one.shape == (len(VALUE_COLUMNS),) and table.shape == (len(batch) + 1, len(VALUE_COLUMNS))
         assert np.array_equal(one.view(np.uint64), table[at].view(np.uint64))
 
@@ -878,13 +891,13 @@ class TestTableForm:
         """The plug-in state takes its relative sign from <Lx>, which a
         basis other than the computational one reads: with no Lx counts
         the basis columns are undefined."""
-        _, [bases] = sweep._bases([family_state(0.3)], LX, LY, haar_basis(3, 1), False)
+        adjoints = np.array([haar_basis(3, 1).matrix.conj().T] * 2)
         ly_lz_lp = [2, 2, 2, 1, 3, 2, 2, 1, 3]
-        based = [COL["rhs_eq2_canon"], COL["rhs_eq5_canon"]]
-        empty = sweep._sampled_columns([0, 0, 0] + ly_lz_lp, LX, LY, bases)
+        based = [COL["rhs_eq2_opt"], COL["rhs_eq5_opt"]]
+        empty = sweep._sampled_columns([0, 0, 0] + ly_lz_lp, LX, LY, adjoints)
         assert np.isnan(empty[based]).all()
         # <Lx> < 0 and > 0: the two signs give two values in this basis
-        neg, pos = (sweep._sampled_columns(lx + ly_lz_lp, LX, LY, bases)[based]
+        neg, pos = (sweep._sampled_columns(lx + ly_lz_lp, LX, LY, adjoints)[based]
                     for lx in ([3, 1, 2], [1, 3, 2]))
         assert np.isfinite([neg, pos]).all() and (abs(neg - pos) > 1e-3).all()
 
@@ -912,16 +925,12 @@ class TestBatchedSigmas:
     def test_matches_per_perturbation_loop(self):
         """20 seeds at the 11 sweep points, including theta = pi/2, where
         the 0-outcome ports of Lx and Ly are dark and count zero."""
-        basis = OrthonormalBasis.computational(3)
         thetas = theta_grid(11)
         probs = _sweep_probabilities(thetas)
-        fns = []
-        for theta in thetas:
-            _, [bases] = sweep._bases([family_state(theta)], LX, LY, basis, False)
-            fns.append(lambda c, bases=bases: sweep._sampled_columns(c, LX, LY, bases))
+        fn = lambda c: sweep._sampled_columns(c, LX, LY)
         dark = 0
         for seed in range(20):
-            for theta, fn, row_counts in zip(thetas, fns, sample_counts(probs, 10_000, seed)):
+            for theta, row_counts in zip(thetas, sample_counts(probs, 10_000, seed)):
                 counts = row_counts.ravel()
                 dark += np.count_nonzero(counts == 0)
                 base, sig = sweep._propagate_sigmas(counts, fn)
@@ -966,6 +975,66 @@ def _dict_trial_means(trials):
     return sampled, sigma
 
 
+def _plug_in_vectors(counts):
+    """Abar psi and Bbar psi of one count vector's plug-in state, written
+    out here: magnitudes from the Lz counts (outcomes -1, 1, 0 are the basis
+    states e3, e1, e2), the relative sign from the sampled <Lx>."""
+    n = np.asarray(counts, dtype=float).reshape(4, 3)
+    amp = np.sqrt(n[2, [1, 2, 0]] / n[2].sum())
+    amp[1] = np.copysign(amp[1], n[0] @ LX.eigenvalues)
+    psi = amp / np.linalg.norm(amp)
+    return [o.matrix @ psi - (psi.conj() @ o.matrix @ psi).real * psi for o in (LX, LY)]
+
+
+def _eq2(pa, pb):
+    """eq2 of projections pa, pb onto a basis, written out here."""
+    return np.sum(np.abs(pa) * np.abs(pb)) ** 2
+
+
+def _eq5(pa, pb):
+    """eq5 of projections pa, pb onto a basis, written out here."""
+    return 0.5 * np.sum((np.abs(pa) + np.abs(pb)) ** 2)
+
+
+def _searched(states, cfg):
+    """The optimized-basis columns {column: value per state} of one basis
+    search per objective, and each state's (2, 3, 3) stack of the adjoints
+    of its eq2 and eq5 bases, in that order."""
+    found = {rid: optimize_bound(rid, states, LX, LY, cfg) for rid in ("eq2", "eq5")}
+    opt = {f"rhs_{rid}_opt": values for rid, (_, values, _) in found.items()}
+    adjoints = np.array([[b.matrix.conj().T for b in bases] for bases, _, _ in found.values()])
+    return opt, adjoints.swapaxes(0, 1)
+
+
+class TestAdjointStack:
+    """The optimized-basis columns project the centred plug-in vectors
+    onto a (2, 3, 3) stack: eq2's basis adjoint, then eq5's."""
+
+    COUNTS = sample_counts(_sweep_probabilities(theta_grid(11)), 10_000, 3).reshape(-1, 12)
+
+    def test_identity_pair_gives_the_canon_bits(self):
+        plain = sweep._sampled_columns(self.COUNTS, LX, LY)
+        table = sweep._sampled_columns(self.COUNTS, LX, LY, np.array([np.eye(3)] * 2, dtype=complex))
+        for rid in ("eq2", "eq5"):
+            opt, canon = table[:, COL[f"rhs_{rid}_opt"]], table[:, COL[f"rhs_{rid}_canon"]]
+            assert opt.tobytes() == canon.tobytes(), rid
+        # the stack adds the two columns and leaves every other one alone
+        opt_cols = [COL["rhs_eq2_opt"], COL["rhs_eq5_opt"]]
+        assert np.isnan(plain[:, opt_cols]).all() and not np.isnan(table[:, opt_cols]).any()
+        assert np.delete(table, opt_cols, 1).tobytes() == np.delete(plain, opt_cols, 1).tobytes()
+
+    def test_each_column_projects_in_its_own_basis(self):
+        b2, b5 = (haar_basis(3, seed).matrix.conj().T for seed in (11, 12))
+        table = sweep._sampled_columns(self.COUNTS, LX, LY, np.array([b2, b5]))
+        uv = [_plug_in_vectors(counts) for counts in self.COUNTS]
+        for col, rhs, bh, other in (("rhs_eq2_opt", _eq2, b2, b5), ("rhs_eq5_opt", _eq5, b5, b2)):
+            own = np.array([rhs(bh @ u, bh @ v) for u, v in uv])
+            np.testing.assert_allclose(table[:, COL[col]], own, rtol=1e-12, atol=0, err_msg=col)
+            # the other basis gives other values on most rows, so a swap shows
+            swapped = np.array([rhs(other @ u, other @ v) for u, v in uv])
+            assert np.count_nonzero(abs(swapped - own) > 1e-6) >= 8, col
+
+
 class TestTrials:
     def test_trials_keep_their_draws(self):
         """Trial t of row j reads counts[j, t] of one (rows, trials, 4, 3)
@@ -974,11 +1043,9 @@ class TestTrials:
         cfg = SweepConfig(seed=4, trials=3)
         table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
-        basis = OrthonormalBasis.computational(3)
+        fn = lambda c: sweep._sampled_columns(c, LX, LY)
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
-            _, [bases] = sweep._bases([family_state(row[1])], LX, LY, basis, False)
-            fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
             defined = [~np.isnan(base) for base, _ in trials]
             cols = {col for d in defined for col, i in COL.items() if d[i]}
@@ -1000,12 +1067,10 @@ class TestTrials:
         cfg = SweepConfig(counts=1, trials=6, seed=seed)
         table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
-        basis = OrthonormalBasis.computational(3)
+        fn = lambda c: sweep._sampled_columns(c, LX, LY)
         partial = 0
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
-            _, [bases] = sweep._bases([family_state(row[1])], LX, LY, basis, False)
-            fn = lambda c: sweep._sampled_columns(c, LX, LY, bases)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(cfg.trials)]
             defined = np.array([~np.isnan(base) for base, _ in trials]).sum(axis=0)
             partial += np.count_nonzero((defined > 0) & (defined < cfg.trials))
@@ -1015,6 +1080,22 @@ class TestTrials:
                 assert row_sampled[col] == pytest.approx(ref, rel=1e-15, abs=0), (j, col)
                 assert row_sigma[col] == pytest.approx(sigma[col], rel=1e-12, abs=0), (j, col)
         assert partial > 0
+
+    def test_optimized_columns_are_trial_means_in_each_rows_bases(self, monkeypatch):
+        """With optimize_basis and three trials, each row's sampled eq2 and
+        eq5 optimized cells are the mean over its trials of the bound in
+        that row's own searched eq2 and eq5 bases."""
+        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
+        cfg = SweepConfig(optimize_basis=True, trials=3)
+        table, _, _ = run_sweep(cfg)
+        counts = _trial_counts(cfg)
+        _, adjoints = _searched([family_state(t) for t in cfg.thetas], sweep.OPTIMIZER)
+        for j, row in enumerate(table):
+            _, row_sampled, _ = _split(row)
+            uv = [_plug_in_vectors(counts[j, t]) for t in range(cfg.trials)]
+            for col, rhs, bh in zip(("rhs_eq2_opt", "rhs_eq5_opt"), (_eq2, _eq5), adjoints[j]):
+                mean = np.mean([rhs(bh @ u, bh @ v) for u, v in uv])
+                assert row_sampled[col] == pytest.approx(mean, rel=1e-12, abs=0), (j, col)
 
     @pytest.mark.parametrize("trials", [1, 4])
     def test_probabilities_once_per_setting_and_row(self, monkeypatch, trials):
@@ -1188,14 +1269,13 @@ class TestWrittenOnce:
     @pytest.mark.parametrize("optimize", [False, True])
     def test_noise_free_counts_reproduce_ideal_columns(self, monkeypatch, optimize):
         monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
-        basis = OrthonormalBasis.computational(3)
         for theta in theta_grid(11):
             state = family_state(theta)
-            [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP, basis)
-            opt, [bases] = sweep._bases([state], LX, LY, basis, optimize)
+            [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP)
+            opt, [adjoints] = _searched([state], sweep.OPTIMIZER) if optimize else ({}, [None])
             ideal = _cells(VALUE_COLUMNS, ideal) | {col: v for col, [v] in opt.items()}
             sampled = sweep._sampled_columns(
-                _noise_free_counts(state, 10_000), LX, LY, bases
+                _noise_free_counts(state, 10_000), LX, LY, adjoints
             )
             assert sampled.shape == (len(VALUE_COLUMNS),)
             sampled = _cells(VALUE_COLUMNS, sampled)
@@ -1217,6 +1297,15 @@ class TestWrittenOnce:
 
 
 class TestCli:
+    @pytest.mark.parametrize("flag", ["--dense", "--trials", "--theta-steps"])
+    def test_oversized_run_exits_2(self, flag, tmp_path, capsys):
+        """A run whose tables would be far too large prints one config
+        error line and exits 2, before anything is allocated or written."""
+        assert main(["sweep", flag, str(10**15), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_and_verify(self, tmp_path, capsys):
         out = tmp_path / "run"
         status = main([
