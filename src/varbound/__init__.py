@@ -16,7 +16,6 @@ from .hermitian import (
     Observable,
     PureState,
     builtin_spin1,
-    family_state,
     haar_random_state,
     make_observable,
 )
@@ -38,6 +37,7 @@ from .photonics import (
     decompose_lx,
     hwp_matrix,
     measurement_unitary,
+    prepare_amplitudes,
     prepare_state,
     projection_probabilities,
     qwp_matrix,

@@ -39,12 +39,6 @@ def _sweep_config(args) -> SweepConfig:
     return config_from_file(getattr(args, "config", None), flags)
 
 
-def _print_matrix(name, m):
-    print(f"{name} =")
-    with np.printoptions(precision=6, suppress=True):
-        print(np.array_str(m))
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -68,11 +62,11 @@ def main(argv=None):
             print({0: "ok", 1: "violation", 2: "malformed dataset"}[status])
             return status
         if args.command == "decompose":
-            u, u1, u2, u3, residual = decompose_lx()
-            _print_matrix("U", u)
-            _print_matrix("U1", u1)
-            _print_matrix("U2 (corrected)", u2)
-            _print_matrix("U3", u3)
+            *factors, residual = decompose_lx()
+            for name, m in zip(("U", "U1", "U2 (corrected)", "U3"), factors):
+                print(f"{name} =")
+                with np.printoptions(precision=6, suppress=True):
+                    print(np.array_str(m))
             print(f"max |U - U3 U2 U1| = {residual:.3e}")
             return 0
     except ConfigError as exc:

@@ -186,18 +186,6 @@ def _centre(psi, obs):
     return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
 
 
-def family_amplitudes(thetas):
-    """Amplitudes (cos t, -sin t, 0) of the swept qutrit family, shape
-    (..., 3) for angles of shape (...)."""
-    t = np.asarray(thetas, dtype=float)
-    return np.stack([np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1).astype(complex)
-
-
-def family_state(theta) -> PureState:
-    """The swept qutrit family (cos t, -sin t, 0)."""
-    return PureState(family_amplitudes(theta), f"theta={theta:.4f}")
-
-
 def haar_random_state(dim, rng) -> PureState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -4,8 +4,9 @@ A qutrit is carried by three of the four modes of a 2-spatial x
 2-polarization space: (upper,H), (upper,V) and (lower,V).  Wave plates act
 on the polarization pair of one rail (or both rails for plates wide enough
 to span them), and beam displacers permute one polarization between rails.
-The (lower,H) mode must stay empty at every stage output; occupancy there
-is flagged as leakage.
+The (lower,H) mode must be empty at a circuit's output; occupancy there is
+flagged as leakage.  An element with an array of angles acts as a stack of
+elements, so one pass of the preparation circuit prepares a grid of states.
 
 Each built-in measurement setting composes to a circuit whose output ports
 realize the projective measurement of one spin-1 observable: the restricted
@@ -27,12 +28,12 @@ QUTRIT_MODES = (0, 1, 3)
 LEAKAGE_TOL = 1e-10
 
 # embedding of the qutrit basis into the mode space
-EMBED = np.zeros((4, 3))
+EMBED = np.zeros((4, 3), dtype=complex)
 EMBED[0, 0] = EMBED[1, 1] = EMBED[3, 2] = 1.0
 
 
 class LeakageDetected(RuntimeError):
-    """Amplitude appeared in the (lower,H) mode at a stage output."""
+    """Amplitude appeared in the (lower,H) mode at a circuit's output."""
 
 
 class NotProjectiveRealization(RuntimeError):
@@ -43,17 +44,26 @@ class BadProbabilities(ValueError):
     """Probabilities are negative or do not sum to 1."""
 
 
+def _jones(a, b, c, d):
+    """Complex [[a, b], [c, d]], shape (..., 2, 2), of numpy entries (...)."""
+    m = np.empty(a.shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
 def hwp_matrix(angle):
-    """Half-wave plate Jones matrix [[cos2t, sin2t], [sin2t, -cos2t]]."""
+    """Half-wave plate Jones matrix [[cos2t, sin2t], [sin2t, -cos2t]], of
+    shape (..., 2, 2) for a float or an array of angles of shape (...)."""
     c, s = np.cos(2 * angle), np.sin(2 * angle)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return _jones(c, s, s, -c)
 
 
 def qwp_matrix(angle):
-    """Quarter-wave plate: R(t) diag(1, i) R(-t), global phase dropped."""
+    """Quarter-wave plate: R(t) diag(1, i) R(-t), global phase dropped; of
+    shape (..., 2, 2) for a float or an array of angles of shape (...)."""
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return rot @ np.diag([1.0, 1.0j]) @ rot.conj().T
+    rot = _jones(c, -s, s, c)
+    return rot @ np.diag([1.0, 1.0j]) @ rot.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -70,29 +80,35 @@ class OpticalElement:
     target: str = "both"
 
     def matrix(self):
-        m = np.eye(4, dtype=complex)
+        """The 4x4 mode matrix; (..., 4, 4) for an ``angle`` array (...)."""
+        m = np.empty(np.shape(self.angle) + (4, 4), dtype=complex)
+        m[...] = np.eye(4)
         if self.kind in ("HWP", "QWP"):
             if self.target not in ("upper", "lower", "both"):
                 raise ValueError(f"unknown wave-plate target {self.target!r}")
             jones = hwp_matrix(self.angle) if self.kind == "HWP" else qwp_matrix(self.angle)
             if self.target in ("upper", "both"):
-                m[0:2, 0:2] = jones
+                m[..., 0:2, 0:2] = jones
             if self.target in ("lower", "both"):
-                m[2:4, 2:4] = jones
-        elif self.kind == "BDH":
-            m[[0, 2]] = m[[2, 0]]
-        elif self.kind == "BDV":
-            m[[1, 3]] = m[[3, 1]]
+                m[..., 2:4, 2:4] = jones
+        elif self.kind in ("BDH", "BDV"):  # swap the rails of H, or of V
+            m = m[..., [2, 1, 0, 3] if self.kind == "BDH" else [0, 3, 2, 1], :]
         else:
             raise ValueError(f"unknown element kind {self.kind!r}")
         return m
 
 
-def compose(elements):
-    """Product of element matrices, first element applied first."""
-    m = np.eye(4, dtype=complex)
+def compose(elements, modes=None):
+    """The elements applied in turn to mode vectors ``modes`` (..., 4, k),
+    or their product when ``modes`` is None; output mode vectors with a
+    (lower,H) amplitude above LEAKAGE_TOL raise LeakageDetected."""
+    m = np.eye(4, dtype=complex) if modes is None else modes
     for el in elements:
         m = el.matrix() @ m
+    if modes is not None:
+        leak = np.abs(m[..., LEAKAGE_MODE, :]).max(initial=0.0)
+        if leak > LEAKAGE_TOL:
+            raise LeakageDetected(f"(lower,H) output amplitude {leak:g}")
     return m
 
 
@@ -163,24 +179,23 @@ def builtin_settings():
     return {"Lx": lx, "Ly": ly, "Lz": lz, "Lp": lp}
 
 
-def prepare_state(theta) -> PureState:
-    """State preparation circuit: splitter then two upper-rail plates.
-
-    A horizontally polarized photon on the upper rail passes the vertical
-    displacer unchanged, then HWP(theta/2) and HWP(0) on the upper rail
-    produce the embedded qutrit (cos t, -sin t, 0).
-    """
-    photon = np.zeros(4, dtype=complex)
-    photon[0] = 1.0
-    elements = [
+def prepare_amplitudes(thetas):
+    """State preparation circuit on angles of shape (...): a horizontally
+    polarized photon on the upper rail passes the vertical displacer
+    unchanged, then HWP(theta/2) and HWP(0) on the upper rail produce the
+    embedded qutrit (cos t, -sin t, 0), shape (..., 3), the whole batch
+    checked for leakage by ``compose``."""
+    circuit = (
         OpticalElement("BDV"),
-        OpticalElement("HWP", theta / 2.0, "upper"),
+        OpticalElement("HWP", np.asarray(thetas, dtype=float) / 2.0, "upper"),
         OpticalElement("HWP", 0.0, "upper"),
-    ]
-    out = compose(elements) @ photon
-    if abs(out[LEAKAGE_MODE]) > LEAKAGE_TOL:
-        raise LeakageDetected(f"(lower,H) amplitude {abs(out[LEAKAGE_MODE]):g}")
-    return PureState(out[list(QUTRIT_MODES)], label=f"theta={theta:.4f}")
+    )
+    return compose(circuit, EMBED[:, :1])[..., QUTRIT_MODES, 0]
+
+
+def prepare_state(theta) -> PureState:
+    """The prepared qutrit of one angle (:func:`prepare_amplitudes`)."""
+    return PureState(prepare_amplitudes(theta), label=f"theta={theta:.4f}")
 
 
 def measurement_unitary(setting: MeasurementSetting):
@@ -190,15 +205,9 @@ def measurement_unitary(setting: MeasurementSetting):
     observable entrywise in magnitude (per-row phases are irrelevant to
     the detected probabilities).
     """
-    circ = compose(setting.elements)
-    restricted = circ @ EMBED  # 4x3
-    leak = np.max(np.abs(restricted[LEAKAGE_MODE]))
-    if leak > LEAKAGE_TOL:
-        raise LeakageDetected(f"(lower,H) output amplitude {leak:g}")
-    v = restricted[list(setting.ports), :]
+    v = compose(setting.elements, EMBED)[list(setting.ports), :]
     obs = {o.name: o for o in builtin_spin1()}[setting.observable]
-    bras = obs.eigenvectors.conj().T
-    if np.max(np.abs(np.abs(v) - np.abs(bras))) > LEAKAGE_TOL:
+    if np.max(np.abs(np.abs(v) - np.abs(obs.eigenvectors.T))) > LEAKAGE_TOL:
         raise NotProjectiveRealization(
             f"circuit rows for {setting.observable} do not match its eigenbras"
         )

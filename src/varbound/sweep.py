@@ -1,11 +1,13 @@
-"""Sweep orchestration: evaluate all relations over the prepared state
-family, both ideally and through the simulated measurement pipeline, and
-emit figure-ready CSV/JSON datasets with a machine-readable verdict.
+"""Sweep orchestration: evaluate all relations over the state family
+that the twin's preparation circuit prepares, both ideally and through the
+simulated measurement pipeline, and emit figure-ready CSV/JSON datasets
+with a machine-readable verdict.
 
 The sweep points and the dense grid are each one (points, CSV_COLUMNS)
 float table, NaN where a value is undefined or not computed, from
-``run_sweep`` to the files; their ideal columns come from one
-``evaluate_states`` call over the merged grid.  ``emit`` turns both tables
+``run_sweep`` to the files.  One ``photonics.prepare_amplitudes`` pass over
+the merged grid gives every state (ideal, sampled, searched), and one
+``evaluate_states`` call on them the ideal columns.  ``emit`` turns both tables
 into records, keys already in sorted order, with one function for both
 formats, and writes ``sweep.json`` as compact JSON that records the Python
 and numpy versions.  One function, ``build_report``, gives the verdict from
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import platform
 import time
 from itertools import chain
@@ -63,9 +66,8 @@ from .bounds import (
     rhs_eq7,
     verdicts,
 )
-from .hermitian import SPIN1_EIGENVALUE_ORDER, _centre, builtin_spin1
-from .hermitian import family_amplitudes, family_state
-from .photonics import builtin_settings, projection_probabilities, sample_counts
+from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, _centre, builtin_spin1
+from .photonics import builtin_settings, prepare_amplitudes, projection_probabilities, sample_counts
 
 
 class ConfigError(ValueError):
@@ -97,6 +99,7 @@ DEFAULT_Z_LIMIT = 5.0
 MAX_COUNTS = 10**18
 # most cells of a count (rows x trials x 12), sweep or dense table
 MAX_CELLS = 10**7
+MAX_FLOAT = float(np.finfo(float).max)
 OPTIMIZER = OptimizerConfig(restarts=6, max_iters=400)
 
 
@@ -129,12 +132,15 @@ class SweepConfig:
         rows = len(self.thetas)
         if rows == 0:
             raise ConfigError("theta list must be non-empty")
+        # sized before it is read, so an oversized range allocates nothing
         _check_cells("sweep", f"{rows} thetas", rows * len(CSV_COLUMNS))
+        if not all(isinstance(t, numbers.Real) and abs(t) <= MAX_FLOAT for t in self.thetas):
+            raise ConfigError(f"thetas must be finite real numbers, got {self.thetas!r}")
+        # one tuple of floats, so equal angles give one hash in any form
+        object.__setattr__(self, "thetas", tuple(map(float, self.thetas)))
         _check_cells("count", f"trials = {self.trials}", rows * self.trials * 12)
         dense_rows = self.dense + 1 + rows if self.dense else 0  # merged with the sweep's
         _check_cells("dense", f"dense = {self.dense}", dense_rows * len(CSV_COLUMNS))
-        if not all(map(math.isfinite, self.thetas)):
-            raise ConfigError(f"thetas must be finite, got {self.thetas}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.counts < 1 or self.trials < 1:
@@ -320,10 +326,12 @@ def run_sweep(config: SweepConfig):
     settings = builtin_settings()
     dense_thetas = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
     grid = np.array(sorted(set(config.thetas) | set(dense_thetas)))
-    ideal_table = _ideal_table(family_amplitudes(grid), lx, ly, lz, lp)
+    rows = np.searchsorted(grid, config.thetas)
+    grid_amps = prepare_amplitudes(grid)  # every state the sweep uses
+    ideal_table = _ideal_table(grid_amps, lx, ly, lz, lp)
 
     # (rows, trials, 4 settings, 3 outcomes) counts from one generator
-    amps = family_amplitudes(config.thetas)
+    amps = grid_amps[rows]
     probs = np.stack([projection_probabilities(amps, settings[n]) for n in SETTING_NAMES], -2)
     shape = (len(config.thetas), config.trials, 4, 3)
     counts = sample_counts(np.broadcast_to(probs[:, None], shape), config.counts, config.seed)
@@ -331,12 +339,12 @@ def run_sweep(config: SweepConfig):
     table = np.full((len(config.thetas), len(CSV_COLUMNS)), np.nan)
     table[:, 0], table[:, 1] = np.arange(len(table)), config.thetas
     ideal, sampled, sigma = np.hsplit(table[:, 2:], 3)  # views into table
-    ideal[:] = ideal_table[np.searchsorted(grid, config.thetas)]
+    ideal[:] = ideal_table[rows]
     # each row's (2, 3, 3) adjoints of its eq2 and eq5 optimal bases, from
     # one basis search per objective over all rows
     adjoints = [None] * len(table)
     if config.optimize_basis:
-        states = [family_state(theta) for theta in config.thetas]
+        states = list(map(PureState, amps))
         adjoints = np.empty((len(table), 2, 3, 3), dtype=complex)
         for i, rid in enumerate(("eq2", "eq5")):
             bases, ideal[:, VALUE_COLUMNS.index(f"rhs_{rid}_opt")], _ = optimize_bound(

@@ -9,10 +9,11 @@ import pytest
 
 from varbound.basis_search import OptimizerConfig, optimize_bound
 from varbound.bounds import OrthonormalBasis, evaluate_all
-from varbound.hermitian import builtin_spin1, family_state, haar_random_state
+from varbound.hermitian import builtin_spin1, haar_random_state
 from varbound.photonics import (
     builtin_settings,
     decompose_lx,
+    prepare_state,
     projection_probabilities,
     sample_counts,
 )
@@ -39,7 +40,7 @@ def test_criterion_1_reverse_bound_anchors():
     anchors = {0.0: 1.0, np.pi / 2: 2.0, np.pi: 1.0}
     ideal_ok = True
     for theta, expected in anchors.items():
-        r = evaluate_all(family_state(theta), LX, LY).results["eq7"]
+        r = evaluate_all(prepare_state(theta), LX, LY).results["eq7"]
         ideal_ok &= abs(r.lhs - expected) < 1e-9 and abs(r.rhs - expected) < 1e-9
     # At theta=pi/2 the state is |m=0>, so the 0-outcome ports of the Lx and
     # Ly settings are dark and the sampled <Lx^2>, <Ly^2> are exactly 1. The
@@ -48,7 +49,7 @@ def test_criterion_1_reverse_bound_anchors():
     settings = builtin_settings()
     dark_ok = True
     for name, obs in (("Lx", LX), ("Ly", LY)):
-        p = projection_probabilities(family_state(np.pi / 2).amplitudes, settings[name])
+        p = projection_probabilities(prepare_state(np.pi / 2).amplitudes, settings[name])
         dark_ok &= p[int(np.argmin(np.abs(obs.eigenvalues)))] < 1e-15
     dark_spread = 2.0 / counts
     windows = {
@@ -80,13 +81,13 @@ def test_criterion_1_reverse_bound_anchors():
 def test_criterion_2_tightness():
     t0 = time.perf_counter()
     checks = []
-    rep0 = evaluate_all(family_state(0.0), LX, LY)
+    rep0 = evaluate_all(prepare_state(0.0), LX, LY)
     checks.append(abs(rep0.results["eq1"].slack) < 1e-9 and abs(rep0.results["eq1"].rhs - 0.25) < 1e-9)
     for theta, rhs in ((0.0, 0.25), (np.pi / 2, 1.0), (np.pi, 0.25)):
-        r = evaluate_all(family_state(theta), LX, LY).results["eq3"]
+        r = evaluate_all(prepare_state(theta), LX, LY).results["eq3"]
         checks.append(abs(r.slack) < 1e-9 and abs(r.rhs - rhs) < 1e-9)
     for theta, rhs in ((0.0, 1.0), (np.pi / 2, 2.0)):
-        r = evaluate_all(family_state(theta), LX, LY).results["eq6"]
+        r = evaluate_all(prepare_state(theta), LX, LY).results["eq6"]
         checks.append(abs(r.slack) < 1e-9 and abs(r.rhs - rhs) < 1e-9)
     elapsed = time.perf_counter() - t0
     _verdict(2, all(checks) and elapsed < 1.0,
@@ -113,7 +114,7 @@ def test_criterion_4_circuit_equivalence():
     obs = {"Lx": LX, "Ly": LY, "Lz": LZ, "Lp": LP}
     worst = 0.0
     for theta in SWEEP_THETAS:
-        s = family_state(theta)
+        s = prepare_state(theta)
         for name, setting in settings.items():
             p = projection_probabilities(s.amplitudes, setting)
             ref = np.abs(obs[name].eigenvectors.conj().T @ s.amplitudes) ** 2
@@ -163,7 +164,7 @@ def test_criterion_6_optimizer():
     checks = []
     per_state_ok = True
     for theta in (0.0, np.pi / 2, 0.3, 1.9):
-        s = family_state(theta)
+        s = prepare_state(theta)
         for objective in ("eq2", "eq5"):
             t0 = time.perf_counter()
             _, [value], _ = optimize_bound(objective, [s], LX, LY, cfg)

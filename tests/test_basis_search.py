@@ -16,7 +16,8 @@ from varbound.basis_search import (
     unitary_from_params,
 )
 from varbound.bounds import OrthonormalBasis, evaluate_all
-from varbound.hermitian import builtin_spin1, family_state, haar_random_state, make_observable
+from varbound.hermitian import builtin_spin1, haar_random_state, make_observable
+from varbound.photonics import prepare_state
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
@@ -142,7 +143,7 @@ class TestCompassSearch:
         random Hermitian pair in d."""
         rng = np.random.default_rng(seed)
         if family:
-            states, a, b = [family_state(rng.uniform(0, np.pi)) for _ in zero_starts], LX, LY
+            states, a, b = [prepare_state(rng.uniform(0, np.pi)) for _ in zero_starts], LX, LY
         else:
             states = [haar_random_state(d, rng) for _ in zero_starts]
             a, b = (_random_hermitian(rng, d) for _ in range(2))
@@ -164,7 +165,7 @@ class TestCompassSearch:
         """A lone basis matrix gets the bits of its row in a stack, also
         where a float64 scalar's pow(x, 2) and x * x round apart."""
         rng = np.random.default_rng(4)
-        fn = _objective_fn(objective, [family_state(0.3)], LX, LY)
+        fn = _objective_fn(objective, [prepare_state(0.3)], LX, LY)
         stack = unitary_from_params(rng.uniform(-np.pi, np.pi, (2000, param_count(3))), 3)
         values = fn(stack)
         assert values.shape == (2000,)
@@ -174,18 +175,18 @@ class TestCompassSearch:
 class TestOptimizeBound:
     def test_no_iterations_returns_initial_value(self):
         cfg = OptimizerConfig(restarts=1, max_iters=0)
-        _, [value], trace = optimize_bound("eq2", [family_state(0.3)], LX, LY, cfg)
-        comp_value = evaluate_all(family_state(0.3), LX, LY, COMP).results["eq2"].rhs
+        _, [value], trace = optimize_bound("eq2", [prepare_state(0.3)], LX, LY, cfg)
+        comp_value = evaluate_all(prepare_state(0.3), LX, LY, COMP).results["eq2"].rhs
         assert value == pytest.approx(comp_value, abs=1e-12)
         assert trace.winner == [0]
 
     def test_eq2_theta_zero_reaches_product_lhs(self):
-        s = family_state(0.0)
+        s = prepare_state(0.0)
         _, [value], _ = optimize_bound("eq2", [s], LX, LY, OptimizerConfig(restarts=4, max_iters=300))
         assert value == pytest.approx(0.25, abs=1e-6)
 
     def test_eq5_theta_half_pi_reaches_sum_lhs(self):
-        s = family_state(np.pi / 2)
+        s = prepare_state(np.pi / 2)
         _, [value], _ = optimize_bound("eq5", [s], LX, LY, OptimizerConfig(restarts=4, max_iters=300))
         assert value == pytest.approx(2.0, abs=1e-6)
 
@@ -194,7 +195,7 @@ class TestOptimizeBound:
         cfg = OptimizerConfig(restarts=4, max_iters=200, seed=5)
         rng = np.random.default_rng(17)
         for theta in rng.uniform(0.05, np.pi - 0.05, size=5):
-            s = family_state(theta)
+            s = prepare_state(theta)
             [basis], [value], trace = optimize_bound(objective, [s], LX, LY, cfg)
             computational = evaluate_all(s, LX, LY, COMP).results[objective]
             lhs, comp = computational.lhs, computational.rhs
@@ -205,7 +206,7 @@ class TestOptimizeBound:
 
     def test_seed_determinism_bitwise(self):
         cfg = OptimizerConfig(restarts=3, max_iters=100, seed=21)
-        s = family_state(0.7)
+        s = prepare_state(0.7)
         r1 = optimize_bound("eq2", [s], LX, LY, cfg)
         r2 = optimize_bound("eq2", [s], LX, LY, cfg)
         assert r1[1] == r2[1]
@@ -216,7 +217,7 @@ class TestOptimizeBound:
         """A sequence of states gives each state's basis, value, restart
         histories (state by state) and winner of its one-state call."""
         cfg = OptimizerConfig(restarts=3, max_iters=40, seed=2)
-        states = [family_state(t) for t in (0.2, 1.1, 2.5)]
+        states = [prepare_state(t) for t in (0.2, 1.1, 2.5)]
         bases, values, trace = optimize_bound("eq5", states, LX, LY, cfg)
         assert len(bases) == len(values) == len(trace.winner) == 3
         for j, s in enumerate(states):
@@ -227,4 +228,4 @@ class TestOptimizeBound:
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            optimize_bound("eq9", [family_state(0.1)], LX, LY, OptimizerConfig(restarts=1))
+            optimize_bound("eq9", [prepare_state(0.1)], LX, LY, OptimizerConfig(restarts=1))

@@ -36,10 +36,10 @@ from varbound.hermitian import (
     PureState,
     _centre,
     builtin_spin1,
-    family_state,
     haar_random_state,
     make_observable,
 )
+from varbound.photonics import prepare_state
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
@@ -79,13 +79,13 @@ class TestOrthonormalBasis:
 class TestEq1:
     def test_theta_zero_equality(self):
         # <Lz> = 1, <Lp> = 0: rhs = 1/4 = (1/2)(1/2) = lhs
-        r = _result("eq1", family_state(0.0), LX, LY)
+        r = _result("eq1", prepare_state(0.0), LX, LY)
         assert r.lhs == pytest.approx(0.25, abs=1e-12)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
     def test_theta_half_pi(self):
-        r = _result("eq1", family_state(np.pi / 2), LX, LY)
+        r = _result("eq1", prepare_state(np.pi / 2), LX, LY)
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -101,7 +101,7 @@ class TestEq1:
     def test_rewritten_route_on_family(self):
         # rhs must equal |<Lz>/2|^2 + |<Lp>/2 - <Lx><Ly>|^2
         for theta in SWEEP_THETAS:
-            s = family_state(theta)
+            s = prepare_state(theta)
             r = _result("eq1", s, LX, LY)
             mz, mp = _moments(s, LZ)[0], _moments(s, LP)[0]
             mx, my = _moments(s, LX)[0], _moments(s, LY)[0]
@@ -110,12 +110,12 @@ class TestEq1:
 
 class TestEq2:
     def test_theta_zero_tight(self):
-        r = _result("eq2", family_state(0.0), LX, LY, COMP)
+        r = _result("eq2", prepare_state(0.0), LX, LY, COMP)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
     def test_theta_half_pi_tight(self):
-        r = _result("eq2", family_state(np.pi / 2), LX, LY, COMP)
+        r = _result("eq2", prepare_state(np.pi / 2), LX, LY, COMP)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
@@ -130,21 +130,21 @@ class TestEq2:
 
     def test_incomplete_basis_rejected(self):
         with pytest.raises(IncompleteBasis):
-            _result("eq2", family_state(0.2), LX, LY, OrthonormalBasis.computational(4))
+            _result("eq2", prepare_state(0.2), LX, LY, OrthonormalBasis.computational(4))
 
 
 class TestEq3:
     def test_theta_zero(self):
         # fidelities (1/4, 1/4, 1/2) per observable
-        r = _result("eq3", family_state(0.0), LX, LY)
-        t = evaluate_states(family_state(0.0).amplitudes, LX, LY)
+        r = _result("eq3", prepare_state(0.0), LX, LY)
+        t = evaluate_states(prepare_state(0.0).amplitudes, LX, LY)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(t["fid_a"], [0.25, 0.25, 0.5], atol=1e-12)
         assert np.allclose(t["fid_b"], [0.25, 0.25, 0.5], atol=1e-12)
 
     def test_theta_half_pi(self):
-        r = _result("eq3", family_state(np.pi / 2), LX, LY)
-        t = evaluate_states(family_state(np.pi / 2).amplitudes, LX, LY)
+        r = _result("eq3", prepare_state(np.pi / 2), LX, LY)
+        t = evaluate_states(prepare_state(np.pi / 2).amplitudes, LX, LY)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(t["fid_a"], [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -158,19 +158,19 @@ class TestEq3:
 
     def test_invalid_pairing(self):
         with pytest.raises(InvalidPairing):
-            _result("eq3", family_state(0.0), LX, LY, pairing=(0, 0, 1))
+            _result("eq3", prepare_state(0.0), LX, LY, pairing=(0, 0, 1))
 
     def test_paper_pairing_satisfied_on_sweep(self):
         for theta in SWEEP_THETAS:
-            r = _result("eq3", family_state(theta), LX, LY, pairing=(0, 1, 2))
+            r = _result("eq3", prepare_state(theta), LX, LY, pairing=(0, 1, 2))
             assert r.satisfied, theta
 
 
 class TestEq4:
     def test_family_anchors(self):
-        r = _result("eq4", family_state(0.0), LX, LY)
+        r = _result("eq4", prepare_state(0.0), LX, LY)
         assert (r.lhs, r.rhs) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.5, abs=1e-12))
-        r = _result("eq4", family_state(np.pi / 2), LX, LY)
+        r = _result("eq4", prepare_state(np.pi / 2), LX, LY)
         assert (r.lhs, r.rhs) == (pytest.approx(2.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
     def test_equal_observables_equality(self):
@@ -186,12 +186,12 @@ class TestEq4:
 class TestEq5:
     def test_theta_zero_tight(self):
         # single surviving term n=2: (sqrt(1/2) + sqrt(1/2))^2 / 2 = 1
-        r = _result("eq5", family_state(0.0), LX, LY, COMP)
+        r = _result("eq5", prepare_state(0.0), LX, LY, COMP)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
     def test_theta_half_pi_tight(self):
-        r = _result("eq5", family_state(np.pi / 2), LX, LY, COMP)
+        r = _result("eq5", prepare_state(np.pi / 2), LX, LY, COMP)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
         assert abs(r.slack) < 1e-9
 
@@ -207,9 +207,9 @@ class TestEq5:
 
 class TestEq6:
     def test_family_anchors(self):
-        r = _result("eq6", family_state(0.0), LX, LY)
+        r = _result("eq6", prepare_state(0.0), LX, LY)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
-        r = _result("eq6", family_state(np.pi / 2), LX, LY)
+        r = _result("eq6", prepare_state(np.pi / 2), LX, LY)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_observables(self):
@@ -222,24 +222,24 @@ class TestEq6:
 
     def test_paper_pairing_satisfied_on_sweep(self):
         for theta in SWEEP_THETAS:
-            assert _result("eq6", family_state(theta), LX, LY).satisfied, theta
+            assert _result("eq6", prepare_state(theta), LX, LY).satisfied, theta
 
 
 class TestEq7:
     def test_theta_zero_equality(self):
         # Cov = 0, Delta(Lx-Ly)^2 = 1, DeltaLx DeltaLy = 1/2
-        r = _result("eq7", family_state(0.0), LX, LY)
+        r = _result("eq7", prepare_state(0.0), LX, LY)
         assert r.direction == "upper"
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_theta_half_pi_equality(self):
-        r = _result("eq7", family_state(np.pi / 2), LX, LY)
+        r = _result("eq7", prepare_state(np.pi / 2), LX, LY)
         assert r.lhs == pytest.approx(2.0, abs=1e-12)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_variance_undefined(self):
-        r = _result("eq7", family_state(0.0), LZ, LX)
+        r = _result("eq7", prepare_state(0.0), LZ, LX)
         assert not r.defined
         assert r.rhs is None
         assert "variance" in r.reason
@@ -286,7 +286,7 @@ class TestEq7:
 
     def test_rewritten_route_on_family(self):
         for theta in SWEEP_THETAS:
-            s = family_state(theta)
+            s = prepare_state(theta)
             r = _result("eq7", s, LX, LY)
             if not r.defined:
                 continue
@@ -320,7 +320,7 @@ class TestFamilyClosedForms:
 
     def test_dense_grid(self):
         for theta in np.linspace(0.0, np.pi, 401):
-            s = family_state(theta)
+            s = prepare_state(theta)
             assert _result("eq1", s, LX, LY).rhs == pytest.approx(_family_eq1(theta), abs=1e-12)
             assert _result("eq2", s, LX, LY, COMP).rhs == pytest.approx(
                 _family_eq2_canon(theta), abs=1e-12
@@ -328,7 +328,7 @@ class TestFamilyClosedForms:
             assert _result("eq3", s, LX, LY).rhs == pytest.approx(_family_eq3(theta), abs=1e-12)
 
     def test_eq3_below_rs_at_pi_over_10_for_every_pairing(self):
-        s = family_state(np.pi / 10)
+        s = prepare_state(np.pi / 10)
         rs = _result("eq1", s, LX, LY).rhs
         assert rs == pytest.approx(0.2045339, abs=1e-7)
         best = 0.0
@@ -345,7 +345,7 @@ class TestFamilyClosedForms:
 
     def test_eq3_rs_crossover(self):
         def gap(frac):
-            s = family_state(frac * np.pi)
+            s = prepare_state(frac * np.pi)
             return _result("eq3", s, LX, LY).rhs - _result("eq1", s, LX, LY).rhs
 
         for below, above in ((0.237, 0.239), (0.763, 0.761)):
@@ -354,13 +354,13 @@ class TestFamilyClosedForms:
 
 class TestEvaluateAll:
     def test_theta_zero_all_tight_but_eq4(self):
-        rep = evaluate_all(family_state(0.0), LX, LY)
+        rep = evaluate_all(prepare_state(0.0), LX, LY)
         for rid in ("eq1", "eq2", "eq3", "eq5", "eq6", "eq7"):
             assert abs(rep.results[rid].slack) < 1e-9, rid
         assert rep.results["eq4"].satisfied
 
     def test_theta_half_pi_eq1_slack(self):
-        rep = evaluate_all(family_state(np.pi / 2), LX, LY)
+        rep = evaluate_all(prepare_state(np.pi / 2), LX, LY)
         assert all(r.satisfied for r in rep.results.values())
         assert rep.results["eq1"].slack == pytest.approx(1.0, abs=1e-12)
 
@@ -847,7 +847,7 @@ class TestVerdicts:
             return t
 
         monkeypatch.setattr(bounds, "evaluate_states", planted)
-        rep = evaluate_all(family_state(0.0), a, b)
+        rep = evaluate_all(prepare_state(0.0), a, b)
         assert rep.product_lhs < fp and rep.sum_lhs < fs
         assert {rid: r.satisfied for rid, r in rep.results.items()} == {
             rid: product_ok if side == "lhs_prod" else not product_ok

@@ -16,10 +16,10 @@ from varbound.hermitian import (
     Observable,
     PureState,
     builtin_spin1,
-    family_state,
     haar_random_state,
     make_observable,
 )
+from varbound.photonics import prepare_state
 
 LX, LY, LZ, LP = builtin_spin1()
 
@@ -103,9 +103,9 @@ class TestPureState:
                 PureState(np.array([bad, 0.0, 0.0]))
 
     def test_family(self):
-        s = family_state(0.0)
+        s = prepare_state(0.0)
         assert np.allclose(s.amplitudes, [1, 0, 0])
-        s = family_state(np.pi / 2)
+        s = prepare_state(np.pi / 2)
         assert np.allclose(s.amplitudes, [0, -1, 0])
 
 
@@ -295,18 +295,18 @@ def _covariance(state, a, b):
 
 class TestMoments:
     def test_eigenstate(self):
-        mean, var = _kernel_moments(family_state(0.0), LZ)
+        mean, var = _kernel_moments(prepare_state(0.0), LZ)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(0.0, abs=1e-12)
 
     def test_lx_on_basis_state(self):
         # direct 3x3 arithmetic: <Lx> = 0, <Lx^2> = 1/2 for (1,0,0)
-        mean, var = _kernel_moments(family_state(0.0), LX)
+        mean, var = _kernel_moments(prepare_state(0.0), LX)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(0.5, abs=1e-12)
 
     def test_lx_on_middle_state(self):
-        mean, var = _kernel_moments(family_state(np.pi / 2), LX)
+        mean, var = _kernel_moments(prepare_state(np.pi / 2), LX)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(1.0, abs=1e-12)
 
@@ -343,10 +343,10 @@ class TestCovariance:
     def test_family_lx_ly_uncorrelated(self):
         # <Lp> = 0 and <Ly> = 0 for every real state in the family
         for theta in np.linspace(0, np.pi, 23):
-            assert _covariance(family_state(theta), LX, LY) == pytest.approx(0.0, abs=1e-12)
+            assert _covariance(prepare_state(theta), LX, LY) == pytest.approx(0.0, abs=1e-12)
 
     def test_lx_lz_on_basis_state(self):
-        assert _covariance(family_state(0.0), LX, LZ) == pytest.approx(0.0, abs=1e-12)
+        assert _covariance(prepare_state(0.0), LX, LZ) == pytest.approx(0.0, abs=1e-12)
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(13)
@@ -370,7 +370,7 @@ class TestCommutators:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            evaluate_all(family_state(0.0), LX, make_observable(np.eye(2)))
+            evaluate_all(prepare_state(0.0), LX, make_observable(np.eye(2)))
 
 
 class TestMaxStd:

@@ -3,18 +3,23 @@ circuits and count sampling."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varbound.hermitian import builtin_spin1, family_amplitudes, family_state
+from varbound import photonics
+from varbound.hermitian import PureState, builtin_spin1
 from varbound.photonics import (
     BadProbabilities,
     EMBED,
     LEAKAGE_MODE,
+    LeakageDetected,
     OpticalElement,
     builtin_settings,
     compose,
     decompose_lx,
     hwp_matrix,
     measurement_unitary,
+    prepare_amplitudes,
     prepare_state,
     projection_probabilities,
     qwp_matrix,
@@ -68,11 +73,34 @@ class TestPrepareState:
         s = prepare_state(theta)
         assert np.allclose(s.amplitudes, expected, atol=1e-12)
 
-    def test_matches_family_for_all_sweep_states(self):
-        for theta in SWEEP_THETAS:
-            assert np.allclose(
-                prepare_state(theta).amplitudes, family_state(theta).amplitudes, atol=1e-12
-            )
+    # HWP(theta/2) reads cos(2 (theta/2)): halving is exact for every normal
+    # float, while a subnormal angle can lose its last bit
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False))
+    def test_circuit_is_the_family(self, theta):
+        """The circuit prepares exactly (cos t, -sin t, 0), the family's
+        closed form, at any finite angle that is not subnormal."""
+        closed_form = np.array([np.cos(theta), -np.sin(theta), 0.0])
+        assert np.array_equal(prepare_amplitudes(theta), closed_form)
+        assert np.array_equal(prepare_state(theta).amplitudes, PureState(closed_form).amplitudes)
+
+    def test_batch_is_one_angle_calls(self):
+        """Each row of a batch, flat or stacked, has the bits of its own
+        one-angle preparation."""
+        thetas = np.concatenate([SWEEP_THETAS, np.random.default_rng(3).uniform(-7, 7, 40)])
+        batch = prepare_amplitudes(thetas)
+        assert batch.shape == (51, 3)
+        assert prepare_amplitudes(thetas.reshape(3, 17)).tobytes() == batch.tobytes()
+        for theta, row in zip(thetas, batch):
+            assert prepare_amplitudes(theta).tobytes() == row.tobytes()
+            assert prepare_state(theta).amplitudes.tobytes() == PureState(row).amplitudes.tobytes()
+
+    def test_planted_leak_raises_from_the_batch(self, monkeypatch):
+        """The leakage check covers every state of a batch: with a tolerance
+        below zero, even an empty (lower,H) mode counts as a leak."""
+        monkeypatch.setattr(photonics, "LEAKAGE_TOL", -1.0)
+        with pytest.raises(LeakageDetected):
+            prepare_amplitudes(SWEEP_THETAS)
 
 
 class TestMeasurementCircuits:
@@ -94,25 +122,25 @@ class TestMeasurementCircuits:
         assert np.max(np.abs(out[LEAKAGE_MODE])) < 1e-10
 
     def test_lz_identity_routing(self):
-        p = projection_probabilities(family_state(0.3).amplitudes, SETTINGS["Lz"])
+        p = projection_probabilities(prepare_state(0.3).amplitudes, SETTINGS["Lz"])
         # outcomes in eigenvalue order (-1, 1, 0) pick components (3, 1, 2)
         assert np.allclose(p, [0.0, np.cos(0.3) ** 2, np.sin(0.3) ** 2], atol=1e-12)
 
     @pytest.mark.parametrize("name", list(SETTINGS))
     def test_circuit_equals_eigensystem_probabilities(self, name):
         for theta in SWEEP_THETAS:
-            s = family_state(theta)
+            s = prepare_state(theta)
             p = projection_probabilities(s.amplitudes, SETTINGS[name])
             ref = np.abs(OBS[name].eigenvectors.conj().T @ s.amplitudes) ** 2
             assert np.max(np.abs(p - ref)) < 1e-10
 
     def test_lx_probabilities_anchors(self):
         assert np.allclose(
-            projection_probabilities(family_state(0.0).amplitudes, SETTINGS["Lx"]),
+            projection_probabilities(prepare_state(0.0).amplitudes, SETTINGS["Lx"]),
             [0.25, 0.25, 0.5], atol=1e-12,
         )
         assert np.allclose(
-            projection_probabilities(family_state(np.pi / 2).amplitudes, SETTINGS["Lx"]),
+            projection_probabilities(prepare_state(np.pi / 2).amplitudes, SETTINGS["Lx"]),
             [0.5, 0.5, 0.0], atol=1e-12,
         )
 
@@ -185,14 +213,14 @@ class TestSampling:
 class TestBatchedProbabilities:
     @pytest.mark.parametrize("name", list(SETTINGS))
     def test_batch_equals_per_state_calls(self, name):
-        amps = family_amplitudes(SWEEP_THETAS)
+        amps = prepare_amplitudes(SWEEP_THETAS)
         batch = projection_probabilities(amps, SETTINGS[name])
         assert batch.shape == (11, 3)
         for psi, row in zip(amps, batch):
             assert np.array_equal(row, projection_probabilities(psi, SETTINGS[name]))
 
     def test_unnormalized_row_rejected(self):
-        amps = family_amplitudes(SWEEP_THETAS)
+        amps = prepare_amplitudes(SWEEP_THETAS)
         amps[4] *= 1.01
         with pytest.raises(BadProbabilities):
             projection_probabilities(amps, SETTINGS["Lx"])
@@ -209,7 +237,7 @@ def _mean_and_sigma(counts, values):
 class TestEstimation:
     def test_sigma_matches_binomial_oracle(self):
         # theta = pi/2 under the Lx setting: P = (1/2, 1/2, 0), outcomes +-1
-        p = projection_probabilities(family_state(np.pi / 2).amplitudes, SETTINGS["Lx"])
+        p = projection_probabilities(prepare_state(np.pi / 2).amplitudes, SETTINGS["Lx"])
         n = 10_000
         oracle = np.sqrt(0.5 * 0.5 * (1 - (-1)) ** 2 / n)
         values, sigmas = [], []
@@ -221,7 +249,7 @@ class TestEstimation:
         assert abs(np.mean(values)) < 3 * oracle
 
     def test_error_shrinks_as_sqrt_n(self):
-        p = projection_probabilities(family_state(0.3).amplitudes, SETTINGS["Lx"])
+        p = projection_probabilities(prepare_state(0.3).amplitudes, SETTINGS["Lx"])
         errors = {}
         for n in (10**3, 10**5):
             errs = [

@@ -20,11 +20,11 @@ from varbound.bounds import (
     evaluate_all,
 )
 from varbound.cli import _build_parser, _sweep_config, main
-from varbound.hermitian import (
-    builtin_spin1, family_amplitudes, family_state, haar_random_state, make_observable,
-)
+from varbound.hermitian import builtin_spin1, haar_random_state, make_observable
 from varbound import photonics
-from varbound.photonics import builtin_settings, projection_probabilities, sample_counts
+from varbound.photonics import (
+    builtin_settings, prepare_amplitudes, prepare_state, projection_probabilities, sample_counts,
+)
 from varbound.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -154,6 +154,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="thetas must be finite"):
             SweepConfig(thetas=thetas)
 
+    def test_theta_forms_share_one_hash(self):
+        """A range, int tuple, list or array of the same angles becomes one
+        tuple of floats, so all hash as the float tuple did before (whose
+        hash, like the CLI's configs, is unchanged)."""
+        configs = [SweepConfig(thetas=t, counts=100)
+                   for t in (range(3), (0, 1, 2), [0, 1, 2], np.arange(3), (0.0, 1.0, 2.0))]
+        assert {c.hash() for c in configs} == {"bf5ab40509523a24"}
+        for c in configs:
+            assert c.thetas == (0.0, 1.0, 2.0) and {type(t) for t in c.thetas} == {float}
+            assert hash(c) == hash(configs[-1])
+        assert SweepConfig().hash() == "0fc3391ddde0894a"
+
+    @pytest.mark.parametrize("thetas", [("a",), (0.1, None), (1j,), ("0.5",), np.zeros((2, 2))])
+    def test_non_numeric_theta_rejected(self, thetas):
+        with pytest.raises(ConfigError, match="thetas must be finite real numbers"):
+            SweepConfig(thetas=thetas)
+
+    def test_theta_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="thetas must be finite"):
+            SweepConfig(thetas=(0.1, 10**400))
+
     def test_optimize_basis_values(self, tmp_path):
         p = tmp_path / "flag.cfg"
         for value, expected in (("1", True), ("TRUE", True), ("Yes", True),
@@ -266,7 +287,7 @@ class TestRunSweep:
         assert calls == [(len(dense), 3)] and len(dense) >= 51
         assert dense.shape == (len(dense), len(CSV_COLUMNS))
         for d in (_cells(CSV_COLUMNS, d) for d in dense):
-            state = family_state(d["theta"])
+            state = prepare_state(d["theta"])
             rep, zp = evaluate_all(state, LX, LY), evaluate_all(state, LZ, LP)
             expected = {
                 "mean_lz": zp.mean_a, "mean_lp": zp.mean_b,
@@ -309,6 +330,27 @@ class TestRunSweep:
         assert ideal["rhs_eq5_opt"] >= ideal["rhs_eq5_canon"] - 1e-12
         assert "rhs_eq2_opt" in sampled and "rhs_eq5_opt" in sampled
 
+    def test_every_state_from_one_preparation(self, monkeypatch):
+        """One prepare_amplitudes call over the merged grid gives every state
+        the sweep uses: with the circuit's angles shifted by 0.05, the
+        ideal, sampled and searched columns all carry the bits of an
+        unpatched sweep at the shifted angles."""
+        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
+        calls = []
+
+        def shifted(thetas, _fn=sweep.prepare_amplitudes):
+            calls.append(thetas)
+            return _fn(thetas + 0.05)
+
+        thetas = theta_grid(5)
+        kwargs = dict(counts=2000, trials=2, optimize_basis=True)
+        expected, _, _ = run_sweep(SweepConfig(thetas=[t + 0.05 for t in thetas], **kwargs))
+        monkeypatch.setattr(sweep, "prepare_amplitudes", shifted)
+        table, _, dense = run_sweep(SweepConfig(thetas=thetas, dense=8, **kwargs))
+        assert len(calls) == 1 and np.array_equal(calls[0], dense[:, 1])
+        assert set(thetas) <= set(calls[0])
+        assert table[:, 2:].tobytes() == expected[:, 2:].tobytes()
+
     def test_one_basis_search_per_objective(self, monkeypatch):
         """A sweep over five angles makes one optimize_bound call per
         objective, and each row's optimized column has the bits of a
@@ -328,7 +370,7 @@ class TestRunSweep:
         assert [(objective, len(states)) for objective, states in calls] == [("eq2", 5), ("eq5", 5)]
         for row, theta in zip(table, thetas):
             for objective in ("eq2", "eq5"):
-                _, [value], _ = optimize_bound(objective, [family_state(theta)], LX, LY, cfg)
+                _, [value], _ = optimize_bound(objective, [prepare_state(theta)], LX, LY, cfg)
                 assert row[_col(f"rhs_{objective}_opt")].tobytes() == np.float64(value).tobytes()
 
     def test_trials_reduce_reported_sigma(self):
@@ -948,7 +990,7 @@ class TestBatchedSigmas:
 
 def _sweep_probabilities(thetas):
     """(rows, 4, 3) setting probabilities of the family states at ``thetas``."""
-    settings, amps = builtin_settings(), family_amplitudes(thetas)
+    settings, amps = builtin_settings(), prepare_amplitudes(thetas)
     return np.stack([projection_probabilities(amps, settings[n]) for n in sweep.SETTING_NAMES], -2)
 
 
@@ -1089,7 +1131,7 @@ class TestTrials:
         cfg = SweepConfig(optimize_basis=True, trials=3)
         table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
-        _, adjoints = _searched([family_state(t) for t in cfg.thetas], sweep.OPTIMIZER)
+        _, adjoints = _searched([prepare_state(t) for t in cfg.thetas], sweep.OPTIMIZER)
         for j, row in enumerate(table):
             _, row_sampled, _ = _split(row)
             uv = [_plug_in_vectors(counts[j, t]) for t in range(cfg.trials)]
@@ -1270,7 +1312,7 @@ class TestWrittenOnce:
     def test_noise_free_counts_reproduce_ideal_columns(self, monkeypatch, optimize):
         monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
         for theta in theta_grid(11):
-            state = family_state(theta)
+            state = prepare_state(theta)
             [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP)
             opt, [adjoints] = _searched([state], sweep.OPTIMIZER) if optimize else ({}, [None])
             ideal = _cells(VALUE_COLUMNS, ideal) | {col: v for col, [v] in opt.items()}
@@ -1290,8 +1332,8 @@ class TestWrittenOnce:
         """Noise-free counts give +-psi(theta) at every sweep point; the
         relative sign comes from the sampled <Lx>, not from theta."""
         for theta in theta_grid(11):
-            psi = family_state(theta).amplitudes
-            probs = _noise_free_counts(family_state(theta), 10_000).reshape(4, 3) / 10_000
+            psi = prepare_state(theta).amplitudes
+            probs = _noise_free_counts(prepare_state(theta), 10_000).reshape(4, 3) / 10_000
             est = sweep._state_estimate(probs[2], float(probs[0] @ LX.eigenvalues))
             assert min(np.max(np.abs(est - psi)), np.max(np.abs(est + psi))) < 1e-12, theta
 
