@@ -4,7 +4,7 @@ Optical circuit walkthrough
 ===========================
 
 Prepares the swept state family through the preparation circuit, builds
-the four measurement settings from wave plates and beam displacers, checks
+the four measurement settings from wave plates and beam displacers, shows
 that each circuit realizes the projective measurement of its observable,
 and prints the three-factor decomposition of the L_x measurement unitary.
 """
@@ -35,12 +35,12 @@ for name, setting in settings.items():
     ) or "(direct routing)"
     print(f"  {name}: {desc}  ports={setting.ports}")
 
-# each circuit's rows reproduce the observable's eigenbra magnitudes
-print("\nRow check (max entrywise |difference| of magnitudes):")
+# each circuit's row i is the eigenbra <m_i| up to a phase, |V M| = I; a
+# setting checks this when it is built
+print("\nRow check (max |abs(V M) - I|, V the circuit, M the eigenvectors):")
 for name, setting in settings.items():
-    v = measurement_unitary(setting)
-    bras = observables[name].eigenvectors.conj().T
-    print(f"  {name}: {np.max(np.abs(np.abs(v) - np.abs(bras))):.2e}")
+    vm = measurement_unitary(setting) @ observables[name].eigenvectors
+    print(f"  {name}: {np.max(np.abs(np.abs(vm) - np.eye(3))):.2e}")
 
 # circuit output probabilities match the eigensystem for the whole family
 worst = 0.0

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from .photonics import decompose_lx
-from .sweep import ConfigError, SweepConfig, config_from_file, emit, run_sweep, verify_dataset
+from .sweep import ConfigError, config_from_file, emit, run_sweep, verify_dataset
 
 
 def _build_parser():
@@ -34,16 +34,12 @@ def _build_parser():
     return parser
 
 
-def _sweep_config(args) -> SweepConfig:
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    return config_from_file(getattr(args, "config", None), flags)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            config = _sweep_config(args)
+            flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+            config = config_from_file(getattr(args, "config", None), flags)
             table, report, dense = run_sweep(config)
             try:
                 written = emit(table, report, config, dense)

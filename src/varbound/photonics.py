@@ -8,15 +8,15 @@ The (lower,H) mode must be empty at a circuit's output; occupancy there is
 flagged as leakage.  An element with an array of angles acts as a stack of
 elements, so one pass of the preparation circuit prepares a grid of states.
 
-Each built-in measurement setting composes to a circuit whose output ports
-realize the projective measurement of one spin-1 observable: the restricted
-circuit rows reproduce the eigenbras entry-for-entry in magnitude.  That
-row contract, not any particular port geometry, is what is validated.
+A measurement setting's circuit V realizes the projective measurement of one
+spin-1 observable: its row to port i is the eigenbra <m_i| up to a phase, so
+|V M| = I for the eigenvectors M.  That contract, not any particular port
+geometry, is checked once, when the setting is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,13 +101,13 @@ class OpticalElement:
 def compose(elements, modes=None):
     """The elements applied in turn to mode vectors ``modes`` (..., 4, k),
     or their product when ``modes`` is None; output mode vectors with a
-    (lower,H) amplitude above LEAKAGE_TOL raise LeakageDetected."""
+    (lower,H) amplitude above LEAKAGE_TOL, or NaN, raise LeakageDetected."""
     m = np.eye(4, dtype=complex) if modes is None else modes
     for el in elements:
         m = el.matrix() @ m
     if modes is not None:
         leak = np.abs(m[..., LEAKAGE_MODE, :]).max(initial=0.0)
-        if leak > LEAKAGE_TOL:
+        if not leak <= LEAKAGE_TOL:
             raise LeakageDetected(f"(lower,H) output amplitude {leak:g}")
     return m
 
@@ -122,12 +122,24 @@ class MeasurementSetting:
     the setting removes left out.
 
     ``ports[i]`` is the output mode detecting outcome i, in the
-    observable's stored eigenvalue order.
+    observable's stored eigenvalue order.  ``unitary``, the read-only 3x3
+    circuit matrix from qutrit amplitudes to the ports, is checked once here.
     """
 
     observable: str
     elements: tuple[OpticalElement, ...]
     ports: tuple[int, int, int]
+    unitary: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = compose(self.elements, EMBED)[list(self.ports), :]
+        obs = {o.name: o for o in builtin_spin1()}[self.observable]
+        # "not <=" so that a NaN circuit also fails
+        if not np.abs(np.abs(v @ obs.eigenvectors) - np.eye(3)).max() <= LEAKAGE_TOL:
+            raise NotProjectiveRealization(
+                f"circuit rows for {self.observable} are not its eigenbras up to a phase")
+        v.flags.writeable = False
+        object.__setattr__(self, "unitary", v)
 
 
 def builtin_settings():
@@ -136,11 +148,12 @@ def builtin_settings():
     Angles follow the published table (degrees); a plate the table removes
     is left out.  Beam-displacer layout and plate rails differ per observable
     because the network is physically rearranged between settings; each
-    layout was chosen so the row contract holds with (lower,H) kept empty.
+    layout realizes its observable's measurement with (lower,H) kept empty.
     """
     lx = MeasurementSetting(
         "Lx",
         (
+            OpticalElement("HWP", _deg(0.0), "lower"),
             OpticalElement("HWP", _deg(45.0), "both"),
             OpticalElement("BDH"),
             OpticalElement("HWP", _deg(22.5), "upper"),
@@ -161,7 +174,7 @@ def builtin_settings():
             OpticalElement("QWP", _deg(0.0), "upper"),
             OpticalElement("HWP", _deg(22.5), "upper"),
         ),
-        ports=(0, 1, 3),
+        ports=(1, 0, 3),
     )
     lz = MeasurementSetting("Lz", (), ports=(3, 0, 1))
     lp = MeasurementSetting(
@@ -199,25 +212,14 @@ def prepare_state(theta) -> PureState:
 
 
 def measurement_unitary(setting: MeasurementSetting):
-    """3x3 circuit matrix taking qutrit amplitudes to detector ports.
-
-    Row i of the result matches the eigenbra <m_i| of the setting's
-    observable entrywise in magnitude (per-row phases are irrelevant to
-    the detected probabilities).
-    """
-    v = compose(setting.elements, EMBED)[list(setting.ports), :]
-    obs = {o.name: o for o in builtin_spin1()}[setting.observable]
-    if np.max(np.abs(np.abs(v) - np.abs(obs.eigenvectors.T))) > LEAKAGE_TOL:
-        raise NotProjectiveRealization(
-            f"circuit rows for {setting.observable} do not match its eigenbras"
-        )
-    return v
+    """The setting's checked 3x3 circuit matrix, qutrit amplitudes to ports."""
+    return setting.unitary
 
 
 def projection_probabilities(psi, setting: MeasurementSetting):
     """Outcome probabilities |(V psi)_i|^2 of qutrit amplitudes ``psi``
     (..., 3), in eigenvalue order; every row must sum to 1."""
-    p = np.abs(np.matvec(measurement_unitary(setting), psi)) ** 2
+    p = np.abs(np.matvec(setting.unitary, psi)) ** 2
     total = p.sum(axis=-1, keepdims=True)
     # "not <=" so that a NaN row also fails
     if not np.all(np.abs(total - 1.0) <= 1e-10):

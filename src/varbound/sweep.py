@@ -38,6 +38,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import platform
 import time
 from itertools import chain
@@ -129,7 +130,29 @@ class SweepConfig:
     formats: tuple = ("csv", "json")
 
     def __post_init__(self):
-        rows = len(self.thetas)
+        for name, low in (("counts", 1), ("seed", 0), ("trials", 1), ("dense", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
+        if self.counts > MAX_COUNTS:
+            raise ConfigError(f"counts must be <= {MAX_COUNTS}, got {self.counts}")
+        for name, kinds, what in (("optimize_basis", bool, "true or false"),
+                                  ("formats", (tuple, list), "a tuple or list of 'csv' and 'json'"),
+                                  ("out_dir", (str, os.PathLike), "a str or an os.PathLike")):
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        for f in self.formats:
+            if f not in ("csv", "json"):
+                raise ConfigError(f"unknown output format {f!r}")
+        object.__setattr__(self, "formats", tuple(self.formats))
+        object.__setattr__(self, "out_dir", os.fspath(self.out_dir))
+        try:
+            rows = len(self.thetas)
+        except TypeError:
+            raise ConfigError(f"thetas must be a sized sequence, got {self.thetas!r}") from None
         if rows == 0:
             raise ConfigError("theta list must be non-empty")
         # sized before it is read, so an oversized range allocates nothing
@@ -141,36 +164,21 @@ class SweepConfig:
         _check_cells("count", f"trials = {self.trials}", rows * self.trials * 12)
         dense_rows = self.dense + 1 + rows if self.dense else 0  # merged with the sweep's
         _check_cells("dense", f"dense = {self.dense}", dense_rows * len(CSV_COLUMNS))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.counts < 1 or self.trials < 1:
-            raise ConfigError("counts and trials must be >= 1")
-        if self.counts > MAX_COUNTS:
-            raise ConfigError(f"counts must be <= {MAX_COUNTS}, got {self.counts}")
-        if self.dense < 0:
-            raise ConfigError(f"dense must be >= 0, got {self.dense}")
-        for f in self.formats:
-            if f not in ("csv", "json"):
-                raise ConfigError(f"unknown output format {f!r}")
 
     def hash(self):
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _parse_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _parse_bool(key, value):
-    flags = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-    try:
-        return flags[value.lower()]
-    except KeyError:
-        raise ConfigError(f"{key} must be 1/true/yes or 0/false/no, got {value!r}") from None
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# {config key: (SweepConfig field, parse of its string)}; SweepConfig checks the values
+_KEYS = {
+    "theta_steps": ("thetas", lambda s: theta_grid(int(s))),
+    **{key: (key, int) for key in ("counts", "seed", "trials", "dense")},
+    "optimize_basis": ("optimize_basis", lambda s: _BOOLS.get(s.lower(), s)),
+    "out_dir": ("out_dir", str),
+    "formats": ("formats", lambda s: tuple(f.strip() for f in s.split(","))),
+}
 
 
 def config_from_file(path=None, flags=None) -> SweepConfig:
@@ -180,30 +188,23 @@ def config_from_file(path=None, flags=None) -> SweepConfig:
     default."""
     pairs = []
     if path:
-        p = Path(path)
-        if not p.is_file():
+        if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        for line in p.read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        lines = (line.split("#", 1)[0].strip() for line in Path(path).read_text().splitlines())
+        for line in filter(None, lines):
             if "=" not in line:
                 raise ConfigError(f"bad config line: {line!r}")
             pairs.append([s.strip() for s in line.split("=", 1)])
     kwargs = {}
     for key, value in chain(pairs, (flags or {}).items()):
-        if key == "theta_steps":
-            kwargs["thetas"] = theta_grid(_parse_int(key, value))
-        elif key in ("counts", "seed", "trials", "dense"):
-            kwargs[key] = _parse_int(key, value)
-        elif key == "optimize_basis":
-            kwargs[key] = _parse_bool(key, value)
-        elif key == "out_dir":
-            kwargs[key] = value
-        elif key == "formats":
-            kwargs[key] = tuple(f.strip() for f in value.split(","))
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        name, parse = _KEYS[key]
+        try:
+            kwargs[name] = parse(value)
+        except ValueError as exc:  # from int(), or theta_grid's own ConfigError
+            raise exc if isinstance(exc, ConfigError) else ConfigError(
+                f"{key} must be an integer, got {value!r}") from None
     return SweepConfig(**kwargs)
 
 

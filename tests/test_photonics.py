@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varbound import photonics
-from varbound.hermitian import PureState, builtin_spin1
+from varbound.hermitian import PureState, builtin_spin1, haar_random_state
 from varbound.photonics import (
     BadProbabilities,
     EMBED,
     LEAKAGE_MODE,
     LeakageDetected,
+    MeasurementSetting,
+    NotProjectiveRealization,
     OpticalElement,
     builtin_settings,
     compose,
@@ -95,6 +97,11 @@ class TestPrepareState:
             assert prepare_amplitudes(theta).tobytes() == row.tobytes()
             assert prepare_state(theta).amplitudes.tobytes() == PureState(row).amplitudes.tobytes()
 
+    def test_nan_angle_raises(self):
+        """A NaN amplitude in (lower,H) is a leak, not a pass."""
+        with pytest.raises(LeakageDetected, match="amplitude nan"):
+            prepare_amplitudes([np.nan, 0.3])
+
     def test_planted_leak_raises_from_the_batch(self, monkeypatch):
         """The leakage check covers every state of a batch: with a tolerance
         below zero, even an empty (lower,H) mode counts as a leak."""
@@ -106,9 +113,47 @@ class TestPrepareState:
 class TestMeasurementCircuits:
     @pytest.mark.parametrize("name", list(SETTINGS))
     def test_rows_match_eigenbras(self, name):
+        """Row i of the circuit is the eigenbra <m_i| up to a phase: |V M| = I,
+        which equal magnitudes entry by entry do not imply."""
         v = measurement_unitary(SETTINGS[name])
-        bras = OBS[name].eigenvectors.conj().T
-        assert np.max(np.abs(np.abs(v) - np.abs(bras))) < 1e-10
+        assert np.max(np.abs(np.abs(v @ OBS[name].eigenvectors) - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_haar_probabilities_are_the_eigensystem_s(self, name):
+        """On states with complex amplitudes and a third component, which the
+        real swept family lacks, the ports give |<m_i|psi>|^2."""
+        rng = np.random.default_rng(0)
+        psi = np.array([haar_random_state(3, rng).amplitudes for _ in range(200)])
+        ref = np.abs(psi @ OBS[name].eigenvectors.conj()) ** 2
+        assert np.max(np.abs(projection_probabilities(psi, SETTINGS[name]) - ref)) < 1e-12
+
+    def test_lx_unitary_is_the_published_u(self):
+        assert np.max(np.abs(measurement_unitary(SETTINGS["Lx"]) - decompose_lx()[0])) < 1e-15
+
+    @pytest.mark.parametrize("name, ports", [("Lx", (1, 0, 3)), ("Ly", (0, 1, 3))])
+    def test_port_swap_rejected_when_built(self, name, ports):
+        """Swapping the -1 and +1 ports keeps every entry's magnitude, yet
+        measures the wrong observable; the setting refuses to be built."""
+        with pytest.raises(NotProjectiveRealization, match=name):
+            MeasurementSetting(name, SETTINGS[name].elements, ports)
+
+    def test_nan_plate_angle_rejected_when_built(self):
+        elements = (OpticalElement("HWP", np.nan, "upper"),) + SETTINGS["Lx"].elements
+        with pytest.raises(LeakageDetected, match="amplitude nan"):
+            MeasurementSetting("Lx", elements, SETTINGS["Lx"].ports)
+
+    def test_unitary_composed_once(self, monkeypatch):
+        """A built setting holds its checked, read-only unitary; measuring
+        with it composes no circuit."""
+        setting, amps = builtin_settings()["Lp"], prepare_amplitudes([0.1, 0.2, 0.3])
+        calls = []
+        monkeypatch.setattr(photonics, "compose", lambda *a: calls.append(a))
+        for psi in amps:
+            projection_probabilities(psi, setting)
+        assert calls == []
+        assert measurement_unitary(setting) is setting.unitary
+        assert not setting.unitary.flags.writeable
+        assert setting == SETTINGS["Lp"] and hash(setting) == hash(SETTINGS["Lp"])
 
     @pytest.mark.parametrize("name", list(SETTINGS))
     def test_composed_circuit_unitary(self, name):

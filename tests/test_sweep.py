@@ -3,6 +3,7 @@
 import json
 import math
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from varbound.bounds import (
     _slack_tol,
     evaluate_all,
 )
-from varbound.cli import _build_parser, _sweep_config, main
+import varbound.cli as cli
+from varbound.cli import main
 from varbound.hermitian import builtin_spin1, haar_random_state, make_observable
 from varbound import photonics
 from varbound.photonics import (
@@ -174,6 +176,41 @@ class TestConfig:
     def test_theta_beyond_float_range_rejected(self):
         with pytest.raises(ConfigError, match="thetas must be finite"):
             SweepConfig(thetas=(0.1, 10**400))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("dense", True, "dense must be an integer, got True"),
+        ("counts", "5", "counts must be an integer, got '5'"),
+        ("optimize_basis", "no", "optimize_basis must be true or false, got 'no'"),
+        ("thetas", 5, "thetas must be a sized sequence, got 5"),
+        ("thetas", iter((0.1, 0.2)), "thetas must be a sized sequence"),
+        ("thetas", np.array(0.3), "thetas must be a sized sequence"),
+        ("formats", "csv", "formats must be a tuple or list of 'csv' and 'json', got 'csv'"),
+        ("out_dir", 3, "out_dir must be a str or an os.PathLike, got 3"),
+    ])
+    def test_bad_field_rejected_when_built(self, field, value, message):
+        """Each field's type is checked when the config is built, with a
+        ConfigError that names the field, not later in run_sweep or emit."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepConfig(**{field: value})
+
+    def test_field_forms_share_one_hash(self, tmp_path):
+        """numpy integers, a format list and a path object are stored as
+        ints, a tuple and a str, so the config hashes and is written as the
+        plain form is."""
+        plain = SweepConfig(counts=100, seed=3, trials=2, dense=4, formats=("csv", "json"),
+                            out_dir=str(tmp_path))
+        forms = SweepConfig(counts=np.int64(100), seed=np.uint8(3), trials=np.int32(2),
+                            dense=np.int16(4), formats=["csv", "json"], out_dir=tmp_path)
+        assert forms == plain and hash(forms) == hash(plain) and forms.hash() == plain.hash()
+        assert {type(getattr(forms, f)) for f in ("counts", "seed", "trials", "dense")} == {int}
+        assert forms.formats == ("csv", "json") and forms.out_dir == str(tmp_path)
+        assert SweepConfig(counts=np.int64(100)).hash() == "80ef3a2f6be25e60"
+        assert SweepConfig(counts=100).hash() == "80ef3a2f6be25e60"
+        table, report, dense = run_sweep(forms)
+        emit(table, report, forms, dense)
+        assert json.loads((tmp_path / "sweep.json").read_text())["config_hash"] == plain.hash()
 
     def test_optimize_basis_values(self, tmp_path):
         p = tmp_path / "flag.cfg"
@@ -1404,8 +1441,25 @@ class TestCli:
         assert (out / "sweep.csv").is_file()
         assert json.loads((out / "sweep.json").read_text())["config"]["formats"] == ["csv", "json"]
 
-    def test_flag_defaults_are_sweep_config_defaults(self):
-        assert _sweep_config(_build_parser().parse_args(["sweep"])) == SweepConfig()
+    def test_flag_defaults_are_sweep_config_defaults(self, monkeypatch):
+        """A bare `varbound sweep` runs SweepConfig's defaults."""
+        configs = []
+
+        def stop(config):
+            configs.append(config)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(cli, "run_sweep", stop)
+        assert main(["sweep"]) == 2
+        assert configs == [SweepConfig()]
+
+    def test_unknown_flag_word_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"optimize_basis = ture\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: optimize_basis must be true or false, got 'ture'\n")
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
