@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import OrthonormalBasis, evaluate_all, rhs_eq2, rhs_eq5
-from .hermitian import _centre, _check_dims
+from .hermitian import DimensionMismatch, _centre
 
 
 class BadParameterCount(ValueError):
@@ -102,8 +102,9 @@ def _objective_fn(objective, states, a, b):
     rhs = {"eq2": rhs_eq2, "eq5": rhs_eq5}.get(objective)
     if rhs is None:
         raise ValueError(f"unknown objective {objective!r} (expected 'eq2' or 'eq5')")
-    for state in states:
-        _check_dims(state, a, b)
+    if any(s.dim != o.dim for s in states for o in (a, b)):
+        raise DimensionMismatch(f"state dims {sorted({s.dim for s in states})} vs observables "
+                                f"{a.dim}, {b.dim}")
     w = np.array([[_centre(s.amplitudes, o) for o in (a, b)] for s in states])
 
     def fn(bm, owner=0):

@@ -3,9 +3,11 @@ reverse (upper) bound on the variance sum.
 
 Each right-hand side is written once, as a pure function ``rhs_eqN`` of
 what its relation reads; they accept leading batch axes (sums run over the
-last axis).  :func:`evaluate_states`, the one place the quantities of a
-state are computed, feeds them a stack of states in one pass; the sweep
-feeds them estimates from counts and the basis search a trial basis.
+last axis).  :func:`relation_sides` feeds all but the basis bounds eq2 and
+eq5 from second moments of any source: :func:`evaluate_states`, the one
+place the quantities of a state are computed, passes a stack of states'
+moments in one pass and the sweep estimates from counts.  The basis
+search feeds eq2 and eq5 a trial basis.
 
 :data:`RELATIONS` names each relation once: its id, the side it bounds
 (the product lhs_prod or the sum lhs_sum) and its direction.  One rule,
@@ -140,13 +142,6 @@ def _degenerate_std(obs):
     return max(EQ7_EPS * obs.max_std, obs.resolution)
 
 
-def _normalize_pairing(pairing, dim):
-    pairing = [int(i) for i in pairing]
-    if sorted(pairing) != list(range(dim)):
-        raise InvalidPairing(f"{tuple(pairing)} is not a permutation of 0..{dim - 1}")
-    return pairing
-
-
 def verdicts(sides, rhs, floors, relations=slice(None), degenerate=None):
     """The verdict rule on right sides ``rhs`` (..., k) of ``relations``
     (indices into RELATIONS, all seven by default; one may repeat), NaN
@@ -220,6 +215,23 @@ def rhs_eq7(var_a, var_b, var_amb, min_std_a, min_std_b):
     return 2.0 * var_amb / denom - two_da_db, degenerate
 
 
+def relation_sides(var_a, var_b, cov, comm_abs, var_apb, var_amb, fid, a, b):
+    """The sides of every relation but eq2 and eq5 from second moments of any
+    source, a state or counts: var(A), var(B), Cov(A,B), |<[A,B]>|,
+    var(A +- B), eq3's and eq6's inputs ``fid`` ({a_shifted, b_shifted,
+    fid_a, fid_b}) and the observables, whose degeneracy stds eq7 reads.
+    Returns them, lhs_prod, lhs_sum, eq1, eq3, eq4, eq6, eq7 and
+    eq7_degenerate (:func:`rhs_eq7`'s) as one {name: array} dict."""
+    sides = {
+        "var_a": var_a, "var_b": var_b, "lhs_prod": var_a * var_b, "lhs_sum": var_a + var_b,
+        "cov": cov, "var_amb": var_amb, **fid, "eq1": rhs_eq1(comm_abs, cov),
+        "eq3": rhs_eq3(**fid), "eq4": rhs_eq4(var_apb), "eq6": rhs_eq6(**fid),
+    }
+    sides["eq7"], sides["eq7_degenerate"] = rhs_eq7(
+        var_a, var_b, var_amb, _degenerate_std(a), _degenerate_std(b))
+    return sides
+
+
 def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     """Evaluate eq1..eq7 on normalized states ``psi`` (..., d) in one pass.
 
@@ -227,11 +239,10 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     var(A) = ||u||^2, var(B) = ||v||^2, Cov(A,B) = Re<u|v>,
     |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
     bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
-    one {name: array} dict: of shape (...) mean_a, mean_b, var_a, var_b,
-    lhs_prod, lhs_sum, cov, var_amb, eq1..eq7 (NaN where eq7 is undefined),
-    eq7_degenerate (:func:`rhs_eq7`'s mask) and each name of ``means``
-    ({name: observable O}) with <O>; of shape (..., d) the inputs of eq3 and
-    eq6, a_shifted, b_shifted, fid_a and fid_b (B's in the pairing order).
+    :func:`relation_sides` of those moments, with mean_a, mean_b, eq2, eq5
+    and each name of ``means`` ({name: observable O}) with <O>, all of
+    shape (...); eq3's and eq6's inputs are (..., d), B's in the pairing
+    order.
     """
     d = np.shape(psi)[-1]
     if a.dim != d or b.dim != d:
@@ -255,21 +266,13 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
         "fid_b": np.abs(np.matvec(b.eigenvectors.conj().T, psi)) ** 2,
     }
     if pairing is not None:
-        pairing = _normalize_pairing(pairing, d)
+        pairing = [int(i) for i in pairing]
+        if sorted(pairing) != list(range(d)):
+            raise InvalidPairing(f"{tuple(pairing)} is not a permutation of 0..{d - 1}")
         fid["b_shifted"], fid["fid_b"] = fid["b_shifted"][..., pairing], fid["fid_b"][..., pairing]
-    out = {
-        "mean_a": mean_a, "mean_b": mean_b, "var_a": var_a, "var_b": var_b,
-        "lhs_prod": var_a * var_b, "lhs_sum": var_a + var_b,
-        "cov": uv.real, "var_amb": np.vecdot(u - v, u - v).real, **fid,
-        "eq1": rhs_eq1(2.0 * np.abs(uv.imag), uv.real),
-        "eq2": rhs_eq2(pa, pb),
-        "eq3": rhs_eq3(**fid),
-        "eq4": rhs_eq4(np.vecdot(u + v, u + v).real),
-        "eq5": rhs_eq5(pa, pb),
-        "eq6": rhs_eq6(**fid),
-    }
-    out["eq7"], out["eq7_degenerate"] = rhs_eq7(
-        var_a, var_b, out["var_amb"], _degenerate_std(a), _degenerate_std(b))
+    out = relation_sides(var_a, var_b, uv.real, 2.0 * np.abs(uv.imag), np.vecdot(u + v, u + v).real,
+                         np.vecdot(u - v, u - v).real, fid, a, b)
+    out.update(mean_a=mean_a, mean_b=mean_b, eq2=rhs_eq2(pa, pb), eq5=rhs_eq5(pa, pb))
     for name, obs in (means or {}).items():
         out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
     return out

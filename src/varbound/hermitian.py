@@ -171,12 +171,6 @@ def builtin_spin1():
                  for m, name in ((lx, "Lx"), (ly, "Ly"), (lz, "Lz"), (lp, "Lp")))
 
 
-def _check_dims(state, *observables):
-    for obs in observables:
-        if obs.dim != state.dim:
-            raise DimensionMismatch(f"state dim {state.dim} vs observable dim {obs.dim}")
-
-
 def _centre(psi, obs):
     """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
     normalized amplitudes of shape (..., d); the basis search and the

@@ -17,6 +17,7 @@ geometry, is checked once, when the setting is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -121,9 +122,11 @@ class MeasurementSetting:
     wave plates (angles in radians) and beam displacers in order, a plate
     the setting removes left out.
 
-    ``ports[i]`` is the output mode detecting outcome i, in the
-    observable's stored eigenvalue order.  ``unitary``, the read-only 3x3
-    circuit matrix from qutrit amplitudes to the ports, is checked once here.
+    ``observable`` names a built-in spin-1 observable and ``ports[i]``, one
+    of three distinct modes, is the output mode detecting outcome i, in the
+    observable's stored eigenvalue order (a ValueError names a bad field).
+    ``unitary``, the read-only 3x3 circuit matrix from qutrit amplitudes to
+    the ports, is checked once here.
     """
 
     observable: str
@@ -132,8 +135,16 @@ class MeasurementSetting:
     unitary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = compose(self.elements, EMBED)[list(self.ports), :]
-        obs = {o.name: o for o in builtin_spin1()}[self.observable]
+        # == and not a dict lookup, so that an unhashable name is named too
+        obs = next((o for o in builtin_spin1() if o.name == self.observable), None)
+        if obs is None:
+            raise ValueError(f"observable must be Lx, Ly, Lz or Lp, got {self.observable!r}")
+        ports = self.ports
+        if not (isinstance(ports, (tuple, list)) and len(ports) == 3
+                and all(isinstance(p, Integral) and not isinstance(p, bool) and 0 <= p <= 3
+                        for p in ports) and len(set(ports)) == 3):
+            raise ValueError(f"ports must be three distinct integers in 0..3, got {ports!r}")
+        v = compose(self.elements, EMBED)[list(ports), :]
         # "not <=" so that a NaN circuit also fails
         if not np.abs(np.abs(v @ obs.eigenvectors) - np.eye(3)).max() <= LEAKAGE_TOL:
             raise NotProjectiveRealization(

@@ -18,18 +18,20 @@ columns judged by ``bounds.verdicts``, the rule of ``evaluate_all`` too.
 cell is null, and passes them to the same function.
 
 The counts of every (row, trial, setting) are drawn in one call from one
-generator seeded by the config seed.  Every sampled quantity is estimated
-from the four settings' counts as one float table in VALUE_COLUMNS order,
-NaN where a column is undefined (a setting with no counts leaves the columns
-that read it undefined) or not computed; derived columns propagate one-
-standard-deviation Poisson error bars to first order by one-count central
-differences through the full column formula, all perturbed count vectors of
-a trial in one call.  The computational-basis columns read the centred
-plug-in vectors; the optimized-basis ones project them onto a row's two
-optimal bases.  The (rows, columns, trials) value and sigma tables are
-reduced once: the mean over the k trials that define a column, and
-sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
-when it lies off its ideal value by more than the slack tolerance.
+generator seeded by the config seed.  The sampled columns pass moments
+estimated from the four settings' counts to ``bounds.relation_sides``, as the
+kernel passes a state's, and ``_value_table`` turns either result into one
+float table in VALUE_COLUMNS order, NaN where a column is undefined (a
+setting with no counts leaves the columns that read it undefined) or not
+computed; derived columns propagate one-standard-deviation Poisson error bars
+to first order by one-count central differences through the full column
+formula, all perturbed count vectors of a trial in one call.  The
+computational-basis columns read the centred plug-in vectors; the
+optimized-basis ones project them onto a row's two optimal bases.  The (rows,
+columns, trials) value and sigma tables are reduced once: the mean over the k
+trials that define a column, and sqrt(mean sigma^2 / k).  A sampled column
+with zero sigma fails the verdict when it lies off its ideal value by more
+than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -54,17 +56,12 @@ from .bounds import (
     RELATION_IDS,
     STATUSES,
     VIOLATED,
-    _degenerate_std,
     _slack_floors,
     _slack_tol,
     evaluate_states,
-    rhs_eq1,
+    relation_sides,
     rhs_eq2,
-    rhs_eq3,
-    rhs_eq4,
     rhs_eq5,
-    rhs_eq6,
-    rhs_eq7,
     verdicts,
 )
 from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, _centre, builtin_spin1
@@ -109,11 +106,20 @@ def _check_cells(table, setting, cells):
         raise ConfigError(f"{setting} makes a {table} table of {cells} cells, over {MAX_CELLS}")
 
 
+def _integer(name, value, low):
+    """``value`` as an int; ConfigError, naming ``name``, unless it is an
+    integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def theta_grid(steps):
     """``steps`` evenly spaced angles over [0, pi], j*pi/(steps-1) exactly
     (the dense grid merges sweep angles by float equality)."""
-    if steps < 1:
-        raise ConfigError(f"theta_steps must be >= 1, got {steps}")
+    steps = _integer("theta_steps", steps, 1)
     _check_cells("sweep", f"theta_steps = {steps}", steps * len(CSV_COLUMNS))
     return tuple(j * np.pi / max(steps - 1, 1) for j in range(steps))
 
@@ -131,12 +137,7 @@ class SweepConfig:
 
     def __post_init__(self):
         for name, low in (("counts", 1), ("seed", 0), ("trials", 1), ("dense", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if self.counts > MAX_COUNTS:
             raise ConfigError(f"counts must be <= {MAX_COUNTS}, got {self.counts}")
         for name, kinds, what in (("optimize_basis", bool, "true or false"),
@@ -216,19 +217,24 @@ class VerificationReport:
     ok: bool
 
 
-# the kernel output behind each ideal column (eq2, eq5 in the computational
-# basis); the optimized-basis columns come from the basis search
+# the kernel name behind each ideal and sampled column (eq2, eq5 in the
+# computational basis); None for the optimized-basis ones, which it lacks
 _RENAMED = {"mean_lx": "mean_a", "mean_ly": "mean_b", "var_lx": "var_a", "var_ly": "var_b"}
 KERNEL_KEYS = {c: None if c.endswith("_opt") else RELATIONS.get(c, _RENAMED.get(c, c))
                for c in VALUE_COLUMNS}
 
 
+def _value_table(values):
+    """The (N, VALUE_COLUMNS) table of a kernel-keyed {name: (N,) array}
+    dict, an optimized-basis column under its own name; NaN where absent."""
+    nan = np.full(len(values["lhs_sum"]), np.nan)
+    return np.array([values.get(key or c, nan) for c, key in KERNEL_KEYS.items()]).T
+
+
 def _ideal_table(psi, lx, ly, lz, lp):
     """Ideal value columns of states ``psi`` (N, 3) from one kernel call, as
     an (N, VALUE_COLUMNS) float table; NaN where undefined or not computed."""
-    values = evaluate_states(psi, lx, ly, means={"mean_lz": lz, "mean_lp": lp})
-    nan = np.full(len(psi), np.nan)
-    return np.column_stack([nan if key is None else values[key] for key in KERNEL_KEYS.values()])
+    return _value_table(evaluate_states(psi, lx, ly, means={"mean_lz": lz, "mean_lp": lp}))
 
 
 def _state_estimate(lz_probs, mean_lx):
@@ -261,39 +267,26 @@ def _sampled_columns(counts, lx, ly, opt_adjoints=None):
     mx, my, mz, mp = np.vecdot(probs, values).T
     mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
 
-    var_x = mx2 - mx**2
-    var_y = my2 - my**2
     # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
-    # and var(Lx +- Ly) from the Lz and Lp settings
-    cov = 0.5 * mp - mx * my
-    a_sh = a_vals - mx[:, None]
-    b_sh = b_vals - my[:, None]
-    px, py = probs[:, 0], probs[:, 1]
-    cols = {
-        "mean_lx": mx, "mean_ly": my, "mean_lz": mz, "mean_lp": mp,
-        "var_lx": var_x, "var_ly": var_y,
-        "lhs_prod": var_x * var_y, "lhs_sum": var_x + var_y,
-        "rhs_eq1": rhs_eq1(abs(mz), cov),
-        "rhs_eq4": rhs_eq4(mx2 + my2 + mp - (mx + my) ** 2),
-        "rhs_eq3": rhs_eq3(a_sh, b_sh, px, py),
-        "rhs_eq6": rhs_eq6(a_sh, b_sh, px, py),
-        "rhs_eq7": rhs_eq7(
-            var_x, var_y, mx2 + my2 - mp - (mx - my) ** 2, _degenerate_std(lx), _degenerate_std(ly)
-        )[0],
-    }
+    # and var(Lx +- Ly) from the Lz and Lp settings; the outcome
+    # probabilities of Lx and Ly are the fidelities of eq3 and eq6
+    fid = {"a_shifted": a_vals - mx[:, None], "b_shifted": b_vals - my[:, None],
+           "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
+    cols = relation_sides(mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
+                          mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2,
+                          fid, lx, ly)
+    cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
 
     # basis-dependent bounds on the plug-in state: the computational basis
     # reads Abar psi and Bbar psi themselves
     psi = _state_estimate(probs[:, 2], mx)
     w = np.stack([_centre(psi, lx), _centre(psi, ly)])
-    cols["rhs_eq2_canon"], cols["rhs_eq5_canon"] = rhs_eq2(*w), rhs_eq5(*w)
+    cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
     if opt_adjoints is not None:
         # p[i] projects Abar psi and Bbar psi onto basis i: eq2's, then eq5's
         p = np.matvec(opt_adjoints[:, None, None], w)
         cols["rhs_eq2_opt"], cols["rhs_eq5_opt"] = rhs_eq2(*p[0]), rhs_eq5(*p[1])
-    nan = np.full(len(n), np.nan)
-    table = np.array([cols.get(c, nan) for c in VALUE_COLUMNS]).T
-    return table.reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
+    return _value_table(cols).reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
 
 
 def _propagate_sigmas(counts_flat, column_fn):
@@ -434,13 +427,9 @@ def emit(table, report, config: SweepConfig, dense=()):
     dense_records = _records(np.reshape(dense, (-1, len(CSV_COLUMNS))))
     written = []
     if "csv" in config.formats:
-        path = out / "sweep.csv"
-        _write_csv(path, records)
-        written.append(path)
-        if dense_records:
-            dpath = out / "dense.csv"
-            _write_csv(dpath, dense_records)
-            written.append(dpath)
+        for name, recs in (("sweep.csv", records), ("dense.csv", dense_records)):
+            if recs:  # the sweep has rows; a run without dense rows writes no dense.csv
+                written.append(_write_csv(out / name, recs))
     if "json" in config.formats:
         path = out / "sweep.json"
         payload = {
@@ -467,6 +456,7 @@ def _write_csv(path, records):
     for rec in records:
         lines.append(",".join(["" if v is None else repr(v) for v in csv_cells(rec)]))
     path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _load_rows(path):

@@ -137,6 +137,21 @@ class TestMeasurementCircuits:
         with pytest.raises(NotProjectiveRealization, match=name):
             MeasurementSetting(name, SETTINGS[name].elements, ports)
 
+    @pytest.mark.parametrize("name, ports, field", [
+        ("Lq", (0, 1, 3), "observable"),      # not a built-in observable
+        ("Lx", (3, 0, 5), "ports"),           # a mode beyond the four
+        ("Lx", (0, 1), "ports"),              # two ports
+        ("Lz", (-1, 0, 1), "ports"),          # numpy reads -1 as mode 3, Lz's port
+        ("Lx", (0, 0, 3), "ports"),           # a mode twice
+        ("Lx", (True, 0, 3), "ports"),        # a bool
+    ])
+    def test_malformed_setting_names_its_field(self, name, ports, field):
+        """A ValueError names the bad field; before, these raised a bare
+        KeyError, IndexError or broadcast error, or were accepted."""
+        elements = SETTINGS.get(name, SETTINGS["Lx"]).elements
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MeasurementSetting(name, elements, ports)
+
     def test_nan_plate_angle_rejected_when_built(self):
         elements = (OpticalElement("HWP", np.nan, "upper"),) + SETTINGS["Lx"].elements
         with pytest.raises(LeakageDetected, match="amplitude nan"):

@@ -17,7 +17,7 @@ def _result(timestamp="2026-01-01T00:00:00", **changes):
     payload = {"config_hash": "abc", "rows": [{"j": 0, "lhs_sum": 1.5}], "timestamp": timestamp}
     result = {"exit code": 0, "stdout": b"wrote out/sweep.json\nverdict: ok\n",
               "sweep.csv": b"j,theta\n0,0.0\n", "dense.csv": None,
-              "sweep.json": json.dumps(payload, sort_keys=True).encode()}
+              "sweep.json": json.dumps(payload, sort_keys=True).encode(), "verify exit code": 0}
     return result | changes
 
 
@@ -30,7 +30,7 @@ def test_each_differing_field_is_named():
     for key, value in (("exit code", 1), ("stdout", b"verdict: VIOLATION\n"),
                        ("sweep.csv", b"j,theta\n0,0.1\n"), ("dense.csv", b"j,theta\n"),
                        ("sweep.json", ref["sweep.json"].replace(b"1.5", b"1.50")),
-                       ("sweep.json", None)):
+                       ("sweep.json", None), ("verify exit code", 1)):
         assert same_bytes.differences(ref, _result(**{key: value})) == [key], key
         assert same_bytes.differences(_result(**{key: value}), ref) == [key], key
     assert same_bytes.differences(ref, _result(**{"exit code": 2, "sweep.csv": None})) == [

@@ -19,6 +19,7 @@ from varbound.bounds import (
     _slack_floors,
     _slack_tol,
     evaluate_all,
+    rhs_eq7,
 )
 import varbound.cli as cli
 from varbound.cli import main
@@ -227,6 +228,13 @@ class TestConfig:
         assert theta_grid(1) == (0.0,)
         with pytest.raises(ConfigError):
             theta_grid(0)
+
+    @pytest.mark.parametrize("steps", [2.5, "3", None, True, 0])
+    def test_theta_grid_names_a_bad_argument(self, steps):
+        """theta_grid takes theta_steps by SweepConfig's integer rule: a
+        non-integer, a bool or a count below 1 is a named ConfigError."""
+        with pytest.raises(ConfigError, match="^theta_steps must be "):
+            theta_grid(steps)
 
     def test_single_theta_step_config(self, tmp_path):
         p = tmp_path / "one.cfg"
@@ -930,7 +938,7 @@ def _eq7_undefined(counts):
     var_x, var_y = px @ vx**2 - mx**2, py @ vy**2 - my**2
     var_amb = px @ vx**2 + py @ vy**2 - mp - (mx - my) ** 2
     min_x, min_y = _degenerate_std(LX), _degenerate_std(LY)
-    return bool(np.isnan(sweep.rhs_eq7(var_x, var_y, var_amb, min_x, min_y)[0]))
+    return bool(np.isnan(rhs_eq7(var_x, var_y, var_amb, min_x, min_y)[0]))
 
 
 class TestTableForm:
@@ -1364,6 +1372,46 @@ class TestWrittenOnce:
                 else:
                     assert sampled[col] == pytest.approx(ideal[col], abs=1e-12), (theta, col)
             assert (ideal["rhs_eq2_opt"] is None) == (not optimize)
+
+    def test_haar_state_probabilities_reproduce_kernel_columns(self):
+        """On 300 Haar states, complex and with a third amplitude, which the
+        real family lacks, the twin's exact port probabilities as counts give
+        the kernel's columns to 1e-12 of the larger of |value| and 1, Lx's and
+        Ly's max_std.  The basis columns are left out: the plug-in state
+        assumes the family.  The moment-fed sides eq1, eq4 and eq7 also
+        match their definitions from the matrices' moments."""
+        rng = np.random.default_rng(25)
+        psi = np.array([haar_random_state(3, rng).amplitudes for _ in range(300)])
+        assert np.abs(psi.imag).max() > 0.1 and np.abs(psi[:, 2]).min() > 0
+        settings = builtin_settings()
+        counts = np.concatenate(
+            [projection_probabilities(psi, settings[name]) for name in sweep.SETTING_NAMES], -1)
+        ideal = sweep._ideal_table(psi, LX, LY, LZ, LP)
+        sampled = sweep._sampled_columns(counts, LX, LY)
+
+        def close(value, reference):
+            return (np.abs(value - reference) <= 1e-12 * np.maximum(np.abs(reference), 1.0)).all()
+
+        checked = [i for i, c in enumerate(VALUE_COLUMNS) if not c.endswith(("_canon", "_opt"))]
+        assert close(sampled[:, checked], ideal[:, checked])
+        assert np.isnan(sampled[:, [COL["rhs_eq2_opt"], COL["rhs_eq5_opt"]]]).all()
+
+        def moment(m):
+            return np.einsum("ni,ij,nj->n", psi.conj(), m, psi).real
+
+        x, y = LX.matrix, LY.matrix
+        var_x, var_y = moment(x @ x) - moment(x) ** 2, moment(y @ y) - moment(y) ** 2
+        cov = 0.5 * moment(x @ y + y @ x) - moment(x) * moment(y)
+        var_amb = moment((x - y) @ (x - y)) - moment(x - y) ** 2
+        da, db = np.sqrt(var_x), np.sqrt(var_y)
+        reference = {
+            "rhs_eq1": 0.25 * np.abs(np.einsum("ni,ij,nj->n", psi.conj(), x @ y - y @ x, psi)) ** 2
+            + cov**2,
+            "rhs_eq4": 0.5 * (moment((x + y) @ (x + y)) - moment(x + y) ** 2),
+            "rhs_eq7": 2 * var_amb / (1 - cov / (da * db)) - 2 * da * db,
+        }
+        for col, ref in reference.items():
+            assert close(sampled[:, COL[col]], ref), col
 
     def test_state_estimate_from_counts_alone(self):
         """Noise-free counts give +-psi(theta) at every sweep point; the

@@ -6,11 +6,12 @@ Usage: python3 tools/same_bytes.py <git-ref>
 The ref is exported with ``git archive`` into a temporary directory.  Each
 command runs there and in the working tree as ``python -m varbound.cli
 sweep ...``, with that tree's ``src`` on PYTHONPATH and the same ``--out``
-path, so the "wrote <path>" lines compare too.  Compared per command: the
-exit code, stdout, sweep.csv, dense.csv (or its absence), and sweep.json
-byte for byte apart from the value of its ``timestamp``.  Each difference
-is printed; the exit status is 1 if there is any, 2 if the ref cannot be
-exported, else 0.  Standard library and git only.
+path, so the "wrote <path>" lines compare too, and then ``varbound verify``
+reads that tree's sweep.json.  Compared per command: the exit code,
+stdout, sweep.csv, dense.csv (or its absence), sweep.json byte for byte
+apart from the value of its ``timestamp``, and the verify exit code.  Each
+difference is printed; the exit status is 1 if there is any, 2 if the ref
+cannot be exported, else 0.  Standard library and git only.
 """
 
 from __future__ import annotations
@@ -46,16 +47,23 @@ def export(ref, dest):
 
 
 def run(tree, args, out):
-    """One sweep command on the sources under ``tree``, writing to ``out``;
-    returns {"exit code": int, "stdout": bytes, file name: bytes or None}."""
+    """One sweep command on the sources under ``tree``, writing to ``out``,
+    then ``varbound verify`` of its sweep.json (exit 2 where none was
+    written); returns {"exit code": int, "stdout": bytes, file name: bytes
+    or None, "verify exit code": int}."""
     shutil.rmtree(out, ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src")}
-    proc = subprocess.run([sys.executable, "-B", "-m", "varbound.cli", "sweep", *args,
-                           "--out", str(out)], cwd=tree, env=env, capture_output=True)
+
+    def cli(*cli_args):
+        return subprocess.run([sys.executable, "-B", "-m", "varbound.cli", *cli_args],
+                              cwd=tree, env=env, capture_output=True)
+
+    proc = cli("sweep", *args, "--out", str(out))
     result = {"exit code": proc.returncode, "stdout": proc.stdout}
     for name in FILES:
         path = Path(out) / name
         result[name] = path.read_bytes() if path.is_file() else None
+    result["verify exit code"] = cli("verify", str(Path(out) / "sweep.json")).returncode
     return result
 
 
@@ -95,7 +103,8 @@ def main(argv):
             ref_result = run(tmp / "ref", args, tmp / "out")
             tree_result = run(ROOT, args, tmp / "out")
             diff = differences(ref_result, tree_result)
-            codes = f"exit {ref_result['exit code']} -> {tree_result['exit code']}"
+            codes = ", ".join(f"{key} {ref_result[key]} -> {tree_result[key]}"
+                              for key in ("exit code", "verify exit code"))
             print(f"{'DIFFERS' if diff else 'same'}: {line} ({codes})"
                   + (f": {', '.join(diff)}" if diff else ""))
             failed += bool(diff)
