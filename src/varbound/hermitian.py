@@ -173,9 +173,9 @@ def builtin_spin1():
 
 def _centre(psi, obs):
     """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
-    normalized amplitudes of shape (..., d); the basis search and the
-    sampled columns centre through here (``evaluate_states`` centres the
-    A psi it already holds the same way)."""
+    normalized amplitudes of shape (..., d); the basis search centres
+    through here (``evaluate_states`` centres the A psi it holds, and the
+    sampled columns Lx and Ly psi in one stacked pass, the same way)."""
     o_psi = np.matvec(obs.matrix, psi)
     return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
 

@@ -26,12 +26,12 @@ setting with no counts leaves the columns that read it undefined) or not
 computed; derived columns propagate one-standard-deviation Poisson error bars
 to first order by one-count central differences through the full column
 formula, all perturbed count vectors of a trial in one call.  The
-computational-basis columns read the centred plug-in vectors; the
-optimized-basis ones project them onto a row's two optimal bases.  The (rows,
-columns, trials) value and sigma tables are reduced once: the mean over the k
-trials that define a column, and sqrt(mean sigma^2 / k).  A sampled column
-with zero sigma fails the verdict when it lies off its ideal value by more
-than the slack tolerance.
+computational-basis columns read the plug-in vectors, Lx and Ly centred in
+one stacked pass; the optimized-basis ones project them onto a row's two
+optimal bases.  The (rows, columns, trials) value and sigma tables are
+reduced once: the mean over the k trials that define a column, and sqrt(mean
+sigma^2 / k).  A sampled column with zero sigma fails the verdict when it
+lies off its ideal value by more than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .bounds import (
     rhs_eq5,
     verdicts,
 )
-from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, _centre, builtin_spin1
+from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, builtin_spin1
 from .photonics import builtin_settings, prepare_amplitudes, projection_probabilities, sample_counts
 
 
@@ -240,13 +240,15 @@ def _ideal_table(psi, lx, ly, lz, lp):
 def _state_estimate(lz_probs, mean_lx):
     """Normalized plug-in amplitudes, up to a global sign, of a family state
     (cos t, -sin t, 0) from the counts alone: magnitudes from the identity-
-    routing setting, the relative sign from <Lx> = -sqrt(2) cos t sin t.
-    NaN when either is undefined."""
+    routing setting, the relative sign from <Lx> = -sqrt(2) cos t sin t,
+    both in place.  NaN when either is undefined.  The norm is numpy's own
+    for real input, sqrt of the summed squares, without its dispatch."""
     # Lz outcomes are in eigenvalue order (-1, 1, 0) -> basis states (e3, e1, e2)
     amp = np.sqrt(lz_probs[..., [1, 2, 0]])
-    # copysign would read the sign bit of a NaN <Lx>
-    amp[..., 1] = np.where(np.isnan(mean_lx), np.nan, np.copysign(amp[..., 1], mean_lx))
-    return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
+    np.copysign(amp[..., 1], mean_lx, out=amp[..., 1])
+    # copysign reads the sign bit of a NaN <Lx>
+    amp[..., 1][np.isnan(mean_lx)] = np.nan
+    return amp / np.sqrt(np.add.reduce(amp * amp, axis=-1, keepdims=True))
 
 
 def _sampled_columns(counts, lx, ly, opt_adjoints=None):
@@ -266,6 +268,7 @@ def _sampled_columns(counts, lx, ly, opt_adjoints=None):
 
     mx, my, mz, mp = np.vecdot(probs, values).T
     mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
+    sum2 = mx2 + my2
 
     # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
     # and var(Lx +- Ly) from the Lz and Lp settings; the outcome
@@ -273,14 +276,15 @@ def _sampled_columns(counts, lx, ly, opt_adjoints=None):
     fid = {"a_shifted": a_vals - mx[:, None], "b_shifted": b_vals - my[:, None],
            "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
     cols = relation_sides(mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
-                          mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2,
+                          sum2 + mp - (mx + my) ** 2, sum2 - mp - (mx - my) ** 2,
                           fid, lx, ly)
     cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
 
     # basis-dependent bounds on the plug-in state: the computational basis
-    # reads Abar psi and Bbar psi themselves
+    # reads Abar psi and Bbar psi themselves, centred in one stacked pass
     psi = _state_estimate(probs[:, 2], mx)
-    w = np.stack([_centre(psi, lx), _centre(psi, ly)])
+    w = np.matvec(np.array([lx.matrix, ly.matrix])[:, None], psi)
+    w -= np.vecdot(psi, w, keepdims=True).real * psi
     cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
     if opt_adjoints is not None:
         # p[i] projects Abar psi and Bbar psi onto basis i: eq2's, then eq5's
@@ -296,19 +300,20 @@ def _propagate_sigmas(counts_flat, column_fn):
     ``column_fn`` maps that stack to a (vectors, columns) table, NaN where
     undefined.  Returns the base vector's value row and its error-bar row,
     both NaN where the value is undefined; a count with an undefined side
-    adds nothing to that column's error bar."""
+    adds nothing to that column's error bar (its NaN term is zeroed before
+    the row sum, as ``np.nansum`` would, in the same order)."""
     n = np.asarray(counts_flat, dtype=float)
-    nz = np.flatnonzero(n)
-    k = np.arange(nz.size)
-    stack = np.empty((2 * nz.size + 1, n.size))
-    stack[:] = n
-    stack[1 + k, nz] += 1.0
-    stack[1 + nz.size + k, nz] -= 1.0
+    nz = n.nonzero()[0]
+    stack = np.full((2 * nz.size + 1, n.size), n)
+    # the +1 vectors of the nonzero counts, then their -1 vectors
+    stack[1:].reshape(2, nz.size, n.size)[:, np.arange(nz.size), nz] = n[nz] + [[1.0], [-1.0]]
     # one row per column, so each error bar sums along a contiguous row
     v = np.ascontiguousarray(column_fn(stack).T)
-    deriv = (v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0
-    sig = np.sqrt(np.nansum(n[nz] * deriv**2, axis=-1))
-    return v[:, 0], np.where(np.isnan(v[:, 0]), np.nan, sig)
+    terms = n[nz] * ((v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0) ** 2
+    terms[np.isnan(terms)] = 0.0
+    sig = np.sqrt(terms.sum(axis=-1))
+    sig[np.isnan(v[:, 0])] = np.nan
+    return v[:, 0], sig
 
 
 def run_sweep(config: SweepConfig):

@@ -987,6 +987,8 @@ class TestBatchedRhs:
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    # row 3's eq7 denominator lies within EQ7_EPS of zero at this draw
+    @example(d=2, seed=42553)
     def test_batch_equals_rows(self, d, seed):
         inputs = _rhs_inputs(d, seed)
         cases = (
@@ -1001,13 +1003,22 @@ class TestBatchedRhs:
             np.testing.assert_allclose(stacked.ravel(), per_row, rtol=1e-15, atol=0)
 
         # eq7 has one path: 0-d rows, a stack and a (2, 3) stack agree, NaN
-        # exactly in the undefined rows 0 (degenerate variance) and 1
-        # (singular denominator)
+        # exactly in the rows that rhs_eq7's rule, applied here to each row's
+        # own inputs, leaves undefined: the planted rows 0 (degenerate
+        # variance) and 1 (singular denominator), and any drawn row with a
+        # degenerate variance or a denominator within EQ7_EPS of zero
         args = inputs["eq7"]
         rhs, degenerate = rhs_eq7(*args)
         per_row = [rhs_eq7(*(np.asarray(x[i]) for x in args)) for i in range(6)]
-        assert np.isnan(rhs).tolist() == [True, True, False, False, False, False]
-        assert degenerate.tolist() == [True] + [False] * 5
+        expected_degenerate, expected_nan = [], []
+        for var_a, var_b, var_amb, min_a, min_b in zip(*(x.tolist() for x in args)):
+            expected_degenerate.append(var_a <= min_a * min_a or var_b <= min_b * min_b)
+            da, db = math.sqrt(var_a), math.sqrt(var_b)
+            expected_nan.append(expected_degenerate[-1] or abs(
+                (var_amb - (da - db) * (da - db)) / (2.0 * da * db)) <= EQ7_EPS)
+        assert expected_degenerate[:2] == [True, False] and expected_nan[:2] == [True, True]
+        assert np.isnan(rhs).tolist() == expected_nan
+        assert degenerate.tolist() == expected_degenerate
         assert [bool(r[1]) for r in per_row] == degenerate.tolist()
         np.testing.assert_allclose([r[0] for r in per_row], rhs, rtol=1e-15, atol=0)
         stacked, stacked_degenerate = rhs_eq7(*(x.reshape(2, 3) for x in args))

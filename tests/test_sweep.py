@@ -19,6 +19,9 @@ from varbound.bounds import (
     _slack_floors,
     _slack_tol,
     evaluate_all,
+    relation_sides,
+    rhs_eq2,
+    rhs_eq5,
     rhs_eq7,
 )
 import varbound.cli as cli
@@ -987,6 +990,106 @@ class TestTableForm:
         neg, pos = (sweep._sampled_columns(lx + ly_lz_lp, LX, LY, adjoints)[based]
                     for lx in ([3, 1, 2], [1, 3, 2]))
         assert np.isfinite([neg, pos]).all() and (abs(neg - pos) > 1e-3).all()
+
+
+def _reference_sampled_columns(counts, lx, ly, opt_adjoints=None):
+    """_sampled_columns before its array passes were merged, kept as its
+    bit-for-bit reference: Lx and Ly centred by two ``_centre`` calls, the
+    plug-in state normalized by ``np.linalg.norm``, its sign set through
+    ``np.where``."""
+    n = np.asarray(counts, dtype=float).reshape(-1, 4, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = n / n.sum(axis=-1, keepdims=True)
+    a_vals, b_vals = lx.eigenvalues, ly.eigenvalues
+    values = np.array([a_vals, b_vals, hermitian.SPIN1_EIGENVALUE_ORDER,
+                       hermitian.SPIN1_EIGENVALUE_ORDER])
+    mx, my, mz, mp = np.vecdot(probs, values).T
+    mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
+    fid = {"a_shifted": a_vals - mx[:, None], "b_shifted": b_vals - my[:, None],
+           "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
+    cols = relation_sides(mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
+                          mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2,
+                          fid, lx, ly)
+    cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
+    amp = np.sqrt(probs[:, 2][..., [1, 2, 0]])
+    amp[..., 1] = np.where(np.isnan(mx), np.nan, np.copysign(amp[..., 1], mx))
+    psi = amp / np.linalg.norm(amp, axis=-1, keepdims=True)
+    w = np.stack([hermitian._centre(psi, lx), hermitian._centre(psi, ly)])
+    cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
+    if opt_adjoints is not None:
+        p = np.matvec(opt_adjoints[:, None, None], w)
+        cols["rhs_eq2_opt"], cols["rhs_eq5_opt"] = rhs_eq2(*p[0]), rhs_eq5(*p[1])
+    return sweep._value_table(cols).reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
+
+
+def _reference_propagate_sigmas(counts_flat, column_fn):
+    """_propagate_sigmas before its array passes were merged, kept as its
+    bit-for-bit reference: the +-1 stack by ``+=`` and ``-=``, the error bar
+    by ``np.nansum`` and its NaN by ``np.where``."""
+    n = np.asarray(counts_flat, dtype=float)
+    nz = np.flatnonzero(n)
+    k = np.arange(nz.size)
+    stack = np.empty((2 * nz.size + 1, n.size))
+    stack[:] = n
+    stack[1 + k, nz] += 1.0
+    stack[1 + nz.size + k, nz] -= 1.0
+    v = np.ascontiguousarray(column_fn(stack).T)
+    deriv = (v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0
+    sig = np.sqrt(np.nansum(n[nz] * deriv**2, axis=-1))
+    return v[:, 0], np.where(np.isnan(v[:, 0]), np.nan, sig)
+
+
+def _same_bits(x, y):
+    """NaN in the same cells, and the same bits, the sign of zero included,
+    in every other cell."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        x[~nan].view(np.uint64), y[~nan].view(np.uint64))
+
+
+# one setting's three counts: often empty, often tiny, sometimes large
+_SETTING = st.one_of(
+    st.just([0, 0, 0]),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+)
+
+
+class TestSampledReference:
+    """_sampled_columns and _propagate_sigmas equal their references above
+    bit for bit, NaN included, on count vectors with zero counts, empty
+    settings (an empty Lx setting makes <Lx> NaN), with and without the
+    optimized-basis adjoints."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vectors=st.lists(st.lists(_SETTING, min_size=4, max_size=4), min_size=1, max_size=4),
+        bases=st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    )
+    def test_equals_reference(self, vectors, bases):
+        counts = np.array(vectors).reshape(-1, 12)
+        adjoints = None if bases is None else np.array(
+            [haar_basis(3, seed).matrix.conj().T for seed in bases])
+        table = sweep._sampled_columns(counts, LX, LY, adjoints)
+        assert _same_bits(table, _reference_sampled_columns(counts, LX, LY, adjoints))
+        for row in counts:
+            got = sweep._propagate_sigmas(row, lambda c: sweep._sampled_columns(c, LX, LY, adjoints))
+            want = _reference_propagate_sigmas(
+                row, lambda c: _reference_sampled_columns(c, LX, LY, adjoints))
+            assert all(map(_same_bits, got, want)), row
+
+    def test_state_estimate_equals_reference(self):
+        """One vector and a batch; a NaN <Lx> of either sign bit and a zero
+        of either sign."""
+        rng = np.random.default_rng(26)
+        lz_probs = rng.dirichlet(np.ones(3), size=6)
+        mean_lx = np.array([np.nan, -np.nan, 0.0, -0.0, 0.3, -0.3])
+        amp = np.sqrt(lz_probs[..., [1, 2, 0]])
+        amp[..., 1] = np.where(np.isnan(mean_lx), np.nan, np.copysign(amp[..., 1], mean_lx))
+        want = amp / np.linalg.norm(amp, axis=-1, keepdims=True)
+        assert _same_bits(sweep._state_estimate(lz_probs, mean_lx), want)
+        for i in range(6):
+            assert _same_bits(sweep._state_estimate(lz_probs[i], float(mean_lx[i])), want[i]), i
 
 
 def _loop_propagate_sigmas(counts_flat, column_fn):
