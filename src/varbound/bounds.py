@@ -173,10 +173,11 @@ def rhs_eq2(pa, pb):
     return np.abs(pa.conj() * pb).sum(-1) ** 2
 
 
-def rhs_eq3(a_shifted, b_shifted, fid_a, fid_b):
+def rhs_eq3(a_shifted, b_shifted, amp_a, amp_b):
     """Fidelity product bound (sum_i sqrt(F_i G_i) a_i b_i)^2 over paired
-    shifted eigenvalues a_i, b_i with eigenstate fidelities F_i, G_i."""
-    return (np.sqrt(fid_a) * np.sqrt(fid_b) * a_shifted * b_shifted).sum(-1) ** 2
+    shifted eigenvalues a_i, b_i, given amp_a = sqrt(F), amp_b = sqrt(G) of
+    the eigenstate fidelities F_i, G_i."""
+    return (amp_a * amp_b * a_shifted * b_shifted).sum(-1) ** 2
 
 
 def rhs_eq4(var_apb):
@@ -190,10 +191,10 @@ def rhs_eq5(pa, pb):
     return 0.5 * ((np.abs(pa) + np.abs(pb)) ** 2).sum(-1)
 
 
-def rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
+def rhs_eq6(a_shifted, b_shifted, amp_a, amp_b):
     """Fidelity sum bound (1/2) sum_i (a_i sqrt(F_i) + b_i sqrt(G_i))^2;
     arguments as in :func:`rhs_eq3`."""
-    return 0.5 * ((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2).sum(-1)
+    return 0.5 * ((a_shifted * amp_a + b_shifted * amp_b) ** 2).sum(-1)
 
 
 def rhs_eq7(var_a, var_b, var_amb, min_std_a, min_std_b):
@@ -208,10 +209,11 @@ def rhs_eq7(var_a, var_b, var_amb, min_std_a, min_std_b):
     undefined and ``degenerate`` the mask of the first reason.
     """
     degenerate = (var_a <= min_std_a * min_std_a) | (var_b <= min_std_b * min_std_b)
-    da, db = np.sqrt(np.where(degenerate, 1.0, [var_a, var_b]))
-    two_da_db, diff = 2.0 * da * db, da - db
+    # |var|: a degenerate variance may round below zero; NaN marks its rows
+    da, db = np.sqrt(np.abs(var_a)), np.sqrt(np.abs(var_b))
+    two_da_db, diff = np.where(degenerate, np.nan, 2.0 * da * db), da - db
     denom = (var_amb - diff * diff) / two_da_db
-    denom = np.where(degenerate | (np.abs(denom) <= EQ7_EPS), np.nan, denom)
+    denom = np.where(np.abs(denom) <= EQ7_EPS, np.nan, denom)
     return 2.0 * var_amb / denom - two_da_db, degenerate
 
 
@@ -222,10 +224,11 @@ def relation_sides(var_a, var_b, cov, comm_abs, var_apb, var_amb, fid, a, b):
     fid_a, fid_b}) and the observables, whose degeneracy stds eq7 reads.
     Returns them, lhs_prod, lhs_sum, eq1, eq3, eq4, eq6, eq7 and
     eq7_degenerate (:func:`rhs_eq7`'s) as one {name: array} dict."""
+    fid_in = fid["a_shifted"], fid["b_shifted"], np.sqrt(fid["fid_a"]), np.sqrt(fid["fid_b"])
     sides = {
         "var_a": var_a, "var_b": var_b, "lhs_prod": var_a * var_b, "lhs_sum": var_a + var_b,
         "cov": cov, "var_amb": var_amb, **fid, "eq1": rhs_eq1(comm_abs, cov),
-        "eq3": rhs_eq3(**fid), "eq4": rhs_eq4(var_apb), "eq6": rhs_eq6(**fid),
+        "eq3": rhs_eq3(*fid_in), "eq4": rhs_eq4(var_apb), "eq6": rhs_eq6(*fid_in),
     }
     sides["eq7"], sides["eq7_degenerate"] = rhs_eq7(
         var_a, var_b, var_amb, _degenerate_std(a), _degenerate_std(b))
@@ -266,10 +269,11 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
         "fid_b": np.abs(np.matvec(b.eigenvectors.conj().T, psi)) ** 2,
     }
     if pairing is not None:
-        pairing = [int(i) for i in pairing]
-        if sorted(pairing) != list(range(d)):
-            raise InvalidPairing(f"{tuple(pairing)} is not a permutation of 0..{d - 1}")
-        fid["b_shifted"], fid["fid_b"] = fid["b_shifted"][..., pairing], fid["fid_b"][..., pairing]
+        order = list(pairing)
+        if not (all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in order)
+                and sorted(order) == list(range(d))):
+            raise InvalidPairing(f"{pairing!r} is not a permutation of 0..{d - 1}")
+        fid["b_shifted"], fid["fid_b"] = fid["b_shifted"][..., order], fid["fid_b"][..., order]
     out = relation_sides(var_a, var_b, uv.real, 2.0 * np.abs(uv.imag), np.vecdot(u + v, u + v).real,
                          np.vecdot(u - v, u - v).real, fid, a, b)
     out.update(mean_a=mean_a, mean_b=mean_b, eq2=rhs_eq2(pa, pb), eq5=rhs_eq5(pa, pb))

@@ -21,17 +21,17 @@ The counts of every (row, trial, setting) are drawn in one call from one
 generator seeded by the config seed.  The sampled columns pass moments
 estimated from the four settings' counts to ``bounds.relation_sides``, as the
 kernel passes a state's, and ``_value_table`` turns either result into one
-float table in VALUE_COLUMNS order, NaN where a column is undefined (a
-setting with no counts leaves the columns that read it undefined) or not
-computed; derived columns propagate one-standard-deviation Poisson error bars
-to first order by one-count central differences through the full column
-formula, all perturbed count vectors of a trial in one call.  The
-computational-basis columns read the plug-in vectors, Lx and Ly centred in
-one stacked pass; the optimized-basis ones project them onto a row's two
-optimal bases.  The (rows, columns, trials) value and sigma tables are
-reduced once: the mean over the k trials that define a column, and sqrt(mean
-sigma^2 / k).  A sampled column with zero sigma fails the verdict when it
-lies off its ideal value by more than the slack tolerance.
+float table in VALUE_COLUMNS order, NaN where a column is undefined (a setting
+with no counts leaves the columns that read it undefined) or not computed;
+derived columns propagate one-standard-deviation Poisson error bars to first
+order by one-count central differences through the full column formula, all
+perturbed count vectors of a trial in one call.  What they read of Lx and Ly
+is built once per sweep.  The computational-basis columns read the plug-in
+vectors, centred in one stacked pass; the optimized-basis ones project them
+onto a row's two optimal bases.  The (rows, columns, trials) value and sigma
+tables are reduced once: the mean over the k trials that define a column, and
+sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
+when it lies off its ideal value by more than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -218,17 +218,17 @@ class VerificationReport:
 
 
 # the kernel name behind each ideal and sampled column (eq2, eq5 in the
-# computational basis); None for the optimized-basis ones, which it lacks
+# computational basis); an optimized-basis one, which it lacks, keeps its own
 _RENAMED = {"mean_lx": "mean_a", "mean_ly": "mean_b", "var_lx": "var_a", "var_ly": "var_b"}
-KERNEL_KEYS = {c: None if c.endswith("_opt") else RELATIONS.get(c, _RENAMED.get(c, c))
+KERNEL_KEYS = {c: c if c.endswith("_opt") else RELATIONS.get(c, _RENAMED.get(c, c))
                for c in VALUE_COLUMNS}
 
 
 def _value_table(values):
-    """The (N, VALUE_COLUMNS) table of a kernel-keyed {name: (N,) array}
-    dict, an optimized-basis column under its own name; NaN where absent."""
+    """The (N, VALUE_COLUMNS) table of a {KERNEL_KEYS name: (N,) array}
+    dict; NaN where absent."""
     nan = np.full(len(values["lhs_sum"]), np.nan)
-    return np.array([values.get(key or c, nan) for c, key in KERNEL_KEYS.items()]).T
+    return np.array([values.get(key, nan) for key in KERNEL_KEYS.values()]).T
 
 
 def _ideal_table(psi, lx, ly, lz, lp):
@@ -244,36 +244,43 @@ def _state_estimate(lz_probs, mean_lx):
     both in place.  NaN when either is undefined.  The norm is numpy's own
     for real input, sqrt of the summed squares, without its dispatch."""
     # Lz outcomes are in eigenvalue order (-1, 1, 0) -> basis states (e3, e1, e2)
-    amp = np.sqrt(lz_probs[..., [1, 2, 0]])
+    amp = np.sqrt(lz_probs.take((1, 2, 0), -1))
     np.copysign(amp[..., 1], mean_lx, out=amp[..., 1])
     # copysign reads the sign bit of a NaN <Lx>
     amp[..., 1][np.isnan(mean_lx)] = np.nan
     return amp / np.sqrt(np.add.reduce(amp * amp, axis=-1, keepdims=True))
 
 
-def _sampled_columns(counts, lx, ly, opt_adjoints=None):
+def _count_constants(lx, ly):
+    """What the sampled columns read of Lx and Ly, built once per sweep: the
+    observables, the four settings' (4, 3) outcome eigenvalues, their Lx and
+    Ly rows squared and the (2, 1, 3, 3) stack of the two matrices."""
+    values = np.array([lx.eigenvalues, ly.eigenvalues, SPIN1_EIGENVALUE_ORDER, SPIN1_EIGENVALUE_ORDER])
+    return lx, ly, values, values[:2] ** 2, np.array([lx.matrix, ly.matrix])[:, None]
+
+
+def _sampled_columns(counts, constants, opt_adjoints=None):
     """All sampled value columns from raw counts of shape (..., 12), ordered
     [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the observable's eigenvalue
-    order (-1, 1, 0); ``opt_adjoints`` (2, 3, 3), the adjoints of the eq2
-    and eq5 optimal bases, gives the optimized-basis columns.  Returns a
-    (..., VALUE_COLUMNS) float table, one vector and a batch alike, NaN
-    where a column is undefined or not computed.
+    order (-1, 1, 0), and :func:`_count_constants` of Lx and Ly; the eq2 and
+    eq5 optimal bases' adjoints ``opt_adjoints`` (2, 3, 3) give the
+    optimized-basis columns.  Returns a (..., VALUE_COLUMNS) float table,
+    one vector and a batch alike, NaN where undefined or not computed.
     """
+    lx, ly, values, squares, matrices = constants
     n = np.asarray(counts, dtype=float).reshape(-1, 4, 3)
     # a setting with no counts gives NaN in the columns that read it
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = n / n.sum(axis=-1, keepdims=True)
-    a_vals, b_vals = lx.eigenvalues, ly.eigenvalues
-    values = np.array([a_vals, b_vals, SPIN1_EIGENVALUE_ORDER, SPIN1_EIGENVALUE_ORDER])
 
     mx, my, mz, mp = np.vecdot(probs, values).T
-    mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
+    mx2, my2 = np.vecdot(probs[:, :2], squares).T
     sum2 = mx2 + my2
 
     # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
     # and var(Lx +- Ly) from the Lz and Lp settings; the outcome
     # probabilities of Lx and Ly are the fidelities of eq3 and eq6
-    fid = {"a_shifted": a_vals - mx[:, None], "b_shifted": b_vals - my[:, None],
+    fid = {"a_shifted": lx.eigenvalues - mx[:, None], "b_shifted": ly.eigenvalues - my[:, None],
            "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
     cols = relation_sides(mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
                           sum2 + mp - (mx + my) ** 2, sum2 - mp - (mx - my) ** 2,
@@ -283,7 +290,7 @@ def _sampled_columns(counts, lx, ly, opt_adjoints=None):
     # basis-dependent bounds on the plug-in state: the computational basis
     # reads Abar psi and Bbar psi themselves, centred in one stacked pass
     psi = _state_estimate(probs[:, 2], mx)
-    w = np.matvec(np.array([lx.matrix, ly.matrix])[:, None], psi)
+    w = np.matvec(matrices, psi)
     w -= np.vecdot(psi, w, keepdims=True).real * psi
     cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
     if opt_adjoints is not None:
@@ -300,8 +307,8 @@ def _propagate_sigmas(counts_flat, column_fn):
     ``column_fn`` maps that stack to a (vectors, columns) table, NaN where
     undefined.  Returns the base vector's value row and its error-bar row,
     both NaN where the value is undefined; a count with an undefined side
-    adds nothing to that column's error bar (its NaN term is zeroed before
-    the row sum, as ``np.nansum`` would, in the same order)."""
+    adds nothing to that column's error bar (fmax zeroes its NaN term, and
+    no other, before the row sum, as ``np.nansum`` would, in the same order)."""
     n = np.asarray(counts_flat, dtype=float)
     nz = n.nonzero()[0]
     stack = np.full((2 * nz.size + 1, n.size), n)
@@ -310,8 +317,7 @@ def _propagate_sigmas(counts_flat, column_fn):
     # one row per column, so each error bar sums along a contiguous row
     v = np.ascontiguousarray(column_fn(stack).T)
     terms = n[nz] * ((v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0) ** 2
-    terms[np.isnan(terms)] = 0.0
-    sig = np.sqrt(terms.sum(axis=-1))
+    sig = np.sqrt(np.fmax(terms, 0.0).sum(axis=-1))
     sig[np.isnan(v[:, 0])] = np.nan
     return v[:, 0], sig
 
@@ -322,7 +328,7 @@ def run_sweep(config: SweepConfig):
     one (points, CSV_COLUMNS) float table, NaN where undefined or not
     computed.  Their ideal columns come from one kernel call."""
     lx, ly, lz, lp = builtin_spin1()
-    settings = builtin_settings()
+    settings, constants = builtin_settings(), _count_constants(lx, ly)
     dense_thetas = np.linspace(0.0, np.pi, config.dense + 1) if config.dense > 0 else ()
     grid = np.array(sorted(set(config.thetas) | set(dense_thetas)))
     rows = np.searchsorted(grid, config.thetas)
@@ -355,7 +361,7 @@ def run_sweep(config: SweepConfig):
     for j, adj in enumerate(adjoints):
         for trial in range(config.trials):
             vals[j, :, trial], sigs[j, :, trial] = _propagate_sigmas(
-                counts[j, trial].ravel(), lambda c: _sampled_columns(c, lx, ly, adj))
+                counts[j, trial].ravel(), lambda c: _sampled_columns(c, constants, adj))
     # mean over the k trials that define a column and its error bar
     # sqrt(mean sigma^2 / k); a column that no trial defines stays NaN
     k = np.count_nonzero(~np.isnan(vals), axis=-1)

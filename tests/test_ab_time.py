@@ -1,11 +1,13 @@
-"""Tests for how tools/ab_time.py summarizes paired timings.  The tool itself
-times both trees' sweep layers; these tests check only its summary, on
-hand-made timings."""
+"""Tests for tools/ab_time.py.  The tool times both trees' sweep layers;
+these tests check its summary on hand-made timings, and its layers and
+absent-layer report on this tree's own package, timing nothing."""
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -41,3 +43,32 @@ def test_line_reads_in_microseconds():
     line = ab_time.format_line("layer", summary)
     assert line == ("layer: ref 130.0 [125.0-135.0] us, tree 110.0 [105.0-115.0] us, "
                     "tree/ref 0.846, tree faster in 3 of 3 rounds")
+
+
+ROOT = _TOOLS.parent
+SIDES_LAYER = "relation_sides (25 rows)"
+
+
+def test_relation_sides_layer_reads_the_count_path_moments():
+    """The relation_sides layer times the moments of the 25-vector COUNTS
+    stack: its sides equal the sampled columns of that stack bit for bit."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_layers")
+    lx, ly = pkg["hermitian"].builtin_spin1()[:2]
+    stack = np.vstack([ab_time.COUNTS, ab_time.COUNTS + np.eye(12), ab_time.COUNTS - np.eye(12)])
+    sides = ab_time.layers(pkg)[SIDES_LAYER]()
+    sweep = pkg["sweep"]
+    table = sweep._sampled_columns(stack, sweep._count_constants(lx, ly))
+    for column in ("var_lx", "var_ly", "lhs_prod", "lhs_sum", "rhs_eq1", "rhs_eq3", "rhs_eq4",
+                   "rhs_eq6", "rhs_eq7"):
+        want = table[:, sweep.VALUE_COLUMNS.index(column)]
+        assert sides[sweep.KERNEL_KEYS[column]].tobytes() == want.tobytes(), column
+
+
+def test_layer_a_tree_lacks_is_reported_absent():
+    """A ref whose bounds module has no relation_sides: that layer alone is
+    absent, at the ref, and the others still run on both sides."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_absent")
+    lacking = dict(pkg, bounds=types.SimpleNamespace(evaluate_states=pkg["bounds"].evaluate_states))
+    absent = ab_time.absent_layers({"ref": ab_time.layers(lacking), "tree": ab_time.layers(pkg)})
+    assert list(absent) == [SIDES_LAYER]
+    assert absent[SIDES_LAYER].startswith("absent at ref: AttributeError")

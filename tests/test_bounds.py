@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 from math import isqrt
@@ -159,6 +160,20 @@ class TestEq3:
     def test_invalid_pairing(self):
         with pytest.raises(InvalidPairing):
             _result("eq3", prepare_state(0.0), LX, LY, pairing=(0, 0, 1))
+
+    @pytest.mark.parametrize("pairing", [(0.9, 1.2, 2.7), (True, False, 2), "012", (0, 1, None)])
+    def test_non_integer_pairing_named(self, pairing):
+        """Floats (int() would truncate them to 0, 1, 2), bools, a string of
+        digits and None are no indices: each is named in the error."""
+        with pytest.raises(InvalidPairing, match=re.escape(repr(pairing))):
+            _result("eq3", prepare_state(0.0), LX, LY, pairing=pairing)
+
+    def test_numpy_integer_pairing_accepted(self):
+        """numpy integers are indices: an array and a tuple of np.int64 give
+        the pairing of the same Python ints."""
+        want = _result("eq3", prepare_state(0.3), LX, LY, pairing=(2, 0, 1)).rhs
+        for pairing in (np.array([2, 0, 1]), tuple(np.array([2, 0, 1], dtype=np.int64))):
+            assert _result("eq3", prepare_state(0.3), LX, LY, pairing=pairing).rhs == want
 
     def test_paper_pairing_satisfied_on_sweep(self):
         for theta in SWEEP_THETAS:
@@ -932,7 +947,8 @@ class TestStateKernel:
                 for k, v in values.items():
                     per_level = k in ("a_shifted", "b_shifted", "fid_a", "fid_b")
                     assert v.shape == (shape + (d,) if per_level else shape), k
-                fid = [values[k] for k in ("a_shifted", "b_shifted", "fid_a", "fid_b")]
+                fid = [values["a_shifted"], values["b_shifted"],
+                       np.sqrt(values["fid_a"]), np.sqrt(values["fid_b"])]
                 for rid, rhs in (("eq3", rhs_eq3), ("eq6", rhs_eq6)):
                     assert rhs(*fid).tobytes() == values[rid].tobytes(), rid
                 flat = {k: v.ravel() for k, v in values.items()}
@@ -970,8 +986,8 @@ def _rhs_inputs(d, seed, rows=6):
         fid_b = np.abs(b.eigenvectors.conj().T @ s.amplitudes) ** 2
         args["eq1"].append((comm, cov))
         args["eq2"].append((bh @ u, bh @ v))
-        args["eq3"].append((a.eigenvalues - mean_a, b.eigenvalues[perm] - mean_b, fid_a,
-                            fid_b[perm]))
+        args["eq3"].append((a.eigenvalues - mean_a, b.eigenvalues[perm] - mean_b, np.sqrt(fid_a),
+                            np.sqrt(fid_b[perm])))
         args["eq4"].append((np.vdot(u + v, u + v).real,))
         args["eq7"].append((np.vdot(u, u).real, np.vdot(v, v).real, np.vdot(u - v, u - v).real,
                             m_a, m_b))

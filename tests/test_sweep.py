@@ -15,13 +15,18 @@ import varbound.hermitian as hermitian
 import varbound.sweep as sweep
 from varbound.basis_search import OptimizerConfig, haar_basis, optimize_bound
 from varbound.bounds import (
+    EQ7_EPS,
     _degenerate_std,
     _slack_floors,
     _slack_tol,
     evaluate_all,
     relation_sides,
+    rhs_eq1,
     rhs_eq2,
+    rhs_eq3,
+    rhs_eq4,
     rhs_eq5,
+    rhs_eq6,
     rhs_eq7,
 )
 import varbound.cli as cli
@@ -46,6 +51,7 @@ from varbound.sweep import (
 )
 
 LX, LY, LZ, LP = builtin_spin1()
+CONSTANTS = sweep._count_constants(LX, LY)
 # the slack tolerance's floors for Lx and Ly by the relation's lhs column;
 # the sigma = 0 check takes the sum's
 FLOOR = dict(zip(("lhs_prod", "lhs_sum"), _slack_floors(LX, LY)))
@@ -899,13 +905,13 @@ class TestPropagateSigmas:
         """A setting with no counts makes undefined exactly the columns that
         read it: NaN on one vector and on a batch alike."""
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 0, 0, 2, 1, 3])
-        one = sweep._sampled_columns(counts, LX, LY)
+        one = sweep._sampled_columns(counts, CONSTANTS)
         assert one.shape == (len(VALUE_COLUMNS),)
         reads_lz = {"mean_lz", "rhs_eq1", "rhs_eq2_canon", "rhs_eq5_canon"}
         unbased = {"rhs_eq2_opt", "rhs_eq5_opt"}
         assert set(VALUE_COLUMNS) - set(_row_dict(one)) == reads_lz | unbased
         assert all(np.isfinite(v) for v in _row_dict(one).values())
-        batch = sweep._sampled_columns(np.vstack([counts, counts]), LX, LY)
+        batch = sweep._sampled_columns(np.vstack([counts, counts]), CONSTANTS)
         assert batch.shape == (2, len(VALUE_COLUMNS))
         for col in VALUE_COLUMNS:
             assert np.all(np.isnan(batch[:, COL[col]])) == (col in reads_lz | unbased), col
@@ -914,7 +920,7 @@ class TestPropagateSigmas:
         """The -1 vector of a lone Lz count empties that setting; it adds
         nothing to the error bars instead of failing the run."""
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 1, 0, 2, 1, 3])
-        fn = lambda c: sweep._sampled_columns(c, LX, LY)
+        fn = lambda c: sweep._sampled_columns(c, CONSTANTS)
         base, sig = sweep._propagate_sigmas(counts, fn)
         i = COL["lhs_sum"]
         assert base[i] == pytest.approx(fn(counts)[i], rel=1e-15)
@@ -963,10 +969,10 @@ class TestTableForm:
         """One vector's row equals its row in a batch bit for bit; NaN lies
         exactly in the columns that read an empty setting, the unbased
         optimized columns and eq7 where its own rule leaves it undefined."""
-        one = sweep._sampled_columns(counts, LX, LY)
+        one = sweep._sampled_columns(counts, CONSTANTS)
         batch = np.array(others, dtype=int).reshape(-1, 12)
         at = min(at, len(batch))
-        table = sweep._sampled_columns(np.insert(batch, at, counts, axis=0), LX, LY)
+        table = sweep._sampled_columns(np.insert(batch, at, counts, axis=0), CONSTANTS)
         assert one.shape == (len(VALUE_COLUMNS),) and table.shape == (len(batch) + 1, len(VALUE_COLUMNS))
         assert np.array_equal(one.view(np.uint64), table[at].view(np.uint64))
 
@@ -984,19 +990,20 @@ class TestTableForm:
         adjoints = np.array([haar_basis(3, 1).matrix.conj().T] * 2)
         ly_lz_lp = [2, 2, 2, 1, 3, 2, 2, 1, 3]
         based = [COL["rhs_eq2_opt"], COL["rhs_eq5_opt"]]
-        empty = sweep._sampled_columns([0, 0, 0] + ly_lz_lp, LX, LY, adjoints)
+        empty = sweep._sampled_columns([0, 0, 0] + ly_lz_lp, CONSTANTS, adjoints)
         assert np.isnan(empty[based]).all()
         # <Lx> < 0 and > 0: the two signs give two values in this basis
-        neg, pos = (sweep._sampled_columns(lx + ly_lz_lp, LX, LY, adjoints)[based]
+        neg, pos = (sweep._sampled_columns(lx + ly_lz_lp, CONSTANTS, adjoints)[based]
                     for lx in ([3, 1, 2], [1, 3, 2]))
         assert np.isfinite([neg, pos]).all() and (abs(neg - pos) > 1e-3).all()
 
 
 def _reference_sampled_columns(counts, lx, ly, opt_adjoints=None):
-    """_sampled_columns before its array passes were merged, kept as its
-    bit-for-bit reference: Lx and Ly centred by two ``_centre`` calls, the
-    plug-in state normalized by ``np.linalg.norm``, its sign set through
-    ``np.where``."""
+    """_sampled_columns before its array passes were merged and its
+    observable constants built once, kept as its bit-for-bit reference: the
+    eigenvalue table built per call, Lx and Ly centred by two ``_centre``
+    calls, the plug-in state normalized by ``np.linalg.norm``, its sign set
+    through ``np.where``, and the reference relation sides below."""
     n = np.asarray(counts, dtype=float).reshape(-1, 4, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = n / n.sum(axis=-1, keepdims=True)
@@ -1007,9 +1014,9 @@ def _reference_sampled_columns(counts, lx, ly, opt_adjoints=None):
     mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
     fid = {"a_shifted": a_vals - mx[:, None], "b_shifted": b_vals - my[:, None],
            "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
-    cols = relation_sides(mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
-                          mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2,
-                          fid, lx, ly)
+    cols = _reference_relation_sides(
+        mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
+        mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2, fid, lx, ly)
     cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
     amp = np.sqrt(probs[:, 2][..., [1, 2, 0]])
     amp[..., 1] = np.where(np.isnan(mx), np.nan, np.copysign(amp[..., 1], mx))
@@ -1019,7 +1026,48 @@ def _reference_sampled_columns(counts, lx, ly, opt_adjoints=None):
     if opt_adjoints is not None:
         p = np.matvec(opt_adjoints[:, None, None], w)
         cols["rhs_eq2_opt"], cols["rhs_eq5_opt"] = rhs_eq2(*p[0]), rhs_eq5(*p[1])
-    return sweep._value_table(cols).reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
+    return _reference_value_table(cols).reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
+
+
+def _reference_value_table(values):
+    """_value_table before KERNEL_KEYS named the optimized-basis columns."""
+    nan = np.full(len(values["lhs_sum"]), np.nan)
+    keys = {c: None if c.endswith("_opt") else sweep.KERNEL_KEYS[c] for c in VALUE_COLUMNS}
+    return np.array([values.get(key or c, nan) for c, key in keys.items()]).T
+
+
+def _reference_rhs_eq3(a_shifted, b_shifted, fid_a, fid_b):
+    """rhs_eq3 before it took sqrt F and sqrt G as arguments."""
+    return (np.sqrt(fid_a) * np.sqrt(fid_b) * a_shifted * b_shifted).sum(-1) ** 2
+
+
+def _reference_rhs_eq6(a_shifted, b_shifted, fid_a, fid_b):
+    """rhs_eq6 before it took sqrt F and sqrt G as arguments."""
+    return 0.5 * ((a_shifted * np.sqrt(fid_a) + b_shifted * np.sqrt(fid_b)) ** 2).sum(-1)
+
+
+def _reference_rhs_eq7(var_a, var_b, var_amb, min_std_a, min_std_b):
+    """rhs_eq7 before it took each std on its own and marked a degenerate
+    row by a NaN 2 dA dB: one (2, ...) where, then the joint mask."""
+    degenerate = (var_a <= min_std_a * min_std_a) | (var_b <= min_std_b * min_std_b)
+    da, db = np.sqrt(np.where(degenerate, 1.0, [var_a, var_b]))
+    two_da_db, diff = 2.0 * da * db, da - db
+    denom = (var_amb - diff * diff) / two_da_db
+    denom = np.where(degenerate | (np.abs(denom) <= EQ7_EPS), np.nan, denom)
+    return 2.0 * var_amb / denom - two_da_db, degenerate
+
+
+def _reference_relation_sides(var_a, var_b, cov, comm_abs, var_apb, var_amb, fid, a, b):
+    """relation_sides before it took sqrt F and sqrt G once for eq3 and eq6,
+    with the reference eq3, eq6 and eq7 above."""
+    sides = {
+        "var_a": var_a, "var_b": var_b, "lhs_prod": var_a * var_b, "lhs_sum": var_a + var_b,
+        "cov": cov, "var_amb": var_amb, **fid, "eq1": rhs_eq1(comm_abs, cov),
+        "eq3": _reference_rhs_eq3(**fid), "eq4": rhs_eq4(var_apb), "eq6": _reference_rhs_eq6(**fid),
+    }
+    sides["eq7"], sides["eq7_degenerate"] = _reference_rhs_eq7(
+        var_a, var_b, var_amb, _degenerate_std(a), _degenerate_std(b))
+    return sides
 
 
 def _reference_propagate_sigmas(counts_flat, column_fn):
@@ -1041,11 +1089,19 @@ def _reference_propagate_sigmas(counts_flat, column_fn):
 
 def _same_bits(x, y):
     """NaN in the same cells, and the same bits, the sign of zero included,
-    in every other cell."""
+    in every other cell; a numpy scalar counts as a 0-d array."""
+    x, y = np.asarray(x), np.asarray(y)
     nan = np.isnan(x)
-    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+    return x.shape == y.shape and np.array_equal(nan, np.isnan(y)) and np.array_equal(
         x[~nan].view(np.uint64), y[~nan].view(np.uint64))
 
+
+# a second moment of relation_sides: a variance that may round below zero,
+# an exact or signed zero, or NaN (an empty setting)
+_MOMENT = st.one_of(st.floats(-1e-12, 4.0), st.sampled_from([0.0, -0.0, np.nan, 1e-18]))
+# one observable's three shifted eigenvalues, or its three fidelities
+_SHIFTED = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+_FIDELITIES = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
 
 # one setting's three counts: often empty, often tiny, sometimes large
 _SETTING = st.one_of(
@@ -1056,10 +1112,10 @@ _SETTING = st.one_of(
 
 
 class TestSampledReference:
-    """_sampled_columns and _propagate_sigmas equal their references above
-    bit for bit, NaN included, on count vectors with zero counts, empty
-    settings (an empty Lx setting makes <Lx> NaN), with and without the
-    optimized-basis adjoints."""
+    """_sampled_columns, _propagate_sigmas and relation_sides equal their
+    references above bit for bit, NaN included: on count vectors with zero
+    counts, empty settings (an empty Lx setting makes <Lx> NaN), with and
+    without the optimized-basis adjoints, and on drawn second moments."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1070,13 +1126,54 @@ class TestSampledReference:
         counts = np.array(vectors).reshape(-1, 12)
         adjoints = None if bases is None else np.array(
             [haar_basis(3, seed).matrix.conj().T for seed in bases])
-        table = sweep._sampled_columns(counts, LX, LY, adjoints)
+        table = sweep._sampled_columns(counts, CONSTANTS, adjoints)
         assert _same_bits(table, _reference_sampled_columns(counts, LX, LY, adjoints))
         for row in counts:
-            got = sweep._propagate_sigmas(row, lambda c: sweep._sampled_columns(c, LX, LY, adjoints))
+            got = sweep._propagate_sigmas(
+                row, lambda c: sweep._sampled_columns(c, CONSTANTS, adjoints))
             want = _reference_propagate_sigmas(
                 row, lambda c: _reference_sampled_columns(c, LX, LY, adjoints))
             assert all(map(_same_bits, got, want)), row
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[_MOMENT] * 6, _SHIFTED, _SHIFTED, _FIDELITIES, _FIDELITIES),
+                         min_size=1, max_size=5))
+    def test_relation_sides_equal_reference(self, rows):
+        """relation_sides, and eq3, eq6 and eq7 on their own, equal the
+        references above on (N,) inputs and on each row's 0-d inputs (as
+        ``evaluate_all`` passes them), with degenerate variances, one just
+        above the degeneracy edge, a zero denominator and one of exactly
+        EQ7_EPS (2 dA dB = 0.5 exactly) planted."""
+        m_a, m_b = _degenerate_std(LX), _degenerate_std(LY)
+        rows = rows + [
+            (m_a * m_a, 0.7, 0.1, 0.2, 0.9, 0.6) + rows[0][6:],  # degenerate, at the edge
+            (0.8, -1e-17, 0.1, 0.2, 0.9, 0.6) + rows[0][6:],  # degenerate, rounded below 0
+            (np.nextafter(m_a * m_a, 1.0), 0.7, 0.1, 0.2, 0.9, 0.6) + rows[0][6:],
+            (0.5, 0.5, 0.5, 0.0, 2.0, 0.0) + rows[0][6:],  # B = A: denominator 0
+            (0.25, 0.25, 0.25, 0.0, 1.0, 0.5 * EQ7_EPS) + rows[0][6:],  # exactly EQ7_EPS
+        ]
+        columns = [np.array(c) for c in zip(*rows)]
+        cases = [columns] + [[np.float64(x) if np.ndim(x) == 0 else np.array(x) for x in row]
+                             for row in rows] + [[np.array(x) for x in row] for row in rows]
+        for *moments, a_shifted, b_shifted, fid_a, fid_b in cases:
+            fid = {"a_shifted": a_shifted, "b_shifted": b_shifted, "fid_a": fid_a, "fid_b": fid_b}
+            got = relation_sides(*moments, fid, LX, LY)
+            want = _reference_relation_sides(*moments, fid, LX, LY)
+            assert got.keys() == want.keys()
+            assert np.array_equal(got.pop("eq7_degenerate"), want.pop("eq7_degenerate"))
+            for key in want:
+                assert _same_bits(got[key], want[key]), key
+            amps = a_shifted, b_shifted, np.sqrt(fid_a), np.sqrt(fid_b)
+            assert _same_bits(rhs_eq3(*amps), _reference_rhs_eq3(**fid))
+            assert _same_bits(rhs_eq6(*amps), _reference_rhs_eq6(**fid))
+            eq7_in = moments[0], moments[1], moments[5], m_a, m_b
+            (rhs, degenerate), (ref, ref_degenerate) = rhs_eq7(*eq7_in), _reference_rhs_eq7(*eq7_in)
+            assert _same_bits(rhs, ref) and np.array_equal(degenerate, ref_degenerate)
+        # the planted rows reach each branch: eq7 is undefined on all but the
+        # one just above the edge, the first two for a degenerate variance
+        eq7, degenerate = rhs_eq7(columns[0], columns[1], columns[5], m_a, m_b)
+        assert np.isnan(eq7[-5:]).tolist() == [True, True, False, True, True]
+        assert degenerate[-5:].tolist() == [True, True, False, False, False]
 
     def test_state_estimate_equals_reference(self):
         """One vector and a batch; a NaN <Lx> of either sign bit and a zero
@@ -1117,7 +1214,7 @@ class TestBatchedSigmas:
         the 0-outcome ports of Lx and Ly are dark and count zero."""
         thetas = theta_grid(11)
         probs = _sweep_probabilities(thetas)
-        fn = lambda c: sweep._sampled_columns(c, LX, LY)
+        fn = lambda c: sweep._sampled_columns(c, CONSTANTS)
         dark = 0
         for seed in range(20):
             for theta, row_counts in zip(thetas, sample_counts(probs, 10_000, seed)):
@@ -1203,8 +1300,8 @@ class TestAdjointStack:
     COUNTS = sample_counts(_sweep_probabilities(theta_grid(11)), 10_000, 3).reshape(-1, 12)
 
     def test_identity_pair_gives_the_canon_bits(self):
-        plain = sweep._sampled_columns(self.COUNTS, LX, LY)
-        table = sweep._sampled_columns(self.COUNTS, LX, LY, np.array([np.eye(3)] * 2, dtype=complex))
+        plain = sweep._sampled_columns(self.COUNTS, CONSTANTS)
+        table = sweep._sampled_columns(self.COUNTS, CONSTANTS, np.array([np.eye(3)] * 2, dtype=complex))
         for rid in ("eq2", "eq5"):
             opt, canon = table[:, COL[f"rhs_{rid}_opt"]], table[:, COL[f"rhs_{rid}_canon"]]
             assert opt.tobytes() == canon.tobytes(), rid
@@ -1215,7 +1312,7 @@ class TestAdjointStack:
 
     def test_each_column_projects_in_its_own_basis(self):
         b2, b5 = (haar_basis(3, seed).matrix.conj().T for seed in (11, 12))
-        table = sweep._sampled_columns(self.COUNTS, LX, LY, np.array([b2, b5]))
+        table = sweep._sampled_columns(self.COUNTS, CONSTANTS, np.array([b2, b5]))
         uv = [_plug_in_vectors(counts) for counts in self.COUNTS]
         for col, rhs, bh, other in (("rhs_eq2_opt", _eq2, b2, b5), ("rhs_eq5_opt", _eq5, b5, b2)):
             own = np.array([rhs(bh @ u, bh @ v) for u, v in uv])
@@ -1233,7 +1330,7 @@ class TestTrials:
         cfg = SweepConfig(seed=4, trials=3)
         table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
-        fn = lambda c: sweep._sampled_columns(c, LX, LY)
+        fn = lambda c: sweep._sampled_columns(c, CONSTANTS)
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
             trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
@@ -1257,7 +1354,7 @@ class TestTrials:
         cfg = SweepConfig(counts=1, trials=6, seed=seed)
         table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
-        fn = lambda c: sweep._sampled_columns(c, LX, LY)
+        fn = lambda c: sweep._sampled_columns(c, CONSTANTS)
         partial = 0
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
@@ -1350,11 +1447,12 @@ class TestStatus:
 class TestRelationColumns:
     def test_columns_map_onto_relations(self):
         """Every checked column's relation, and the kernel output behind
-        each ideal column, as written out here."""
+        each ideal column (an optimized-basis column's own name, which the
+        kernel lacks), as written out here."""
         assert sweep.RELATIONS == {rhs: rid for rid, _, rhs, _ in RELATION_COLUMNS}
         assert sweep.KERNEL_KEYS == dict(zip(VALUE_COLUMNS, (
             "mean_a", "mean_b", "mean_lz", "mean_lp", "var_a", "var_b", "lhs_prod", "eq1", "eq2",
-            None, "eq3", "lhs_sum", "eq4", "eq5", None, "eq6", "eq7")))
+            "rhs_eq2_opt", "eq3", "lhs_sum", "eq4", "eq5", "rhs_eq5_opt", "eq6", "eq7")))
 
     @pytest.mark.parametrize("scale_a, scale_b, gap, product_ok", [(3.0, 2.0, 2e-8, True),
                                                                   (0.5, 1.0, 8e-10, False)])
@@ -1464,9 +1562,7 @@ class TestWrittenOnce:
             [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP)
             opt, [adjoints] = _searched([state], sweep.OPTIMIZER) if optimize else ({}, [None])
             ideal = _cells(VALUE_COLUMNS, ideal) | {col: v for col, [v] in opt.items()}
-            sampled = sweep._sampled_columns(
-                _noise_free_counts(state, 10_000), LX, LY, adjoints
-            )
+            sampled = sweep._sampled_columns(_noise_free_counts(state, 10_000), CONSTANTS, adjoints)
             assert sampled.shape == (len(VALUE_COLUMNS),)
             sampled = _cells(VALUE_COLUMNS, sampled)
             for col in VALUE_COLUMNS:
@@ -1490,7 +1586,7 @@ class TestWrittenOnce:
         counts = np.concatenate(
             [projection_probabilities(psi, settings[name]) for name in sweep.SETTING_NAMES], -1)
         ideal = sweep._ideal_table(psi, LX, LY, LZ, LP)
-        sampled = sweep._sampled_columns(counts, LX, LY)
+        sampled = sweep._sampled_columns(counts, CONSTANTS)
 
         def close(value, reference):
             return (np.abs(value - reference) <= 1e-12 * np.maximum(np.abs(reference), 1.0)).all()

@@ -1,4 +1,4 @@
-"""Time four layers of the sweep at a git ref and in the working tree, in one
+"""Time five layers of the sweep at a git ref and in the working tree, in one
 process, alternating the two sides round by round.
 
 Usage: python3 tools/ab_time.py <git-ref> [--rounds N]
@@ -11,6 +11,8 @@ host state.  The layers:
 
 - ``_sampled_columns`` on a 25-vector stack: one 12-count vector with every
   count nonzero, and its +1 and -1 vector of each count;
+- ``bounds.relation_sides`` on the moments of that stack's 25 rows, estimated
+  here as the count path estimates them;
 - one ``_propagate_sigmas`` trial of that count vector;
 - ``run_sweep`` at the default config with ``trials=40`` (no files written);
 - ``evaluate_states`` of Lx and Ly on the 501 states of the dense grid.
@@ -64,18 +66,39 @@ def load(src, name):
             for m in ("sweep", "bounds", "photonics", "hermitian")}
 
 
+def side_inputs(stack, lx, ly):
+    """The arguments of ``relation_sides`` from the moments of a (vectors, 12)
+    count stack, estimated as the count path estimates them: the outcome
+    probabilities of each setting and their first and second moments."""
+    n = stack.reshape(-1, 4, 3)
+    probs = n / n.sum(axis=-1, keepdims=True)
+    order = (-1.0, 1.0, 0.0)
+    values = np.array([lx.eigenvalues, ly.eigenvalues, order, order])
+    mx, my, mz, mp = np.vecdot(probs, values).T
+    mx2, my2 = np.vecdot(probs[:, :2], values[:2] ** 2).T
+    fid = {"a_shifted": values[0] - mx[:, None], "b_shifted": values[1] - my[:, None],
+           "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
+    return (mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
+            mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2, fid, lx, ly)
+
+
 def layers(pkg):
     """{layer name: zero-argument callable} of one tree; the inputs are built
     here, outside the timed calls."""
     sweep, bounds = pkg["sweep"], pkg["bounds"]
     lx, ly = pkg["hermitian"].builtin_spin1()[:2]
     stack = np.vstack([COUNTS, COUNTS + np.eye(12), COUNTS - np.eye(12)])
+    sides = side_inputs(stack, lx, ly)
     config = sweep.SweepConfig(trials=40)
     psi = pkg["photonics"].prepare_amplitudes(np.linspace(0.0, np.pi, 501))
+    # the count path's arguments: what it reads of Lx and Ly, built once, in a
+    # tree that builds it; Lx and Ly themselves in one that does not
+    obs = (sweep._count_constants(lx, ly),) if hasattr(sweep, "_count_constants") else (lx, ly)
     return {
-        "_sampled_columns (25 vectors)": lambda: sweep._sampled_columns(stack, lx, ly),
+        "_sampled_columns (25 vectors)": lambda: sweep._sampled_columns(stack, *obs),
+        "relation_sides (25 rows)": lambda: bounds.relation_sides(*sides),
         "_propagate_sigmas (1 trial)": lambda: sweep._propagate_sigmas(
-            COUNTS, lambda c: sweep._sampled_columns(c, lx, ly)),
+            COUNTS, lambda c: sweep._sampled_columns(c, *obs)),
         "run_sweep (trials=40)": lambda: sweep.run_sweep(config),
         "evaluate_states (501 states)": lambda: bounds.evaluate_states(psi, lx, ly),
     }
@@ -120,6 +143,20 @@ def loop_length(fns):
             return number
 
 
+def absent_layers(fns):
+    """{layer name: why} of each layer of the tree that a side lacks or
+    cannot run, from one warm-up call of every layer on both sides;
+    ``fns`` maps each of SIDES to its :func:`layers`."""
+    absent = {}
+    for name in fns["tree"]:
+        for side in SIDES:
+            try:
+                fns[side][name]()
+            except (AttributeError, TypeError, ValueError) as exc:
+                absent[name] = f"absent at {side}: {exc!r}"
+    return absent
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("ref")
@@ -133,13 +170,7 @@ def main(argv):
             return 2
         fns = {"ref": layers(load(Path(tmp) / "src", "varbound_ref")),
                "tree": layers(load(ROOT / "src", "varbound_tree"))}
-        absent = {}
-        for name in fns["tree"]:
-            for side in SIDES:
-                try:
-                    fns[side][name]()  # a warm-up call
-                except (AttributeError, TypeError, ValueError) as exc:
-                    absent[name] = f"absent at {side}: {exc!r}"
+        absent = absent_layers(fns)
         timed = [name for name in fns["tree"] if name not in absent]
         numbers = {name: loop_length([fns[side][name] for side in SIDES]) for name in timed}
         times = {name: {side: [] for side in SIDES} for name in timed}
