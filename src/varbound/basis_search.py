@@ -5,7 +5,8 @@ The objectives contain absolute values, so a compass (coordinate) search
 over a phase/angle parametrization of U(d) is used instead of anything
 gradient-based.  Every (state, restart) pair is one search taking the first
 improving move, and all run in lockstep: one batch of unitaries scores the
-moves each search has left in its sweep.  Restarts are independently seeded
+moves each search has left in its sweep (Abar psi, Bbar psi of every state
+from one ``hermitian._centre`` call).  Restarts are independently seeded
 and merged by max per state, so the result is deterministic for a config.
 """
 
@@ -105,7 +106,7 @@ def _objective_fn(objective, states, a, b):
     if any(s.dim != o.dim for s in states for o in (a, b)):
         raise DimensionMismatch(f"state dims {sorted({s.dim for s in states})} vs observables "
                                 f"{a.dim}, {b.dim}")
-    w = np.array([[_centre(s.amplitudes, o) for o in (a, b)] for s in states])
+    w = np.stack(_centre(np.array([s.amplitudes for s in states]), (a.matrix, b.matrix))[0], 1)
 
     def fn(bm, owner=0):
         # a length-one axis: rhs squares an array (x * x) for one matrix too, never pow

@@ -6,8 +6,9 @@ what its relation reads; they accept leading batch axes (sums run over the
 last axis).  :func:`relation_sides` feeds all but the basis bounds eq2 and
 eq5 from second moments of any source: :func:`evaluate_states`, the one
 place the quantities of a state are computed, passes a stack of states'
-moments in one pass and the sweep estimates from counts.  The basis
-search feeds eq2 and eq5 a trial basis.
+moments in one pass and the sweep estimates from counts.  eq2 and eq5 read
+Abar psi and Bbar psi, which the kernel, the sweep's plug-in state and the
+basis search all take from one function, ``hermitian._centre``.
 
 :data:`RELATIONS` names each relation once: its id, the side it bounds
 (the product lhs_prod or the sum lhs_sum) and its direction.  One rule,
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import DimensionMismatch, Observable, PureState
+from .hermitian import DimensionMismatch, Observable, PureState, _centre
 
 SLACK_TOL = 1e-9
 EQ7_EPS = 1e-9
@@ -235,26 +236,23 @@ def relation_sides(var_a, var_b, cov, comm_abs, var_apb, var_amb, fid, a, b):
     return sides
 
 
-def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
+def evaluate_states(psi, a, b, basis=None, pairing=None):
     """Evaluate eq1..eq7 on normalized states ``psi`` (..., d) in one pass.
 
-    With u = Abar|Psi> = A psi - <A> psi and v = Bbar|Psi>:
+    With u = Abar|Psi> = A psi - <A> psi and v = Bbar|Psi> (one ``_centre``):
     var(A) = ||u||^2, var(B) = ||v||^2, Cov(A,B) = Re<u|v>,
     |<[A,B]>| = 2 |Im<u|v>|, var(A +- B) = ||u +- v||^2, and the basis
     bounds read <psi_n|u>, <psi_n|v> (u, v for ``basis=None``).  Returns
-    :func:`relation_sides` of those moments, with mean_a, mean_b, eq2, eq5
-    and each name of ``means`` ({name: observable O}) with <O>, all of
-    shape (...); eq3's and eq6's inputs are (..., d), B's in the pairing
-    order.
+    :func:`relation_sides` of those moments, with mean_a, mean_b, eq2 and
+    eq5, all of shape (...); eq3's and eq6's inputs are (..., d), B's in the
+    pairing order.
     """
     d = np.shape(psi)[-1]
     if a.dim != d or b.dim != d:
         raise DimensionMismatch(f"state dim {d} vs observables {a.dim}, {b.dim}")
     if basis is not None and basis.dim != d:
         raise IncompleteBasis("basis dimension does not match the state")
-    a_psi, b_psi = np.matvec(a.matrix, psi), np.matvec(b.matrix, psi)
-    mean_a, mean_b = np.vecdot(psi, a_psi).real, np.vecdot(psi, b_psi).real
-    u, v = a_psi - mean_a[..., None] * psi, b_psi - mean_b[..., None] * psi
+    (u, v), (mean_a, mean_b) = _centre(psi, (a.matrix, b.matrix))
     # var = ||u||^2, not ||A psi||^2 - <A>^2: on an eigenvector the
     # difference rounds to about 1e-16 of A's scale, which eq7's degeneracy
     # rule (dA at most EQ7_EPS = 1e-9 of it) would miss by chance
@@ -277,8 +275,6 @@ def evaluate_states(psi, a, b, basis=None, pairing=None, means=None):
     out = relation_sides(var_a, var_b, uv.real, 2.0 * np.abs(uv.imag), np.vecdot(u + v, u + v).real,
                          np.vecdot(u - v, u - v).real, fid, a, b)
     out.update(mean_a=mean_a, mean_b=mean_b, eq2=rhs_eq2(pa, pb), eq5=rhs_eq5(pa, pb))
-    for name, obs in (means or {}).items():
-        out[name] = np.vecdot(psi, np.matvec(obs.matrix, psi)).real
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from .photonics import decompose_lx
 from .sweep import ConfigError, config_from_file, emit, run_sweep, verify_dataset
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(prog="varbound")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -171,13 +171,14 @@ def builtin_spin1():
                  for m, name in ((lx, "Lx"), (ly, "Ly"), (lz, "Lz"), (lp, "Lp")))
 
 
-def _centre(psi, obs):
-    """Obar|psi> = O psi - <O> psi with <O> = Re<psi|O psi>, from raw
-    normalized amplitudes of shape (..., d); the basis search centres
-    through here (``evaluate_states`` centres the A psi it holds, and the
-    sampled columns Lx and Ly psi in one stacked pass, the same way)."""
-    o_psi = np.matvec(obs.matrix, psi)
-    return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
+def _centre(psi, matrices):
+    """The one centring: Obar psi = O psi - <O> psi (k, ..., d) and <O> = Re<psi|O psi>
+    (k, ...) of states psi (..., d) for k matrices (k, d, d), row i with matrix i's own bits."""
+    psi = np.asarray(psi)
+    # (k, 1, ..., 1, d, d), each matrix over the batch: matrix axis first, rows contiguous
+    o_psi = np.matvec(np.asarray(matrices)[(slice(None),) + (None,) * (psi.ndim - 1)], psi)
+    means = np.vecdot(psi, o_psi).real
+    return o_psi - means[..., None] * psi, means
 
 
 def haar_random_state(dim, rng) -> PureState:

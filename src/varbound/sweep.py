@@ -3,16 +3,16 @@ that the twin's preparation circuit prepares, both ideally and through the
 simulated measurement pipeline, and emit figure-ready CSV/JSON datasets
 with a machine-readable verdict.
 
-The sweep points and the dense grid are each one (points, CSV_COLUMNS)
-float table, NaN where a value is undefined or not computed, from
-``run_sweep`` to the files.  One ``photonics.prepare_amplitudes`` pass over
-the merged grid gives every state (ideal, sampled, searched), and one
-``evaluate_states`` call on them the ideal columns.  ``emit`` turns both tables
-into records, keys already in sorted order, with one function for both
-formats, and writes ``sweep.json`` as compact JSON that records the Python
-and numpy versions.  One function, ``build_report``, gives the verdict from
-the two tables: the relation statuses, the worst slack and the z-scores of
-the sweep rows, and ``ok`` over sweep and dense rows alike, the relation
+The sweep points and the dense grid are each one (points, CSV_COLUMNS) float
+table, NaN where a value is undefined or not computed, from ``run_sweep`` to
+the files.  One ``photonics.prepare_amplitudes`` pass over the merged grid
+gives every state (ideal, sampled, searched), and one ``evaluate_states`` call
+on them the ideal columns, with one centring for <Lz> and <Lp>.  ``emit`` turns
+both tables into records, keys already in sorted order, with one function for
+both formats, and writes ``sweep.json`` as compact JSON that records the
+Python and numpy versions.  One function, ``build_report``, gives the verdict
+from the two tables: the relation statuses, the worst slack and the z-scores
+of the sweep rows, and ``ok`` over sweep and dense rows alike, the relation
 columns judged by ``bounds.verdicts``, the rule of ``evaluate_all`` too.
 ``verify`` reads a dataset back as the same two tables, NaN exactly where a
 cell is null, and passes them to the same function.
@@ -25,13 +25,13 @@ float table in VALUE_COLUMNS order, NaN where a column is undefined (a setting
 with no counts leaves the columns that read it undefined) or not computed;
 derived columns propagate one-standard-deviation Poisson error bars to first
 order by one-count central differences through the full column formula, all
-perturbed count vectors of a trial in one call.  What they read of Lx and Ly
-is built once per sweep.  The computational-basis columns read the plug-in
-vectors, centred in one stacked pass; the optimized-basis ones project them
-onto a row's two optimal bases.  The (rows, columns, trials) value and sigma
-tables are reduced once: the mean over the k trials that define a column, and
-sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
-when it lies off its ideal value by more than the slack tolerance.
+perturbed count vectors of a trial in one call.  What they read of Lx and Ly is
+built once per sweep.  The computational-basis columns read the plug-in state's
+Abar psi, Bbar psi from ``hermitian._centre``; the optimized-basis ones
+project them onto a row's two optimal bases.  The (rows, columns, trials) value
+and sigma tables are reduced once: the mean over the k trials that define a
+column, and sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the
+verdict when it lies off its ideal value by more than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .bounds import (
     rhs_eq5,
     verdicts,
 )
-from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, builtin_spin1
+from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, _centre, builtin_spin1
 from .photonics import builtin_settings, prepare_amplitudes, projection_probabilities, sample_counts
 
 
@@ -232,9 +232,11 @@ def _value_table(values):
 
 
 def _ideal_table(psi, lx, ly, lz, lp):
-    """Ideal value columns of states ``psi`` (N, 3) from one kernel call, as
-    an (N, VALUE_COLUMNS) float table; NaN where undefined or not computed."""
-    return _value_table(evaluate_states(psi, lx, ly, means={"mean_lz": lz, "mean_lp": lp}))
+    """The (N, VALUE_COLUMNS) ideal table of states ``psi`` (N, 3), NaN where
+    undefined or not computed: one kernel call, and one centring for <Lz>, <Lp>."""
+    values = evaluate_states(psi, lx, ly)
+    values["mean_lz"], values["mean_lp"] = _centre(psi, (lz.matrix, lp.matrix))[1]
+    return _value_table(values)
 
 
 def _state_estimate(lz_probs, mean_lx):
@@ -254,9 +256,9 @@ def _state_estimate(lz_probs, mean_lx):
 def _count_constants(lx, ly):
     """What the sampled columns read of Lx and Ly, built once per sweep: the
     observables, the four settings' (4, 3) outcome eigenvalues, their Lx and
-    Ly rows squared and the (2, 1, 3, 3) stack of the two matrices."""
+    Ly rows squared and the (2, 3, 3) stack of the two matrices."""
     values = np.array([lx.eigenvalues, ly.eigenvalues, SPIN1_EIGENVALUE_ORDER, SPIN1_EIGENVALUE_ORDER])
-    return lx, ly, values, values[:2] ** 2, np.array([lx.matrix, ly.matrix])[:, None]
+    return lx, ly, values, values[:2] ** 2, np.array([lx.matrix, ly.matrix])
 
 
 def _sampled_columns(counts, constants, opt_adjoints=None):
@@ -287,11 +289,8 @@ def _sampled_columns(counts, constants, opt_adjoints=None):
                           fid, lx, ly)
     cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
 
-    # basis-dependent bounds on the plug-in state: the computational basis
-    # reads Abar psi and Bbar psi themselves, centred in one stacked pass
-    psi = _state_estimate(probs[:, 2], mx)
-    w = np.matvec(matrices, psi)
-    w -= np.vecdot(psi, w, keepdims=True).real * psi
+    # the basis bounds read the plug-in state's Abar psi and Bbar psi
+    w, _ = _centre(_state_estimate(probs[:, 2], mx), matrices)
     cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
     if opt_adjoints is not None:
         # p[i] projects Abar psi and Bbar psi onto basis i: eq2's, then eq5's
@@ -453,7 +452,7 @@ def emit(table, report, config: SweepConfig, dense=()):
             "config": asdict(config),
             "rows": records,
             "dense": dense_records,
-            "report": asdict(report),
+            "report": vars(report),
         }
         # no indent: any indent makes json fall back from its C encoder
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")

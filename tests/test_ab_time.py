@@ -68,7 +68,34 @@ def test_layer_a_tree_lacks_is_reported_absent():
     """A ref whose bounds module has no relation_sides: that layer alone is
     absent, at the ref, and the others still run on both sides."""
     pkg = ab_time.load(ROOT / "src", "varbound_ab_absent")
-    lacking = dict(pkg, bounds=types.SimpleNamespace(evaluate_states=pkg["bounds"].evaluate_states))
+    lacking = dict(pkg, bounds=types.SimpleNamespace(evaluate_states=pkg["bounds"].evaluate_states,
+                                                     evaluate_all=pkg["bounds"].evaluate_all))
     absent = ab_time.absent_layers({"ref": ab_time.layers(lacking), "tree": ab_time.layers(pkg)})
     assert list(absent) == [SIDES_LAYER]
     assert absent[SIDES_LAYER].startswith("absent at ref: AttributeError")
+
+
+HAAR_LAYER = "evaluate_all (one d=4 Haar state)"
+
+
+def test_evaluate_all_layer_reads_one_haar_state():
+    """The evaluate_all layer evaluates one d = 4 Haar state with a pair of
+    distinct random Hermitian observables, as the haar workload does."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_haar")
+    state, a, b = ab_time.haar_inputs(pkg["hermitian"])
+    assert state.dim == a.dim == b.dim == 4 and not np.array_equal(a.matrix, b.matrix)
+    report = ab_time.layers(pkg)[HAAR_LAYER]()
+    assert report == pkg["bounds"].evaluate_all(state, a, b)
+    assert list(report.results) == list(pkg["bounds"].RELATION_IDS)
+
+
+def test_evaluate_all_layer_a_tree_lacks_is_reported_absent():
+    """A ref whose bounds module has no evaluate_all: that layer alone is
+    absent, at the ref."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_haar_absent")
+    bounds = types.SimpleNamespace(**{k: v for k, v in vars(pkg["bounds"]).items()
+                                      if k != "evaluate_all"})
+    absent = ab_time.absent_layers({"ref": ab_time.layers(dict(pkg, bounds=bounds)),
+                                    "tree": ab_time.layers(pkg)})
+    assert list(absent) == [HAAR_LAYER]
+    assert absent[HAAR_LAYER].startswith("absent at ref: AttributeError")

@@ -15,6 +15,7 @@ from varbound.hermitian import (
     NonHermitianError,
     Observable,
     PureState,
+    _centre,
     builtin_spin1,
     haar_random_state,
     make_observable,
@@ -398,3 +399,47 @@ class TestMaxStd:
         assert near.resolution == pytest.approx(RESOLVED_ULPS * 2 * EPS * (1e8 + 1.0), rel=1e-15)
         assert LX.resolution == pytest.approx(RESOLVED_ULPS * 3 * EPS, rel=1e-15)
         assert make_observable(np.zeros((2, 2))).resolution == 0.0
+
+
+def _one_centre(psi, matrix):
+    """``_centre`` before it took a stack: one matrix's O psi - <O> psi."""
+    o_psi = np.matvec(matrix, psi)
+    return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
+
+
+class TestCentre:
+    """The one centring pass: a stack of k matrices on states of any batch
+    shape gives the centred vectors (k, ..., d) and the means (k, ...)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           batch=st.sampled_from([(), (7,), (3, 4)]), k=st.sampled_from([1, 2, 4]),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_equals_per_state_and_per_matrix(self, d, seed, batch, k, scale):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((*batch, d)) + 1j * rng.standard_normal((*batch, d))
+        psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        matrices = np.array([scale * (x + x.conj().T) / 2 for x in
+                             rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))])
+        w, means = _centre(psi, matrices)
+        assert w.shape == (k, *batch, d) and means.shape == (k, *batch)
+        # bit for bit: each matrix's own pass
+        for i, m in enumerate(matrices):
+            assert w[i].tobytes() == _one_centre(psi, m).tobytes()
+            assert means[i].tobytes() == np.vecdot(psi, np.matvec(m, psi)).real.tobytes()
+        # and each state alone, written with @ and vdot, to rounding
+        atol = 1e-12 * np.abs(matrices).max()
+        for idx in np.ndindex(batch):
+            p = psi[idx]
+            for i, m in enumerate(matrices):
+                mean = np.vdot(p, m @ p).real
+                np.testing.assert_allclose(means[i][idx], mean, rtol=1e-12, atol=atol)
+                np.testing.assert_allclose(w[i][idx], m @ p - mean * p, rtol=1e-12, atol=atol)
+
+    def test_list_state_and_eigenstate(self):
+        """A state given as a list is taken as an array; on an eigenstate
+        the centred vector vanishes and the mean is the eigenvalue."""
+        w, means = _centre([1.0, 0.0, 0.0], np.array([LZ.matrix, LX.matrix]))
+        assert means.tolist() == [1.0, 0.0]
+        assert not w[0].any()
+        np.testing.assert_array_equal(w[1], LX.matrix[:, 0])

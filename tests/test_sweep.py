@@ -1,5 +1,6 @@
 """Tests for the sweep harness: configs, datasets, verification, CLI."""
 
+import dataclasses
 import json
 import math
 import platform
@@ -456,6 +457,16 @@ class TestEmitAndVerify:
         assert len(payload["rows"]) == 11
         assert payload["report"]["ok"] is True
         assert len(payload["config_hash"]) == 16
+
+    def test_report_written_as_its_fields(self, tmp_path):
+        """sweep.json's report is the report's own fields, as the deep copy
+        ``dataclasses.asdict`` gave them, in the same JSON text."""
+        cfg = SweepConfig(thetas=(0.0, 1.0, 2.0), counts=500, trials=2, out_dir=str(tmp_path))
+        table, report, dense = run_sweep(cfg)
+        emit(table, report, cfg, dense)
+        text = (tmp_path / "sweep.json").read_text()
+        want = json.dumps(dataclasses.asdict(report), sort_keys=True)
+        assert f'"report": {want}, "rows": ' in text
 
     def test_compact_json_records_versions(self, emitted):
         out, _ = emitted
@@ -1021,12 +1032,19 @@ def _reference_sampled_columns(counts, lx, ly, opt_adjoints=None):
     amp = np.sqrt(probs[:, 2][..., [1, 2, 0]])
     amp[..., 1] = np.where(np.isnan(mx), np.nan, np.copysign(amp[..., 1], mx))
     psi = amp / np.linalg.norm(amp, axis=-1, keepdims=True)
-    w = np.stack([hermitian._centre(psi, lx), hermitian._centre(psi, ly)])
+    w = np.stack([_centre(psi, lx), _centre(psi, ly)])
     cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
     if opt_adjoints is not None:
         p = np.matvec(opt_adjoints[:, None, None], w)
         cols["rhs_eq2_opt"], cols["rhs_eq5_opt"] = rhs_eq2(*p[0]), rhs_eq5(*p[1])
     return _reference_value_table(cols).reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
+
+
+def _centre(psi, obs):
+    """``hermitian._centre`` before it took a stack: one observable's
+    A psi - <A> psi."""
+    o_psi = np.matvec(obs.matrix, psi)
+    return o_psi - np.vecdot(psi, o_psi, keepdims=True).real * psi
 
 
 def _reference_value_table(values):
@@ -1771,6 +1789,22 @@ class TestCli:
         for path in (tmp_path / "none.json", bad):
             assert main(["verify", str(path)]) == 2
             assert capsys.readouterr().out.strip() == "malformed dataset"
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        """main builds its parser on the first call and reuses it; a usage
+        error reads and exits as it does from a freshly built parser."""
+        cli._build_parser.cache_clear()
+        fresh = cli._build_parser.__wrapped__()
+        with pytest.raises(SystemExit) as want:
+            fresh.parse_args(["sweep", "--bogus"])
+        want_err = capsys.readouterr().err
+        for _ in range(2):
+            with pytest.raises(SystemExit) as got:
+                main(["sweep", "--bogus"])
+            assert got.value.code == want.value.code == 2
+            assert capsys.readouterr().err == want_err
+            assert main(["verify", str(tmp_path / "none.json")]) == 2
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_decompose(self, capsys):
         assert main(["decompose", "--observable", "Lx"]) == 0

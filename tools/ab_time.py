@@ -1,4 +1,4 @@
-"""Time five layers of the sweep at a git ref and in the working tree, in one
+"""Time six layers of varbound at a git ref and in the working tree, in one
 process, alternating the two sides round by round.
 
 Usage: python3 tools/ab_time.py <git-ref> [--rounds N]
@@ -15,7 +15,10 @@ host state.  The layers:
   here as the count path estimates them;
 - one ``_propagate_sigmas`` trial of that count vector;
 - ``run_sweep`` at the default config with ``trials=40`` (no files written);
-- ``evaluate_states`` of Lx and Ly on the 501 states of the dense grid.
+- ``evaluate_states`` of Lx and Ly on the 501 states of the dense grid;
+- ``evaluate_all`` on one d = 4 Haar state with a random Hermitian pair, the
+  ``haar`` benchmark workload's unit of work (its observables built outside
+  the timed call).
 
 Each round times every layer on both sides back to back, the ref first in
 even rounds and the tree first in odd ones.  A sample is the mean time of one
@@ -50,6 +53,7 @@ from same_bytes import ROOT, export
 COUNTS = np.array([2480, 2517, 5003, 2391, 2655, 4954, 17, 4906, 5077, 3642, 3808, 2550],
                   dtype=float)
 LOOP_S = 0.01
+HAAR_DIM, HAAR_SEED = 4, 28
 SIDES = ("ref", "tree")
 
 
@@ -82,6 +86,18 @@ def side_inputs(stack, lx, ly):
             mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2, fid, lx, ly)
 
 
+def haar_inputs(hermitian):
+    """One d = HAAR_DIM Haar state and a random Hermitian pair, as the
+    ``haar`` workload draws them, built by the tree's ``hermitian``."""
+    rng, shape = np.random.default_rng(HAAR_SEED), (HAAR_DIM, HAAR_DIM)
+    state = hermitian.haar_random_state(HAAR_DIM, rng)
+    pair = []
+    for _ in range(2):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pair.append(hermitian.make_observable(0.5 * (x + x.conj().T)))
+    return state, *pair
+
+
 def layers(pkg):
     """{layer name: zero-argument callable} of one tree; the inputs are built
     here, outside the timed calls."""
@@ -91,6 +107,7 @@ def layers(pkg):
     sides = side_inputs(stack, lx, ly)
     config = sweep.SweepConfig(trials=40)
     psi = pkg["photonics"].prepare_amplitudes(np.linspace(0.0, np.pi, 501))
+    haar = haar_inputs(pkg["hermitian"])
     # the count path's arguments: what it reads of Lx and Ly, built once, in a
     # tree that builds it; Lx and Ly themselves in one that does not
     obs = (sweep._count_constants(lx, ly),) if hasattr(sweep, "_count_constants") else (lx, ly)
@@ -101,6 +118,7 @@ def layers(pkg):
             COUNTS, lambda c: sweep._sampled_columns(c, *obs)),
         "run_sweep (trials=40)": lambda: sweep.run_sweep(config),
         "evaluate_states (501 states)": lambda: bounds.evaluate_states(psi, lx, ly),
+        "evaluate_all (one d=4 Haar state)": lambda: bounds.evaluate_all(*haar),
     }
 
 
