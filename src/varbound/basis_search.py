@@ -6,8 +6,10 @@ over a phase/angle parametrization of U(d) is used instead of anything
 gradient-based.  Every (state, restart) pair is one search taking the first
 improving move, and all run in lockstep: one batch of unitaries scores the
 moves each search has left in its sweep (Abar psi, Bbar psi of every state
-from one ``hermitian._centre`` call).  Restarts are independently seeded
-and merged by max per state, so the result is deterministic for a config.
+from one ``hermitian._centre`` call, one row per state).  The search has no
+settings: its restarts, sweep cap, step, shrink factor and tolerance are
+this module's private constants.  Restarts are independently seeded and
+merged by max per state, so the result is deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import OrthonormalBasis, evaluate_all, rhs_eq2, rhs_eq5
+from .bounds import OrthonormalBasis, evaluate_states, rhs_eq2, rhs_eq5
 from .hermitian import DimensionMismatch, _centre
+
+
+# (state, restart) searches per state; sweeps per search at most; first step,
+# its factor after a sweep without improvement, and the step below which a
+# search ends
+_RESTARTS, _MAX_ITERS = 6, 400
+_INITIAL_STEP, _SHRINK, _TOLERANCE = 0.3, 0.5, 1e-8
 
 
 class BadParameterCount(ValueError):
@@ -67,26 +76,6 @@ def haar_basis(dim, seed) -> OrthonormalBasis:
     return OrthonormalBasis(q)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    restarts: int = 16
-    max_iters: int = 2000
-    initial_step: float = 0.3
-    shrink_factor: float = 0.5
-    tolerance: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, high in (("initial_step", np.inf), ("tolerance", np.inf), ("shrink_factor", 1.0)):
-            # "not 0 < value < high" so that a NaN also fails
-            if not 0.0 < getattr(self, name) < high:
-                raise ValueError(f"{name} must lie in (0, {high}), got {getattr(self, name)!r}")
-
-
 @dataclass
 class OptimizationTrace:
     """Each search's best-value history and each state's winning restart."""
@@ -116,7 +105,7 @@ def _objective_fn(objective, states, a, b):
     return fn
 
 
-def _compass_search(fn, x0, dim, config):
+def _compass_search(fn, x0, dim):
     """Maximize fn(U(params), s) from each start x0[s], shape (S, n), by
     +-step coordinate moves with step shrinking: S searches in lockstep.
 
@@ -133,9 +122,9 @@ def _compass_search(fn, x0, dim, config):
     n_moves, every = len(moves), np.arange(len(x))
     best = fn(unitary_from_params(x, dim), every)
     histories = [[v] for v in best]
-    step = np.full(len(x), config.initial_step, dtype=float)
+    step = np.full(len(x), _INITIAL_STEP, dtype=float)
     # each search's first move left in its sweep; n_moves once it has stopped
-    start = np.full(len(x), 0 if config.max_iters else n_moves)
+    start = np.full(len(x), 0 if _MAX_ITERS else n_moves)
     while (ran := start < n_moves).any():
         s, k = np.nonzero(np.arange(n_moves) >= start[:, None])
         # x + (+-0.0) == x as x never holds -0.0: each row moves one coordinate
@@ -153,40 +142,38 @@ def _compass_search(fn, x0, dim, config):
             improved = best[e] > histories[e][-1]
             histories[e].append(best[e])
             if not improved:
-                step[e] *= config.shrink_factor
-            if len(histories[e]) <= config.max_iters and (improved or step[e] >= config.tolerance):
+                step[e] *= _SHRINK
+            if len(histories[e]) <= _MAX_ITERS and (improved or step[e] >= _TOLERANCE):
                 start[e] = 0
     return x, best, histories
 
 
-def optimize_bound(objective, states, a, b, config: OptimizerConfig | None = None):
+def optimize_bound(objective, states, a, b):
     """Maximize the eq2 or eq5 bound over complete orthonormal bases, for
     each of a sequence of states.
 
     Every (state, restart) pair is one search, and one
-    :func:`_compass_search` call runs them all in lockstep.  Restart r
-    starts every state from the same point, restart 0 from the computational
-    basis, so no result falls below it.  Returns (bases, values, trace), a
-    list of one basis and one value per state; each value is the exact
-    ``evaluate_all`` one at its basis.  The trace lists every search's
-    history, state by state, and each state's winning restart.
+    :func:`_compass_search` call runs them all in lockstep, each state
+    centred once.  Restart r starts every state from the same point,
+    restart 0 from the computational basis, so no result falls below it.
+    Returns (bases, values, trace), a list of one basis and one value per
+    state; each value is the ``evaluate_states`` one at its basis.  The
+    trace lists every search's history, state by state, and each state's
+    winning restart.
     """
-    if config is None:
-        config = OptimizerConfig()
     states = list(states)
     if not states:
         raise ValueError("no states to optimize")
-    restarts, dim = config.restarts, states[0].dim
-    # search j * restarts + r optimizes state j from restart r
-    fn = _objective_fn(objective, [s for s in states for _ in range(restarts)], a, b)
+    fn, dim = _objective_fn(objective, states, a, b), states[0].dim
     n = param_count(dim)
-    x0 = [np.random.default_rng(config.seed + r).uniform(-np.pi, np.pi, n) if r else np.zeros(n)
-          for r in range(restarts)]
-    x, best, histories = _compass_search(fn, np.tile(x0, (len(states), 1)), dim, config)
+    # restart r seeded by r; search j * _RESTARTS + r optimizes state j from restart r
+    x0 = [np.random.default_rng(r).uniform(-np.pi, np.pi, n) if r else np.zeros(n)
+          for r in range(_RESTARTS)]
+    x, best, histories = _compass_search(lambda u, s: fn(u, s // _RESTARTS),
+                                         np.tile(x0, (len(states), 1)), dim)
 
-    winners = best.reshape(len(states), restarts).argmax(1)
-    picks = x[winners + np.arange(0, len(x), restarts)]
+    winners = best.reshape(len(states), _RESTARTS).argmax(1)
+    picks = x[winners + np.arange(0, len(x), _RESTARTS)]
     bases = [OrthonormalBasis(u) for u in unitary_from_params(picks, dim)]
-    # report the exact bound-module value at each winning basis
-    values = [float(evaluate_all(s, a, b, m).results[objective].rhs) for s, m in zip(states, bases)]
+    values = [float(evaluate_states(s.amplitudes, a, b, m)[objective]) for s, m in zip(states, bases)]
     return bases, values, OptimizationTrace(histories, winners.tolist())

@@ -73,29 +73,31 @@ class OpticalElement:
 
     kind: "HWP", "QWP", "BDH" (displaces horizontal between rails) or
     "BDV" (displaces vertical).  ``target`` is "upper", "lower" or "both"
-    and is meaningful for wave plates only.
+    and is meaningful for wave plates only.  A ValueError names an unknown
+    kind or target when the element is built.
     """
 
     kind: str
     angle: float = 0.0
     target: str = "both"
 
+    def __post_init__(self):
+        if self.kind not in ("HWP", "QWP", "BDH", "BDV"):
+            raise ValueError(f"unknown element kind {self.kind!r}")
+        if self.target not in ("upper", "lower", "both"):
+            raise ValueError(f"unknown element target {self.target!r}")
+
     def matrix(self):
         """The 4x4 mode matrix; (..., 4, 4) for an ``angle`` array (...)."""
         m = np.empty(np.shape(self.angle) + (4, 4), dtype=complex)
         m[...] = np.eye(4)
-        if self.kind in ("HWP", "QWP"):
-            if self.target not in ("upper", "lower", "both"):
-                raise ValueError(f"unknown wave-plate target {self.target!r}")
-            jones = hwp_matrix(self.angle) if self.kind == "HWP" else qwp_matrix(self.angle)
-            if self.target in ("upper", "both"):
-                m[..., 0:2, 0:2] = jones
-            if self.target in ("lower", "both"):
-                m[..., 2:4, 2:4] = jones
-        elif self.kind in ("BDH", "BDV"):  # swap the rails of H, or of V
-            m = m[..., [2, 1, 0, 3] if self.kind == "BDH" else [0, 3, 2, 1], :]
-        else:
-            raise ValueError(f"unknown element kind {self.kind!r}")
+        if self.kind in ("BDH", "BDV"):  # swap the rails of H, or of V
+            return m[..., [2, 1, 0, 3] if self.kind == "BDH" else [0, 3, 2, 1], :]
+        jones = hwp_matrix(self.angle) if self.kind == "HWP" else qwp_matrix(self.angle)
+        if self.target in ("upper", "both"):
+            m[..., 0:2, 0:2] = jones
+        if self.target in ("lower", "both"):
+            m[..., 2:4, 2:4] = jones
         return m
 
 

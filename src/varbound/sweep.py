@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis_search import OptimizerConfig, optimize_bound
+from .basis_search import optimize_bound
 from .bounds import (
     RELATION_IDS,
     STATUSES,
@@ -98,7 +98,6 @@ MAX_COUNTS = 10**18
 # most cells of a count (rows x trials x 12), sweep or dense table
 MAX_CELLS = 10**7
 MAX_FLOAT = float(np.finfo(float).max)
-OPTIMIZER = OptimizerConfig(restarts=6, max_iters=400)
 
 
 def _check_cells(table, setting, cells):
@@ -352,7 +351,7 @@ def run_sweep(config: SweepConfig):
         adjoints = np.empty((len(table), 2, 3, 3), dtype=complex)
         for i, rid in enumerate(("eq2", "eq5")):
             bases, ideal[:, VALUE_COLUMNS.index(f"rhs_{rid}_opt")], _ = optimize_bound(
-                rid, states, lx, ly, OPTIMIZER)
+                rid, states, lx, ly)
             adjoints[:, i] = [b.matrix.conj().T for b in bases]
     # (rows, columns, trials) value and sigma tables: each mean below sums a
     # contiguous row, trials in the order they ran

@@ -99,3 +99,19 @@ def test_evaluate_all_layer_a_tree_lacks_is_reported_absent():
                                     "tree": ab_time.layers(pkg)})
     assert list(absent) == [HAAR_LAYER]
     assert absent[HAAR_LAYER].startswith("absent at ref: AttributeError")
+
+
+OPTIMIZE_LAYER = "run_sweep (optimize, 3 points)"
+
+
+def test_optimize_layer_is_the_optimize_workload_sweep():
+    """The optimize layer runs the sweep of ``--theta-steps 3
+    --optimize-basis`` at the default counts and seed: both searched columns
+    filled on every row, and the bits of that sweep run directly."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_optimize")
+    sweep = pkg["sweep"]
+    table, report, dense = ab_time.layers(pkg)[OPTIMIZE_LAYER]()
+    want, _, _ = sweep.run_sweep(sweep.SweepConfig(thetas=sweep.theta_grid(3), optimize_basis=True))
+    assert table.tobytes() == want.tobytes() and len(dense) == 0 and report.ok
+    for column in ("rhs_eq2_opt", "rhs_eq5_opt"):
+        assert not np.isnan(table[:, sweep.CSV_COLUMNS.index(column)]).any()

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from varbound.basis_search import OptimizerConfig, optimize_bound
+from varbound.basis_search import optimize_bound
 from varbound.bounds import OrthonormalBasis, evaluate_all
 from varbound.hermitian import builtin_spin1, haar_random_state
 from varbound.photonics import (
@@ -160,14 +160,13 @@ def test_criterion_5_statistical_calibration():
 
 
 def test_criterion_6_optimizer():
-    cfg = OptimizerConfig(restarts=6, max_iters=400)
     checks = []
     per_state_ok = True
     for theta in (0.0, np.pi / 2, 0.3, 1.9):
         s = prepare_state(theta)
         for objective in ("eq2", "eq5"):
             t0 = time.perf_counter()
-            _, [value], _ = optimize_bound(objective, [s], LX, LY, cfg)
+            _, [value], _ = optimize_bound(objective, [s], LX, LY)
             per_state_ok &= (time.perf_counter() - t0) < 5.0
             computational = evaluate_all(s, LX, LY, COMP).results[objective]
             lhs, comp = computational.lhs, computational.rhs

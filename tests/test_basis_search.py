@@ -1,13 +1,15 @@
 """Tests for the unitary parametrization and the compass-search maximizer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varbound import basis_search
 from varbound.basis_search import (
     BadParameterCount,
-    OptimizerConfig,
     _compass_search,
     _objective_fn,
     haar_basis,
@@ -15,7 +17,7 @@ from varbound.basis_search import (
     param_count,
     unitary_from_params,
 )
-from varbound.bounds import OrthonormalBasis, evaluate_all
+from varbound.bounds import OrthonormalBasis, evaluate_all, evaluate_states
 from varbound.hermitian import builtin_spin1, haar_random_state, make_observable
 from varbound.photonics import prepare_state
 
@@ -78,41 +80,19 @@ class TestHaarBasis:
         assert np.mean(overlaps) == pytest.approx(1 / 3, abs=0.02)
 
 
-class TestOptimizerConfig:
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "2"])
-    def test_restarts_rejected(self, bad):
-        with pytest.raises(ValueError, match="restarts"):
-            OptimizerConfig(restarts=bad)
-
-    @pytest.mark.parametrize("bad", [-1, 2.5, True, "2"])
-    def test_max_iters_rejected(self, bad):
-        with pytest.raises(ValueError, match="max_iters"):
-            OptimizerConfig(max_iters=bad)
-
-    @pytest.mark.parametrize("bad", [-3, 1.5, False, "0"])
-    def test_seed_rejected(self, bad):
-        with pytest.raises(ValueError, match="seed"):
-            OptimizerConfig(seed=bad)
-
-    @pytest.mark.parametrize("name", ["initial_step", "tolerance", "shrink_factor"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
-    def test_step_fields_rejected(self, name, bad):
-        with pytest.raises(ValueError, match=name):
-            OptimizerConfig(**{name: bad})
-
-
 def _random_hermitian(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return make_observable(0.5 * (z + z.conj().T))
 
 
-def _serial_compass(fn, x0, dim, config):
-    """Reference: first-improvement compass search scoring one move per call."""
+def _serial_compass(fn, x0, dim):
+    """Reference: first-improvement compass search scoring one move per call,
+    with the module's step, shrink factor, tolerance and sweep cap."""
     x = np.array(x0, dtype=float)
     best = fn(unitary_from_params(x, dim))
     history = [best]
-    step = config.initial_step
-    for _ in range(config.max_iters):
+    step = basis_search._INITIAL_STEP
+    for _ in range(basis_search._MAX_ITERS):
         improved = False
         for k in range(x.size):
             for delta in (step, -step):
@@ -125,8 +105,8 @@ def _serial_compass(fn, x0, dim, config):
                     break
         history.append(best)
         if not improved:
-            step *= config.shrink_factor
-            if step < config.tolerance:
+            step *= basis_search._SHRINK
+            if step < basis_search._TOLERANCE:
                 break
     return x, best, history
 
@@ -140,7 +120,8 @@ class TestCompassSearch:
         """1-4 (state, start) searches run in lockstep each take the serial
         loop's path bit for bit: same x, best and history.  Family states
         are qutrits with Lx and Ly (d is then 3); Haar states share a
-        random Hermitian pair in d."""
+        random Hermitian pair in d.  The sweep cap is patched to 0-60 on
+        both sides, to keep the draws short."""
         rng = np.random.default_rng(seed)
         if family:
             states, a, b = [prepare_state(rng.uniform(0, np.pi)) for _ in zero_starts], LX, LY
@@ -150,12 +131,12 @@ class TestCompassSearch:
         dim = states[0].dim
         n = param_count(dim)
         x0 = np.array([np.zeros(n) if z else rng.uniform(-np.pi, np.pi, n) for z in zero_starts])
-        cfg = OptimizerConfig(restarts=1, max_iters=max_iters)
-        x, best, histories = _compass_search(_objective_fn(objective, states, a, b), x0, dim, cfg)
+        with mock.patch.object(basis_search, "_MAX_ITERS", max_iters):
+            x, best, histories = _compass_search(_objective_fn(objective, states, a, b), x0, dim)
+            refs = [_serial_compass(_objective_fn(objective, [state], a, b), x0[s], dim)
+                    for s, state in enumerate(states)]
         assert len(histories) == len(states)
-        for s, state in enumerate(states):
-            fn = _objective_fn(objective, [state], a, b)
-            ref_x, ref_best, ref_history = _serial_compass(fn, x0[s], dim, cfg)
+        for s, (ref_x, ref_best, ref_history) in enumerate(refs):
             assert x[s].tobytes() == ref_x.tobytes()
             assert best[s].tobytes() == np.float64(ref_best).tobytes()
             assert np.array(histories[s]).tobytes() == np.array(ref_history).tobytes()
@@ -172,31 +153,73 @@ class TestCompassSearch:
         assert values.tobytes() == np.array([fn(u) for u in stack]).tobytes()
 
 
+# the eq2 and eq5 optima at theta = 0.3: (basis matrix bytes, value, winner,
+# sweeps of each restart), as the sweep's former settings gave them (6
+# restarts of at most 400 sweeps, first step 0.3, shrink factor 0.5,
+# tolerance 1e-8, restart r seeded by r)
+PINNED = {
+    "eq2": (bytes.fromhex(
+        "900ce86396f596bf9a7e775498bccfbf4fe5e9905815e9bf01be2554cd7d983f"
+        "0a25a76fa611d73fac81ce0f881fdc3f640e09a33369cc3fa8fb282edb14e3bf"
+        "13f677931222ccbfc9fab626383ecdbfc43bdd3e8bcf5cbf5fa140a89981e6bf"
+        "ad184acf56a1e63f569c70662f46c73fb3e11708daa1d0bf8b08749c7bcfdd3f"
+        "bb649c09c053dbbf0000000000000000"), float.fromhex("0x1.abd74786fb08bp-3"), 2,
+        [88, 371, 53, 198, 42, 53]),
+    "eq5": (bytes.fromhex(
+        "ec489573c86ebdbfe73b71a72578b33f5b2df646c013e13f16423d2fa8cbe6bf"
+        "af34df663a04ab3fe6cf779d5199dbbf8511838adf91e0bf71f722ba78b9cfbf"
+        "e690f0d6d875b23f8df4fd57716cd5bfe48707d0f403a83f32bc519dd6c0e73f"
+        "797b8b485922dfbfe6213112ff9be43f73d65f370ebec63f027aa5535f12cf3f"
+        "cbd4872f8041e0bf0000000000000000"), float.fromhex("0x1.d790736b526f7p-1"), 5,
+        [84, 356, 52, 197, 41, 56]),
+}
+
+
 class TestOptimizeBound:
-    def test_no_iterations_returns_initial_value(self):
-        cfg = OptimizerConfig(restarts=1, max_iters=0)
-        _, [value], trace = optimize_bound("eq2", [prepare_state(0.3)], LX, LY, cfg)
+    @pytest.mark.parametrize("objective", ["eq2", "eq5"])
+    def test_pinned_optimum(self, objective):
+        """One state's basis, value, winning restart and sweep counts keep
+        their bits."""
+        [basis], [value], trace = optimize_bound(objective, [prepare_state(0.3)], LX, LY)
+        matrix, pinned, winner, sweeps = PINNED[objective]
+        assert basis.matrix.tobytes() == matrix
+        assert np.float64(value).tobytes() == np.float64(pinned).tobytes()
+        assert trace.winner == [winner]
+        assert [len(h) - 1 for h in trace.restart_histories] == sweeps
+
+    def test_sweep_cap_binds(self):
+        """At theta = 2.5 eq5's restart 0 stops at the 400-sweep cap, as
+        with the sweep's former settings; the other restarts end on the step
+        tolerance first."""
+        [_], [value], trace = optimize_bound("eq5", [prepare_state(2.5)], LX, LY)
+        assert [len(h) - 1 for h in trace.restart_histories] == [400, 79, 62, 58, 52, 61]
+        assert value == float.fromhex("0x1.ab94f4583bc62p-1") and trace.winner == [2]
+
+    def test_no_iterations_returns_initial_value(self, monkeypatch):
+        """One restart with no sweeps stays at the computational basis."""
+        monkeypatch.setattr(basis_search, "_RESTARTS", 1)
+        monkeypatch.setattr(basis_search, "_MAX_ITERS", 0)
+        _, [value], trace = optimize_bound("eq2", [prepare_state(0.3)], LX, LY)
         comp_value = evaluate_all(prepare_state(0.3), LX, LY, COMP).results["eq2"].rhs
         assert value == pytest.approx(comp_value, abs=1e-12)
         assert trace.winner == [0]
 
     def test_eq2_theta_zero_reaches_product_lhs(self):
         s = prepare_state(0.0)
-        _, [value], _ = optimize_bound("eq2", [s], LX, LY, OptimizerConfig(restarts=4, max_iters=300))
+        _, [value], _ = optimize_bound("eq2", [s], LX, LY)
         assert value == pytest.approx(0.25, abs=1e-6)
 
     def test_eq5_theta_half_pi_reaches_sum_lhs(self):
         s = prepare_state(np.pi / 2)
-        _, [value], _ = optimize_bound("eq5", [s], LX, LY, OptimizerConfig(restarts=4, max_iters=300))
+        _, [value], _ = optimize_bound("eq5", [s], LX, LY)
         assert value == pytest.approx(2.0, abs=1e-6)
 
     @pytest.mark.parametrize("objective", ["eq2", "eq5"])
     def test_never_exceeds_lhs_and_dominates_computational(self, objective):
-        cfg = OptimizerConfig(restarts=4, max_iters=200, seed=5)
         rng = np.random.default_rng(17)
         for theta in rng.uniform(0.05, np.pi - 0.05, size=5):
             s = prepare_state(theta)
-            [basis], [value], trace = optimize_bound(objective, [s], LX, LY, cfg)
+            [basis], [value], trace = optimize_bound(objective, [s], LX, LY)
             computational = evaluate_all(s, LX, LY, COMP).results[objective]
             lhs, comp = computational.lhs, computational.rhs
             assert value <= lhs + 1e-9
@@ -205,10 +228,9 @@ class TestOptimizeBound:
                 assert all(b >= a for a, b in zip(history, history[1:]))
 
     def test_seed_determinism_bitwise(self):
-        cfg = OptimizerConfig(restarts=3, max_iters=100, seed=21)
         s = prepare_state(0.7)
-        r1 = optimize_bound("eq2", [s], LX, LY, cfg)
-        r2 = optimize_bound("eq2", [s], LX, LY, cfg)
+        r1 = optimize_bound("eq2", [s], LX, LY)
+        r2 = optimize_bound("eq2", [s], LX, LY)
         assert r1[1] == r2[1]
         assert r1[2].restart_histories == r2[2].restart_histories
         assert np.array_equal(r1[0][0].matrix, r2[0][0].matrix)
@@ -216,16 +238,42 @@ class TestOptimizeBound:
     def test_states_batch_is_one_state_calls(self):
         """A sequence of states gives each state's basis, value, restart
         histories (state by state) and winner of its one-state call."""
-        cfg = OptimizerConfig(restarts=3, max_iters=40, seed=2)
         states = [prepare_state(t) for t in (0.2, 1.1, 2.5)]
-        bases, values, trace = optimize_bound("eq5", states, LX, LY, cfg)
+        bases, values, trace = optimize_bound("eq5", states, LX, LY)
         assert len(bases) == len(values) == len(trace.winner) == 3
+        r = basis_search._RESTARTS
         for j, s in enumerate(states):
-            [basis], [value], one = optimize_bound("eq5", [s], LX, LY, cfg)
+            [basis], [value], one = optimize_bound("eq5", [s], LX, LY)
             assert bases[j].matrix.tobytes() == basis.matrix.tobytes()
             assert values[j] == value and [trace.winner[j]] == one.winner
-            assert trace.restart_histories[3 * j : 3 * j + 3] == one.restart_histories
+            assert trace.restart_histories[r * j : r * j + r] == one.restart_histories
+
+    def test_each_state_centred_once(self, monkeypatch):
+        """A search over three states centres three state rows, one
+        ``_centre`` call before the first round, not one row per restart."""
+        rows = []
+
+        def counted(psi, matrices, _fn=basis_search._centre):
+            rows.append(np.shape(psi)[:-1])
+            return _fn(psi, matrices)
+
+        monkeypatch.setattr(basis_search, "_centre", counted)
+        optimize_bound("eq2", [prepare_state(t) for t in (0.2, 1.1, 2.5)], LX, LY)
+        assert rows == [(3,)]
+
+    @pytest.mark.parametrize("objective", ["eq2", "eq5"])
+    def test_values_are_the_kernel_at_each_basis(self, objective):
+        """Each value is ``evaluate_states``' entry at its basis, bit for
+        bit, for family states and for Haar states of d = 4."""
+        rng = np.random.default_rng(8)
+        a, b = (_random_hermitian(rng, 4) for _ in range(2))
+        for states, x, y in (([prepare_state(t) for t in (0.3, 1.4, 2.9)], LX, LY),
+                             ([haar_random_state(4, rng) for _ in range(3)], a, b)):
+            bases, values, _ = optimize_bound(objective, states, x, y)
+            for s, basis, value in zip(states, bases, values):
+                kernel = evaluate_states(s.amplitudes, x, y, basis)[objective]
+                assert np.float64(value).tobytes() == np.float64(kernel).tobytes()
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            optimize_bound("eq9", [prepare_state(0.1)], LX, LY, OptimizerConfig(restarts=1))
+            optimize_bound("eq9", [prepare_state(0.1)], LX, LY)

@@ -57,9 +57,24 @@ class TestWavePlates:
 
     @pytest.mark.parametrize("kind", ["HWP", "QWP"])
     def test_unknown_target_rejected(self, kind):
-        """A misspelled rail raises instead of leaving the plate out."""
-        with pytest.raises(ValueError, match="'uper'"):
-            OpticalElement(kind, 0.3, "uper").matrix()
+        """A misspelled rail raises when the plate is built, instead of
+        leaving the plate out."""
+        with pytest.raises(ValueError, match="target 'uper'"):
+            OpticalElement(kind, 0.3, "uper")
+        with pytest.raises(ValueError, match="target 'middle'"):
+            OpticalElement(kind, 0.1, "middle")
+
+    @pytest.mark.parametrize("kind", ["XYZ", "hwp", "", None])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"kind {kind!r}"):
+            OpticalElement(kind)
+
+    @pytest.mark.parametrize("kind", ["BDH", "BDV"])
+    def test_displacer_unknown_target_rejected(self, kind):
+        """A displacer ignores its target, but a target it cannot have
+        still raises, so that no circuit composes it silently."""
+        with pytest.raises(ValueError, match="target 'nowhere'"):
+            OpticalElement(kind, target="nowhere")
 
 
 class TestPrepareState:
@@ -75,16 +90,28 @@ class TestPrepareState:
         s = prepare_state(theta)
         assert np.allclose(s.amplitudes, expected, atol=1e-12)
 
-    # HWP(theta/2) reads cos(2 (theta/2)): halving is exact for every normal
-    # float, while a subnormal angle can lose its last bit
+    # HWP(theta/2) reads cos(2 (theta/2)): halving is exact when theta/2 is
+    # normal, |theta| >= 2**-1021, while a subnormal theta/2 can lose theta's
+    # last bit
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False))
+    @given(st.floats(min_value=2.0**-1021, allow_infinity=False)
+           | st.floats(max_value=-(2.0**-1021), allow_infinity=False))
     def test_circuit_is_the_family(self, theta):
         """The circuit prepares exactly (cos t, -sin t, 0), the family's
-        closed form, at any finite angle that is not subnormal."""
+        closed form, at any finite angle of magnitude at least 2**-1021."""
         closed_form = np.array([np.cos(theta), -np.sin(theta), 0.0])
         assert np.array_equal(prepare_amplitudes(theta), closed_form)
         assert np.array_equal(prepare_state(theta).amplitudes, PureState(closed_form).amplitudes)
+
+    def test_half_angle_below_normal_within_one_ulp(self):
+        """Below 2**-1021 theta is normal but theta/2 is subnormal: at this
+        theta the circuit's -sin t lies one subnormal ulp (5e-324) off the
+        closed form, and no further."""
+        theta = 3.620556186918758e-308
+        assert 2.0**-1022 <= theta < 2.0**-1021
+        amps = prepare_amplitudes(theta)
+        assert amps[0] == np.cos(theta) and amps[2] == 0.0
+        assert abs(amps[1] - -np.sin(theta)) <= 5e-324
 
     def test_batch_is_one_angle_calls(self):
         """Each row of a batch, flat or stacked, has the bits of its own

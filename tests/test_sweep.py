@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import varbound.hermitian as hermitian
 import varbound.sweep as sweep
-from varbound.basis_search import OptimizerConfig, haar_basis, optimize_bound
+from varbound import basis_search
+from varbound.basis_search import haar_basis, optimize_bound
 from varbound.bounds import (
     EQ7_EPS,
     _degenerate_std,
@@ -70,6 +71,15 @@ RELATION_COLUMNS = (
     ("eq6", "lhs_sum", "rhs_eq6", "lower"),
     ("eq7", "lhs_sum", "rhs_eq7", "upper"),
 )
+
+
+@pytest.fixture
+def short_search(monkeypatch):
+    """The basis search cut to 2 restarts of at most 15 sweeps, for tests of
+    the wiring around it; each compares the sweep with direct searches, which
+    read the same constants."""
+    monkeypatch.setattr(basis_search, "_RESTARTS", 2)
+    monkeypatch.setattr(basis_search, "_MAX_ITERS", 15)
 
 
 class TestConfig:
@@ -385,12 +395,11 @@ class TestRunSweep:
         assert ideal["rhs_eq5_opt"] >= ideal["rhs_eq5_canon"] - 1e-12
         assert "rhs_eq2_opt" in sampled and "rhs_eq5_opt" in sampled
 
-    def test_every_state_from_one_preparation(self, monkeypatch):
+    def test_every_state_from_one_preparation(self, monkeypatch, short_search):
         """One prepare_amplitudes call over the merged grid gives every state
         the sweep uses: with the circuit's angles shifted by 0.05, the
         ideal, sampled and searched columns all carry the bits of an
         unpatched sweep at the shifted angles."""
-        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
         calls = []
 
         def shifted(thetas, _fn=sweep.prepare_amplitudes):
@@ -406,12 +415,10 @@ class TestRunSweep:
         assert set(thetas) <= set(calls[0])
         assert table[:, 2:].tobytes() == expected[:, 2:].tobytes()
 
-    def test_one_basis_search_per_objective(self, monkeypatch):
+    def test_one_basis_search_per_objective(self, monkeypatch, short_search):
         """A sweep over five angles makes one optimize_bound call per
         objective, and each row's optimized column has the bits of a
         one-state search."""
-        cfg = OptimizerConfig(restarts=2, max_iters=15)
-        monkeypatch.setattr(sweep, "OPTIMIZER", cfg)
         calls = []
 
         def counted(objective, states, *args, _fn=sweep.optimize_bound):
@@ -425,7 +432,7 @@ class TestRunSweep:
         assert [(objective, len(states)) for objective, states in calls] == [("eq2", 5), ("eq5", 5)]
         for row, theta in zip(table, thetas):
             for objective in ("eq2", "eq5"):
-                _, [value], _ = optimize_bound(objective, [prepare_state(theta)], LX, LY, cfg)
+                _, [value], _ = optimize_bound(objective, [prepare_state(theta)], LX, LY)
                 assert row[_col(f"rhs_{objective}_opt")].tobytes() == np.float64(value).tobytes()
 
     def test_trials_reduce_reported_sigma(self):
@@ -838,11 +845,10 @@ class TestReportMatchesVerify:
     """build_report's verdict on in-memory tables is verify's verdict on the
     dataset that emit writes from them."""
 
-    def test_violated_optimized_column_fails_both(self, monkeypatch, tmp_path):
+    def test_violated_optimized_column_fails_both(self, short_search, tmp_path):
         """rhs_eq2_opt 0.5 above lhs_prod, its sampled value moved by the
         same amount so that its z-score is unchanged: the report and verify
         both fail, and the worst slack reads the optimized column."""
-        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
         cfg = SweepConfig(thetas=(0.4,), counts=4000, optimize_basis=True, out_dir=str(tmp_path))
         table, report, dense = run_sweep(cfg)
         assert report.ok and report.worst_slack > -1e-9
@@ -1301,11 +1307,11 @@ def _eq5(pa, pb):
     return 0.5 * np.sum((np.abs(pa) + np.abs(pb)) ** 2)
 
 
-def _searched(states, cfg):
+def _searched(states):
     """The optimized-basis columns {column: value per state} of one basis
     search per objective, and each state's (2, 3, 3) stack of the adjoints
     of its eq2 and eq5 bases, in that order."""
-    found = {rid: optimize_bound(rid, states, LX, LY, cfg) for rid in ("eq2", "eq5")}
+    found = {rid: optimize_bound(rid, states, LX, LY) for rid in ("eq2", "eq5")}
     opt = {f"rhs_{rid}_opt": values for rid, (_, values, _) in found.items()}
     adjoints = np.array([[b.matrix.conj().T for b in bases] for bases, _, _ in found.values()])
     return opt, adjoints.swapaxes(0, 1)
@@ -1386,15 +1392,14 @@ class TestTrials:
                 assert row_sigma[col] == pytest.approx(sigma[col], rel=1e-12, abs=0), (j, col)
         assert partial > 0
 
-    def test_optimized_columns_are_trial_means_in_each_rows_bases(self, monkeypatch):
+    def test_optimized_columns_are_trial_means_in_each_rows_bases(self, short_search):
         """With optimize_basis and three trials, each row's sampled eq2 and
         eq5 optimized cells are the mean over its trials of the bound in
         that row's own searched eq2 and eq5 bases."""
-        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
         cfg = SweepConfig(optimize_basis=True, trials=3)
         table, _, _ = run_sweep(cfg)
         counts = _trial_counts(cfg)
-        _, adjoints = _searched([prepare_state(t) for t in cfg.thetas], sweep.OPTIMIZER)
+        _, adjoints = _searched([prepare_state(t) for t in cfg.thetas])
         for j, row in enumerate(table):
             _, row_sampled, _ = _split(row)
             uv = [_plug_in_vectors(counts[j, t]) for t in range(cfg.trials)]
@@ -1573,12 +1578,11 @@ class TestWrittenOnce:
     path feeds state quantities to, so at noise-free counts they agree."""
 
     @pytest.mark.parametrize("optimize", [False, True])
-    def test_noise_free_counts_reproduce_ideal_columns(self, monkeypatch, optimize):
-        monkeypatch.setattr(sweep, "OPTIMIZER", OptimizerConfig(restarts=2, max_iters=15))
+    def test_noise_free_counts_reproduce_ideal_columns(self, short_search, optimize):
         for theta in theta_grid(11):
             state = prepare_state(theta)
             [ideal] = sweep._ideal_table(state.amplitudes[None], LX, LY, LZ, LP)
-            opt, [adjoints] = _searched([state], sweep.OPTIMIZER) if optimize else ({}, [None])
+            opt, [adjoints] = _searched([state]) if optimize else ({}, [None])
             ideal = _cells(VALUE_COLUMNS, ideal) | {col: v for col, [v] in opt.items()}
             sampled = sweep._sampled_columns(_noise_free_counts(state, 10_000), CONSTANTS, adjoints)
             assert sampled.shape == (len(VALUE_COLUMNS),)

@@ -1,4 +1,4 @@
-"""Time six layers of varbound at a git ref and in the working tree, in one
+"""Time seven layers of varbound at a git ref and in the working tree, in one
 process, alternating the two sides round by round.
 
 Usage: python3 tools/ab_time.py <git-ref> [--rounds N]
@@ -15,6 +15,8 @@ host state.  The layers:
   here as the count path estimates them;
 - one ``_propagate_sigmas`` trial of that count vector;
 - ``run_sweep`` at the default config with ``trials=40`` (no files written);
+- ``run_sweep`` at ``theta_grid(3)`` with ``optimize_basis=True``, the
+  ``optimize`` benchmark workload's sweep (no files written);
 - ``evaluate_states`` of Lx and Ly on the 501 states of the dense grid;
 - ``evaluate_all`` on one d = 4 Haar state with a random Hermitian pair, the
   ``haar`` benchmark workload's unit of work (its observables built outside
@@ -106,6 +108,7 @@ def layers(pkg):
     stack = np.vstack([COUNTS, COUNTS + np.eye(12), COUNTS - np.eye(12)])
     sides = side_inputs(stack, lx, ly)
     config = sweep.SweepConfig(trials=40)
+    optimize = sweep.SweepConfig(thetas=sweep.theta_grid(3), optimize_basis=True)
     psi = pkg["photonics"].prepare_amplitudes(np.linspace(0.0, np.pi, 501))
     haar = haar_inputs(pkg["hermitian"])
     # the count path's arguments: what it reads of Lx and Ly, built once, in a
@@ -117,6 +120,7 @@ def layers(pkg):
         "_propagate_sigmas (1 trial)": lambda: sweep._propagate_sigmas(
             COUNTS, lambda c: sweep._sampled_columns(c, *obs)),
         "run_sweep (trials=40)": lambda: sweep.run_sweep(config),
+        "run_sweep (optimize, 3 points)": lambda: sweep.run_sweep(optimize),
         "evaluate_states (501 states)": lambda: bounds.evaluate_states(psi, lx, ly),
         "evaluate_all (one d=4 Haar state)": lambda: bounds.evaluate_all(*haar),
     }
