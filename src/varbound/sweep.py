@@ -18,20 +18,21 @@ columns judged by ``bounds.verdicts``, the rule of ``evaluate_all`` too.
 cell is null, and passes them to the same function.
 
 The counts of every (row, trial, setting) are drawn in one call from one
-generator seeded by the config seed.  The sampled columns pass moments
-estimated from the four settings' counts to ``bounds.relation_sides``, as the
-kernel passes a state's, and ``_value_table`` turns either result into one
-float table in VALUE_COLUMNS order, NaN where a column is undefined (a setting
-with no counts leaves the columns that read it undefined) or not computed;
-derived columns propagate one-standard-deviation Poisson error bars to first
-order by one-count central differences through the full column formula, all
-perturbed count vectors of a trial in one call.  What they read of Lx and Ly is
-built once per sweep.  The computational-basis columns read the plug-in state's
-Abar psi, Bbar psi from ``hermitian._centre``; the optimized-basis ones
-project them onto a row's two optimal bases.  The (rows, columns, trials) value
-and sigma tables are reduced once: the mean over the k trials that define a
-column, and sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the
-verdict when it lies off its ideal value by more than the slack tolerance.
+generator seeded by the config seed.  The count path has two stages, as the
+kernel has: ``_estimate`` maps counts to the setting probabilities and the
+moments that ``bounds.relation_sides`` takes, and ``_sides`` maps those to
+one float table in VALUE_COLUMNS order (``_value_table``, as for the kernel's
+result), NaN where a column is undefined (a setting with no counts leaves
+the columns that read it undefined) or not computed.  First-order Poisson
+error bars come from one-count central differences: each row estimates its
+trials' base, +1 and -1 count vectors in one call, and each trial's sides
+in one more.  What they read of Lx and Ly is built once per sweep.  The
+computational-basis columns read the plug-in state's Abar psi, Bbar psi
+from ``hermitian._centre``; the optimized-basis ones project them onto a
+row's two optimal bases.  The (rows, columns, trials) value and sigma tables
+are reduced once: the mean over the k trials that define a column, and
+sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
+when it lies off its ideal value by more than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -52,18 +53,8 @@ import numpy as np
 
 from . import __version__
 from .basis_search import optimize_bound
-from .bounds import (
-    RELATION_IDS,
-    STATUSES,
-    VIOLATED,
-    _slack_floors,
-    _slack_tol,
-    evaluate_states,
-    relation_sides,
-    rhs_eq2,
-    rhs_eq5,
-    verdicts,
-)
+from .bounds import (RELATION_IDS, STATUSES, VIOLATED, _slack_floors, _slack_tol, evaluate_states,
+                     relation_sides, rhs_eq2, rhs_eq5, verdicts)
 from .hermitian import SPIN1_EIGENVALUE_ORDER, PureState, _centre, builtin_spin1
 from .photonics import builtin_settings, prepare_amplitudes, projection_probabilities, sample_counts
 
@@ -80,11 +71,8 @@ VALUE_COLUMNS = (
     "rhs_eq7",
 )
 
-DATA_COLUMNS = (
-    VALUE_COLUMNS
-    + tuple(f"sampled_{c}" for c in VALUE_COLUMNS)
-    + tuple(f"sigma_{c}" for c in VALUE_COLUMNS)
-)
+DATA_COLUMNS = VALUE_COLUMNS + tuple(f"{kind}_{c}" for kind in ("sampled", "sigma")
+                                     for c in VALUE_COLUMNS)
 CSV_COLUMNS = ("j", "theta") + DATA_COLUMNS
 
 # {rhs column: relation id} of every checked column, rhs_eqN[_canon|_opt]
@@ -260,34 +248,34 @@ def _count_constants(lx, ly):
     return lx, ly, values, values[:2] ** 2, np.array([lx.matrix, ly.matrix])
 
 
-def _sampled_columns(counts, constants, opt_adjoints=None):
-    """All sampled value columns from raw counts of shape (..., 12), ordered
-    [Lx(3), Ly(3), Lz(3), Lp(3)], each block in the observable's eigenvalue
-    order (-1, 1, 0), and :func:`_count_constants` of Lx and Ly; the eq2 and
-    eq5 optimal bases' adjoints ``opt_adjoints`` (2, 3, 3) give the
-    optimized-basis columns.  Returns a (..., VALUE_COLUMNS) float table,
-    one vector and a batch alike, NaN where undefined or not computed.
-    """
-    lx, ly, values, squares, matrices = constants
-    n = np.asarray(counts, dtype=float).reshape(-1, 4, 3)
+def _estimate(counts, constants):
+    """What float counts (..., 12), blocks [Lx, Ly, Lz, Lp] in eigenvalue
+    order (-1, 1, 0), estimate: the (..., 4, 3) setting probabilities, the
+    four means, the six moments ``relation_sides`` takes and eq3's and eq6's
+    shifted eigenvalues (..., 3), one tuple whose slices (a trial's) are views."""
+    lx, ly, values, squares, _ = constants
+    n = counts.reshape(*counts.shape[:-1], 4, 3)
     # a setting with no counts gives NaN in the columns that read it
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = n / n.sum(axis=-1, keepdims=True)
-
-    mx, my, mz, mp = np.vecdot(probs, values).T
-    mx2, my2 = np.vecdot(probs[:, :2], squares).T
-    sum2 = mx2 + my2
-
+    mx, my, mz, mp = np.vecdot(probs, values).transpose(-1, *range(n.ndim - 2))
+    mx2, my2 = np.vecdot(probs[..., :2, :], squares).transpose(-1, *range(n.ndim - 2))
     # [Lx, Ly] = i Lz and {Lx, Ly} = Lp give the commutator, the covariance
-    # and var(Lx +- Ly) from the Lz and Lp settings; the outcome
-    # probabilities of Lx and Ly are the fidelities of eq3 and eq6
-    fid = {"a_shifted": lx.eigenvalues - mx[:, None], "b_shifted": ly.eigenvalues - my[:, None],
-           "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
-    cols = relation_sides(mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
-                          sum2 + mp - (mx + my) ** 2, sum2 - mp - (mx - my) ** 2,
-                          fid, lx, ly)
-    cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
+    # and var(Lx +- Ly) from the Lz and Lp settings
+    return (probs, mx, my, mz, mp, mx2 - mx**2, my2 - my**2, 0.5 * mp - mx * my, abs(mz),
+            mx2 + my2 + mp - (mx + my) ** 2, mx2 + my2 - mp - (mx - my) ** 2,
+            lx.eigenvalues - mx[..., None], ly.eigenvalues - my[..., None])
 
+
+def _sides(estimate, constants, opt_adjoints=None):
+    """The (N, VALUE_COLUMNS) table, NaN where undefined, of an _estimate of N
+    vectors; the eq2 and eq5 optimal bases' adjoints (2, 3, 3) add the _opt columns."""
+    lx, ly, _, _, matrices = constants
+    probs, mx, my, mz, mp, *moments, a_shifted, b_shifted = estimate
+    # the outcome probabilities of Lx and Ly are the fidelities of eq3 and eq6
+    fid = {"a_shifted": a_shifted, "b_shifted": b_shifted, "fid_a": probs[:, 0], "fid_b": probs[:, 1]}
+    cols = relation_sides(*moments, fid, lx, ly)
+    cols.update(mean_a=mx, mean_b=my, mean_lz=mz, mean_lp=mp)
     # the basis bounds read the plug-in state's Abar psi and Bbar psi
     w, _ = _centre(_state_estimate(probs[:, 2], mx), matrices)
     cols["eq2"], cols["eq5"] = rhs_eq2(*w), rhs_eq5(*w)
@@ -295,27 +283,36 @@ def _sampled_columns(counts, constants, opt_adjoints=None):
         # p[i] projects Abar psi and Bbar psi onto basis i: eq2's, then eq5's
         p = np.matvec(opt_adjoints[:, None, None], w)
         cols["rhs_eq2_opt"], cols["rhs_eq5_opt"] = rhs_eq2(*p[0]), rhs_eq5(*p[1])
-    return _value_table(cols).reshape(*np.shape(counts)[:-1], len(VALUE_COLUMNS))
+    return _value_table(cols)
 
 
-def _propagate_sigmas(counts_flat, column_fn):
-    """First-order Poisson error bars via central differences with a
-    one-count step, from one ``column_fn`` call on the base vector and the
-    +1 and -1 vectors of each nonzero count (a zero count adds nothing).
-    ``column_fn`` maps that stack to a (vectors, columns) table, NaN where
-    undefined.  Returns the base vector's value row and its error-bar row,
-    both NaN where the value is undefined; a count with an undefined side
-    adds nothing to that column's error bar (fmax zeroes its NaN term, and
-    no other, before the row sum, as ``np.nansum`` would, in the same order)."""
-    n = np.asarray(counts_flat, dtype=float)
-    nz = n.nonzero()[0]
-    stack = np.full((2 * nz.size + 1, n.size), n)
-    # the +1 vectors of the nonzero counts, then their -1 vectors
-    stack[1:].reshape(2, nz.size, n.size)[:, np.arange(nz.size), nz] = n[nz] + [[1.0], [-1.0]]
-    # one row per column, so each error bar sums along a contiguous row
-    v = np.ascontiguousarray(column_fn(stack).T)
-    terms = n[nz] * ((v[:, 1 : nz.size + 1] - v[:, nz.size + 1 :]) / 2.0) ** 2
-    sig = np.sqrt(np.fmax(terms, 0.0).sum(axis=-1))
+def _sampled_columns(counts, constants, opt_adjoints=None):
+    """The (..., VALUE_COLUMNS) table of counts (..., 12): _sides of _estimate."""
+    n = np.asarray(counts, dtype=float).reshape(-1, 12)
+    return _sides(_estimate(n, constants), constants, opt_adjoints).reshape(
+        *np.shape(counts)[:-1], len(VALUE_COLUMNS))
+
+
+# a sigma stack's one-count steps: none, +1 on each port, -1 on each port
+_STEPS = np.concatenate([np.zeros((1, 12)), np.eye(12), -np.eye(12)])
+
+
+def _sigma_stack(n):
+    """The (..., 25, 12) float stacks of counts n (..., 12) and their _STEPS;
+    a zero count is not stepped, so no count goes negative."""
+    return n[..., None, :] + _STEPS * (n[..., None, :] > 0)
+
+
+def _error_bars(counts, table):
+    """One count vector's (12,) value row and first-order Poisson error bars
+    by one-count central differences, from the (25, columns) ``table`` of
+    its :func:`_sigma_stack`; both NaN where the value is.  A zero count adds
+    nothing, nor does a count with an undefined side to that column (fmax
+    zeroes its NaN term before the row sum, as ``np.nansum`` would)."""
+    v, nz = table.T, counts.nonzero()[0]
+    # take gives C-ordered blocks: each error bar sums a contiguous row
+    hi, lo = np.take(v, 1 + nz, axis=1), np.take(v, 13 + nz, axis=1)
+    sig = np.sqrt(np.fmax(counts[nz] * ((hi - lo) / 2.0) ** 2, 0.0).sum(axis=-1))
     sig[np.isnan(v[:, 0])] = np.nan
     return v[:, 0], sig
 
@@ -356,10 +353,13 @@ def run_sweep(config: SweepConfig):
     # (rows, columns, trials) value and sigma tables: each mean below sums a
     # contiguous row, trials in the order they ran
     vals, sigs = np.empty((2, len(table), len(VALUE_COLUMNS), config.trials))
+    counts = counts.reshape(len(table), config.trials, 12).astype(float)
     for j, adj in enumerate(adjoints):
-        for trial in range(config.trials):
-            vals[j, :, trial], sigs[j, :, trial] = _propagate_sigmas(
-                counts[j, trial].ravel(), lambda c: _sampled_columns(c, constants, adj))
+        # one estimate of the row's trials x 25 sigma vectors, its sides per trial
+        est = _estimate(_sigma_stack(counts[j]), constants)
+        for t in range(config.trials):
+            vals[j, :, t], sigs[j, :, t] = _error_bars(
+                counts[j, t], _sides([x[t] for x in est], constants, adj))
     # mean over the k trials that define a column and its error bar
     # sqrt(mean sigma^2 / k); a column that no trial defines stays NaN
     k = np.count_nonzero(~np.isnan(vals), axis=-1)

@@ -75,6 +75,39 @@ def test_layer_a_tree_lacks_is_reported_absent():
     assert absent[SIDES_LAYER].startswith("absent at ref: AttributeError")
 
 
+ESTIMATE_LAYER, STAGE_SIDES_LAYER = "_estimate (40 x 25 vectors)", "_sides (1 trial)"
+
+
+def test_stage_layers_read_one_row_of_the_count_path():
+    """The estimator layer estimates one row's (40, 25, 12) sigma stack, as
+    run_sweep builds it for 40 trials of COUNTS; the sides layer gives one
+    trial's table, the bits of _sampled_columns on the 25-vector stack."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_stages")
+    sweep, fns = pkg["sweep"], ab_time.layers(pkg)
+    constants = sweep._count_constants(*pkg["hermitian"].builtin_spin1()[:2])
+    row = sweep._sigma_stack(np.tile(ab_time.COUNTS, (ab_time.ROW_TRIALS, 1)))
+    estimate = fns[ESTIMATE_LAYER]()
+    want = sweep._estimate(row, constants)
+    assert len(estimate) == len(want) and row.shape == (40, 25, 12)
+    for got, ref in zip(estimate, want):
+        assert got.shape[:2] == (40, 25) and got.tobytes() == ref.tobytes()
+    stack = np.vstack([ab_time.COUNTS, ab_time.COUNTS + np.eye(12), ab_time.COUNTS - np.eye(12)])
+    assert fns[STAGE_SIDES_LAYER]().tobytes() == sweep._sampled_columns(stack, constants).tobytes()
+
+
+def test_stage_layers_absent_at_a_tree_without_them():
+    """A ref whose sweep module has neither _estimate nor _sides (the count
+    path before its two stages): those two layers alone are absent, at the
+    ref."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_stages_absent")
+    sweep = types.SimpleNamespace(**{k: v for k, v in vars(pkg["sweep"]).items()
+                                     if k not in ("_estimate", "_sides")})
+    absent = ab_time.absent_layers({"ref": ab_time.layers(dict(pkg, sweep=sweep)),
+                                    "tree": ab_time.layers(pkg)})
+    assert list(absent) == [ESTIMATE_LAYER, STAGE_SIDES_LAYER]
+    assert all(why.startswith("absent at ref: AttributeError") for why in absent.values())
+
+
 HAAR_LAYER = "evaluate_all (one d=4 Haar state)"
 
 

@@ -890,33 +890,64 @@ def _row_dict(row):
     return {c: v for c, v in _cells(VALUE_COLUMNS, row).items() if v is not None}
 
 
+def _stack_sigmas(counts, column_fn):
+    """The sweep's error-bar step on one 12-count vector whose sigma stack
+    ``column_fn`` maps to a (25, columns) table."""
+    counts = np.asarray(counts, dtype=float)
+    return sweep._error_bars(counts, column_fn(sweep._sigma_stack(counts)))
+
+
 class TestPropagateSigmas:
+    """The error-bar step: _sigma_stack's base, +1 and -1 vectors, and
+    _error_bars' central differences over the nonzero counts."""
+
+    # a mean read from the first setting's three ports, the other nine empty
+    VALUES = np.array([-1.0, 1.0, 0.0])
+    COUNTS = np.array([300.0, 0.0, 700.0] + [0.0] * 9)
+
+    def _mean(self, c):
+        return c[..., :3] @ self.VALUES / c[..., :3].sum(axis=-1)
+
     def test_sigma_of_a_mean_is_poisson(self):
         """For m = sum n_k l_k / N the first-order Poisson error is
         sqrt(var / N); a zero count contributes nothing."""
-        counts, values = np.array([300.0, 0.0, 700.0]), np.array([-1.0, 1.0, 0.0])
-        base, sig = sweep._propagate_sigmas(counts, lambda c: (c @ values / c.sum(axis=-1))[:, None])
+        counts = self.COUNTS
+        base, sig = _stack_sigmas(counts, lambda c: self._mean(c)[:, None])
         assert base.shape == sig.shape == (1,)
-        var = counts @ (values - base[0]) ** 2 / counts.sum()
+        var = counts[:3] @ (self.VALUES - base[0]) ** 2 / counts.sum()
         assert sig[0] == pytest.approx(np.sqrt(var / counts.sum()), rel=1e-5)
 
     def test_undefined_side_adds_nothing(self):
         """A count whose -1 vector leaves a column undefined adds nothing to
         that column's error bar; a column undefined at the base gets none."""
-        counts, values = np.array([300.0, 0.0, 700.0]), np.array([-1.0, 1.0, 0.0])
+        counts = self.COUNTS
 
         def fn(c):
-            m = c @ values / c.sum(axis=-1)
+            m = self._mean(c)
             never = np.full(m.shape, np.nan)
             return np.stack([m, np.where(c[..., 0] < 300, np.nan, m), never], axis=-1)
 
-        base, sig = sweep._propagate_sigmas(counts, fn)
+        base, sig = _stack_sigmas(counts, fn)
         np.testing.assert_array_equal(base, [base[0], base[0], np.nan])
         assert np.isnan(sig[2]) and np.isfinite(sig[:2]).all()
-        m = lambda c: c @ values / c.sum()
-        deriv = (m(counts + [0, 0, 1]) - m(counts - [0, 0, 1])) / 2
+        step = np.eye(12)[2]
+        deriv = (self._mean(counts + step) - self._mean(counts - step)) / 2
         assert sig[1] == pytest.approx(np.sqrt(700 * deriv**2), rel=1e-12)
         assert sig[0] > sig[1]
+
+    def test_stack_steps_each_nonzero_count(self):
+        """Row 0 is the base, row 1 + k its +1 vector of port k and row 13 +
+        k its -1 vector; a zero count's two vectors are the base, so no count
+        goes negative.  A block of trials gives each trial its own stack."""
+        counts = np.array([[3, 0, 1, 2, 0, 0, 5, 1, 0, 4, 0, 7], [0] * 11 + [1]])
+        stacks = sweep._sigma_stack(counts)
+        assert stacks.shape == (2, 25, 12) and stacks.dtype == float
+        for n, stack in zip(counts, stacks):
+            assert np.array_equal(stack[0], n) and (stack >= 0).all()
+            for k in range(12):
+                step = np.eye(12)[k] * (n[k] > 0)
+                assert np.array_equal(stack[1 + k], n + step), k
+                assert np.array_equal(stack[13 + k], n - step), k
 
     def test_empty_setting_leaves_its_columns_undefined(self):
         """A setting with no counts makes undefined exactly the columns that
@@ -938,7 +969,7 @@ class TestPropagateSigmas:
         nothing to the error bars instead of failing the run."""
         counts = np.array([3, 2, 1, 2, 2, 2, 0, 1, 0, 2, 1, 3])
         fn = lambda c: sweep._sampled_columns(c, CONSTANTS)
-        base, sig = sweep._propagate_sigmas(counts, fn)
+        base, sig = _stack_sigmas(counts, fn)
         i = COL["lhs_sum"]
         assert base[i] == pytest.approx(fn(counts)[i], rel=1e-15)
         assert np.isfinite(sig[i]) and sig[i] > 0
@@ -1095,9 +1126,11 @@ def _reference_relation_sides(var_a, var_b, cov, comm_abs, var_apb, var_amb, fid
 
 
 def _reference_propagate_sigmas(counts_flat, column_fn):
-    """_propagate_sigmas before its array passes were merged, kept as its
-    bit-for-bit reference: the +-1 stack by ``+=`` and ``-=``, the error bar
-    by ``np.nansum`` and its NaN by ``np.where``."""
+    """The error bars of one count vector before the count path had two
+    stages and its array passes were merged, kept as their bit-for-bit
+    reference: one ``column_fn`` call on the base vector and the +1 and -1
+    vectors of each nonzero count, that stack by ``+=`` and ``-=``, the
+    error bar by ``np.nansum`` and its NaN by ``np.where``."""
     n = np.asarray(counts_flat, dtype=float)
     nz = np.flatnonzero(n)
     k = np.arange(nz.size)
@@ -1135,11 +1168,52 @@ _SETTING = st.one_of(
 )
 
 
+def _staged_trials(counts, adjoints=None):
+    """Each trial's (value row, error-bar row) of a (trials, 12) count block
+    through the sweep's two stages as run_sweep runs them: one _estimate of
+    the block's sigma stacks, then _sides and _error_bars per trial on its
+    views.  Asserts that every trial's slice of the estimate is a view."""
+    counts = np.asarray(counts, dtype=float)
+    estimate = sweep._estimate(sweep._sigma_stack(counts), CONSTANTS)
+    out = []
+    for t, n in enumerate(counts):
+        views = [x[t] for x in estimate]
+        assert all(v.base is not None and np.shares_memory(v, x) for v, x in zip(views, estimate))
+        out.append(sweep._error_bars(n, sweep._sides(views, CONSTANTS, adjoints)))
+    return out
+
+
+def _assert_staged_equal_reference(counts, adjoints):
+    """The staged values and error bars of a (trials, 12) block equal the
+    references' trial by trial: NaN in the same cells, the same bits."""
+    for n, (value, sig) in zip(counts, _staged_trials(counts, adjoints)):
+        want = _reference_propagate_sigmas(
+            n, lambda c: _reference_sampled_columns(c, LX, LY, adjoints))
+        assert _same_bits(value, want[0]) and _same_bits(sig, want[1]), n.tolist()
+
+
+@st.composite
+def _count_blocks(draw):
+    """(trials 1-5, 12) count blocks; each trial has 0-12 live ports, placed
+    at random, of counts often 1 (a -1 step empties a lone count's setting),
+    small or large; the other ports count zero."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        live = draw(st.permutations(range(12)))[:draw(st.integers(0, 12))]
+        sizes = st.just(1) | st.integers(1, 3) | st.integers(1, 10**6)
+        rows.append([draw(sizes) if port in live else 0 for port in range(12)])
+    return np.array(rows)
+
+
+_ADJOINTS = st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)).map(
+    lambda seeds: np.array([haar_basis(3, seed).matrix.conj().T for seed in seeds]))
+
+
 class TestSampledReference:
-    """_sampled_columns, _propagate_sigmas and relation_sides equal their
-    references above bit for bit, NaN included: on count vectors with zero
-    counts, empty settings (an empty Lx setting makes <Lx> NaN), with and
-    without the optimized-basis adjoints, and on drawn second moments."""
+    """_sampled_columns, the staged error-bar path and relation_sides equal
+    their references above bit for bit, NaN included: on count vectors with
+    zero counts, empty settings (an empty Lx setting makes <Lx> NaN), with
+    and without the optimized-basis adjoints, and on drawn second moments."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1152,12 +1226,31 @@ class TestSampledReference:
             [haar_basis(3, seed).matrix.conj().T for seed in bases])
         table = sweep._sampled_columns(counts, CONSTANTS, adjoints)
         assert _same_bits(table, _reference_sampled_columns(counts, LX, LY, adjoints))
-        for row in counts:
-            got = sweep._propagate_sigmas(
-                row, lambda c: sweep._sampled_columns(c, CONSTANTS, adjoints))
-            want = _reference_propagate_sigmas(
-                row, lambda c: _reference_sampled_columns(c, LX, LY, adjoints))
-            assert all(map(_same_bits, got, want)), row
+        # the drawn vectors as the trials of one row
+        _assert_staged_equal_reference(counts, adjoints)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=_count_blocks(), adjoints=_ADJOINTS)
+    def test_staged_trials_equal_reference(self, counts, adjoints):
+        """One estimate of a block's trials x 25 vectors, then the sides and
+        error bars per trial on its views, equal the references trial by
+        trial; so does _sampled_columns of each trial's stack."""
+        _assert_staged_equal_reference(counts, adjoints)
+        for n, stack in zip(counts, sweep._sigma_stack(counts)):
+            assert _same_bits(sweep._sampled_columns(stack, CONSTANTS, adjoints),
+                              _reference_sampled_columns(stack, LX, LY, adjoints)), n.tolist()
+
+    @pytest.mark.parametrize("based", [False, True])
+    def test_staged_every_number_of_live_ports(self, based):
+        """Trials with 0 to 12 live ports, of lone counts (each -1 step
+        empties its setting) and of larger ones, in one block."""
+        adjoints = np.array([haar_basis(3, s).matrix.conj().T for s in (5, 6)]) if based else None
+        order = np.random.default_rng(30).permutation(12)
+        lone = np.array([np.isin(np.arange(12), order[:live]) for live in range(13)], dtype=int)
+        large = lone * np.arange(2, 14) ** 3
+        counts = np.vstack([lone, large])
+        assert sorted(np.count_nonzero(counts, axis=1).tolist()) == sorted(list(range(13)) * 2)
+        _assert_staged_equal_reference(counts, adjoints)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(*[_MOMENT] * 6, _SHIFTED, _SHIFTED, _FIDELITIES, _FIDELITIES),
@@ -1214,8 +1307,8 @@ class TestSampledReference:
 
 
 def _loop_propagate_sigmas(counts_flat, column_fn):
-    """The per-perturbation loop that _propagate_sigmas replaced, kept as
-    its reference: one column_fn call per +-1 count vector."""
+    """The per-perturbation loop that the batched error bars replaced, kept
+    as their reference: one column_fn call per +-1 count vector."""
     base = column_fn(counts_flat)
     var = np.where(np.isnan(base), np.nan, 0.0)
     n = np.asarray(counts_flat, dtype=float)
@@ -1244,7 +1337,7 @@ class TestBatchedSigmas:
             for theta, row_counts in zip(thetas, sample_counts(probs, 10_000, seed)):
                 counts = row_counts.ravel()
                 dark += np.count_nonzero(counts == 0)
-                base, sig = sweep._propagate_sigmas(counts, fn)
+                [(base, sig)] = _staged_trials(counts[None])
                 ref_base, ref_sig = _loop_propagate_sigmas(counts, fn)
                 assert base.shape == sig.shape == ref_base.shape == (len(VALUE_COLUMNS),)
                 assert np.array_equal(np.isnan(base), np.isnan(ref_base)), (theta, seed)
@@ -1357,7 +1450,7 @@ class TestTrials:
         fn = lambda c: sweep._sampled_columns(c, CONSTANTS)
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
-            trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
+            trials = [_reference_propagate_sigmas(counts[j, t].ravel(), fn) for t in range(3)]
             defined = [~np.isnan(base) for base, _ in trials]
             cols = {col for d in defined for col, i in COL.items() if d[i]}
             assert set(row_sampled) == set(row_sigma) == cols
@@ -1382,7 +1475,8 @@ class TestTrials:
         partial = 0
         for j, row in enumerate(table):
             _, row_sampled, row_sigma = _split(row)
-            trials = [sweep._propagate_sigmas(counts[j, t].ravel(), fn) for t in range(cfg.trials)]
+            trials = [_reference_propagate_sigmas(counts[j, t].ravel(), fn)
+                      for t in range(cfg.trials)]
             defined = np.array([~np.isnan(base) for base, _ in trials]).sum(axis=0)
             partial += np.count_nonzero((defined > 0) & (defined < cfg.trials))
             sampled, sigma = _dict_trial_means(trials)
@@ -1406,6 +1500,31 @@ class TestTrials:
             for col, rhs, bh in zip(("rhs_eq2_opt", "rhs_eq5_opt"), (_eq2, _eq5), adjoints[j]):
                 mean = np.mean([rhs(bh @ u, bh @ v) for u, v in uv])
                 assert row_sampled[col] == pytest.approx(mean, rel=1e-12, abs=0), (j, col)
+
+    @pytest.mark.parametrize("config", [
+        dict(trials=40), dict(counts=1, trials=6), dict(counts=1, dense=7),
+        dict(thetas=theta_grid(3), optimize_basis=True), dict(counts=10**16, trials=3),
+    ], ids=["trials40", "counts1-trials6", "counts1-dense7", "optimize3", "counts1e16-trials3"])
+    def test_table_is_the_per_trial_loop(self, short_search, config):
+        """The sampled and sigma columns equal, bit for bit, a loop with one
+        reference sigma stack and one reference _sampled_columns call per
+        (row, trial), reduced over the trials as run_sweep reduces them."""
+        cfg = SweepConfig(**config)
+        table, _, _ = run_sweep(cfg)
+        counts = _trial_counts(cfg)
+        adjoints = [None] * len(table)
+        if cfg.optimize_basis:
+            _, adjoints = _searched([prepare_state(t) for t in cfg.thetas])
+        vals, sigs = np.empty((2, len(table), len(VALUE_COLUMNS), cfg.trials))
+        for j, adj in enumerate(adjoints):
+            for t in range(cfg.trials):
+                vals[j, :, t], sigs[j, :, t] = _reference_propagate_sigmas(
+                    counts[j, t].ravel(), lambda c: _reference_sampled_columns(c, LX, LY, adj))
+        k = np.count_nonzero(~np.isnan(vals), axis=-1)
+        with np.errstate(invalid="ignore"):
+            sampled, sigma = np.nansum(vals, axis=-1) / k, np.sqrt(np.nansum(sigs**2, axis=-1) / k / k)
+        _, got_sampled, got_sigma = np.hsplit(table[:, 2:], 3)
+        assert _same_bits(got_sampled, sampled) and _same_bits(got_sigma, sigma)
 
     @pytest.mark.parametrize("trials", [1, 4])
     def test_probabilities_once_per_setting_and_row(self, monkeypatch, trials):

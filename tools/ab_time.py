@@ -1,4 +1,4 @@
-"""Time seven layers of varbound at a git ref and in the working tree, in one
+"""Time eight layers of varbound at a git ref and in the working tree, in one
 process, alternating the two sides round by round.
 
 Usage: python3 tools/ab_time.py <git-ref> [--rounds N]
@@ -13,7 +13,9 @@ host state.  The layers:
   count nonzero, and its +1 and -1 vector of each count;
 - ``bounds.relation_sides`` on the moments of that stack's 25 rows, estimated
   here as the count path estimates them;
-- one ``_propagate_sigmas`` trial of that count vector;
+- the count path's estimator ``_estimate`` on one row's (40, 25, 12) sigma
+  stack, that 25-vector stack for each of 40 trials;
+- its sides stage ``_sides`` on one trial's views of that estimate;
 - ``run_sweep`` at the default config with ``trials=40`` (no files written);
 - ``run_sweep`` at ``theta_grid(3)`` with ``optimize_basis=True``, the
   ``optimize`` benchmark workload's sweep (no files written);
@@ -51,9 +53,11 @@ import numpy as np
 from same_bytes import ROOT, export
 
 # one sampled trial's 12 counts, [Lx(3), Ly(3), Lz(3), Lp(3)], none of them
-# zero, so the sigma stack holds 2 * 12 + 1 = 25 vectors
+# zero, so the sigma stack holds 2 * 12 + 1 = 25 distinct vectors
 COUNTS = np.array([2480, 2517, 5003, 2391, 2655, 4954, 17, 4906, 5077, 3642, 3808, 2550],
                   dtype=float)
+# the trials of one row of the trials benchmark workload
+ROW_TRIALS = 40
 LOOP_S = 0.01
 HAAR_DIM, HAAR_SEED = 4, 28
 SIDES = ("ref", "tree")
@@ -106,6 +110,7 @@ def layers(pkg):
     sweep, bounds = pkg["sweep"], pkg["bounds"]
     lx, ly = pkg["hermitian"].builtin_spin1()[:2]
     stack = np.vstack([COUNTS, COUNTS + np.eye(12), COUNTS - np.eye(12)])
+    row = np.tile(stack, (ROW_TRIALS, 1, 1))
     sides = side_inputs(stack, lx, ly)
     config = sweep.SweepConfig(trials=40)
     optimize = sweep.SweepConfig(thetas=sweep.theta_grid(3), optimize_basis=True)
@@ -114,11 +119,13 @@ def layers(pkg):
     # the count path's arguments: what it reads of Lx and Ly, built once, in a
     # tree that builds it; Lx and Ly themselves in one that does not
     obs = (sweep._count_constants(lx, ly),) if hasattr(sweep, "_count_constants") else (lx, ly)
+    # one trial's views of the row's estimate, in a tree with the two stages
+    views = [x[0] for x in sweep._estimate(row, *obs)] if hasattr(sweep, "_estimate") else None
     return {
         "_sampled_columns (25 vectors)": lambda: sweep._sampled_columns(stack, *obs),
         "relation_sides (25 rows)": lambda: bounds.relation_sides(*sides),
-        "_propagate_sigmas (1 trial)": lambda: sweep._propagate_sigmas(
-            COUNTS, lambda c: sweep._sampled_columns(c, *obs)),
+        "_estimate (40 x 25 vectors)": lambda: sweep._estimate(row, *obs),
+        "_sides (1 trial)": lambda: sweep._sides(views, *obs),
         "run_sweep (trials=40)": lambda: sweep.run_sweep(config),
         "run_sweep (optimize, 3 points)": lambda: sweep.run_sweep(optimize),
         "evaluate_states (501 states)": lambda: bounds.evaluate_states(psi, lx, ly),
