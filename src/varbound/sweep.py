@@ -27,12 +27,12 @@ the columns that read it undefined) or not computed.  First-order Poisson
 error bars come from one-count central differences: each row estimates its
 trials' base, +1 and -1 count vectors in one call, and each trial's sides
 in one more.  What they read of Lx and Ly is built once per sweep.  The
-computational-basis columns read the plug-in state's Abar psi, Bbar psi
-from ``hermitian._centre``; the optimized-basis ones project them onto a
-row's two optimal bases.  The (rows, columns, trials) value and sigma tables
-are reduced once: the mean over the k trials that define a column, and
-sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the verdict
-when it lies off its ideal value by more than the slack tolerance.
+computational-basis columns read the plug-in state's Abar psi, Bbar psi from
+``hermitian._centre``; the optimized-basis ones project them onto a row's eq2
+and eq5 bases, from one search per sweep.  The (rows, columns, trials) value
+and sigma tables are reduced once: the mean over the k trials that define a
+column, and sqrt(mean sigma^2 / k).  A sampled column with zero sigma fails the
+verdict when off its ideal value by more than the slack tolerance.
 """
 
 from __future__ import annotations
@@ -341,15 +341,13 @@ def run_sweep(config: SweepConfig):
     ideal, sampled, sigma = np.hsplit(table[:, 2:], 3)  # views into table
     ideal[:] = ideal_table[rows]
     # each row's (2, 3, 3) adjoints of its eq2 and eq5 optimal bases, from
-    # one basis search per objective over all rows
+    # one basis search over both objectives and all rows
     adjoints = [None] * len(table)
     if config.optimize_basis:
-        states = list(map(PureState, amps))
-        adjoints = np.empty((len(table), 2, 3, 3), dtype=complex)
-        for i, rid in enumerate(("eq2", "eq5")):
-            bases, ideal[:, VALUE_COLUMNS.index(f"rhs_{rid}_opt")], _ = optimize_bound(
-                rid, states, lx, ly)
-            adjoints[:, i] = [b.matrix.conj().T for b in bases]
+        bases, values, _ = optimize_bound(("eq2", "eq5"), map(PureState, amps), lx, ly)
+        ideal[:, [VALUE_COLUMNS.index(f"rhs_{rid}_opt") for rid in ("eq2", "eq5")]] = np.reshape(
+            values, (2, -1)).T
+        adjoints = np.array([b.matrix.conj().T for b in bases]).reshape(2, -1, 3, 3).swapaxes(0, 1)
     # (rows, columns, trials) value and sigma tables: each mean below sums a
     # contiguous row, trials in the order they ran
     vals, sigs = np.empty((2, len(table), len(VALUE_COLUMNS), config.trials))

@@ -148,3 +148,43 @@ def test_optimize_layer_is_the_optimize_workload_sweep():
     assert table.tobytes() == want.tobytes() and len(dense) == 0 and report.ok
     for column in ("rhs_eq2_opt", "rhs_eq5_opt"):
         assert not np.isnan(table[:, sweep.CSV_COLUMNS.index(column)]).any()
+
+
+OPTIMIZE_BOUND_LAYER = "optimize_bound (eq5, 3 states)"
+
+
+def test_optimize_bound_layer_is_eq5_over_the_optimize_workload_states():
+    """The optimize_bound layer searches eq5 alone over the three family
+    states of theta_grid(3): the bits of that call made directly."""
+    pkg = ab_time.load(ROOT / "src", "varbound_ab_optimize_bound")
+    photonics, search = pkg["photonics"], pkg["basis_search"]
+    bases, values, trace = ab_time.layers(pkg)[OPTIMIZE_BOUND_LAYER]()
+    states = [photonics.prepare_state(t) for t in pkg["sweep"].theta_grid(3)]
+    want_bases, want_values, want = search.optimize_bound(
+        "eq5", states, *pkg["hermitian"].builtin_spin1()[:2])
+    assert [b.matrix.tobytes() for b in bases] == [b.matrix.tobytes() for b in want_bases]
+    assert values == want_values and len(values) == 3
+    assert trace.restart_histories == want.restart_histories and trace.winner == want.winner
+
+
+def test_layer_only_the_ref_lacks_is_timed_on_the_tree():
+    """A layer that the ref lacks is timed on the tree alone, and its line
+    gives the tree's median and quartiles beside the absent report; one
+    that the tree lacks is not timed at all."""
+
+    def lacking():
+        raise AttributeError("no such layer")
+
+    fns = {"ref": {"both": lambda: None, "new": lacking, "gone": lambda: None},
+           "tree": {"both": lambda: None, "new": lambda: None, "gone": lacking}}
+    absent, numbers, times = ab_time.measure(fns, 3)
+    assert list(absent) == ["new", "gone"] and list(numbers) == ["both", "new"]
+    assert absent["new"].startswith("absent at ref: AttributeError")
+    assert absent["gone"].startswith("absent at tree: AttributeError")
+    assert {side: len(t) for side, t in times["both"].items()} == {"ref": 3, "tree": 3}
+    assert {side: len(t) for side, t in times["new"].items()} == {"tree": 3}
+    both, new, gone = ab_time.report_lines(fns["tree"], absent, numbers, times)
+    assert both.startswith("both: ref ") and "tree faster in" in both
+    assert new == (f"new: {absent['new']}; tree {ab_time._us(ab_time.quartiles(times['new']['tree']))}"
+                   f" us ({numbers['new']} calls per loop)")
+    assert gone == f"gone: {absent['gone']}"

@@ -12,14 +12,16 @@ from varbound.basis_search import (
     BadParameterCount,
     _compass_search,
     _objective_fn,
-    haar_basis,
     optimize_bound,
     param_count,
     unitary_from_params,
 )
 from varbound.bounds import OrthonormalBasis, evaluate_all, evaluate_states
-from varbound.hermitian import builtin_spin1, haar_random_state, make_observable
+from varbound.hermitian import DimensionMismatch, builtin_spin1, haar_random_state, make_observable
 from varbound.photonics import prepare_state
+from varbound.sweep import theta_grid
+
+from support import haar_basis
 
 LX, LY, LZ, LP = builtin_spin1()
 COMP = OrthonormalBasis.computational(3)
@@ -132,8 +134,8 @@ class TestCompassSearch:
         n = param_count(dim)
         x0 = np.array([np.zeros(n) if z else rng.uniform(-np.pi, np.pi, n) for z in zero_starts])
         with mock.patch.object(basis_search, "_MAX_ITERS", max_iters):
-            x, best, histories = _compass_search(_objective_fn(objective, states, a, b), x0, dim)
-            refs = [_serial_compass(_objective_fn(objective, [state], a, b), x0[s], dim)
+            x, best, histories = _compass_search(_objective_fn([objective], states, a, b), x0, dim)
+            refs = [_serial_compass(_objective_fn([objective], [state], a, b), x0[s], dim)
                     for s, state in enumerate(states)]
         assert len(histories) == len(states)
         for s, (ref_x, ref_best, ref_history) in enumerate(refs):
@@ -146,7 +148,7 @@ class TestCompassSearch:
         """A lone basis matrix gets the bits of its row in a stack, also
         where a float64 scalar's pow(x, 2) and x * x round apart."""
         rng = np.random.default_rng(4)
-        fn = _objective_fn(objective, [prepare_state(0.3)], LX, LY)
+        fn = _objective_fn([objective], [prepare_state(0.3)], LX, LY)
         stack = unitary_from_params(rng.uniform(-np.pi, np.pi, (2000, param_count(3))), 3)
         values = fn(stack)
         assert values.shape == (2000,)
@@ -275,5 +277,85 @@ class TestOptimizeBound:
                 assert np.float64(value).tobytes() == np.float64(kernel).tobytes()
 
     def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            optimize_bound("eq9", [prepare_state(0.1)], LX, LY)
+        """An unknown objective is rejected, alone or beside a known one,
+        and so is an empty sequence of objectives."""
+        for objective in ("eq9", ("eq2", "eq9"), ("eq5", "EQ2"), ()):
+            with pytest.raises(ValueError):
+                optimize_bound(objective, [prepare_state(0.1)], LX, LY)
+
+    @pytest.mark.parametrize("objective", ["eq2", ("eq2", "eq5")], ids=["eq2", "joint"])
+    def test_dimension_mismatch(self, objective):
+        """States whose dimension is not the observables' are rejected, one
+        among matching ones too."""
+        rng = np.random.default_rng(3)
+        for states in ([haar_random_state(4, rng)], [prepare_state(0.1), haar_random_state(2, rng)]):
+            with pytest.raises(DimensionMismatch):
+                optimize_bound(objective, states, LX, LY)
+
+
+def _joint_case(case):
+    """(states, a, b): the family at theta_grid(5) with Lx and Ly, or three
+    Haar states of d = ``case`` with a random Hermitian pair."""
+    if case == "family":
+        return [prepare_state(t) for t in theta_grid(5)], LX, LY
+    rng = np.random.default_rng(40 + case)
+    states = [haar_random_state(case, rng) for _ in range(3)]
+    return states, _random_hermitian(rng, case), _random_hermitian(rng, case)
+
+
+class TestJointSearch:
+    """The eq2 and eq5 searches run as one lockstep search, as the sweep
+    runs them, and each takes its one-objective path bit for bit."""
+
+    @pytest.mark.parametrize("case", ["family", 3])
+    def test_objective_rows_are_lone_one_objective_calls(self, case):
+        """A stack scored over both objectives, its owners in order, has in
+        each row the bits of a lone call for that row's pair, and of a lone
+        call of that objective's own function."""
+        states, a, b = _joint_case(case)
+        rng = np.random.default_rng(5)
+        owner = np.sort(rng.integers(0, 2 * len(states), 300))
+        stack = unitary_from_params(rng.uniform(-np.pi, np.pi, (300, param_count(3))), 3)
+        fn = _objective_fn(["eq2", "eq5"], states, a, b)
+        ones = [_objective_fn([objective], states, a, b) for objective in ("eq2", "eq5")]
+        values = fn(stack, owner)
+        assert values.shape == (300,)
+        assert values.tobytes() == np.array([fn(u, o) for u, o in zip(stack, owner)]).tobytes()
+        assert values.tobytes() == np.array(
+            [ones[o // len(states)](u, o % len(states)) for u, o in zip(stack, owner)]).tobytes()
+
+    @pytest.mark.parametrize("case", ["family", 2, 3, 4])
+    def test_compass_is_the_one_objective_searches(self, short_search, case):
+        """x, best and every history of one joint _compass_search call equal
+        those of one call per objective, from the same starts."""
+        states, a, b = _joint_case(case)
+        dim, k = states[0].dim, len(states)
+        x0 = np.random.default_rng(7).uniform(-np.pi, np.pi, (2 * k, param_count(dim)))
+        x, best, histories = _compass_search(_objective_fn(["eq2", "eq5"], states, a, b), x0, dim)
+        for i, objective in enumerate(("eq2", "eq5")):
+            rows = slice(i * k, (i + 1) * k)
+            one = _compass_search(_objective_fn([objective], states, a, b), x0[rows], dim)
+            assert x[rows].tobytes() == one[0].tobytes()
+            assert best[rows].tobytes() == one[1].tobytes()
+            assert [np.array(h).tobytes() for h in histories[rows]] == [
+                np.array(h).tobytes() for h in one[2]]
+
+    @pytest.mark.parametrize("case", ["family", 2, 3, 4])
+    def test_optimize_bound_is_the_one_objective_calls(self, short_search, case):
+        """One optimize_bound call over ("eq2", "eq5") gives, objective by
+        objective, the bases, values, histories and winners of the
+        one-objective calls, in (objective, state, restart) order."""
+        states, a, b = _joint_case(case)
+        bases, values, trace = optimize_bound(("eq2", "eq5"), states, a, b)
+        searches = len(states) * basis_search._RESTARTS
+        assert len(bases) == len(values) == len(trace.winner) == 2 * len(states)
+        assert len(trace.restart_histories) == 2 * searches
+        for i, objective in enumerate(("eq2", "eq5")):
+            rows = slice(i * len(states), (i + 1) * len(states))
+            one_bases, one_values, one = optimize_bound(objective, states, a, b)
+            assert [m.matrix.tobytes() for m in bases[rows]] == [
+                m.matrix.tobytes() for m in one_bases]
+            assert values[rows] == one_values and trace.winner[rows] == one.winner
+            assert [np.array(h).tobytes() for h in
+                    trace.restart_histories[i * searches : (i + 1) * searches]] == [
+                np.array(h).tobytes() for h in one.restart_histories]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import varbound.bounds as bounds
 import varbound.hermitian as hermitian
-from varbound.basis_search import haar_basis
+from support import haar_basis
 from varbound.bounds import (
     EQ7_EPS,
     BoundResult,

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import varbound.hermitian as hermitian
 import varbound.sweep as sweep
-from varbound import basis_search
-from varbound.basis_search import haar_basis, optimize_bound
+from varbound.basis_search import optimize_bound
 from varbound.bounds import (
     EQ7_EPS,
     _degenerate_std,
@@ -52,6 +51,8 @@ from varbound.sweep import (
     verify_dataset,
 )
 
+from support import haar_basis
+
 LX, LY, LZ, LP = builtin_spin1()
 CONSTANTS = sweep._count_constants(LX, LY)
 # the slack tolerance's floors for Lx and Ly by the relation's lhs column;
@@ -71,15 +72,6 @@ RELATION_COLUMNS = (
     ("eq6", "lhs_sum", "rhs_eq6", "lower"),
     ("eq7", "lhs_sum", "rhs_eq7", "upper"),
 )
-
-
-@pytest.fixture
-def short_search(monkeypatch):
-    """The basis search cut to 2 restarts of at most 15 sweeps, for tests of
-    the wiring around it; each compares the sweep with direct searches, which
-    read the same constants."""
-    monkeypatch.setattr(basis_search, "_RESTARTS", 2)
-    monkeypatch.setattr(basis_search, "_MAX_ITERS", 15)
 
 
 class TestConfig:
@@ -415,21 +407,22 @@ class TestRunSweep:
         assert set(thetas) <= set(calls[0])
         assert table[:, 2:].tobytes() == expected[:, 2:].tobytes()
 
-    def test_one_basis_search_per_objective(self, monkeypatch, short_search):
-        """A sweep over five angles makes one optimize_bound call per
-        objective, and each row's optimized column has the bits of a
-        one-state search."""
+    def test_one_basis_search_per_sweep(self, monkeypatch, short_search):
+        """A sweep over five angles makes one optimize_bound call, over both
+        objectives and all five states, and each row's optimized columns
+        have the bits of one-state, one-objective searches."""
         calls = []
 
         def counted(objective, states, *args, _fn=sweep.optimize_bound):
+            states = list(states)
             calls.append((objective, states))
             return _fn(objective, states, *args)
 
         monkeypatch.setattr(sweep, "optimize_bound", counted)
         thetas = theta_grid(5)
         table, _, _ = run_sweep(SweepConfig(thetas=thetas, counts=2000, optimize_basis=True))
-        assert len(calls) == 2
-        assert [(objective, len(states)) for objective, states in calls] == [("eq2", 5), ("eq5", 5)]
+        assert [(tuple(objective), len(states)) for objective, states in calls] == [
+            (("eq2", "eq5"), 5)]
         for row, theta in zip(table, thetas):
             for objective in ("eq2", "eq5"):
                 _, [value], _ = optimize_bound(objective, [prepare_state(theta)], LX, LY)

@@ -1,4 +1,4 @@
-"""Time eight layers of varbound at a git ref and in the working tree, in one
+"""Time nine layers of varbound at a git ref and in the working tree, in one
 process, alternating the two sides round by round.
 
 Usage: python3 tools/ab_time.py <git-ref> [--rounds N]
@@ -19,6 +19,8 @@ host state.  The layers:
 - ``run_sweep`` at the default config with ``trials=40`` (no files written);
 - ``run_sweep`` at ``theta_grid(3)`` with ``optimize_basis=True``, the
   ``optimize`` benchmark workload's sweep (no files written);
+- ``optimize_bound`` of eq5 alone over the 3 states of ``theta_grid(3)``,
+  the library's one-objective search;
 - ``evaluate_states`` of Lx and Ly on the 501 states of the dense grid;
 - ``evaluate_all`` on one d = 4 Haar state with a random Hermitian pair, the
   ``haar`` benchmark workload's unit of work (its observables built outside
@@ -31,8 +33,10 @@ call over the fastest of three loops (garbage collection off, as in
 first round.  Printed
 per layer: each side's median and quartiles over the rounds, the ratio of the
 medians (tree / ref) and in how many rounds the tree was faster.  A layer that
-one tree lacks, or cannot run, is reported as absent.  The exit status is 2
-if the ref cannot be exported, else 0.  Standard library and numpy only.
+one tree lacks, or cannot run, is reported as absent; one that only the ref
+lacks is still timed on the tree, and its median and quartiles printed
+beside the report.  The exit status is 2 if the ref cannot be exported,
+else 0.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ SIDES = ("ref", "tree")
 
 
 def load(src, name):
-    """The sweep, bounds, photonics and hermitian modules of the varbound
-    package under ``src``, imported as the package ``name``."""
+    """The sweep, bounds, photonics, hermitian and basis_search modules of the
+    varbound package under ``src``, imported as the package ``name``."""
     package = Path(src) / "varbound"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
@@ -73,7 +77,7 @@ def load(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("sweep", "bounds", "photonics", "hermitian")}
+            for m in ("sweep", "bounds", "photonics", "hermitian", "basis_search")}
 
 
 def side_inputs(stack, lx, ly):
@@ -114,6 +118,7 @@ def layers(pkg):
     sides = side_inputs(stack, lx, ly)
     config = sweep.SweepConfig(trials=40)
     optimize = sweep.SweepConfig(thetas=sweep.theta_grid(3), optimize_basis=True)
+    family = [pkg["photonics"].prepare_state(t) for t in sweep.theta_grid(3)]
     psi = pkg["photonics"].prepare_amplitudes(np.linspace(0.0, np.pi, 501))
     haar = haar_inputs(pkg["hermitian"])
     # the count path's arguments: what it reads of Lx and Ly, built once, in a
@@ -128,6 +133,8 @@ def layers(pkg):
         "_sides (1 trial)": lambda: sweep._sides(views, *obs),
         "run_sweep (trials=40)": lambda: sweep.run_sweep(config),
         "run_sweep (optimize, 3 points)": lambda: sweep.run_sweep(optimize),
+        "optimize_bound (eq5, 3 states)": lambda: pkg["basis_search"].optimize_bound(
+            "eq5", family, lx, ly),
         "evaluate_states (501 states)": lambda: bounds.evaluate_states(psi, lx, ly),
         "evaluate_all (one d=4 Haar state)": lambda: bounds.evaluate_all(*haar),
     }
@@ -175,7 +182,8 @@ def loop_length(fns):
 def absent_layers(fns):
     """{layer name: why} of each layer of the tree that a side lacks or
     cannot run, from one warm-up call of every layer on both sides;
-    ``fns`` maps each of SIDES to its :func:`layers`."""
+    ``fns`` maps each of SIDES to its :func:`layers`.  ``why`` names the
+    tree where both sides lack the layer."""
     absent = {}
     for name in fns["tree"]:
         for side in SIDES:
@@ -184,6 +192,41 @@ def absent_layers(fns):
             except (AttributeError, TypeError, ValueError) as exc:
                 absent[name] = f"absent at {side}: {exc!r}"
     return absent
+
+
+def measure(fns, rounds):
+    """Time every layer of the tree over ``rounds`` alternating rounds;
+    ``fns`` maps each of SIDES to its :func:`layers`.  Returns (absent,
+    numbers, times): :func:`absent_layers`' report, the calls per loop of
+    each timed layer, and {layer: {side: per-call seconds, one per round}}
+    of each side that runs it, the tree alone where only the ref lacks it."""
+    absent = absent_layers(fns)
+    sides = {name: [side for side in SIDES if name not in absent
+                    or side == "tree" and absent[name].startswith("absent at ref")]
+             for name in fns["tree"]}
+    numbers = {name: loop_length([fns[side][name] for side in run])
+               for name, run in sides.items() if run}
+    times = {name: {side: [] for side in sides[name]} for name in numbers}
+    for r in range(rounds):
+        for name in numbers:
+            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                if side in times[name]:
+                    loops = timeit.Timer(fns[side][name]).repeat(3, numbers[name])
+                    times[name][side].append(min(loops) / numbers[name])
+    return absent, numbers, times
+
+
+def report_lines(names, absent, numbers, times):
+    """One printed line per layer of :func:`measure`'s result."""
+    for name in names:
+        if name not in numbers:
+            yield f"{name}: {absent[name]}"
+        elif name in absent:
+            yield (f"{name}: {absent[name]}; tree {_us(quartiles(times[name]['tree']))} us "
+                   f"({numbers[name]} calls per loop)")
+        else:
+            yield (format_line(name, summarize(times[name]["ref"], times[name]["tree"]))
+                   + f" ({numbers[name]} calls per loop)")
 
 
 def main(argv):
@@ -199,22 +242,10 @@ def main(argv):
             return 2
         fns = {"ref": layers(load(Path(tmp) / "src", "varbound_ref")),
                "tree": layers(load(ROOT / "src", "varbound_tree"))}
-        absent = absent_layers(fns)
-        timed = [name for name in fns["tree"] if name not in absent]
-        numbers = {name: loop_length([fns[side][name] for side in SIDES]) for name in timed}
-        times = {name: {side: [] for side in SIDES} for name in timed}
-        for r in range(args.rounds):
-            for name in timed:
-                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                    loops = timeit.Timer(fns[side][name]).repeat(3, numbers[name])
-                    times[name][side].append(min(loops) / numbers[name])
+        result = measure(fns, args.rounds)
     print(f"{args.rounds} alternating rounds of the working tree against {args.ref}")
-    for name in fns["tree"]:
-        if name in absent:
-            print(f"{name}: {absent[name]}")
-        else:
-            print(format_line(name, summarize(times[name]["ref"], times[name]["tree"]))
-                  + f" ({numbers[name]} calls per loop)")
+    for line in report_lines(fns["tree"], *result):
+        print(line)
     return 0
 
 
