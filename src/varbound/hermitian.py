@@ -2,13 +2,13 @@
 
 Everything here is exact-enough double precision for dimensions up to ~8.
 Eigensystems are LAPACK's (``numpy.linalg.eigh``: ascending, orthonormal),
-optionally permuted to a requested eigenvalue order, with each
-eigenvector's phase fixed afterwards (largest-magnitude component real and
-positive), so non-degenerate eigenvectors do not depend on LAPACK's phase
-convention.  Each Observable also carries its scale ``max_std``, half its
-spectrum's width, and its ``resolution``, the rounding of a computed one.
-The built-in spin-1 observables are built once per process and shared, as
-an Observable is frozen and its arrays are read-only.
+with each eigenvector's phase fixed afterwards (largest-magnitude component
+real and positive), so non-degenerate eigenvectors do not depend on LAPACK's
+phase convention.  Each Observable also carries its scale ``max_std``, half
+its spectrum's width, and its ``resolution``, the rounding of a computed
+one.  The built-in spin-1 observables, stored in the pairing order
+(-1, 1, 0), are built once per process and shared, as an Observable is
+frozen and its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _matrix_tol(scale):
 class Observable:
     """Hermitian matrix with a phase-fixed eigensystem, checked once here.
 
-    Column ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``; the
-    ordering is the one requested at construction (ascending by default).
+    Column ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``, in the
+    order given (``make_observable``'s is ascending).
     The arrays are read-only, so the check covers every later use.
     """
 
@@ -116,15 +116,10 @@ class Observable:
         return self.matrix.shape[0]
 
 
-def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
-    """Build an Observable from a Hermitian matrix; the Observable checks
-    the eigensystem on construction.
-
-    ``eigenvalue_order`` optionally re-permutes the ascending spectrum to a
-    caller-supplied value sequence, e.g. (-1, 1, 0) for the spin-1
-    components: the k-th smallest requested value takes the k-th smallest
-    eigenvalue, which must lie within 1e-8 (relative) of it.
-    """
+def make_observable(matrix, name="") -> Observable:
+    """Build an Observable from a Hermitian matrix, its eigensystem ascending
+    and phase-fixed; the Observable checks it on construction.  A stored
+    order of the caller's is an ``Observable(...)`` built directly."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("matrix must be square with dimension >= 2")
@@ -139,14 +134,6 @@ def make_observable(matrix, name="", eigenvalue_order=None) -> Observable:
     m = 0.5 * (m + mh)
 
     w, v = np.linalg.eigh(m)
-    if eigenvalue_order is not None:
-        target = np.asarray(eigenvalue_order, dtype=float)
-        rank = np.argsort(np.argsort(target, kind="stable"))
-        tol = 1e-8 * max(1.0, float(abs(w).max()))
-        # "not <=" so that a NaN request also fails
-        if target.shape != w.shape or not abs(w[rank] - target).max() <= tol:
-            raise ValueError(f"requested eigenvalues {target} not present in spectrum {w}")
-        w, v = w[rank], v[:, rank]
     # largest-magnitude component of each column real and positive
     pivot = v[abs(v).argmax(0), np.arange(w.size)]
     v = v * (pivot.conj() / abs(pivot))
@@ -160,15 +147,19 @@ SPIN1_EIGENVALUE_ORDER = (-1.0, 1.0, 0.0)
 def builtin_spin1():
     """The four spin-1 observables Lx, Ly, Lz and Lp = LxLy + LyLx.
 
-    Eigensystems use the pairing order (-1, 1, 0).  Built once per process:
-    every caller shares the one tuple of frozen, read-only Observables.
+    Each stores its eigensystem in the pairing order (-1, 1, 0): the ascending
+    one, last two columns swapped.  Built once per process: every caller
+    shares the one tuple of frozen, read-only Observables.
     """
     lx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
     ly = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
     lz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     lp = lx @ ly + ly @ lx
-    return tuple(make_observable(m, name, SPIN1_EIGENVALUE_ORDER)
-                 for m, name in ((lx, "Lx"), (ly, "Ly"), (lz, "Lz"), (lp, "Lp")))
+    p = [0, 2, 1]
+    ascending = (make_observable(m, name) for m, name in
+                 ((lx, "Lx"), (ly, "Ly"), (lz, "Lz"), (lp, "Lp")))
+    return tuple(Observable(o.matrix, o.eigenvalues[p], o.eigenvectors[:, p], o.name)
+                 for o in ascending)
 
 
 def _centre(psi, matrices):

@@ -253,15 +253,15 @@ def sample_counts(probabilities, total, seed):
 
 
 def decompose_lx():
-    """Three-stage decomposition of the Lx measurement unitary.
+    """Three-stage decomposition of the twin's Lx circuit matrix, the
+    published measurement unitary to rounding.
 
     Returns (u, u1, u2, u3, residual) with u = u3 @ u2 @ u1.  The middle
-    factor is recovered from the outer two and the target, then checked for
-    unitarity; the published middle factor has an inconsistent row sign,
-    which this reconstruction corrects.
+    factor is recovered from the outer two and u, and checked unitary; it
+    corrects the published middle factor's inconsistent row sign.
     """
     s = 1.0 / np.sqrt(2.0)
-    u = np.array([[0.5, -s, 0.5], [0.5, s, 0.5], [-s, 0.0, s]], dtype=complex)
+    u = builtin_settings()["Lx"].unitary
     u1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     u3 = np.array([[s, s, 0], [-s, s, 0], [0, 0, 1]], dtype=complex)
     u2 = u3.conj().T @ u @ u1.conj().T

@@ -145,7 +145,8 @@ class SweepConfig:
             raise ConfigError("theta list must be non-empty")
         # sized before it is read, so an oversized range allocates nothing
         _check_cells("sweep", f"{rows} thetas", rows * len(CSV_COLUMNS))
-        if not all(isinstance(t, numbers.Real) and abs(t) <= MAX_FLOAT for t in self.thetas):
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and abs(t) <= MAX_FLOAT
+                   for t in self.thetas):
             raise ConfigError(f"thetas must be finite real numbers, got {self.thetas!r}")
         # one tuple of floats, so equal angles give one hash in any form
         object.__setattr__(self, "thetas", tuple(map(float, self.thetas)))
@@ -424,14 +425,14 @@ def _records(table, statuses=None):
     return [dict(zip(sorted_keys, rec)) for rec in cells[:, order].tolist()]
 
 
-def emit(table, report, config: SweepConfig, dense=()):
+def emit(table, report, config: SweepConfig, dense):
     """Write CSV/JSON datasets of the sweep and dense (points, CSV_COLUMNS)
     tables from ``run_sweep``, each sweep row with its entry of
     ``report.statuses``; returns the list of written paths."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = _records(table, report.statuses)
-    dense_records = _records(np.reshape(dense, (-1, len(CSV_COLUMNS))))
+    dense_records = _records(dense)
     written = []
     if "csv" in config.formats:
         for name, recs in (("sweep.csv", records), ("dense.csv", dense_records)):

@@ -34,6 +34,7 @@ from varbound.bounds import (
     rhs_eq7,
 )
 from varbound.hermitian import (
+    Observable,
     PureState,
     builtin_spin1,
     haar_random_state,
@@ -389,11 +390,12 @@ class TestEvaluateAll:
     def test_scale_invariance_of_satisfaction(self):
         rng = np.random.default_rng(6)
         for c in (0.5, 2.0, 7.3):
-            scaled = make_observable(c * LX.matrix, eigenvalue_order=tuple(c * v for v in (-1, 1, 0)))
+            # ascending (-c, 0, c); the pairing meets LY's (-1, 1, 0) as LX does
+            scaled = make_observable(c * LX.matrix)
             for _ in range(50):
                 s = haar_random_state(3, rng)
                 base = evaluate_all(s, LX, LY)
-                mod = evaluate_all(s, scaled, LY)
+                mod = evaluate_all(s, scaled, LY, pairing=(0, 2, 1))
                 assert mod.var_a == pytest.approx(c**2 * base.var_a, rel=1e-9)
                 assert mod.results["eq1"].rhs == pytest.approx(
                     c**2 * base.results["eq1"].rhs, rel=1e-9, abs=1e-12
@@ -736,6 +738,56 @@ class TestReportMatchesReference:
             assert _report_bits(rep) == _report_bits(_reference_report(state, a, bb, basis, pairing))
             reasons.add(rep.results["eq7"].reason)
         assert reasons == {None, "degenerate variance", "singular denominator"}
+
+
+def _status_codes(state, a, b, pairing=None):
+    """Each relation's status and reason code by ``bounds.verdicts``."""
+    t = evaluate_states(state.amplitudes, a, b, pairing=pairing)
+    rhs = np.array([t[rid] for rid in bounds.RELATION_IDS])
+    out = bounds.verdicts(t, rhs, bounds._slack_floors(a, b), degenerate=t["eq7_degenerate"])
+    return out[3].tolist(), out[4].tolist()
+
+
+class TestPairingReachesStoredOrders:
+    """``pairing`` is the one way to pair eigenvalues: A and B stored in any
+    orders sigma_A, sigma_B give the report of their ascending eigensystems
+    under the pairing pi with pi[sigma_A] = sigma_B.  eq3 and eq6 then sum
+    the same terms in another order, so they agree within the slack
+    tolerance; every other field, status and reason is bit-equal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), degenerate=st.booleans(),
+           data=st.data())
+    def test_pairing_reaches_every_stored_order(self, d, seed, degenerate, data):
+        rng = np.random.default_rng(seed)
+        matrices = [_random_hermitian(rng, d) for _ in "ab"]
+        if degenerate:
+            # integer spectra with a repeated value, the repeat's columns
+            # reordered like any others
+            for i, q in enumerate((haar_basis(d, seed).matrix, haar_basis(d, seed + 1).matrix)):
+                values = data.draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))
+                matrices[i] = (q * np.array(values + values[:1], float)) @ q.conj().T
+        a0, b0 = (make_observable(m) for m in matrices)
+        sigma_a = data.draw(st.permutations(range(d)))
+        sigma_b = data.draw(st.permutations(range(d)))
+        a, b = (Observable(o.matrix, o.eigenvalues[s], o.eigenvectors[:, s])
+                for o, s in ((a0, sigma_a), (b0, sigma_b)))
+        pairing = [0] * d
+        for i, j in zip(sigma_a, sigma_b):
+            pairing[i] = j
+        floors = bounds._slack_floors(a0, b0)
+        assert bounds._slack_floors(a, b) == floors
+        for state in (haar_random_state(d, rng), PureState(a0.eigenvectors[:, 0])):
+            stored, paired = evaluate_all(state, a, b), evaluate_all(state, a0, b0, pairing=pairing)
+            results = dict(stored.results)
+            for rid, floor in (("eq3", floors[0]), ("eq6", floors[1])):
+                s, p = stored.results[rid], paired.results[rid]
+                tol = bounds._slack_tol(p.lhs, p.rhs, floor)
+                assert abs(s.rhs - p.rhs) <= tol and abs(s.slack - p.slack) <= tol
+                results[rid] = dataclasses.replace(s, rhs=p.rhs, slack=p.slack)
+            stored = dataclasses.replace(stored, results=results)
+            assert _report_bits(stored) == _report_bits(paired)
+            assert _status_codes(state, a, b) == _status_codes(state, a0, b0, pairing)
 
 
 # each relation's side and direction, written out here so that the

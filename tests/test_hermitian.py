@@ -10,6 +10,7 @@ from varbound.bounds import evaluate_all, evaluate_states
 from varbound.hermitian import (
     EPS,
     RESOLVED_ULPS,
+    SPIN1_EIGENVALUE_ORDER,
     DimensionMismatch,
     EigenFailure,
     NonHermitianError,
@@ -25,8 +26,8 @@ from varbound.photonics import prepare_state
 LX, LY, LZ, LP = builtin_spin1()
 
 # Reference eigensystem post-processing: the re-sort, cluster-wise
-# Gram-Schmidt, greedy eigenvalue matching and per-column phase fix that
-# ``make_observable`` applied to ``eigh`` before it took LAPACK's output as is.
+# Gram-Schmidt and per-column phase fix that ``make_observable`` applied to
+# ``eigh`` before it took LAPACK's output as is.
 DEGENERACY_TOL = 1e-9
 
 
@@ -55,30 +56,20 @@ def _orthonormalize_clusters(w, vectors):
     return out
 
 
-def _match_order(sorted_values, target_order):
-    """Permutation mapping sorted eigenvalues onto requested values, to 1e-8 relative."""
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(sorted_values))))
-    remaining = list(range(len(sorted_values)))
-    perm = []
-    for t in target_order:
-        k = min(remaining, key=lambda i: abs(sorted_values[i] - t))
-        if abs(sorted_values[k] - t) > tol:
-            raise ValueError(f"requested eigenvalue {t} not present in spectrum {sorted_values}")
-        perm.append(k)
-        remaining.remove(k)
-    return perm
-
-
-def _reference_eigensystem(m, eigenvalue_order=None):
+def _reference_eigensystem(m):
     """(eigenvalues, eigenvectors, permutation of eigh's columns)."""
     w, v = np.linalg.eigh(m)
     perm = np.argsort(w)
     w, v = w[perm], v[:, perm]
-    v = _orthonormalize_clusters(w, v)
-    if eigenvalue_order is not None:
-        order = _match_order(w, eigenvalue_order)
-        w, v, perm = w[order], v[:, order], perm[order]
-    return w, _fix_phases(v), perm
+    return w, _fix_phases(_orthonormalize_clusters(w, v)), perm
+
+
+def _custom_order(obs, values):
+    """``obs`` stored in the order of ``values``, nominal eigenvalues (one
+    per eigenvalue, in any order): the k-th smallest value takes the k-th
+    ascending column, as a directly built Observable."""
+    rank = np.argsort(np.argsort(values, kind="stable"))
+    return Observable(obs.matrix, values, obs.eigenvectors[:, rank], obs.name)
 
 
 def _hermitian(d, seed, spectrum):
@@ -122,11 +113,12 @@ class TestMakeObservable:
         assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
 
     def test_diagonal_lz(self):
-        obs = make_observable(np.diag([1.0, 0.0, -1.0]), "Lz", eigenvalue_order=(-1, 1, 0))
-        assert np.allclose(obs.eigenvalues, [-1, 1, 0])
-        # eigenvectors of a diagonal matrix are basis vectors
-        v = obs.eigenvectors
-        assert np.allclose(np.abs(v), np.eye(3)[:, [2, 0, 1]], atol=1e-12)
+        obs = make_observable(np.diag([1.0, 0.0, -1.0]), "Lz")
+        assert np.array_equal(obs.eigenvalues, [-1, 0, 1])
+        # eigenvectors of a diagonal matrix are basis vectors, ascending here
+        # and in the pairing order (-1, 1, 0) in the built-in Lz
+        assert np.allclose(np.abs(obs.eigenvectors), np.eye(3)[:, [2, 1, 0]], atol=1e-12)
+        assert np.allclose(np.abs(LZ.eigenvectors), np.eye(3)[:, [2, 0, 1]], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
@@ -166,21 +158,29 @@ class TestMakeObservable:
                 # agrees with the LAPACK spectrum
                 assert np.allclose(np.sort(obs.eigenvalues), np.linalg.eigvalsh(h), atol=1e-10)
 
+    # a custom eigenvalue order is an Observable built directly from the
+    # ascending eigensystem, and its own check accepts or rejects it
     @pytest.mark.parametrize("scale", [1e8, 1e9])
     def test_eigenvalue_order_matched_relative_to_scale(self, scale):
-        obs = make_observable(scale * LX.matrix, eigenvalue_order=(-scale, scale, 0))
-        assert np.allclose(obs.eigenvalues, [-scale, scale, 0], rtol=1e-12, atol=1e-12 * scale)
+        """Nominal values beside computed eigenvectors reconstruct the
+        matrix to a tolerance relative to its scale."""
+        asc = make_observable(scale * LX.matrix)
+        obs = _custom_order(asc, (-scale, scale, 0.0))
+        assert np.allclose(asc.eigenvalues[[0, 2, 1]], obs.eigenvalues, rtol=1e-12,
+                           atol=1e-12 * scale)
+        assert obs.max_std == scale
 
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_eigenvalue_order_rejects_absent_value(self, scale):
+        asc = make_observable(scale * LX.matrix)
         for order in ((-scale, 2 * scale, 0), (-scale, scale * (1 + 1e-7), 0)):
-            with pytest.raises(ValueError, match="not present"):
-                make_observable(scale * LX.matrix, eigenvalue_order=order)
+            with pytest.raises(EigenFailure, match="reconstruct"):
+                _custom_order(asc, order)
 
     @pytest.mark.parametrize("order", [(-1, 1, 0, 2), (-1, 1), (np.nan, 1, 0), 0.0])
     def test_malformed_eigenvalue_order_rejected(self, order):
-        with pytest.raises(ValueError, match="not present"):
-            make_observable(LX.matrix, eigenvalue_order=order)
+        with pytest.raises(EigenFailure, match="shapes|reconstruct"):
+            Observable(LX.matrix, order, LX.eigenvectors)
 
     def test_phase_fix_reproducible(self):
         rng = np.random.default_rng(3)
@@ -207,23 +207,15 @@ class TestMatchesReference:
         d=st.integers(2, 6),
         seed=st.integers(0, 2**32 - 1),
         degenerate=st.booleans(),
-        order=st.sampled_from([None, "sorted", "permuted"]),
         data=st.data(),
     )
-    def test_eigensystem_matches_reference(self, d, seed, degenerate, order, data):
+    def test_eigensystem_matches_reference(self, d, seed, degenerate, data):
         spectrum = (
             data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)) if degenerate else None
         )
         m = _hermitian(d, seed, spectrum)
-        h = 0.5 * (m + m.conj().T)
-        target = None
-        if order is not None:
-            # eigh's own values (eigvalsh rounds differently), so the
-            # greedy reference meets each request exactly
-            w = np.linalg.eigh(h)[0]
-            target = w if order == "sorted" else w[data.draw(st.permutations(range(d)))]
-        w_ref, v_ref, perm_ref = _reference_eigensystem(h, target)
-        obs = make_observable(m, eigenvalue_order=target)
+        w_ref, v_ref, perm_ref = _reference_eigensystem(0.5 * (m + m.conj().T))
+        obs = make_observable(m)
         assert np.array_equal(obs.eigenvalues, w_ref)
         # which eigh column each eigenvector is (they differ only in phase)
         _, v_eigh = np.linalg.eigh(obs.matrix)
@@ -238,14 +230,15 @@ class TestMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_nominal_degenerate_order_accepted(self, d, seed, data):
-        """Requested exact values (e.g. integers) match a computed spectrum
-        that carries rounding, as the reference matching does."""
+        """Exact values (integers) in a drawn custom order, degenerate ones
+        included, stand beside the computed spectrum, which carries
+        rounding: an Observable built directly takes them."""
         spectrum = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
         m = _hermitian(d, seed, spectrum)
-        obs = make_observable(m, eigenvalue_order=spectrum)
-        w_ref, _, _ = _reference_eigensystem(0.5 * (m + m.conj().T), spectrum)
-        assert np.max(np.abs(obs.eigenvalues - np.asarray(spectrum, dtype=float))) <= 1e-8 * 2
-        assert np.allclose(obs.eigenvalues, w_ref, rtol=0, atol=1e-12)
+        obs = _custom_order(make_observable(m), spectrum)
+        assert obs.eigenvalues.tolist() == spectrum
+        w_ref, _, _ = _reference_eigensystem(0.5 * (m + m.conj().T))
+        assert np.allclose(np.sort(spectrum), w_ref, rtol=0, atol=1e-12)
 
 
 class TestObservable:
@@ -271,6 +264,22 @@ class TestObservable:
 
 
 class TestBuiltinSpin1:
+    def test_pairing_order_of_the_ascending_eigensystem(self):
+        """Each built-in is make_observable's ascending eigensystem of its
+        matrix with the permutation (0, 2, 1) applied, byte for byte: the
+        pairing order (-1, 1, 0) that the sweep's count path reads."""
+        s = 1 / np.sqrt(2)
+        lx = np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex)
+        ly = np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]])
+        lz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        p = [0, 2, 1]
+        for obs, m in zip(builtin_spin1(), (lx, ly, lz, lx @ ly + ly @ lx)):
+            asc = make_observable(m, obs.name)
+            assert obs.matrix.tobytes() == asc.matrix.tobytes()
+            assert obs.eigenvalues.tobytes() == asc.eigenvalues[p].tobytes()
+            assert obs.eigenvectors.tobytes() == asc.eigenvectors[:, p].tobytes()
+            assert np.allclose(obs.eigenvalues, SPIN1_EIGENVALUE_ORDER, rtol=0, atol=1e-15)
+
     def test_lp_entry(self):
         assert LP.matrix[0, 2] == pytest.approx(-1j)
 

@@ -155,7 +155,12 @@ class TestMeasurementCircuits:
         assert np.max(np.abs(projection_probabilities(psi, SETTINGS[name]) - ref)) < 1e-12
 
     def test_lx_unitary_is_the_published_u(self):
-        assert np.max(np.abs(measurement_unitary(SETTINGS["Lx"]) - decompose_lx()[0])) < 1e-15
+        """The twin's Lx circuit matrix, which ``decompose_lx`` factors, is
+        the published measurement unitary U to rounding."""
+        s = 1.0 / np.sqrt(2.0)
+        published = np.array([[0.5, -s, 0.5], [0.5, s, 0.5], [-s, 0.0, s]])
+        assert np.max(np.abs(measurement_unitary(SETTINGS["Lx"]) - published)) < 1e-15
+        assert np.array_equal(decompose_lx()[0], measurement_unitary(SETTINGS["Lx"]))
 
     @pytest.mark.parametrize("name, ports", [("Lx", (1, 0, 3)), ("Ly", (0, 1, 3))])
     def test_port_swap_rejected_when_built(self, name, ports):

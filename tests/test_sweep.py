@@ -181,7 +181,8 @@ class TestConfig:
             assert hash(c) == hash(configs[-1])
         assert SweepConfig().hash() == "0fc3391ddde0894a"
 
-    @pytest.mark.parametrize("thetas", [("a",), (0.1, None), (1j,), ("0.5",), np.zeros((2, 2))])
+    @pytest.mark.parametrize("thetas", [("a",), (0.1, None), (1j,), ("0.5",), np.zeros((2, 2)),
+                                        (True, False)])
     def test_non_numeric_theta_rejected(self, thetas):
         with pytest.raises(ConfigError, match="thetas must be finite real numbers"):
             SweepConfig(thetas=thetas)
